@@ -26,8 +26,6 @@ from .ir.types import (
     Node,
     Operand,
     Out,
-    Phi,
-    Ret,
     Store,
     node_def,
     node_uses,

@@ -14,11 +14,9 @@ from pathlib import Path
 
 from .daegen import DaegenError
 from .harness import (
-    MODES,
     EquivalenceError,
     HarnessError,
     load_kernel,
-    load_machine,
     prepare,
     report_to_json,
     rows_to_csv,
@@ -26,8 +24,9 @@ from .harness import (
     run_one,
     run_suite,
 )
-from .ir import DirError, parse_program, print_program, with_seed
-from .machsim import MachSimError
+from .ir import DirError, parse_program, print_program
+from .machine import MachineError, load_machine
+from .machsim import MODES, MachSimError
 from .profiler import ProfileError, profile_run, read_profile, write_profile
 
 
@@ -116,13 +115,7 @@ def cmd_run(args) -> int:
     elif args.emit == "json":
         _emit(json.dumps(report_to_json(row), indent=2) + "\n", args.out)
     else:  # dir
-        if args.mode == "baseline":
-            prog = with_seed(parse_program(kernel.text), args.seed)
-        else:
-            prog = prepare(kernel, machine, seed=args.seed, theta=args.theta,
-                           rho=args.rho,
-                           slice_override=args.slice_override).plan.program
-        _emit(print_program(prog), args.out)
+        _emit(print_program(row.program), args.out)
     return 0
 
 
@@ -188,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"daef: {e}", file=sys.stderr)
         return 3
     except (HarnessError, ProfileError, DaegenError, MachSimError,
-            DirError, OSError) as e:
+            MachineError, DirError, OSError) as e:
         print(f"daef: {e}", file=sys.stderr)
         return 2
 

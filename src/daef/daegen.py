@@ -49,13 +49,9 @@ from .ir import (
     Function,
     Load,
     Node,
-    Operand,
-    Out,
-    Phi,
     Prefetch,
     Program,
     Ret,
-    Store,
     node_def,
     node_uses,
     print_function,
@@ -583,132 +579,3 @@ def make_phases(prog: Program, critical: Iterable[int],
         jit_node_count=len(list(base.nodes())),
         access_is_empty=access_is_empty,
     )
-
-
-# ---------------------------------------------------------------------------
-# standalone strip mining
-
-
-def strip_mine(prog: Program, slice_size: int) -> Program:
-    """Restructure the entry function's canonical loop into two levels:
-    an outer loop over slice starts and an inner loop of at most
-    slice_size iterations.  Behavior is preserved exactly, including for
-    zero-trip loops."""
-    if slice_size < 1:
-        raise DaegenError(f"slice size {slice_size} must be at least 1")
-    diags = validate_program(prog)
-    if diags:
-        raise DaegenError("refusing to transform an invalid program", diags)
-    out = copy.deepcopy(prog)
-    fn = out.entry_function()
-    _check_names(fn)
-    li = _single_canonical_loop(fn)
-    _check_sliceable(fn, li)
-    alloc = IdAlloc(out.max_id() + 1)
-    bm = fn.block_map()
-    header = bm[li.header]
-
-    carry_phis = [p for p in header.phis if p.dst != li.reg]
-    outer_of = {li.reg: f"__outer_{li.reg}"}
-    for p in carry_phis:
-        outer_of[p.dst] = f"__outer_{p.dst}"
-
-    exit_side = _exit_side_labels(fn, li)
-    for label in exit_side:
-        for n in bm[label].phis + bm[label].body + [bm[label].term]:
-            for reg in outer_of:
-                if node_def(n) == reg:
-                    raise DaegenError(
-                        f"%{reg} is redefined after the loop; cannot strip-mine")
-
-    # Outer header: one phi per loop-carried value.  The inner induction
-    # phi doubles as the slice cursor; when the inner loop exits it holds
-    # exactly the value the original loop would carry at that point, so
-    # it is also the correct exit value.
-    outer = Block(label="__outer_header")
-    for p in [next(p for p in header.phis if p.dst == li.reg)] + carry_phis:
-        outer.phis.append(Phi(id=alloc.take(), dst=outer_of[p.dst],
-                              incoming=[(li.preheader, dict(p.incoming)[li.preheader]),
-                                        (li.header, p.dst)]))
-    outer.body.append(BinOp(id=alloc.take(), dst="__outer_more", op=li.cmp,
-                            a=outer_of[li.reg], b=li.bound))
-    outer.term = BrCond(id=alloc.take(), cond="__outer_more",
-                        if_true="__outer_body", if_false=li.exit_target)
-
-    # Outer body: end of slice = min(start + S*step, exclusive bound).
-    ob = Block(label="__outer_body")
-    excl = BinOp(id=alloc.take(), dst="__excl", op="add", a=li.bound,
-                 b=1 if li.cmp == "sle" else 0)
-    raw = BinOp(id=alloc.take(), dst="__raw", op="add", a=outer_of[li.reg],
-                b=slice_size * li.step)
-    lt = BinOp(id=alloc.take(), dst="__lt", op="slt", a="__raw", b="__excl")
-    diff = BinOp(id=alloc.take(), dst="__diff", op="sub", a="__raw", b="__excl")
-    part = BinOp(id=alloc.take(), dst="__part", op="mul", a="__diff", b="__lt")
-    end = BinOp(id=alloc.take(), dst="__end", op="add", a="__excl", b="__part")
-    ob.body = [excl, raw, lt, diff, part, end]
-    ob.term = Br(id=alloc.take(), target=li.header)
-
-    # Inner loop edits: enter from the outer body, bound by __end, exit
-    # back into the outer header.
-    for p in header.phis:
-        p.incoming = [
-            ("__outer_body", outer_of[p.dst]) if pred == li.preheader
-            else (pred, v)
-            for pred, v in p.incoming
-        ]
-    cond_pos = next(k for k, n in enumerate(header.body) if n.id == li.cond_id)
-    old_cond = header.body[cond_pos]
-    header.body[cond_pos] = BinOp(id=old_cond.id, dst=old_cond.dst,
-                                  op="slt", a=li.reg, b="__end")
-    assert isinstance(header.term, BrCond)
-    header.term.if_false = "__outer_header"
-
-    # The preheader now feeds the outer loop.
-    pre = bm[li.preheader]
-    if isinstance(pre.term, Br):
-        pre.term.target = "__outer_header"
-    else:
-        assert isinstance(pre.term, BrCond)
-        if pre.term.if_true == li.header:
-            pre.term.if_true = "__outer_header"
-        if pre.term.if_false == li.header:
-            pre.term.if_false = "__outer_header"
-
-    # After the loop, reads of loop-carried values see the outer copies.
-    def rename_operand(v: Operand) -> Operand:
-        return outer_of.get(v, v) if isinstance(v, str) else v
-
-    for label in exit_side:
-        blk = bm[label]
-        for phi in blk.phis:
-            phi.incoming = [
-                ("__outer_header" if pred == li.header else pred, rename_operand(v))
-                for pred, v in phi.incoming
-            ]
-        for n in blk.body:
-            _rename_uses(n, rename_operand)
-        if blk.term is not None:
-            _rename_uses(blk.term, rename_operand)
-
-    pos = next(k for k, b in enumerate(fn.blocks) if b.label == li.header)
-    fn.blocks[pos:pos] = [outer, ob]
-
-    diags = validate_program(out)
-    if diags:
-        raise DaegenError("strip-mined program failed validation", diags)
-    return out
-
-
-def _rename_uses(n: Node, f) -> None:
-    if isinstance(n, BinOp):
-        n.a, n.b = f(n.a), f(n.b)
-    elif isinstance(n, (Load, Prefetch)):
-        n.base = f(n.base)
-    elif isinstance(n, Store):
-        n.base, n.src = f(n.base), f(n.src)
-    elif isinstance(n, Out):
-        n.src = f(n.src)
-    elif isinstance(n, BrCond):
-        n.cond = f(n.cond)
-    elif isinstance(n, Ret) and n.value is not None:
-        n.value = f(n.value)

@@ -1,42 +1,42 @@
 """Pipelines from kernel source to normalized result rows.
 
-One entry point per experiment shape: profile a kernel, transform it,
-run one (kernel, mode) cell, or sweep the whole built-in suite.  Both
-decoupled modes reuse a single offline profile per kernel, and every
-simulated variant is checked for observable equivalence against its own
-baseline before any number is reported.
+One entry point per experiment shape: transform a kernel, run one
+(kernel, mode) cell, or sweep the whole built-in suite.  Each kernel's
+seeded original is interpreted once for its baseline, and that same run
+yields the profile, unless a stored profile was given.  Both decoupled
+modes reuse that profile and plan, and every simulated variant is
+checked for observable equivalence against the baseline before any
+number is reported.  The suite runs its kernels one after another, in
+list order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from .daegen import (
-    DaegenError,
     PhasePlan,
     SliceParams,
     candidate_loop,
     choose_slice_size,
     make_phases,
 )
-from .ir import Program, parse_program, with_seed
+from .ir import Program, parse_program, program_digest, with_seed
 from .kernels import BenchmarkKernel, builtin_kernels, kernel_by_name
 from .machine import MachineConfig
 from .machsim import (
+    MODES,
     MachSimError,
     SimReport,
-    baseline_schedule,
     build_schedule,
     normalize,
     simulate,
+    simulate_baseline,
 )
-from .profiler import ProfileReport, classify_critical, profile_run, program_digest
-
-MODES = ("baseline", "static_dae", "dynamic_dae")
+from .profiler import ProfileReport, classify_critical, profiled_baseline
 
 CSV_COLUMNS = ("kernel", "mode", "norm_time", "norm_energy",
                "access_time", "execute_time", "overhead_time",
@@ -78,6 +78,7 @@ class Row:
     overhead_energy: Fraction
     report: SimReport | None = field(repr=False, default=None)
     baseline: SimReport | None = field(repr=False, default=None)
+    program: Program | None = field(repr=False, default=None)  # as simulated
 
     def values(self) -> list:
         return [self.kernel, self.mode, self.norm_time, self.norm_energy,
@@ -94,6 +95,7 @@ class Prepared:
     critical: frozenset[int]
     slice_params: SliceParams
     plan: PhasePlan
+    baseline: SimReport
 
 
 def load_kernel(name_or_path: str) -> BenchmarkKernel:
@@ -109,16 +111,6 @@ def load_kernel(name_or_path: str) -> BenchmarkKernel:
             name=path.stem, text=path.read_text(), working_set_bytes=0,
             characterization="user", description=f"loaded from {path}",
             oracle=lambda seed: None)
-
-
-def load_machine(path: str | None) -> MachineConfig:
-    if path is None:
-        return MachineConfig()
-    import json
-    try:
-        return MachineConfig.from_json(json.loads(Path(path).read_text()))
-    except (OSError, ValueError, KeyError) as e:
-        raise HarnessError(f"cannot load machine config {path!r}: {e}")
 
 
 def check_profile(profile: ProfileReport, seeded: Program,
@@ -143,12 +135,18 @@ def prepare(kernel: BenchmarkKernel, machine: MachineConfig, seed: int = 0,
             slice_override: int | None = None,
             profile: ProfileReport | None = None,
             allow_stale: bool = False) -> Prepared:
-    prog = parse_program(kernel.text)
-    seeded = with_seed(prog, seed)
+    """Baseline, profile and phase plan of one seeded kernel.
+
+    The baseline runs before the plan exists: it simulates the seeded
+    original alone, which reports the same program digest as the
+    original inside the combined plan program.
+    """
+    seeded = with_seed(parse_program(kernel.text), seed)
     if profile is None:
-        profile = profile_run(prog, machine, input_seed=seed)
+        baseline, profile = profiled_baseline(seeded, machine)
     else:
         check_profile(profile, seeded, machine, allow_stale)
+        baseline = simulate_baseline(seeded, machine)
     critical = classify_critical(profile, theta).ids
 
     li = candidate_loop(seeded.entry_function())
@@ -159,7 +157,7 @@ def prepare(kernel: BenchmarkKernel, machine: MachineConfig, seed: int = 0,
     plan = make_phases(seeded, critical=critical, slice_params=slice_params)
     return Prepared(kernel=kernel, seeded=seeded, profile=profile,
                     critical=frozenset(critical), slice_params=slice_params,
-                    plan=plan)
+                    plan=plan, baseline=baseline)
 
 
 def _diff_dump(name: str, mode: str, rep: SimReport, base: SimReport) -> str:
@@ -171,7 +169,8 @@ def _diff_dump(name: str, mode: str, rep: SimReport, base: SimReport) -> str:
     return "\n".join(lines)
 
 
-def _row_from(name: str, mode: str, rep: SimReport, base: SimReport) -> Row:
+def _row_from(name: str, mode: str, rep: SimReport, base: SimReport,
+              program: Program | None = None) -> Row:
     try:
         rep = normalize(rep, base)
     except MachSimError as e:
@@ -188,7 +187,19 @@ def _row_from(name: str, mode: str, rep: SimReport, base: SimReport) -> Row:
         access_energy=cats["access"].energy / energy,
         execute_energy=cats["execute"].energy / energy,
         overhead_energy=cats["overhead"].energy / energy,
-        report=rep, baseline=base)
+        report=rep, baseline=base, program=program)
+
+
+def _run_mode(prep: Prepared, mode: str, machine: MachineConfig,
+              profiling_overhead: Fraction) -> Row:
+    if mode == "baseline":
+        return _row_from(prep.kernel.name, mode, prep.baseline, prep.baseline,
+                         prep.seeded)
+    sched = build_schedule(mode, prep.plan, machine,
+                           profiling_overhead=profiling_overhead)
+    rep = simulate(prep.plan.program, sched, machine)
+    return _row_from(prep.kernel.name, mode, rep, prep.baseline,
+                     prep.plan.program)
 
 
 def run_one(kernel: BenchmarkKernel, mode: str, machine: MachineConfig,
@@ -202,18 +213,13 @@ def run_one(kernel: BenchmarkKernel, mode: str, machine: MachineConfig,
         raise HarnessError(f"unknown mode {mode!r}; choices: {', '.join(MODES)}")
     if mode == "baseline":
         # The baseline must not depend on transformability.
-        prog = with_seed(parse_program(kernel.text), seed)
-        rep = simulate(prog, baseline_schedule(prog.entry, machine), machine)
-        return _row_from(kernel.name, mode, rep, rep)
+        seeded = with_seed(parse_program(kernel.text), seed)
+        rep = simulate_baseline(seeded, machine)
+        return _row_from(kernel.name, mode, rep, rep, seeded)
     prep = prepare(kernel, machine, seed=seed, theta=theta, rho=rho,
                    slice_override=slice_override, profile=profile,
                    allow_stale=allow_stale)
-    base = simulate(prep.plan.program,
-                    baseline_schedule(prep.plan.original, machine), machine)
-    sched = build_schedule(mode, prep.plan, machine,
-                           profiling_overhead=profiling_overhead)
-    rep = simulate(prep.plan.program, sched, machine)
-    return _row_from(kernel.name, mode, rep, base)
+    return _run_mode(prep, mode, machine, profiling_overhead)
 
 
 def run_kernel_all_modes(kernel: BenchmarkKernel, machine: MachineConfig,
@@ -221,18 +227,12 @@ def run_kernel_all_modes(kernel: BenchmarkKernel, machine: MachineConfig,
                          rho: Fraction = Fraction(1, 2),
                          slice_override: int | None = None,
                          profiling_overhead: Fraction = Fraction(0)) -> list[Row]:
-    """All three modes for one kernel, sharing one profile and plan."""
+    """All three modes for one kernel, sharing one baseline, profile and
+    plan."""
     prep = prepare(kernel, machine, seed=seed, theta=theta, rho=rho,
                    slice_override=slice_override)
-    base = simulate(prep.plan.program,
-                    baseline_schedule(prep.plan.original, machine), machine)
-    rows = [_row_from(kernel.name, "baseline", base, base)]
-    for mode in ("static_dae", "dynamic_dae"):
-        sched = build_schedule(mode, prep.plan, machine,
-                               profiling_overhead=profiling_overhead)
-        rep = simulate(prep.plan.program, sched, machine)
-        rows.append(_row_from(kernel.name, mode, rep, base))
-    return rows
+    return [_run_mode(prep, mode, machine, profiling_overhead)
+            for mode in MODES]
 
 
 def run_suite(machine: MachineConfig, seed: int = 0,
@@ -240,16 +240,11 @@ def run_suite(machine: MachineConfig, seed: int = 0,
               slice_override: int | None = None,
               profiling_overhead: Fraction = Fraction(0),
               kernels: list[BenchmarkKernel] | None = None) -> list[Row]:
-    """The full kernel x mode matrix; kernels simulate in parallel."""
+    """The full kernel x mode matrix, one kernel after another."""
     kernels = builtin_kernels() if kernels is None else kernels
-    with ThreadPoolExecutor(max_workers=max(1, len(kernels))) as pool:
-        futures = [pool.submit(run_kernel_all_modes, k, machine, seed, theta,
-                               rho, slice_override, profiling_overhead)
-                   for k in kernels]
-        rows: list[Row] = []
-        for fut in futures:  # assembled in submission order
-            rows.extend(fut.result())
-    return rows
+    return [row for k in kernels
+            for row in run_kernel_all_modes(k, machine, seed, theta, rho,
+                                            slice_override, profiling_overhead)]
 
 
 # -- emission ----------------------------------------------------------------

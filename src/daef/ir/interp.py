@@ -14,7 +14,6 @@ import hashlib
 
 from .types import (
     BinOp,
-    Block,
     Br,
     BrCond,
     Const,
@@ -24,7 +23,6 @@ from .types import (
     Load,
     Operand,
     Out,
-    Phi,
     Prefetch,
     Program,
     Ret,

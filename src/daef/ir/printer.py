@@ -7,6 +7,8 @@ byte-identical text, and parsing that text reconstructs an equal program
 
 from __future__ import annotations
 
+import hashlib
+
 from .types import (
     BinOp,
     Block,
@@ -105,3 +107,9 @@ def print_program(prog: Program, with_ids: bool = True) -> str:
     for fn in prog.functions:
         chunks.append(print_function(fn, with_ids))
     return "\n".join(chunks) + "\n"
+
+
+def program_digest(prog: Program) -> str:
+    """sha256 of the program's canonical text: the identity that profiles
+    and simulation reports carry."""
+    return hashlib.sha256(print_program(prog).encode()).hexdigest()

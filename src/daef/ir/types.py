@@ -261,8 +261,3 @@ def node_def(n: Node) -> str | None:
     if isinstance(n, (Const, BinOp, Load, Phi)):
         return n.dst
     return None
-
-
-def is_side_effecting(n: Node) -> bool:
-    """Store and out observably change machine state; prefetch does not."""
-    return isinstance(n, (Store, Out))

@@ -21,7 +21,6 @@ from .types import (
     Out,
     Prefetch,
     Program,
-    Ret,
     Store,
     node_def,
     node_uses,

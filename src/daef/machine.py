@@ -165,8 +165,10 @@ class MachineConfig:
             raise MachineError("latencies must be non-negative")
         if self.mshr_count < 1:
             raise MachineError("mshr_count must be at least 1")
-        if self.ipc_max <= 0:
-            raise MachineError("ipc_max must be positive")
+        if self.ipc_max < 1:
+            # The core retires at most one node per cycle and reaches
+            # exactly that on a run with no loads.
+            raise MachineError("ipc_max must be at least 1")
 
     # -- derived timing ----------------------------------------------------
 
@@ -248,7 +250,10 @@ def load_machine(path: str | Path | None) -> MachineConfig:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise MachineError(f"{path}: invalid JSON at offset {e.pos}: {e.msg}")
-    return MachineConfig.from_json(data)
+    try:
+        return MachineConfig.from_json(data)
+    except MachineError as e:
+        raise MachineError(f"{path}: {e}")
 
 
 class LruCache:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .daegen import PhasePlan
-from .ir import Program, validate_program
+from .ir import Program, program_digest, validate_program
 from .ir.interp import (
     DEFAULT_FUEL,
     compile_function,
@@ -40,7 +40,6 @@ from .ir.interp import (
     run_compiled,
 )
 from .machine import LruCache, MachineConfig
-from .profiler import program_digest
 
 MODES = ("baseline", "static_dae", "dynamic_dae")
 
@@ -117,6 +116,7 @@ class SimReport:
     memory_digest: str
     program_digest: str
     machine_digest: str
+    block_counts: dict[str, dict[str, int]]  # function -> label -> entries
     normalized_time: Fraction | None = None
     normalized_energy: Fraction | None = None
 
@@ -172,7 +172,8 @@ class _PhaseClock:
             self.cycles += (when - self.core.wall) * self.f
             self.core.wall = when
 
-    def on_load(self, instr_id: int, addr: int) -> None:
+    def on_load(self, instr_id: int, addr: int) -> bool:
+        """Account one demand load; True when it missed outright."""
         self._flush()
         self._sweep()
         core = self.core
@@ -188,9 +189,10 @@ class _PhaseClock:
             self.cycles += self.lat_cycles
             core.wall += Fraction(self.lat_cycles) / self.f
             core.cache.install(line)
-            return
+            return True
         self.cycles += self.hit_cycles
         core.wall += Fraction(self.hit_cycles) / self.f
+        return False
 
     def on_prefetch(self, instr_id: int, addr: int) -> None:
         self._flush()
@@ -226,6 +228,7 @@ def simulate(
     sched: list[PhaseRun],
     machine: MachineConfig,
     fuel: int = DEFAULT_FUEL,
+    on_load=None,
 ) -> SimReport:
     """Run a schedule to completion and account time and energy.
 
@@ -233,6 +236,10 @@ def simulate(
     first, then from the persistent environment, then zero.  Runs marked
     writeback publish their final registers (execute and baseline runs);
     access runs observe but never publish.
+
+    on_load, when given, observes every demand load of every run as
+    (instr_id, addr, missed), where missed is true for a load that
+    missed outright.  Without it no load pays for observation.
     """
     diags = validate_program(prog)
     if diags:
@@ -264,6 +271,7 @@ def simulate(
     mem = init_memory(prog, mem_size)
     env: dict[str, int] = {}
     output: list[int] = []
+    block_counts: dict[str, dict[str, int]] = {}
     fuel_box = [fuel]
 
     records: list[RunRecord] = []
@@ -287,10 +295,15 @@ def simulate(
         cf = get_compiled(r.function)
         call_env = {p: r.args.get(p, env.get(p, 0)) for p in cf.fn.params}
         clock = _PhaseClock(core, r.frequency)
+        load_hook = clock.on_load
+        if on_load is not None:
+            def load_hook(lid, addr, account=clock.on_load):
+                on_load(lid, addr, account(lid, addr))
         start = core.wall
-        run_compiled(cf, call_env, mem, output, {}, fuel_box, mem_size,
-                     on_load=clock.on_load, on_prefetch=clock.on_prefetch,
-                     on_block=clock.on_block)
+        run_compiled(cf, call_env, mem, output,
+                     block_counts.setdefault(r.function, {}), fuel_box,
+                     mem_size, on_load=load_hook,
+                     on_prefetch=clock.on_prefetch, on_block=clock.on_block)
         clock.drain()
         if r.writeback:
             env.update(call_env)
@@ -323,6 +336,7 @@ def simulate(
         memory_digest=memory_digest(mem),
         program_digest=program_digest(original),
         machine_digest=machine.digest(),
+        block_counts=block_counts,
     )
 
 
@@ -333,6 +347,13 @@ def simulate(
 def baseline_schedule(function: str, machine: MachineConfig) -> list[PhaseRun]:
     return [PhaseRun(function=function, frequency=machine.f_max_ghz,
                      category=CAT_EXECUTE, slice_index=0, writeback=True)]
+
+
+def simulate_baseline(prog: Program, machine: MachineConfig,
+                      on_load=None) -> SimReport:
+    """The entry function alone, once, at f_max."""
+    return simulate(prog, baseline_schedule(prog.entry, machine), machine,
+                    on_load=on_load)
 
 
 def build_schedule(

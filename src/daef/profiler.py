@@ -1,41 +1,31 @@
-"""Offline cache profiling of DIR programs.
+"""Offline cache profiling of DIR programs, taken on the baseline run.
 
-Runs the entry function once against the machine's L1 model with a
-blocking-load memory: every miss stalls the core for the full memory
-latency at f_max.  The result ranks loads by the stall cycles they
-caused and measures each canonical loop's cache footprint per iteration,
-the two inputs the phase generator needs.
+The profile is an observer on the baseline simulation: the seeded
+original runs once at f_max against the machine's L1, every miss
+stalling the core for the full memory latency.  From that one run the
+profile ranks loads by the stall cycles they caused and measures each
+canonical loop's cache footprint per iteration, the two inputs the phase
+generator needs.  This module also classifies critical loads and
+persists profiles as JSON.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from .cfg import find_loops
-from .ir import Load, Program, print_program, validate_program
-from .ir.interp import (
-    DEFAULT_FUEL,
-    compile_function,
-    default_mem_size,
-    init_memory,
-    run_compiled,
-    with_seed,
-)
-from .machine import LruCache, MachineConfig
+from .ir import Load, Program, program_digest, validate_program, with_seed
+from .machine import MachineConfig
+from .machsim import SimReport, simulate_baseline
 
 PROFILE_VERSION = 1
 
 
 class ProfileError(ValueError):
     """Raised for unusable profile files or unprofilable programs."""
-
-
-def program_digest(prog: Program) -> str:
-    return hashlib.sha256(print_program(prog).encode()).hexdigest()
 
 
 @dataclass
@@ -79,23 +69,20 @@ class ProfileReport:
                 and self.machine_digest == machine.digest())
 
 
-def profile_run(prog: Program, machine: MachineConfig,
-                input_seed: int = 0) -> ProfileReport:
-    """Profile one run of the program materialized with input_seed.
+def profiled_baseline(seeded: Program,
+                      machine: MachineConfig) -> tuple[SimReport, ProfileReport]:
+    """Simulate the baseline schedule of a seeded program and profile it
+    on the way.
 
-    The digest stored in the report identifies the seeded program, so a
+    The digest stored in the profile identifies the seeded program, so a
     profile can only be replayed against the same input instance.
     """
-    seeded = with_seed(prog, input_seed)
     diags = validate_program(seeded)
     if diags:
         raise ProfileError("cannot profile an invalid program: "
                            + "; ".join(str(d) for d in diags[:3]))
     fn = seeded.entry_function()
-    cache = LruCache(machine.l1)
-    lat = machine.mem_latency_cycles(machine.f_max_ghz)
     line_bytes = machine.l1.line_bytes
-
     exec_count: dict[int, int] = {}
     miss_count: dict[int, int] = {}
     lines_of: dict[int, set[int]] = {}
@@ -106,26 +93,20 @@ def profile_run(prog: Program, machine: MachineConfig,
                 miss_count[instr.id] = 0
                 lines_of[instr.id] = set()
 
-    def on_load(lid: int, addr: int) -> None:
-        line = addr // line_bytes
+    def on_load(lid: int, addr: int, missed: bool) -> None:
         exec_count[lid] += 1
-        lines_of[lid].add(line)
-        if cache.contains(line):
-            cache.touch(line)
-        else:
+        lines_of[lid].add(addr // line_bytes)
+        if missed:
             miss_count[lid] += 1
-            cache.install(line)
 
-    mem = init_memory(seeded, default_mem_size(seeded))
-    env = {p: 0 for p in fn.params}
-    counts: dict[str, int] = {}
-    run_compiled(compile_function(fn), env, mem, [], counts,
-                 [DEFAULT_FUEL], len(mem), on_load=on_load)
+    base = simulate_baseline(seeded, machine, on_load=on_load)
 
+    lat = machine.mem_latency_cycles(machine.f_max_ghz)
     loads = [LoadStats(id=i, exec_count=exec_count[i], miss_count=miss_count[i],
                        stall_cycles=miss_count[i] * lat, lines=len(lines_of[i]))
              for i in sorted(exec_count)]
 
+    counts = base.block_counts[fn.name]
     block_of = {instr.id: blk.label for blk in fn.blocks for instr in blk.body}
     loops = []
     for li in find_loops(fn).loops:
@@ -141,13 +122,19 @@ def profile_run(prog: Program, machine: MachineConfig,
             bytes_per_iter=len(touched) * line_bytes / trips,
         ))
 
-    return ProfileReport(
+    return base, ProfileReport(
         program_digest=program_digest(seeded),
         machine_digest=machine.digest(),
         total_stall_cycles=sum(s.stall_cycles for s in loads),
         loads=loads,
         loops=loops,
     )
+
+
+def profile_run(prog: Program, machine: MachineConfig,
+                input_seed: int = 0) -> ProfileReport:
+    """Profile one run of the program materialized with input_seed."""
+    return profiled_baseline(with_seed(prog, input_seed), machine)[1]
 
 
 # -- criticality -------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Phase generation: sliced access and execute clones, specialization
-against the base phase, slice sizing, and standalone strip mining.
+against the base phase, and slice sizing.
 
 Equivalence is the backbone: running access+execute slice pairs with a
 persistent register environment must reproduce the original program's
@@ -21,7 +21,6 @@ from daef.daegen import (
     SliceParams,
     choose_slice_size,
     make_phases,
-    strip_mine,
 )
 from daef.ir import (
     Load,
@@ -450,13 +449,24 @@ def test_rejects_reserved_names():
 entry @main
 func @main() kind=original {
 entry:
-  %__x = const 1
-  out %__x
+  %n = const 8
+  %zero = const 0
+  br loop
+loop:
+  %i = phi [entry: %zero], [body: %i2]
+  %c = binop slt %i, %n
+  brcond %c, body, done
+body:
+  %__x = binop add %i, 1
+  %i2 = binop add %i, 1
+  br loop
+done:
+  out %i
   ret
 }
 """)
     with pytest.raises(DaegenError, match="reserved"):
-        strip_mine(prog, 4)
+        make_phases(prog, set(), override(4))
 
 
 def test_rejects_loop_with_side_exit():
@@ -549,7 +559,7 @@ done:
 
 
 # ---------------------------------------------------------------------------
-# strip mining
+# loop edge cases
 
 
 def strided_sum(step: int, n: int, cmp: str) -> str:
@@ -583,7 +593,7 @@ done:
 """
 
 
-def test_strip_mine_preserves_behavior_at_edges():
+def test_phases_preserve_behavior_at_edges():
     """Exit values of both the accumulator and the induction register
     must survive, including overshoot past the bound and zero trips."""
     for step in (1, 3):
@@ -592,71 +602,14 @@ def test_strip_mine_preserves_behavior_at_edges():
                 prog = parse_program(strided_sum(step, n, cmp))
                 ref = interpret(prog)
                 for s in (1, 3, 100):
-                    mined = strip_mine(prog, s)
-                    assert_valid(mined)
-                    got = interpret(mined)
-                    assert (got.output, got.memory_digest) == \
+                    plan = make_phases(prog, entry_loads(prog), override(s))
+                    assert run_phased(plan) == \
                         (ref.output, ref.memory_digest), (step, n, cmp, s)
 
 
-def test_strip_mine_random_kernels():
-    rng = random.Random(777)
-    for _ in range(20):
-        prog = random_loop_kernel(rng)
-        ref = interpret(prog)
-        mined = strip_mine(prog, rng.choice([1, 5, 64, 1000]))
-        got = interpret(mined)
-        assert (got.output, got.memory_digest) == (ref.output, ref.memory_digest)
-
-
-def test_strip_mine_keeps_original_ids():
-    prog = sum_kernel()
-    mined = strip_mine(prog, 4)
-    fn = mined.entry_function()
-    load = next(n for b in fn.blocks for n in b.body if isinstance(n, Load))
-    assert load.id == 10
-    fresh = [n.id for b in fn.blocks for n in b.phis + b.body
-             if n.id > prog.max_id()]
-    assert fresh and min(fresh) == prog.max_id() + 1
-
-
-def test_strip_mine_relabels_exit_phi():
-    prog = parse_program("""
-data @base=4096 prng(seed=7, len=64)
-entry @main
-func @main() kind=original {
-entry:
-  %n = const 8
-  %zero = const 0
-  %base = const 4096
-  br loop
-loop:
-  %i = phi [entry: %zero], [body: %i2]
-  %acc = phi [entry: %zero], [body: %acc2]
-  %c = binop slt %i, %n
-  brcond %c, body, done
-body:
-  %off = binop shl %i, 3
-  %addr = binop add %base, %off
-  %v = load %addr, 0, w8
-  %acc2 = binop add %acc, %v
-  %i2 = binop add %i, 1
-  br loop
-done:
-  %r = phi [loop: %acc]
-  out %r
-  ret %r
-}
-""")
-    ref = interpret(prog)
-    mined = strip_mine(prog, 3)
-    got = interpret(mined)
-    assert got.output == ref.output
-    done = mined.entry_function().block_map()["done"]
-    assert done.phis[0].incoming == [("__outer_header", "__outer_acc")]
-
-
-def test_strip_mine_rejects_exit_redefinition():
+def test_phases_allow_exit_redefinition():
+    """Redefining a loop register after the loop is legal input; the
+    phases must still reproduce the original's output."""
     prog = parse_program("""
 data @base=4096 prng(seed=7, len=64)
 entry @main
@@ -680,10 +633,8 @@ done:
   ret %i
 }
 """)
-    with pytest.raises(DaegenError, match="redefined after the loop"):
-        strip_mine(prog, 4)
-
-
-def test_strip_mine_rejects_bad_slice_size():
-    with pytest.raises(DaegenError, match="at least 1"):
-        strip_mine(sum_kernel(), 0)
+    ref = interpret(prog)
+    for s in (1, 3, 4, 100):
+        plan = make_phases(prog, set(), override(s))
+        assert_valid(plan.program)
+        assert run_phased(plan) == (ref.output, ref.memory_digest)

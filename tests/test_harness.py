@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,10 +25,11 @@ from daef.harness import (
     run_suite,
 )
 from daef.ir import parse_program, with_seed
-from daef.kernels import kernel_by_name
+from daef.ir.interp import init_memory
+from daef.kernels import builtin_kernels, kernel_by_name
 from daef.machine import MachineConfig
 from daef.machsim import baseline_schedule, simulate
-from daef.profiler import profile_run, read_profile
+from daef.profiler import profile_run, read_profile, report_to_json
 
 
 def machine() -> MachineConfig:
@@ -115,6 +117,38 @@ def test_suite_matrix_and_determinism():
     dat = rows_to_dat(rows)
     assert dat.splitlines()[0].startswith("# kernel mode")
     assert len(dat.splitlines()) == 16
+
+
+def test_one_memory_image_per_simulation(monkeypatch):
+    """The baseline doubles as the profiling run: 3 materializations per
+    kernel, one for each mode."""
+    calls = []
+
+    def counting(prog, mem_size):
+        calls.append(prog.entry)
+        return init_memory(prog, mem_size)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("daef") and getattr(mod, "init_memory", None) \
+                is init_memory:
+            monkeypatch.setattr(mod, "init_memory", counting)
+    for name in ("compute_poly", "stream_sum"):
+        calls.clear()
+        run_kernel_all_modes(kernel_by_name(name), machine())
+        assert len(calls) == 3, name
+
+
+def test_suite_rows_follow_kernel_order():
+    m = machine()
+    kernels = [kernel_by_name(n) for n in ("stream_sum", "compute_poly")]
+    rows = run_suite(m, seed=3, kernels=kernels)
+    assert [(r.kernel, r.mode) for r in rows] == [
+        (k.name, mode) for k in kernels
+        for mode in ("baseline", "static_dae", "dynamic_dae")]
+    singles = [r for k in kernels for r in run_kernel_all_modes(k, m, seed=3)]
+    assert rows_to_csv(rows) == rows_to_csv(singles)
+    assert [k.name for k in builtin_kernels()][:2] != \
+        [k.name for k in kernels]  # not the built-in order
 
 
 def test_profile_reuse_and_staleness():
@@ -208,6 +242,39 @@ def test_cli_stale_profile_is_refused(tmp_path, capsys):
                "--seed", "3", "--profile", str(out), "--allow-stale",
                "--out", str(tmp_path / "r.csv")])
     assert rc == 0
+
+
+def test_cli_run_emit_dir_prints_the_simulated_plan(tmp_path, capsys):
+    prof = profile_run(parse_program(kernel_by_name("gather_sum").text),
+                       machine())
+    data = report_to_json(prof)
+    *rest, last = data["loads"]
+    last["miss"] = last["stall"] = 0  # one critical load fewer
+    data["total_stall_cycles"] = sum(ld["stall"] for ld in rest)
+    stored = tmp_path / "p.json"
+    stored.write_text(json.dumps(data))
+    flags = ["--kernel", "gather_sum", "--seed", "1", "--profile",
+             str(stored), "--allow-stale"]
+    run_out, transform_out = tmp_path / "run.dir", tmp_path / "t.dir"
+    assert main(["run", "--mode", "static_dae", "--emit", "dir",
+                 "--out", str(run_out), *flags]) == 0
+    assert main(["transform", "--out", str(transform_out), *flags]) == 0
+    assert run_out.read_text() == transform_out.read_text()
+    fresh = tmp_path / "fresh.dir"
+    assert main(["transform", "--kernel", "gather_sum", "--seed", "1",
+                 "--out", str(fresh)]) == 0
+    assert fresh.read_text() != run_out.read_text()
+
+
+@pytest.mark.parametrize("config", [{"ipc_max": 0.5}, {"mshr_count": 0}])
+def test_cli_bad_machine_is_exit_2(tmp_path, capsys, config):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(config))
+    rc = main(["run", "--kernel", "compute_poly", "--machine", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("daef: ") and err.count("\n") == 1
+    assert next(iter(config)) in err
 
 
 def test_cli_transform_emits_the_phases(tmp_path, capsys):

@@ -90,6 +90,7 @@ def test_json_round_trip_and_digest_stability():
     ({"mem_latency_ns": "fast"}, "number"),
     ({"mshr_count": 2.5}, "integer"),
     ({"ipc_max": 0}, "ipc_max"),
+    ({"ipc_max": 0.5}, "ipc_max"),
 ])
 def test_config_rejections(patch, message):
     with pytest.raises(MachineError) as err:

@@ -450,7 +450,7 @@ def test_access_wall_shrinks_with_more_mshrs():
 
 def test_baseline_cycles_match_profile_counts():
     # One cycle per node, hit_cycles per hit, latency cycles per miss:
-    # the cache model is shared with the profiler, so the counts must agree.
+    # the profile is taken on the baseline run, so the counts must agree.
     m = machine()
     text = sum_text(512, stride=8)
     prog = parse_program(text)

@@ -8,10 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_cfg_program, sum_kernel
-from daef.ir import parse_program
+from conftest import random_cfg_program, random_loop_kernel, sum_kernel
+from daef.ir import interpret, parse_program, with_seed
 from daef.ir.interp import default_mem_size, init_memory
+from daef.kernels import builtin_kernels
 from daef.machine import L1Config, MachineConfig
+from daef.machsim import baseline_schedule, simulate
 from daef.profiler import (
     CriticalSet,
     LoadStats,
@@ -20,6 +22,7 @@ from daef.profiler import (
     ProfileReport,
     classify_critical,
     profile_run,
+    profiled_baseline,
     program_digest,
     read_profile,
     report_from_json,
@@ -308,3 +311,26 @@ def test_report_accessors():
     assert r.load(999) is None
     assert r.footprint("loop") == 8.0
     assert r.footprint("nope") is None
+
+
+# -- the profile is taken on the baseline run ------------------------------
+
+
+def test_exec_counts_match_reference_interpreter():
+    progs = [with_seed(parse_program(k.text), 7) for k in builtin_kernels()]
+    rng = random.Random(31)
+    progs += [random_loop_kernel(rng) for _ in range(4)]
+    for prog in progs:
+        retired = interpret(prog).retired_by_static_id
+        report = profile_run(prog, MACHINE)
+        for st in report.loads:
+            assert st.exec_count == retired.get(st.id, 0), (prog.entry, st.id)
+
+
+def test_observing_leaves_the_baseline_unchanged():
+    prog = with_seed(parse_program(stride_kernel(n=50, stride=24)), 3)
+    base, report = profiled_baseline(prog, MACHINE)
+    plain = simulate(prog, baseline_schedule(prog.entry, MACHINE), MACHINE)
+    assert base == plain
+    assert report == profile_run(prog, MACHINE)
+
