@@ -345,12 +345,6 @@ def _slice_clone(fn: Function, li: LoopInfo, name: str, kind: str,
 # phase builders
 
 
-def make_execute(fn: Function, li: LoopInfo, name: str,
-                 alloc: IdAlloc) -> tuple[Function, list[str]]:
-    g, _, carries = _slice_clone(fn, li, name, "execute", alloc)
-    return g, carries
-
-
 def _loop_load_ids(fn: Function, li: LoopInfo) -> set[int]:
     return {n.id for blk in fn.blocks if blk.label in li.body
             for n in blk.body if isinstance(n, Load)}
@@ -499,19 +493,15 @@ class PhasePlan:
         }
 
 
-def _single_canonical_loop(fn: Function) -> LoopInfo:
-    scan = find_loops(fn)
-    if not scan.loops:
-        raise DaegenError("no canonical loop to transform", scan.skipped)
-    return scan.loops[0]
-
-
 def candidate_loop(fn: Function) -> LoopInfo:
     """The loop the phase transforms will operate on.
 
     Raises DaegenError with the skip reasons when nothing qualifies.
     """
-    return _single_canonical_loop(fn)
+    scan = find_loops(fn)
+    if not scan.loops:
+        raise DaegenError("no canonical loop to transform", scan.skipped)
+    return scan.loops[0]
 
 
 def make_phases(prog: Program, critical: Iterable[int],
@@ -529,7 +519,7 @@ def make_phases(prog: Program, critical: Iterable[int],
     fn = prog.entry_function()
     if fn.kind != "original":
         raise DaegenError(f"entry function @{fn.name} is not kind=original")
-    li = _single_canonical_loop(fn)
+    li = candidate_loop(fn)
 
     init_val = resolve_constant(fn, li.init)
     bound_val = resolve_constant(fn, li.bound)
@@ -540,7 +530,8 @@ def make_phases(prog: Program, critical: Iterable[int],
     critical = frozenset(critical) & frozenset(_loop_load_ids(fn, li))
 
     alloc = IdAlloc(prog.max_id() + 1)
-    execute, carries = make_execute(fn, li, f"{fn.name}__exec", alloc)
+    execute, _, carries = _slice_clone(fn, li, f"{fn.name}__exec", "execute",
+                                       alloc)
     access = make_access_phase(fn, li, critical, f"{fn.name}__access", alloc)
     base = make_base_access(fn, li, f"{fn.name}__base", alloc)
     respec = specialize_access(base, critical, f"{fn.name}__respec", alloc)

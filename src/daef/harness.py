@@ -52,19 +52,6 @@ class EquivalenceError(Exception):
 
 
 @dataclass
-class RunSpec:
-    kernel: str
-    mode: str = "baseline"
-    machine: str | None = None
-    theta: Fraction = Fraction(1, 100)
-    rho: Fraction = Fraction(1, 2)
-    slice_override: int | None = None
-    seed: int = 0
-    output: str | None = None
-    profiling_overhead: Fraction = Fraction(0)
-
-
-@dataclass
 class Row:
     kernel: str
     mode: str
@@ -150,10 +137,8 @@ def prepare(kernel: BenchmarkKernel, machine: MachineConfig, seed: int = 0,
     critical = classify_critical(profile, theta).ids
 
     li = candidate_loop(seeded.entry_function())
-    bytes_per_iter = next((fp.bytes_per_iter for fp in profile.loops
-                           if fp.header == li.header), None)
-    slice_params = choose_slice_size(machine, bytes_per_iter, rho=rho,
-                                     override=slice_override)
+    slice_params = choose_slice_size(machine, profile.footprint(li.header),
+                                     rho=rho, override=slice_override)
     plan = make_phases(seeded, critical=critical, slice_params=slice_params)
     return Prepared(kernel=kernel, seeded=seeded, profile=profile,
                     critical=frozenset(critical), slice_params=slice_params,

@@ -1,9 +1,10 @@
 """Structural and dataflow validation for DIR programs.
 
 validate_program returns a list of diagnostics; an empty list means the
-program is well formed.  Checks cover label and id integrity, phi shape,
-access-phase purity, prefetch origin tags, and assignment-before-use of
-every register along all paths (a forward must-be-defined dataflow).
+program is well formed.  Checks cover data segment bounds (MAX_DATA_END),
+label and id integrity, phi shape, access-phase purity, prefetch origin
+tags, and assignment-before-use of every register along all paths (a
+forward must-be-defined dataflow).
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from .types import (
     node_def,
     node_uses,
 )
+
+# Every data segment must end at or below this address: 64 MiB, 64x the
+# largest built-in image, so no input can make init_memory allocate more.
+MAX_DATA_END = 64 << 20
 
 
 def _terminator_targets(blk: Block) -> list[str]:
@@ -207,6 +212,10 @@ def validate_program(prog: Program) -> list[Diagnostic]:
             diags.append(Diagnostic(f"data segment at {seg.base} has no bytes"))
         if seg.base < 0:
             diags.append(Diagnostic(f"data segment base {seg.base} is negative"))
+        if seg.end() > MAX_DATA_END:
+            diags.append(Diagnostic(
+                f"data segment at {seg.base} ends at {seg.end()},"
+                f" past the memory limit of {MAX_DATA_END} bytes"))
     for a, b in zip(segs, segs[1:]):
         if a.end() > b.base:
             diags.append(Diagnostic(

@@ -94,7 +94,7 @@ class L1Config:
 
 @dataclass(frozen=True)
 class PowerConfig:
-    """P(f, ipc) = p_static + c_dyn * v(f)^2 * (f/f_max) * (alpha + beta*ipc/ipc_max).
+    """P(f, ipc) = p_static + c_dyn * v(f)^2 * (f/f_max) * (alpha + beta*ipc).
 
     v(f) ramps linearly from v_min_ratio at f_min to 1 at f_max,
     expressing voltage relative to its maximum.  alpha is the
@@ -140,7 +140,7 @@ class PowerConfig:
 
 _TOP_KEYS = {
     "f_max_ghz", "f_min_ghz", "l1", "mem_latency_ns", "mshr_count",
-    "dvfs_switch_ns", "jit_ns_per_instr", "power", "ipc_max",
+    "dvfs_switch_ns", "jit_ns_per_instr", "power",
 }
 
 
@@ -154,7 +154,6 @@ class MachineConfig:
     dvfs_switch_ns: Fraction = Fraction(100)
     jit_ns_per_instr: Fraction = Fraction(50)
     power_model: PowerConfig = PowerConfig()
-    ipc_max: Fraction = Fraction(1)
 
     def __post_init__(self):
         if self.f_min_ghz <= 0 or self.f_max_ghz <= 0:
@@ -165,10 +164,6 @@ class MachineConfig:
             raise MachineError("latencies must be non-negative")
         if self.mshr_count < 1:
             raise MachineError("mshr_count must be at least 1")
-        if self.ipc_max < 1:
-            # The core retires at most one node per cycle and reaches
-            # exactly that on a run with no loads.
-            raise MachineError("ipc_max must be at least 1")
 
     # -- derived timing ----------------------------------------------------
 
@@ -183,18 +178,21 @@ class MachineConfig:
         return self.power_model.v_min_ratio + (1 - self.power_model.v_min_ratio) * span
 
     def power(self, f_ghz: Fraction, ipc: Fraction) -> Fraction:
-        """Dissipated power (arbitrary units) at frequency f and achieved IPC."""
+        """Dissipated power (arbitrary units) at frequency f and achieved IPC.
+
+        The core retires at most one node per cycle, so IPC is in [0, 1].
+        """
         if isinstance(f_ghz, float):
             f_ghz = Fraction(str(f_ghz))
         if isinstance(ipc, float):
             ipc = Fraction(str(ipc))
         if not self.f_min_ghz <= f_ghz <= self.f_max_ghz:
             raise MachineError(f"frequency {f_ghz} outside [{self.f_min_ghz}, {self.f_max_ghz}]")
-        if not 0 <= ipc <= self.ipc_max:
-            raise MachineError(f"ipc {ipc} outside [0, {self.ipc_max}]")
+        if not 0 <= ipc <= 1:
+            raise MachineError(f"ipc {ipc} outside [0, 1]")
         pm = self.power_model
         v = self.voltage_ratio(f_ghz)
-        util = pm.alpha + pm.beta * ipc / self.ipc_max
+        util = pm.alpha + pm.beta * ipc
         return pm.p_static + pm.c_dyn * v * v * (f_ghz / self.f_max_ghz) * util
 
     # -- serialization -----------------------------------------------------
@@ -220,7 +218,6 @@ class MachineConfig:
             dvfs_switch_ns=_frac(d.get("dvfs_switch_ns", base.dvfs_switch_ns), "dvfs_switch_ns"),
             jit_ns_per_instr=_frac(d.get("jit_ns_per_instr", base.jit_ns_per_instr), "jit_ns_per_instr"),
             power_model=PowerConfig.from_json(power),
-            ipc_max=_frac(d.get("ipc_max", base.ipc_max), "ipc_max"),
         )
 
     def to_json(self) -> dict:
@@ -233,7 +230,6 @@ class MachineConfig:
             "dvfs_switch_ns": float(self.dvfs_switch_ns),
             "jit_ns_per_instr": float(self.jit_ns_per_instr),
             "power": self.power_model.to_json(),
-            "ipc_max": float(self.ipc_max),
         }
 
     def digest(self) -> str:
@@ -259,7 +255,8 @@ def load_machine(path: str | Path | None) -> MachineConfig:
 class LruCache:
     """Set-associative L1 with strict least-recently-used replacement.
 
-    Tracks cache lines by line number (address // line_bytes).  Lookups,
+    Tracks cache lines by line number (address // line_bytes).  Each set
+    keeps its lines in recency order, least recent first.  Lookups,
     touches and installs are split so callers can model latency between
     the probe and the fill.
     """
@@ -267,8 +264,7 @@ class LruCache:
     def __init__(self, l1: L1Config):
         self.l1 = l1
         self.n_sets = l1.n_sets
-        self.sets: list[dict[int, int]] = [{} for _ in range(self.n_sets)]
-        self._stamp = 0
+        self.sets: list[dict[int, None]] = [{} for _ in range(self.n_sets)]
 
     def line_of(self, addr: int) -> int:
         return addr // self.l1.line_bytes
@@ -277,20 +273,21 @@ class LruCache:
         return line in self.sets[line % self.n_sets]
 
     def touch(self, line: int) -> None:
+        """Make a resident line most recent; KeyError if it is not resident."""
         s = self.sets[line % self.n_sets]
-        assert line in s, "touch of a line that is not resident"
-        self._stamp += 1
-        s[line] = self._stamp
+        del s[line]
+        s[line] = None
 
     def install(self, line: int) -> int | None:
         """Insert a line as most recent; returns the evicted line, if any."""
         s = self.sets[line % self.n_sets]
         evicted = None
-        if line not in s and len(s) >= self.l1.ways:
-            evicted = min(s, key=s.__getitem__)
+        if line in s:
+            del s[line]
+        elif len(s) >= self.l1.ways:
+            evicted = next(iter(s))
             del s[evicted]
-        self._stamp += 1
-        s[line] = self._stamp
+        s[line] = None
         return evicted
 
     def resident_lines(self) -> set[int]:

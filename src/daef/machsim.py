@@ -1,11 +1,12 @@
 """Timing and energy simulation of phase schedules.
 
 An in-order core runs a schedule of function activations, each at its own
-frequency.  The L1 cache, the miss-handling registers and the register
-environment persist across runs within one simulation, which is the whole
-point: an access slice warms the cache that the following execute slice
-reads.  Time is kept in exact nanosecond Fractions on a single wall clock;
-cycle counts are per run, converted through the run's frequency.
+frequency.  The L1 cache and the register environment persist across runs
+within one simulation, which is the whole point: an access slice warms the
+cache that the following execute slice reads.  Each run keeps its own
+clock, an integer count of ticks of 1/q cycle since the run started, and
+its own miss-handling registers, which drain when it ends.  The run's
+cycles are converted to exact nanoseconds once, through its frequency.
 
 Cost model per retired node: one core cycle, plus hit_cycles for a load
 that hits, plus ceil(mem_latency_ns * f) blocking cycles for a load that
@@ -121,102 +122,79 @@ class SimReport:
     normalized_energy: Fraction | None = None
 
 
-class _Core:
-    """Wall clock, cache and miss registers shared by all runs."""
+class _RunClock:
+    """One run's clock and miss registers, driven by the interpreter hooks.
 
-    def __init__(self, machine: MachineConfig):
-        self.m = machine
-        self.cache = LruCache(machine.l1)
-        self.mshr: OrderedDict[int, Fraction] = OrderedDict()  # line -> completion ns
-        self.wall = Fraction(0)
-
-
-class _PhaseClock:
-    """Per-run accounting driven by the interpreter hooks.
-
-    Base cycles accumulate per block and are flushed to the wall clock
-    before each memory access, so fills complete at instants consistent
-    with the work retired so far (at block granularity).
+    Time is an integer count of ticks since the run started.  A tick is
+    1/q cycle, where q is the denominator of mem_latency_ns * f, so a
+    base cycle, a hit, a blocking miss and a fill are all whole numbers
+    of ticks.  Each block's cycles go on the clock when the block is
+    entered, so fills complete at instants consistent with the work
+    retired so far (at block granularity).  The miss registers belong to
+    the run and drain at its end: no fill outlives it.
     """
 
-    def __init__(self, core: _Core, f: Fraction):
-        self.core = core
-        self.f = f
-        self.lat_cycles = core.m.mem_latency_cycles(f)
-        self.hit_cycles = core.m.l1.hit_cycles
-        self.pending = 0
-        self.cycles = Fraction(0)
-        self.instrs = 0
+    def __init__(self, machine: MachineConfig, cache: LruCache, f: Fraction):
+        fill = machine.mem_latency_ns * f
+        self.q = fill.denominator
+        self.hit = machine.l1.hit_cycles * self.q
+        self.miss = machine.mem_latency_cycles(f) * self.q
+        self.fill = fill.numerator
+        self.mshr_count = machine.mshr_count
+        self.cache = cache
+        self.mshr: OrderedDict[int, int] = OrderedDict()  # line -> done tick
+        self.now = 0
 
     def on_block(self, ncount: int) -> None:
-        self.pending += ncount
-        self.instrs += ncount
+        self.now += ncount * self.q
 
-    def _flush(self) -> None:
-        if self.pending:
-            self.cycles += self.pending
-            self.core.wall += Fraction(self.pending) / self.f
-            self.pending = 0
-
-    def _sweep(self) -> None:
-        core = self.core
-        while core.mshr:
-            line, done = next(iter(core.mshr.items()))
-            if done > core.wall:
-                break
-            core.mshr.popitem(last=False)
-            core.cache.install(line)
-
-    def _stall_until(self, when: Fraction) -> None:
-        if when > self.core.wall:
-            self.cycles += (when - self.core.wall) * self.f
-            self.core.wall = when
+    def _sync(self) -> None:
+        """Install every fill that has completed by now."""
+        mshr = self.mshr
+        while mshr and mshr[next(iter(mshr))] <= self.now:
+            self.cache.install(mshr.popitem(last=False)[0])
 
     def on_load(self, instr_id: int, addr: int) -> bool:
         """Account one demand load; True when it missed outright."""
-        self._flush()
-        self._sweep()
-        core = self.core
-        line = core.cache.line_of(addr)
-        if core.cache.contains(line):
-            core.cache.touch(line)
-        elif line in core.mshr:
+        self._sync()
+        cache = self.cache
+        line = cache.line_of(addr)
+        if cache.contains(line):
+            cache.touch(line)
+        elif line in self.mshr:
             # Join the in-flight fill, then read through the cache.
-            self._stall_until(core.mshr.pop(line))
-            core.cache.install(line)
+            self.now = max(self.now, self.mshr.pop(line))
+            cache.install(line)
         else:
             # Blocking miss: the line is delivered directly.
-            self.cycles += self.lat_cycles
-            core.wall += Fraction(self.lat_cycles) / self.f
-            core.cache.install(line)
+            self.now += self.miss
+            cache.install(line)
             return True
-        self.cycles += self.hit_cycles
-        core.wall += Fraction(self.hit_cycles) / self.f
+        self.now += self.hit
         return False
 
     def on_prefetch(self, instr_id: int, addr: int) -> None:
-        self._flush()
-        self._sweep()
-        core = self.core
-        line = core.cache.line_of(addr)
-        if core.cache.contains(line):
-            core.cache.touch(line)
+        self._sync()
+        cache = self.cache
+        line = cache.line_of(addr)
+        if cache.contains(line):
+            cache.touch(line)
             return
-        if line in core.mshr:
+        if line in self.mshr:
             return
-        if len(core.mshr) >= core.m.mshr_count:
-            old_line, done = core.mshr.popitem(last=False)
-            self._stall_until(done)
-            core.cache.install(old_line)
-        core.mshr[line] = core.wall + core.m.mem_latency_ns
+        if len(self.mshr) >= self.mshr_count:
+            old_line, done = self.mshr.popitem(last=False)
+            self.now = max(self.now, done)
+            cache.install(old_line)
+        self.mshr[line] = self.now + self.fill
 
-    def drain(self) -> None:
-        self._flush()
-        core = self.core
-        while core.mshr:
-            line, done = core.mshr.popitem(last=False)
-            self._stall_until(done)
-            core.cache.install(line)
+    def drain(self) -> Fraction:
+        """Wait for every fill; returns the run's length in cycles."""
+        while self.mshr:
+            line, done = self.mshr.popitem(last=False)
+            self.now = max(self.now, done)
+            self.cache.install(line)
+        return Fraction(self.now, self.q)
 
 
 def _idle_energy(m: MachineConfig, wall_ns: Fraction) -> Fraction:
@@ -244,8 +222,8 @@ def simulate(
     diags = validate_program(prog)
     if diags:
         raise MachSimError(
-            "refusing to simulate an invalid program:\n"
-            + "\n".join(str(d) for d in diags))
+            "refusing to simulate an invalid program: "
+            + "; ".join(str(d) for d in diags))
     names = {f.name for f in prog.functions}
     for r in sched:
         if r.function is not None and r.function not in names:
@@ -266,7 +244,7 @@ def simulate(
             compiled[name] = compile_function(prog.function(name))
         return compiled[name]
 
-    core = _Core(machine)
+    cache = LruCache(machine.l1)
     mem_size = default_mem_size(prog)
     mem = init_memory(prog, mem_size)
     env: dict[str, int] = {}
@@ -278,7 +256,6 @@ def simulate(
     freq = machine.f_max_ghz
 
     def charge(kind: str, ns: Fraction, f: Fraction) -> None:
-        core.wall += ns
         records.append(RunRecord(
             kind=kind, function=None, frequency=f, category=CAT_OVERHEAD,
             slice_index=None, cycles=Fraction(0), wall_ns=ns,
@@ -294,27 +271,29 @@ def simulate(
             continue
         cf = get_compiled(r.function)
         call_env = {p: r.args.get(p, env.get(p, 0)) for p in cf.fn.params}
-        clock = _PhaseClock(core, r.frequency)
+        clock = _RunClock(machine, cache, r.frequency)
         load_hook = clock.on_load
         if on_load is not None:
             def load_hook(lid, addr, account=clock.on_load):
                 on_load(lid, addr, account(lid, addr))
-        start = core.wall
+        fuel_before = fuel_box[0]
         run_compiled(cf, call_env, mem, output,
                      block_counts.setdefault(r.function, {}), fuel_box,
                      mem_size, on_load=load_hook,
                      on_prefetch=clock.on_prefetch, on_block=clock.on_block)
-        clock.drain()
+        cycles = clock.drain()
+        # Each retired node costs one unit of fuel.
+        instrs = fuel_before - fuel_box[0]
         if r.writeback:
             env.update(call_env)
-        wall_ns = core.wall - start
-        ipc = clock.instrs / clock.cycles if clock.cycles else Fraction(0)
+        wall_ns = cycles / r.frequency
+        ipc = instrs / cycles if cycles else Fraction(0)
         records.append(RunRecord(
             kind="run", function=r.function, frequency=r.frequency,
             category=r.category, slice_index=r.slice_index,
-            cycles=clock.cycles, wall_ns=wall_ns,
+            cycles=cycles, wall_ns=wall_ns,
             energy=machine.power(r.frequency, ipc) * wall_ns,
-            instr_count=clock.instrs))
+            instr_count=instrs))
         if r.charge is not None and r.charge[0] == "profiling":
             charge("profiling", r.charge[1] * wall_ns, r.frequency)
     if freq != machine.f_max_ghz:

@@ -26,6 +26,7 @@ from daef.harness import (
 )
 from daef.ir import parse_program, with_seed
 from daef.ir.interp import init_memory
+from daef.ir.validate import MAX_DATA_END
 from daef.kernels import builtin_kernels, kernel_by_name
 from daef.machine import MachineConfig
 from daef.machsim import baseline_schedule, simulate
@@ -304,6 +305,24 @@ entry:
     rc = main(["transform", "--kernel", str(src)])
     assert rc == 2
     assert "no canonical loop" in capsys.readouterr().err
+
+
+def test_cli_data_past_the_memory_limit_is_exit_2(tmp_path, capsys):
+    src = tmp_path / "huge.dir"
+    src.write_text(f"""
+data @base=4096 zero={MAX_DATA_END - 4096 + 1}
+entry @main
+
+func @main() kind=original {{
+entry:
+  ret
+}}
+""")
+    rc = main(["run", "--kernel", str(src)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("daef: ") and err.count("\n") == 1
+    assert "memory limit" in err
 
 
 def test_cli_equivalence_violation_is_exit_3(monkeypatch, capsys):

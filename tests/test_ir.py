@@ -17,6 +17,7 @@ from daef.ir import (
     validate_program,
     with_seed,
 )
+from daef.ir.validate import MAX_DATA_END
 
 M64 = (1 << 64) - 1
 
@@ -559,6 +560,27 @@ entry:
   ret
 }
 """, "overlap")
+
+
+def test_data_past_the_memory_limit_is_rejected():
+    check_diag(f"""
+data @base=4096 zero={MAX_DATA_END - 4096 + 1}
+func @main() kind=original {{
+entry:
+  ret
+}}
+""", "memory limit")
+
+
+def test_data_ending_at_the_memory_limit_validates():
+    src = f"""
+data @base=4096 zero={MAX_DATA_END - 4096}
+func @main() kind=original {{
+entry:
+  ret
+}}
+"""
+    assert validate_program(parse_program(src)) == []
 
 
 def test_register_reassignment_is_legal():

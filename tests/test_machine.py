@@ -22,7 +22,6 @@ def test_default_config_shape():
     assert m.mshr_count == 10
     assert m.dvfs_switch_ns == 100
     assert m.jit_ns_per_instr == 50
-    assert m.ipc_max == 1
 
 
 def test_memory_latency_scales_with_frequency():

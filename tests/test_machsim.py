@@ -11,7 +11,9 @@ import pytest
 from daef.cfg import find_loops
 from daef.daegen import SliceParams, make_phases
 from daef.ir import interpret, parse_program
+from daef.harness import run_kernel_all_modes
 from daef.ir.types import Load
+from daef.kernels import kernel_by_name
 from daef.machine import MachineConfig
 from daef.machsim import (
     CAT_EXECUTE,
@@ -462,6 +464,31 @@ def test_baseline_cycles_match_profile_counts():
     lat = m.mem_latency_cycles(m.f_max_ghz)
     assert rep.total.cycles == rep.total.instr_count + hits * m.l1.hit_cycles \
         + misses * lat
+
+
+def test_exact_results_when_latency_is_not_whole_cycles():
+    # 61.3 ns at 3.3 and at 1.5 GHz are 202.29 and 91.95 cycles, so a fill
+    # is not a whole number of cycles at either frequency.
+    m = MachineConfig.from_json({
+        "f_max_ghz": 3.3, "f_min_ghz": 1.5, "mem_latency_ns": 61.3,
+        "mshr_count": 2, "dvfs_switch_ns": 97.5,
+        "l1": {"capacity_bytes": 4096, "ways": 2}})
+    assert (m.mem_latency_ns * m.f_max_ghz).denominator > 1
+    assert (m.mem_latency_ns * m.f_min_ghz).denominator > 1
+    expected = {
+        "gather_sum": {
+            "static_dae": ("15288239/16813700", "1370958151/1704839000"),
+            "dynamic_dae": ("11524942/12610275", "2858809/3532125")},
+        "chase_sum": {
+            "static_dae": ("8097237/4040620", "681663117/413975000"),
+            "dynamic_dae": ("1893703/1010155", "323933893/206987500")},
+    }
+    for name, by_mode in expected.items():
+        rows = run_kernel_all_modes(kernel_by_name(name), m, seed=0)
+        got = {r.mode: (r.norm_time, r.norm_energy) for r in rows
+               if r.mode != "baseline"}
+        assert got == {mode: (Fraction(t), Fraction(e))
+                       for mode, (t, e) in by_mode.items()}
 
 
 # -- normalization and errors ------------------------------------------------
