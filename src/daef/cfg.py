@@ -3,6 +3,9 @@
 Provides the CFG builder, iterative dominators, natural-loop detection
 with canonical-induction recognition, backward slicing over use-def
 chains, dead-code elimination, and a semantics-preserving CFG simplifier.
+Block successors and label reachability come from daef.ir.types
+(successors, Function.reachable); this module owns the register-to-
+definitions map (defs_of) and node placement (block_of).
 
 Register-to-definition links are path-insensitive: a use of %r depends on
 every definition of %r in the function.  For single-assignment code (all
@@ -29,6 +32,7 @@ from .ir.types import (
     Store,
     node_def,
     node_uses,
+    successors,
 )
 
 
@@ -39,10 +43,6 @@ class Cfg:
     succs: dict[str, list[str]]
     preds: dict[str, list[str]]
 
-    @property
-    def edges(self) -> set[tuple[str, str]]:
-        return {(a, b) for a, outs in self.succs.items() for b in outs}
-
 
 def build_cfg(fn: Function) -> Cfg:
     """Block-level CFG; edges follow terminators (brcond edges deduped)."""
@@ -50,14 +50,7 @@ def build_cfg(fn: Function) -> Cfg:
     succs: dict[str, list[str]] = {n: [] for n in nodes}
     preds: dict[str, list[str]] = {n: [] for n in nodes}
     for b in fn.blocks:
-        targets: list[str] = []
-        if isinstance(b.term, Br):
-            targets = [b.term.target]
-        elif isinstance(b.term, BrCond):
-            targets = [b.term.if_true]
-            if b.term.if_false != b.term.if_true:
-                targets.append(b.term.if_false)
-        for t in targets:
+        for t in successors(b):
             if t in succs and t not in succs[b.label]:
                 succs[b.label].append(t)
                 preds[t].append(b.label)
@@ -226,7 +219,7 @@ def resolve_constant(fn: Function, v: Operand) -> int | None:
     """
     from .ir.interp import BINOP_FNS, to_signed, to_unsigned
 
-    defs = _defs_of(fn)
+    defs = defs_of(fn)
 
     def go(x: Operand, seen: frozenset[str]) -> int | None:
         if isinstance(x, int):
@@ -252,13 +245,20 @@ def resolve_constant(fn: Function, v: Operand) -> int | None:
     return go(v, frozenset())
 
 
-def _defs_of(fn: Function) -> dict[str, list[Node]]:
+def defs_of(fn: Function) -> dict[str, list[Node]]:
+    """Each register to its defining nodes, in layout order."""
     defs: dict[str, list[Node]] = {}
     for n in fn.nodes():
         d = node_def(n)
         if d is not None:
             defs.setdefault(d, []).append(n)
     return defs
+
+
+def block_of(fn: Function) -> dict[int, str]:
+    """Each node id to the label of the block holding it."""
+    return {n.id: blk.label for blk in fn.blocks
+            for n in blk.phis + blk.body + ([blk.term] if blk.term else [])}
 
 
 def find_loops(fn: Function) -> LoopScan:
@@ -280,7 +280,8 @@ def find_loops(fn: Function) -> LoopScan:
 
     headers = set(by_header)
     block_map = fn.block_map()
-    defs = _defs_of(fn)
+    defs = defs_of(fn)
+    where = block_of(fn)
 
     for header, group in by_header.items():
         if len(group) > 1:
@@ -302,8 +303,8 @@ def find_loops(fn: Function) -> LoopScan:
         if not isinstance(term, BrCond):
             skip(header, "loop guard is not a conditional branch in the header")
             continue
-        in_body = (term.if_true in loop.body, term.if_false in loop.body)
-        if in_body != (True, False):
+        body_target, exit_target = successors(hblk)
+        if (body_target in loop.body, exit_target in loop.body) != (True, False):
             skip(header, "loop guard does not branch into the body on true")
             continue
         cond_defs = [i for i in hblk.body if node_def(i) == term.cond]
@@ -350,10 +351,7 @@ def find_loops(fn: Function) -> LoopScan:
             continue
         bound = cond.b
         if isinstance(bound, str):
-            invariant = all(
-                not _node_in_blocks(fn, d, loop.body) for d in defs.get(bound, [])
-            )
-            if not invariant:
+            if any(where[d.id] in loop.body for d in defs.get(bound, [])):
                 skip(header, "loop bound is not loop-invariant")
                 continue
         scan.loops.append(LoopInfo(
@@ -361,8 +359,8 @@ def find_loops(fn: Function) -> LoopScan:
             latch=loop.latch,
             preheader=preheader,
             body=loop.body,
-            body_target=term.if_true,
-            exit_target=term.if_false,
+            body_target=body_target,
+            exit_target=exit_target,
             reg=phi.dst,
             init=init,
             step=step,
@@ -376,29 +374,12 @@ def find_loops(fn: Function) -> LoopScan:
     return scan
 
 
-def _node_in_blocks(fn: Function, node: Node, labels: frozenset[str]) -> bool:
-    for blk in fn.blocks:
-        if blk.label not in labels:
-            continue
-        if node in blk.phis or node in blk.body or node is blk.term:
-            return True
-    return False
-
-
 def _dep_graph(fn: Function) -> tuple[dict[int, Node], dict[int, list[int]]]:
     """Node ids to their data-dependence parents (defining instruction ids)."""
     by_id: dict[int, Node] = {n.id: n for n in fn.nodes()}
-    def_ids: dict[str, list[int]] = {}
-    for n in fn.nodes():
-        d = node_def(n)
-        if d is not None:
-            def_ids.setdefault(d, []).append(n.id)
-    parents: dict[int, list[int]] = {}
-    for n in fn.nodes():
-        ps: list[int] = []
-        for reg in node_uses(n):
-            ps.extend(def_ids.get(reg, []))
-        parents[n.id] = ps
+    defs = defs_of(fn)
+    parents = {n.id: [d.id for reg in node_uses(n) for d in defs.get(reg, [])]
+               for n in fn.nodes()}
     return by_id, parents
 
 
@@ -433,15 +414,11 @@ def dce_keep(fn: Function, roots: set[int]) -> set[int]:
     if bad:
         raise ValueError(f"root ids not in function: {sorted(bad)}")
     seeds = set(roots)
-    def_ids: dict[str, list[int]] = {}
-    for n in fn.nodes():
-        d = node_def(n)
-        if d is not None:
-            def_ids.setdefault(d, []).append(n.id)
+    defs = defs_of(fn)
     for blk in fn.blocks:
         if blk.term is not None:
             for reg in node_uses(blk.term):
-                seeds.update(def_ids.get(reg, []))
+                seeds.update(d.id for d in defs.get(reg, []))
     if not seeds:
         return set(roots)
     return backward_slice(fn, seeds) | set(roots)
@@ -492,15 +469,7 @@ def simplify_cfg(fn: Function, id_base: int | None = None) -> Function:
 
 
 def _drop_unreachable(fn: Function) -> bool:
-    c = build_cfg(fn)
-    reachable: set[str] = set()
-    stack = [c.entry]
-    while stack:
-        n = stack.pop()
-        if n in reachable:
-            continue
-        reachable.add(n)
-        stack.extend(c.succs[n])
+    reachable = fn.reachable(fn.blocks[0].label)
     if len(reachable) == len(fn.blocks):
         return False
     dead = {b.label for b in fn.blocks} - reachable
@@ -513,13 +482,8 @@ def _drop_unreachable(fn: Function) -> bool:
 
 
 def _single_const_def(fn: Function, reg: str) -> int | None:
-    found: int | None = None
-    for n in fn.nodes():
-        if node_def(n) == reg:
-            if not isinstance(n, Const) or found is not None:
-                return None
-            found = n.value
-    return found
+    ds = defs_of(fn).get(reg, [])
+    return ds[0].value if len(ds) == 1 and isinstance(ds[0], Const) else None
 
 
 def _retarget_phis(blk: Block, old_pred: str, new_preds: list[str]) -> None:
@@ -656,11 +620,7 @@ def _merge_linear(fn: Function) -> bool:
                 continue
             a.body = a.body + b.body
             a.term = b.term
-            for succ_label in (
-                [b.term.target] if isinstance(b.term, Br)
-                else [b.term.if_true, b.term.if_false] if isinstance(b.term, BrCond)
-                else []
-            ):
+            for succ_label in successors(b):
                 if succ_label in bm:
                     for phi in bm[succ_label].phis:
                         phi.incoming = [

@@ -32,9 +32,11 @@ from typing import Iterable
 
 from .cfg import (
     LoopInfo,
+    block_of,
     build_cfg,
     dce,
     dce_keep,
+    defs_of,
     find_loops,
     resolve_constant,
     simplify_cfg,
@@ -167,32 +169,6 @@ def _simplify(g: Function, alloc: IdAlloc) -> Function:
     return g
 
 
-def _exit_side_labels(fn: Function, li: LoopInfo) -> set[str]:
-    """Blocks reachable from the loop exit without re-entering the body."""
-    bm = fn.block_map()
-    seen: set[str] = set()
-    stack = [li.exit_target]
-    while stack:
-        label = stack.pop()
-        if label in seen or label in li.body:
-            continue
-        seen.add(label)
-        t = bm[label].term
-        if isinstance(t, Br):
-            stack.append(t.target)
-        elif isinstance(t, BrCond):
-            stack.extend((t.if_true, t.if_false))
-    return seen
-
-
-def _block_of_nodes(fn: Function) -> dict[int, str]:
-    out = {}
-    for blk in fn.blocks:
-        for n in blk.phis + blk.body + ([blk.term] if blk.term else []):
-            out[n.id] = blk.label
-    return out
-
-
 def _resume_closure(fn: Function, li: LoopInfo, needed_labels: set[str],
                     carry_regs: list[str]) -> list[Node]:
     """The pure prologue instructions a resumed slice must replay.
@@ -200,14 +176,9 @@ def _resume_closure(fn: Function, li: LoopInfo, needed_labels: set[str],
     Returns them in original layout order.  Raises when a needed value
     cannot be recomputed from constants alone.
     """
-    where = _block_of_nodes(fn)
-    defs: dict[str, list[Node]] = {}
-    for n in fn.nodes():
-        d = node_def(n)
-        if d is not None:
-            defs.setdefault(d, []).append(n)
-
-    exit_side = _exit_side_labels(fn, li)
+    where = block_of(fn)
+    defs = defs_of(fn)
+    exit_side = fn.reachable(li.exit_target, li.body)
     satisfied = set(fn.params) | {li.reg} | set(carry_regs)
 
     def prologue_defs(reg: str) -> list[Node]:
@@ -286,7 +257,7 @@ def _slice_clone(fn: Function, li: LoopInfo, name: str, kind: str,
     # the slice exit check and epilogue) reads from the prologue.
     needed = set(li.body)
     if kind != "access":
-        needed |= _exit_side_labels(fn, li)
+        needed |= fn.reachable(li.exit_target, li.body)
     resume_nodes = _resume_closure(fn, li, needed, carry_regs)
 
     # Header edits: a resume edge into the phis, and the guard retargeted

@@ -10,7 +10,7 @@ can refer to instructions stably.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Collection, Iterator, Union
 
 # Registers are bare names ("acc", "i2"); the textual form adds the % sigil.
 # An operand position accepts either a register name or a 64-bit immediate.
@@ -146,6 +146,23 @@ class Function:
     def max_id(self) -> int:
         return max((n.id for n in self.nodes()), default=-1)
 
+    def reachable(self, start: str, stop: Collection[str] = ()) -> set[str]:
+        """Labels reachable from start without entering stop.
+
+        Targets that name no block are skipped, so this also works on
+        programs that fail validation.
+        """
+        bm = self.block_map()
+        seen: set[str] = set()
+        work = [start]
+        while work:
+            label = work.pop()
+            if label in seen or label in stop or label not in bm:
+                continue
+            seen.add(label)
+            work.extend(successors(bm[label]))
+        return seen
+
 
 @dataclass
 class DataSegment:
@@ -261,3 +278,17 @@ def node_def(n: Node) -> str | None:
     if isinstance(n, (Const, BinOp, Load, Phi)):
         return n.dst
     return None
+
+
+def successors(blk: Block) -> list[str]:
+    """Labels the block's terminator may jump to, in operand order.
+
+    Equal brcond targets both come back; a ret or a missing terminator
+    gives an empty list.
+    """
+    t = blk.term
+    if isinstance(t, Br):
+        return [t.target]
+    if isinstance(t, BrCond):
+        return [t.if_true, t.if_false]
+    return []

@@ -13,9 +13,6 @@ from .types import (
     BINOP_OPS,
     LOAD_WIDTHS,
     BinOp,
-    Block,
-    Br,
-    BrCond,
     Diagnostic,
     Function,
     Load,
@@ -25,20 +22,12 @@ from .types import (
     Store,
     node_def,
     node_uses,
+    successors,
 )
 
 # Every data segment must end at or below this address: 64 MiB, 64x the
 # largest built-in image, so no input can make init_memory allocate more.
 MAX_DATA_END = 64 << 20
-
-
-def _terminator_targets(blk: Block) -> list[str]:
-    t = blk.term
-    if isinstance(t, Br):
-        return [t.target]
-    if isinstance(t, BrCond):
-        return [t.if_true, t.if_false]
-    return []
 
 
 def _validate_function(fn: Function, diags: list[Diagnostic]) -> None:
@@ -61,7 +50,7 @@ def _validate_function(fn: Function, diags: list[Diagnostic]) -> None:
     for blk in fn.blocks:
         if blk.term is None:
             diag("block has no terminator", block=blk.label)
-        for target in _terminator_targets(blk):
+        for target in successors(blk):
             if target not in labels:
                 diag(f"undefined label {target!r}", block=blk.label,
                      instr_id=blk.term.id if blk.term else None)
@@ -80,7 +69,7 @@ def _validate_function(fn: Function, diags: list[Diagnostic]) -> None:
     # Predecessor map over defined labels only.
     preds: dict[str, list[str]] = {blk.label: [] for blk in fn.blocks}
     for blk in fn.blocks:
-        for target in _terminator_targets(blk):
+        for target in successors(blk):
             if target in preds and blk.label not in preds[target]:
                 preds[target].append(blk.label)
 
@@ -105,16 +94,7 @@ def _validate_function(fn: Function, diags: list[Diagnostic]) -> None:
                 diag(f"phi missing incoming for predecessor {pred!r}",
                      block=blk.label, instr_id=phi.id)
 
-    # Reachability from entry.
-    reachable: set[str] = set()
-    work = [entry.label]
-    block_map = fn.block_map()
-    while work:
-        label = work.pop()
-        if label in reachable or label not in block_map:
-            continue
-        reachable.add(label)
-        work.extend(_terminator_targets(block_map[label]))
+    reachable = fn.reachable(entry.label)
     for blk in fn.blocks:
         if blk.label not in reachable:
             diag("unreachable block", block=blk.label)
@@ -142,17 +122,19 @@ def _check_defined_before_use(
         blk.label: set(universe) for blk in fn.blocks
     }
 
+    def avail_at_entry(label: str) -> set[str]:
+        if label == entry_label:
+            return set(fn.params)
+        pred_outs = [defined_out[p] for p in preds[label] if p in reachable]
+        return set.intersection(*pred_outs) if pred_outs else set(universe)
+
     order = [blk.label for blk in fn.blocks if blk.label in reachable]
     changed = True
     while changed:
         changed = False
         for label in order:
             blk = block_map[label]
-            if label == entry_label:
-                avail = set(fn.params)
-            else:
-                pred_outs = [defined_out[p] for p in preds[label] if p in reachable]
-                avail = set.intersection(*pred_outs) if pred_outs else set(universe)
+            avail = avail_at_entry(label)
             for phi in blk.phis:
                 avail.add(phi.dst)
             for instr in blk.body:
@@ -165,11 +147,7 @@ def _check_defined_before_use(
 
     for label in order:
         blk = block_map[label]
-        if label == entry_label:
-            avail = set(fn.params)
-        else:
-            pred_outs = [defined_out[p] for p in preds[label] if p in reachable]
-            avail = set.intersection(*pred_outs) if pred_outs else set(universe)
+        avail = avail_at_entry(label)
         for phi in blk.phis:
             for pred, value in phi.incoming:
                 if isinstance(value, str) and pred in reachable:

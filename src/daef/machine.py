@@ -241,7 +241,10 @@ def load_machine(path: str | Path | None) -> MachineConfig:
     """Read a machine config from a JSON file, or the defaults when None."""
     if path is None:
         return MachineConfig()
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise MachineError(f"{path}: {e}")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

@@ -12,11 +12,12 @@ persists profiles as JSON.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .cfg import find_loops
+from .cfg import block_of, find_loops
 from .ir import Load, Program, program_digest, validate_program, with_seed
 from .machine import MachineConfig
 from .machsim import SimReport, simulate_baseline
@@ -64,10 +65,6 @@ class ProfileReport:
                 return lf.bytes_per_iter
         return None
 
-    def matches(self, prog: Program, machine: MachineConfig) -> bool:
-        return (self.program_digest == program_digest(prog)
-                and self.machine_digest == machine.digest())
-
 
 def profiled_baseline(seeded: Program,
                       machine: MachineConfig) -> tuple[SimReport, ProfileReport]:
@@ -107,7 +104,7 @@ def profiled_baseline(seeded: Program,
              for i in sorted(exec_count)]
 
     counts = base.block_counts[fn.name]
-    block_of = {instr.id: blk.label for blk in fn.blocks for instr in blk.body}
+    where = block_of(fn)
     loops = []
     for li in find_loops(fn).loops:
         trips = counts.get(li.latch, 0)
@@ -115,7 +112,7 @@ def profiled_baseline(seeded: Program,
             continue
         touched: set[int] = set()
         for lid, ls in lines_of.items():
-            if block_of[lid] in li.body:
+            if where[lid] in li.body:
                 touched |= ls
         loops.append(LoopFootprint(
             header=li.header,
@@ -238,10 +235,14 @@ def report_from_json(data, where: str = "profile") -> ProfileReport:
             raise ProfileError(f"{ctx}: expected an object")
         if set(entry) - _LOOP_KEYS:
             raise ProfileError(f"{ctx}: unknown keys {sorted(set(entry) - _LOOP_KEYS)}")
-        loops.append(LoopFootprint(
-            header=_need(entry, "header", str, ctx),
-            bytes_per_iter=float(_need(entry, "bytes_per_iter", (int, float), ctx)),
-        ))
+        header = _need(entry, "header", str, ctx)
+        bytes_per_iter = _need(entry, "bytes_per_iter", (int, float), ctx)
+        # NaN fails both comparisons; an int past the float range fails the
+        # second, before float() could overflow.
+        if not 0 <= bytes_per_iter <= sys.float_info.max:
+            raise ProfileError(f"{ctx}: bytes_per_iter is not a finite number >= 0")
+        loops.append(LoopFootprint(header=header,
+                                   bytes_per_iter=float(bytes_per_iter)))
     return ProfileReport(
         program_digest=_need(data, "program_digest", str, where),
         machine_digest=_need(data, "machine_digest", str, where),
@@ -253,7 +254,10 @@ def report_from_json(data, where: str = "profile") -> ProfileReport:
 
 
 def read_profile(path: str | Path) -> ProfileReport:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise ProfileError(f"{path}: {e}")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

@@ -278,6 +278,18 @@ def test_cli_bad_machine_is_exit_2(tmp_path, capsys, config):
     assert next(iter(config)) in err
 
 
+@pytest.mark.parametrize("flag", ["--kernel", "--machine", "--profile"])
+def test_cli_non_utf8_file_is_exit_2(tmp_path, capsys, flag):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"\xff\xfe\x00")
+    args = {"--kernel": "compute_poly", flag: str(path)}
+    rc = main(["run", *(x for kv in args.items() for x in kv)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("daef: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 def test_cli_transform_emits_the_phases(tmp_path, capsys):
     out = tmp_path / "phases.dir"
     rc = main(["transform", "--kernel", "stream_sum", "--out", str(out)])

@@ -8,12 +8,17 @@ import pytest
 
 from conftest import SUM_KERNEL, assert_valid, random_cfg_program, random_loop_kernel, sum_kernel
 from daef.ir import (
+    Block,
+    BrCond,
     DirRuntimeError,
     DirSyntaxError,
+    Function,
+    Ret,
     init_memory,
     interpret,
     parse_program,
     print_program,
+    successors,
     validate_program,
     with_seed,
 )
@@ -538,6 +543,21 @@ entry:
   ret
 }
 """, "not defined")
+
+
+def test_successors_and_reachable():
+    fn = Function("f", blocks=[
+        Block("entry", term=BrCond(1, "c", "a", "a")),
+        Block("a", term=BrCond(2, "c", "b", "gone")),
+        Block("b", term=Ret(3)),
+    ])
+    entry, a, b = fn.blocks
+    assert successors(entry) == ["a", "a"]  # equal targets are not deduped
+    assert successors(a) == ["b", "gone"]
+    assert successors(b) == []
+    assert fn.reachable("entry") == {"entry", "a", "b"}  # "gone" has no block
+    assert fn.reachable("entry", stop={"b"}) == {"entry", "a"}
+    assert fn.reachable("b", stop={"b"}) == set()
 
 
 def test_duplicate_ids_rejected():

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_cfg_program, random_loop_kernel, sum_kernel
+from daef.harness import check_profile
 from daef.ir import interpret, parse_program, with_seed
 from daef.ir.interp import default_mem_size, init_memory
 from daef.kernels import builtin_kernels
@@ -188,7 +189,9 @@ def test_profile_seed_changes_digest_and_is_deterministic():
     assert a == b
     assert a.program_digest != c.program_digest
     assert a.program_digest != profile_run(p, MACHINE).program_digest
-    assert not a.matches(p, MACHINE)  # digest is of the seeded instance
+    # The digest is of the seeded instance.
+    assert check_profile(a, p, MACHINE, allow_stale=True) == [
+        "profile was taken from a different program or seed"]
 
 
 def test_program_without_canonical_loop_profiles_fine():
@@ -277,6 +280,10 @@ def test_read_profile_error_cases(tmp_path):
         (lambda d: d.update(total_stall_cycles="lots"), "wrong type"),
         (lambda d: d["loads"][0].update(flavor=2), "unknown keys"),
         (lambda d: d["loads"][0].pop("miss"), "missing key"),
+        (lambda d: d["loops"][0].update(bytes_per_iter=float("nan")), "finite"),
+        (lambda d: d["loops"][0].update(bytes_per_iter=float("inf")), "finite"),
+        (lambda d: d["loops"][0].update(bytes_per_iter=-1), "finite"),
+        (lambda d: d["loops"][0].update(bytes_per_iter=10**400), "finite"),
     ]:
         d = json.loads(json.dumps(good))
         breakage(d)
@@ -289,11 +296,13 @@ def test_read_profile_error_cases(tmp_path):
 def test_staleness_detection():
     p = sum_kernel()
     r = profile_run(p, MACHINE)
-    assert r.matches(p, MACHINE)
+    assert check_profile(r, p, MACHINE, allow_stale=True) == []
     other = MachineConfig.from_json({**MACHINE.to_json(), "mem_latency_ns": 61})
-    assert not r.matches(p, other)
+    assert check_profile(r, p, other, allow_stale=True) == [
+        "profile was taken on a different machine config"]
     q = parse_program(p and SUM_VARIANT)
-    assert not r.matches(q, MACHINE)
+    assert check_profile(r, q, MACHINE, allow_stale=True) == [
+        "profile was taken from a different program or seed"]
 
 
 SUM_VARIANT = """
