@@ -3,9 +3,10 @@
 Provides the CFG builder, iterative dominators, natural-loop detection
 with canonical-induction recognition, backward slicing over use-def
 chains, dead-code elimination, and a semantics-preserving CFG simplifier.
-Block successors and label reachability come from daef.ir.types
-(successors, Function.reachable); this module owns the register-to-
-definitions map (defs_of) and node placement (block_of).
+Block successors, predecessors and label reachability come from
+daef.ir.types (successors, predecessors, Function.reachable); this
+module owns the register-to-definitions map (defs_of) and node
+placement (block_of).
 
 Register-to-definition links are path-insensitive: a use of %r depends on
 every definition of %r in the function.  For single-assignment code (all
@@ -32,6 +33,7 @@ from .ir.types import (
     Store,
     node_def,
     node_uses,
+    predecessors,
     successors,
 )
 
@@ -48,13 +50,11 @@ def build_cfg(fn: Function) -> Cfg:
     """Block-level CFG; edges follow terminators (brcond edges deduped)."""
     nodes = [b.label for b in fn.blocks]
     succs: dict[str, list[str]] = {n: [] for n in nodes}
-    preds: dict[str, list[str]] = {n: [] for n in nodes}
     for b in fn.blocks:
         for t in successors(b):
             if t in succs and t not in succs[b.label]:
                 succs[b.label].append(t)
-                preds[t].append(b.label)
-    return Cfg(entry=nodes[0], nodes=nodes, succs=succs, preds=preds)
+    return Cfg(entry=nodes[0], nodes=nodes, succs=succs, preds=predecessors(fn))
 
 
 @dataclass

@@ -42,14 +42,19 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="machine config JSON (default: built-in machine)")
     p.add_argument("--seed", type=int, default=0,
                    help="input seed folded into the kernel's data (default 0)")
+    p.add_argument("--out", metavar="PATH", default=None,
+                   help="write output here instead of stdout")
+
+
+def _add_split(p: argparse.ArgumentParser) -> None:
+    """The common flags plus those that steer the phase split."""
+    _add_common(p)
     p.add_argument("--theta", type=_fraction, default=Fraction(1, 100),
                    help="stall-share threshold for critical loads (default 1/100)")
     p.add_argument("--rho", type=_fraction, default=Fraction(1, 2),
                    help="fraction of L1 a slice may touch (default 1/2)")
     p.add_argument("--slice", type=int, default=None, dest="slice_override",
                    help="fixed slice size, overriding the profile-driven choice")
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="write output here instead of stdout")
 
 
 def _add_profile_source(p: argparse.ArgumentParser) -> None:
@@ -151,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="emit the transformed program")
     p.add_argument("--kernel", required=True)
-    _add_common(p)
+    _add_split(p)
     _add_profile_source(p)
     p.set_defaults(func=cmd_transform)
 
@@ -161,13 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiling-overhead", type=_fraction, default=Fraction(0),
                    help="runtime profiling cost as a fraction of slice-0 time")
     p.add_argument("--emit", choices=("csv", "json", "dir"), default="csv")
-    _add_common(p)
+    _add_split(p)
     _add_profile_source(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("suite", help="run every built-in kernel in every mode")
     p.add_argument("--profiling-overhead", type=_fraction, default=Fraction(0))
-    _add_common(p)
+    _add_split(p)
     p.set_defaults(func=cmd_suite)
 
     return parser

@@ -24,6 +24,7 @@ from .daegen import (
     choose_slice_size,
     make_phases,
 )
+from .inputs import read_text
 from .ir import Program, parse_program, program_digest, with_seed
 from .kernels import BenchmarkKernel, builtin_kernels, kernel_by_name
 from .machine import MachineConfig
@@ -94,12 +95,9 @@ def load_kernel(name_or_path: str) -> BenchmarkKernel:
             raise HarnessError(
                 f"{name_or_path!r} is neither a built-in kernel nor a file; "
                 f"built-ins: {', '.join(k.name for k in builtin_kernels())}")
-        try:
-            text = path.read_text()
-        except UnicodeDecodeError as e:
-            raise HarnessError(f"{path}: {e}")
         return BenchmarkKernel(
-            name=path.stem, text=text, working_set_bytes=0,
+            name=path.stem, text=read_text(path, HarnessError),
+            working_set_bytes=0,
             characterization="user", description=f"loaded from {path}",
             oracle=lambda seed: None)
 

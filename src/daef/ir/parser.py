@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .types import (
     BINOP_OPS,
+    FUNCTION_KINDS,
     LOAD_WIDTHS,
     BinOp,
     Block,
@@ -229,7 +230,7 @@ class _Parser:
         self.expect("kind")
         self.expect("=")
         kind_tok = self.next()
-        if kind_tok.text not in ("original", "access", "execute"):
+        if kind_tok.text not in FUNCTION_KINDS:
             raise DirSyntaxError(
                 f"unknown function kind {kind_tok.text!r}", kind_tok.line, kind_tok.col
             )

@@ -292,3 +292,16 @@ def successors(blk: Block) -> list[str]:
     if isinstance(t, BrCond):
         return [t.if_true, t.if_false]
     return []
+
+
+def predecessors(fn: Function) -> dict[str, list[str]]:
+    """Each block's distinct predecessors, in block order.
+
+    Edges to labels that name no block are left out.
+    """
+    preds: dict[str, list[str]] = {blk.label: [] for blk in fn.blocks}
+    for blk in fn.blocks:
+        for target in successors(blk):
+            if target in preds and blk.label not in preds[target]:
+                preds[target].append(blk.label)
+    return preds

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from .types import (
     BINOP_OPS,
+    FUNCTION_KINDS,
     LOAD_WIDTHS,
     BinOp,
     Diagnostic,
@@ -22,6 +23,7 @@ from .types import (
     Store,
     node_def,
     node_uses,
+    predecessors,
     successors,
 )
 
@@ -34,7 +36,7 @@ def _validate_function(fn: Function, diags: list[Diagnostic]) -> None:
     def diag(msg: str, block: str | None = None, instr_id: int | None = None) -> None:
         diags.append(Diagnostic(msg, function=fn.name, block=block, instr_id=instr_id))
 
-    if fn.kind not in ("original", "access", "execute"):
+    if fn.kind not in FUNCTION_KINDS:
         diag(f"unknown function kind {fn.kind!r}")
     if not fn.blocks:
         diag("function has no blocks")
@@ -66,13 +68,7 @@ def _validate_function(fn: Function, diags: list[Diagnostic]) -> None:
             if isinstance(instr, Prefetch) and instr.origin is None:
                 diag("prefetch without origin tag", block=blk.label, instr_id=instr.id)
 
-    # Predecessor map over defined labels only.
-    preds: dict[str, list[str]] = {blk.label: [] for blk in fn.blocks}
-    for blk in fn.blocks:
-        for target in successors(blk):
-            if target in preds and blk.label not in preds[target]:
-                preds[target].append(blk.label)
-
+    preds = predecessors(fn)
     entry = fn.blocks[0]
     if preds[entry.label]:
         diag("entry block has predecessors", block=entry.label)

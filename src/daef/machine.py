@@ -5,6 +5,11 @@ through their decimal string form, so a config file's 3.4 GHz is the
 rational 17/5, not the nearest binary float, and every timing or energy
 figure downstream is exact.
 
+The JSON keys are the dataclass fields (power_model is written "power"),
+and the type of each field's default decides how its value is read: a
+Fraction through the exact decimal form, an int as a whole number of at
+least 1, a nested config recursively.  A missing key keeps its default.
+
 Frequencies are in GHz, which doubles as cycles per nanosecond: a run of
 C cycles at frequency f takes C / f nanoseconds of wall time.
 """
@@ -14,9 +19,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
+
+from .inputs import read_json
+from .ir.validate import MAX_DATA_END
 
 
 class MachineError(ValueError):
@@ -24,8 +32,6 @@ class MachineError(ValueError):
 
 
 def _frac(value, where: str) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MachineError(f"{where}: expected a number, got {value!r}")
     try:
@@ -34,18 +40,49 @@ def _frac(value, where: str) -> Fraction:
         raise MachineError(f"{where}: cannot interpret {value!r} exactly")
 
 
-def _nat(value, where: str, minimum: int = 0) -> int:
+def _nat(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise MachineError(f"{where}: expected an integer, got {value!r}")
-    if value < minimum:
-        raise MachineError(f"{where}: {value} is below the minimum {minimum}")
+    if value < 1:
+        raise MachineError(f"{where}: {value} is below the minimum 1")
     return value
 
 
-def _check_keys(d: dict, allowed: set[str], where: str) -> None:
-    unknown = set(d) - allowed
+_JSON_KEY = {"power_model": "power"}
+
+
+def _from_json(cls, d, path: str = ""):
+    name = path or "machine config"
+    if not isinstance(d, dict):
+        raise MachineError(f"{name}: expected an object, got {type(d).__name__}")
+    by_key = {_JSON_KEY.get(f.name, f.name): f for f in fields(cls)}
+    unknown = set(d) - set(by_key)
     if unknown:
-        raise MachineError(f"{where}: unknown keys {sorted(unknown)}")
+        raise MachineError(f"{name}: unknown keys {sorted(unknown)}")
+    values = {}
+    for key, f in by_key.items():
+        if key not in d:
+            continue
+        where = f"{path}.{key}" if path else key
+        if isinstance(f.default, Fraction):
+            values[f.name] = _frac(d[key], where)
+        elif isinstance(f.default, int):
+            values[f.name] = _nat(d[key], where)
+        else:
+            values[f.name] = _from_json(type(f.default), d[key], where)
+    return cls(**values)
+
+
+def _to_json(cfg) -> dict:
+    out = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(f.default):
+            value = _to_json(value)
+        elif isinstance(f.default, Fraction):
+            value = float(value)
+        out[_JSON_KEY.get(f.name, f.name)] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -58,6 +95,11 @@ class L1Config:
     def __post_init__(self):
         if self.line_bytes <= 0 or self.capacity_bytes <= 0:
             raise MachineError("l1: capacity and line size must be positive")
+        if self.capacity_bytes > MAX_DATA_END:
+            # No program has more lines than this to cache, and each set
+            # costs memory whether it is used or not.
+            raise MachineError(f"l1: capacity_bytes must not exceed {MAX_DATA_END},"
+                               " the data memory limit")
         if self.capacity_bytes % self.line_bytes:
             raise MachineError("l1: capacity must be a multiple of the line size")
         if self.ways < 1:
@@ -71,25 +113,6 @@ class L1Config:
     @property
     def n_sets(self) -> int:
         return self.capacity_bytes // self.line_bytes // self.ways
-
-    @staticmethod
-    def from_json(d: dict) -> "L1Config":
-        _check_keys(d, {"capacity_bytes", "line_bytes", "ways", "hit_cycles"}, "l1")
-        base = L1Config()
-        return L1Config(
-            capacity_bytes=_nat(d.get("capacity_bytes", base.capacity_bytes), "l1.capacity_bytes", 1),
-            line_bytes=_nat(d.get("line_bytes", base.line_bytes), "l1.line_bytes", 1),
-            ways=_nat(d.get("ways", base.ways), "l1.ways", 1),
-            hit_cycles=_nat(d.get("hit_cycles", base.hit_cycles), "l1.hit_cycles", 1),
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "capacity_bytes": self.capacity_bytes,
-            "line_bytes": self.line_bytes,
-            "ways": self.ways,
-            "hit_cycles": self.hit_cycles,
-        }
 
 
 @dataclass(frozen=True)
@@ -115,33 +138,6 @@ class PowerConfig:
             raise MachineError("power: v_min_ratio must be in (0, 1]")
         if self.p_static < 0 or self.c_dyn < 0:
             raise MachineError("power: p_static and c_dyn must be non-negative")
-
-    @staticmethod
-    def from_json(d: dict) -> "PowerConfig":
-        _check_keys(d, {"p_static", "c_dyn", "alpha", "beta", "v_min_ratio"}, "power")
-        base = PowerConfig()
-        return PowerConfig(
-            p_static=_frac(d.get("p_static", base.p_static), "power.p_static"),
-            c_dyn=_frac(d.get("c_dyn", base.c_dyn), "power.c_dyn"),
-            alpha=_frac(d.get("alpha", base.alpha), "power.alpha"),
-            beta=_frac(d.get("beta", base.beta), "power.beta"),
-            v_min_ratio=_frac(d.get("v_min_ratio", base.v_min_ratio), "power.v_min_ratio"),
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "p_static": float(self.p_static),
-            "c_dyn": float(self.c_dyn),
-            "alpha": float(self.alpha),
-            "beta": float(self.beta),
-            "v_min_ratio": float(self.v_min_ratio),
-        }
-
-
-_TOP_KEYS = {
-    "f_max_ghz", "f_min_ghz", "l1", "mem_latency_ns", "mshr_count",
-    "dvfs_switch_ns", "jit_ns_per_instr", "power",
-}
 
 
 @dataclass(frozen=True)
@@ -182,10 +178,6 @@ class MachineConfig:
 
         The core retires at most one node per cycle, so IPC is in [0, 1].
         """
-        if isinstance(f_ghz, float):
-            f_ghz = Fraction(str(f_ghz))
-        if isinstance(ipc, float):
-            ipc = Fraction(str(ipc))
         if not self.f_min_ghz <= f_ghz <= self.f_max_ghz:
             raise MachineError(f"frequency {f_ghz} outside [{self.f_min_ghz}, {self.f_max_ghz}]")
         if not 0 <= ipc <= 1:
@@ -197,40 +189,8 @@ class MachineConfig:
 
     # -- serialization -----------------------------------------------------
 
-    @staticmethod
-    def from_json(d: dict) -> "MachineConfig":
-        if not isinstance(d, dict):
-            raise MachineError(f"machine config must be an object, got {type(d).__name__}")
-        _check_keys(d, _TOP_KEYS, "machine config")
-        base = MachineConfig()
-        l1 = d.get("l1", base.l1.to_json())
-        power = d.get("power", base.power_model.to_json())
-        if not isinstance(l1, dict):
-            raise MachineError("l1: expected an object")
-        if not isinstance(power, dict):
-            raise MachineError("power: expected an object")
-        return MachineConfig(
-            f_max_ghz=_frac(d.get("f_max_ghz", base.f_max_ghz), "f_max_ghz"),
-            f_min_ghz=_frac(d.get("f_min_ghz", base.f_min_ghz), "f_min_ghz"),
-            l1=L1Config.from_json(l1),
-            mem_latency_ns=_frac(d.get("mem_latency_ns", base.mem_latency_ns), "mem_latency_ns"),
-            mshr_count=_nat(d.get("mshr_count", base.mshr_count), "mshr_count", 1),
-            dvfs_switch_ns=_frac(d.get("dvfs_switch_ns", base.dvfs_switch_ns), "dvfs_switch_ns"),
-            jit_ns_per_instr=_frac(d.get("jit_ns_per_instr", base.jit_ns_per_instr), "jit_ns_per_instr"),
-            power_model=PowerConfig.from_json(power),
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "f_max_ghz": float(self.f_max_ghz),
-            "f_min_ghz": float(self.f_min_ghz),
-            "l1": self.l1.to_json(),
-            "mem_latency_ns": float(self.mem_latency_ns),
-            "mshr_count": self.mshr_count,
-            "dvfs_switch_ns": float(self.dvfs_switch_ns),
-            "jit_ns_per_instr": float(self.jit_ns_per_instr),
-            "power": self.power_model.to_json(),
-        }
+    from_json = classmethod(_from_json)  # from_json(d) -> MachineConfig
+    to_json = _to_json
 
     def digest(self) -> str:
         canon = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
@@ -241,14 +201,7 @@ def load_machine(path: str | Path | None) -> MachineConfig:
     """Read a machine config from a JSON file, or the defaults when None."""
     if path is None:
         return MachineConfig()
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as e:
-        raise MachineError(f"{path}: {e}")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise MachineError(f"{path}: invalid JSON at offset {e.pos}: {e.msg}")
+    data = read_json(path, MachineError)
     try:
         return MachineConfig.from_json(data)
     except MachineError as e:

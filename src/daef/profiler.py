@@ -18,6 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .cfg import block_of, find_loops
+from .inputs import read_json
 from .ir import Load, Program, program_digest, validate_program, with_seed
 from .machine import MachineConfig
 from .machsim import SimReport, simulate_baseline
@@ -254,12 +255,4 @@ def report_from_json(data, where: str = "profile") -> ProfileReport:
 
 
 def read_profile(path: str | Path) -> ProfileReport:
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as e:
-        raise ProfileError(f"{path}: {e}")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ProfileError(f"{path}: invalid JSON at offset {e.pos}: {e.msg}")
-    return report_from_json(data, where=str(path))
+    return report_from_json(read_json(path, ProfileError), where=str(path))

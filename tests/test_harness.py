@@ -267,8 +267,14 @@ def test_cli_run_emit_dir_prints_the_simulated_plan(tmp_path, capsys):
     assert fresh.read_text() != run_out.read_text()
 
 
-@pytest.mark.parametrize("config", [{"ipc_max": 0.5}, {"mshr_count": 0}])
-def test_cli_bad_machine_is_exit_2(tmp_path, capsys, config):
+@pytest.mark.parametrize("config", [
+    {"ipc_max": 0.5}, {"mshr_count": 0},
+    {"l1": {"capacity_bytes": 2**40, "line_bytes": 64, "ways": 1}},
+])
+def test_cli_bad_machine_is_exit_2(tmp_path, capsys, monkeypatch, config):
+    # Were the oversized L1 accepted, the run would build 2**34 cache sets;
+    # fail at the cache instead of exhausting memory.
+    monkeypatch.setattr("daef.machsim.LruCache", None)
     path = tmp_path / "m.json"
     path.write_text(json.dumps(config))
     rc = main(["run", "--kernel", "compute_poly", "--machine", str(path)])
@@ -288,6 +294,27 @@ def test_cli_non_utf8_file_is_exit_2(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert err.startswith("daef: ") and err.count("\n") == 1
     assert str(path) in err
+
+
+@pytest.mark.parametrize("flag", ["--machine", "--profile"])
+@pytest.mark.parametrize("text", ["1" * 5000, "[" * 200_000],
+                         ids=["5000_digit_int", "200000_deep_array"])
+def test_cli_json_past_the_decoder_limits_is_exit_2(tmp_path, capsys, flag,
+                                                    text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    rc = main(["run", "--kernel", "compute_poly", flag, str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("daef: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+def test_cli_profile_takes_no_split_flags(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["profile", "--kernel", "compute_poly", "--theta", "1/2"])
+    assert exit_.value.code == 2
+    assert "--theta" in capsys.readouterr().err
 
 
 def test_cli_transform_emits_the_phases(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from conftest import SUM_KERNEL, assert_valid, random_cfg_program, random_loop_kernel, sum_kernel
 from daef.ir import (
     Block,
+    Br,
     BrCond,
     DirRuntimeError,
     DirSyntaxError,
@@ -22,6 +23,7 @@ from daef.ir import (
     validate_program,
     with_seed,
 )
+from daef.ir.types import predecessors
 from daef.ir.validate import MAX_DATA_END
 
 M64 = (1 << 64) - 1
@@ -558,6 +560,15 @@ def test_successors_and_reachable():
     assert fn.reachable("entry") == {"entry", "a", "b"}  # "gone" has no block
     assert fn.reachable("entry", stop={"b"}) == {"entry", "a"}
     assert fn.reachable("b", stop={"b"}) == set()
+
+
+def test_predecessors_are_distinct_and_skip_dangling_labels():
+    fn = Function("f", blocks=[
+        Block("entry", term=BrCond(1, "c", "a", "a")),
+        Block("a", term=BrCond(2, "c", "b", "gone")),
+        Block("b", term=Br(3, "a")),
+    ])
+    assert predecessors(fn) == {"entry": [], "a": ["entry", "b"], "b": ["a"]}
 
 
 def test_duplicate_ids_rejected():

@@ -73,6 +73,13 @@ def test_json_round_trip_and_digest_stability():
     assert other.digest() != m.digest()
 
 
+def test_default_digest_is_pinned():
+    # Stored profiles carry this digest; a change to the JSON form of the
+    # config would make every one of them stale.
+    assert MachineConfig().digest() == \
+        "ee81819f558647179c902360303b64a416ee4d704a9b3cc9fdc68176ebd0632e"
+
+
 @pytest.mark.parametrize("patch, message", [
     ({"bogus": 1}, "unknown keys"),
     ({"l1": {"capacity_bytes": 32768, "line_bytes": 64, "ways": 8,
@@ -90,6 +97,10 @@ def test_json_round_trip_and_digest_stability():
     ({"mshr_count": 2.5}, "integer"),
     ({"ipc_max": 0}, "ipc_max"),
     ({"ipc_max": 0.5}, "ipc_max"),
+    # 2**34 sets if it were built: only the capacity bound stands between
+    # this config and an out-of-memory.
+    ({"l1": {"capacity_bytes": 2**40, "line_bytes": 64, "ways": 1}},
+     "capacity_bytes must not exceed"),
 ])
 def test_config_rejections(patch, message):
     with pytest.raises(MachineError) as err:
