@@ -5,12 +5,23 @@ timing simulator are checked against it.  It is timing-free; prefetch is a
 no-op here.  Values are 64-bit two's-complement integers kept internally
 in unsigned form.  Loads zero-extend, div/rem truncate toward zero, shr is
 a logical shift, and shift amounts are taken mod 64.
+
+There is one engine.  compile_function writes each function as Python
+source and builds it with exec, the way the stdlib's dataclasses builds
+methods: registers are locals, each block is one arm of an if/elif on an
+integer block index, and fuel and block counts live in locals until the
+call ends.  BINOP_FNS defines every operator; the generated code spells
+out the cheap ones with the same arithmetic and calls BINOP_FNS for div,
+rem, slt and sle.  interpret() and the timing simulator both run it.
+Only parameters are read from env; a register read before any definition
+raises NameError, and the validator rejects such programs.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
+import struct
 
 from .types import (
     BinOp,
@@ -27,13 +38,18 @@ from .types import (
     Program,
     Ret,
     Store,
+    node_def,
+    predecessors,
+    successors,
 )
 
 M64 = (1 << 64) - 1
 _U64 = 1 << 64
 _H64 = 1 << 63
 
-DEFAULT_FUEL = 200_000_000
+# 98x the largest built-in run (stencil3 static_dae, 204,850 nodes); a
+# one-node spin loop spends it in about two seconds.
+DEFAULT_FUEL = 20_000_000
 
 
 def to_signed(v: int) -> int:
@@ -76,100 +92,232 @@ BINOP_FNS = {
     "seq": lambda a, b: 1 if a == b else 0,
 }
 
-# Step opcodes for the compiled form shared with the timing simulator.
-K_CONST = 0
-K_BINOP = 1
-K_LOAD = 2
-K_STORE = 3
-K_PREFETCH = 4
-K_OUT = 5
+# The generated spelling of each BINOP_FNS entry; the rest are called.
+_INLINE = {
+    "add": f"({{a}} + {{b}}) & {M64:#x}",
+    "sub": f"({{a}} - {{b}}) & {M64:#x}",
+    "mul": f"({{a}} * {{b}}) & {M64:#x}",
+    "and": "{a} & {b}",
+    "or": "{a} | {b}",
+    "xor": "{a} ^ {b}",
+    "shl": f"({{a}} << ({{b}} & 63)) & {M64:#x}",
+    "shr": "{a} >> ({b} & 63)",
+    "seq": "1 if {a} == {b} else 0",
+}
 
-T_BR = 0
-T_BRCOND = 1
-T_RET = 2
-
-
-class CompiledBlock:
-    __slots__ = ("label", "phis", "steps", "term", "ids", "ncount")
-
-    def __init__(self, label: str):
-        self.label = label
-        self.phis: list[tuple[str, dict[str, Operand]]] = []
-        self.steps: list[tuple] = []
-        self.term: tuple = ()
-        self.ids: list[int] = []
-        self.ncount = 0
+_STRUCTS = {w: struct.Struct(f"<{c}") for w, c in ((2, "H"), (4, "I"), (8, "Q"))}
+_NAMESPACE = {
+    "_Err": DirRuntimeError,
+    **{f"_{op}": BINOP_FNS[op] for op in BINOP_FNS if op not in _INLINE},
+    **{f"_ld{w}": s.unpack_from for w, s in _STRUCTS.items()},
+    **{f"_st{w}": s.pack_into for w, s in _STRUCTS.items()},
+}
 
 
 class CompiledFunction:
-    __slots__ = ("fn", "entry", "blocks")
+    """A function and the Python code generated for it.
 
-    def __init__(self, fn: Function, entry: str, blocks: dict[str, CompiledBlock]):
+    ids maps each block label to the node ids that retire when the block
+    runs; run is the generated function that run_compiled calls.
+    """
+
+    __slots__ = ("fn", "ids", "run")
+
+    def __init__(self, fn: Function, ids: dict[str, list[int]], run):
         self.fn = fn
-        self.entry = entry
-        self.blocks = blocks
+        self.ids = ids
+        self.run = run
 
 
-def _imm(v: Operand) -> Operand:
-    return v if isinstance(v, str) else v & M64
+def _signed(r: str) -> str:
+    return f"({r} - {_U64:#x} if {r} >= {_H64:#x} else {r})"
+
+
+def _address(base: str, offset: int) -> str:
+    return f"{_signed(base)} + {offset}" if offset else _signed(base)
+
+
+class _Source:
+    """The generated source of one function, built a block at a time."""
+
+    def __init__(self, fn: Function, blocks: dict):
+        self.lines: list[str] = []
+        self.index = {label: k for k, label in enumerate(blocks)}
+        self.entry = fn.blocks[0].label
+        self.phi_labels = {label for label, blk in blocks.items() if blk.phis}
+        self.preds = predecessors(fn)
+        self.regs: dict[str, str] = {}  # register -> local name
+
+    def emit(self, depth: int, line: str) -> None:
+        self.lines.append("    " * depth + line)
+
+    def reg(self, name: str) -> str:
+        return self.regs.setdefault(name, f"r{len(self.regs)}")
+
+    def val(self, v: Operand) -> str:
+        return self.reg(v) if isinstance(v, str) else str(v & M64)
+
+    def goto(self, d: int, label: str) -> None:
+        if label in self.index:
+            self.emit(d, f"b = {self.index[label]}")
+        else:
+            self.emit(d, f"raise KeyError({label!r})")
+
+    def phis(self, d: int, blk) -> None:
+        """Assign the block's phis, all at once, for the predecessor p."""
+        incoming = [(phi.dst, dict(phi.incoming)) for phi in blk.phis]
+        arms: list[str | None] = list(self.preds[blk.label])
+        if blk.label == self.entry:
+            arms.insert(0, None)
+        for n, prev in enumerate(arms):
+            inner = d
+            if len(arms) > 1:
+                inner = d + 1
+                if n == len(arms) - 1:
+                    self.emit(d, "else:")
+                else:
+                    test = "p < 0" if prev is None else f"p == {self.index[prev]}"
+                    self.emit(d, f"{'if' if n == 0 else 'elif'} {test}:")
+            if prev is None:
+                msg = f"phi executed on function entry in {blk.label!r}"
+                self.emit(inner, f"raise _Err({msg!r})")
+                continue
+            missing = [dst for dst, inc in incoming if prev not in inc]
+            if missing:
+                msg = f"phi %{missing[0]} has no incoming for predecessor {prev!r}"
+                self.emit(inner, f"raise _Err({msg!r})")
+                continue
+            dsts = ", ".join(self.reg(dst) for dst, _ in incoming)
+            vals = ", ".join(self.val(inc[prev]) for _, inc in incoming)
+            self.emit(inner, f"{dsts} = {vals}")
+
+    def block(self, d: int, blk, k: int, ncount: int) -> None:
+        emit = self.emit
+        emit(d, f"c{k} += 1")
+        emit(d, f"f -= {ncount}")
+        emit(d, "if f < 0:")
+        msg = f"fuel exhausted in block {blk.label!r}"
+        emit(d + 1, f"raise _Err({msg!r})")
+        emit(d, "if on_block is not None:")
+        emit(d + 1, f"on_block({ncount})")
+        if blk.phis:
+            self.phis(d, blk)
+        for ins in blk.body:
+            if isinstance(ins, Const):
+                emit(d, f"{self.reg(ins.dst)} = {ins.value & M64}")
+            elif isinstance(ins, BinOp):
+                a, b = self.val(ins.a), self.val(ins.b)
+                if ins.op in _INLINE:
+                    expr = _INLINE[ins.op].format(a=a, b=b)
+                else:
+                    if ins.op in ("div", "rem"):
+                        emit(d, f"if {b} == 0:")
+                        emit(d + 1, f"raise _Err('division by zero', {ins.id})")
+                    expr = f"_{ins.op}({a}, {b})"
+                emit(d, f"{self.reg(ins.dst)} = {expr}")
+            elif isinstance(ins, (Load, Store)):
+                kind = "load" if isinstance(ins, Load) else "store"
+                emit(d, f"a = {_address(self.reg(ins.base), ins.offset)}")
+                emit(d, f"if a < 0 or a + {ins.width} > mem_size:")
+                emit(d + 1, f"raise _Err(f'{kind} address {{a}} out of"
+                            f" [0, {{mem_size}})', {ins.id})")
+                if kind == "load":
+                    emit(d, "if on_load is not None:")
+                    emit(d + 1, f"on_load({ins.id}, a)")
+                    read = "mem[a]" if ins.width == 1 else f"_ld{ins.width}(mem, a)[0]"
+                    emit(d, f"{self.reg(ins.dst)} = {read}")
+                elif ins.width == 1:
+                    emit(d, f"mem[a] = {self.reg(ins.src)} & 0xff")
+                else:
+                    mask = (1 << (8 * ins.width)) - 1
+                    emit(d, f"_st{ins.width}(mem, a, {self.reg(ins.src)} & {mask:#x})")
+            elif isinstance(ins, Prefetch):
+                # Architectural no-op; only the timing model cares.
+                emit(d, "if on_prefetch is not None:")
+                emit(d + 1, f"a = {_address(self.reg(ins.base), ins.offset)}")
+                emit(d + 1, "if 0 <= a < mem_size:")
+                emit(d + 2, f"on_prefetch({ins.id}, a)")
+            elif isinstance(ins, Out):
+                emit(d, f"out({_signed(self.reg(ins.src))})")
+            else:
+                raise TypeError(f"cannot compile {ins!r}")
+        t = blk.term
+        if isinstance(t, Ret):
+            emit(d, "break")
+            return
+        if not isinstance(t, (Br, BrCond)):
+            raise TypeError(f"block {blk.label!r} lacks a terminator")
+        if self.phi_labels.intersection(successors(blk)):
+            emit(d, f"p = {k}")
+        if isinstance(t, Br):
+            self.goto(d, t.target)
+        else:
+            emit(d, f"if {self.reg(t.cond)}:")
+            self.goto(d + 1, t.if_true)
+            emit(d, "else:")
+            self.goto(d + 1, t.if_false)
 
 
 def compile_function(fn: Function) -> CompiledFunction:
-    """Lower a function to flat step tuples for the execution loops."""
-    blocks: dict[str, CompiledBlock] = {}
-    for blk in fn.blocks:
-        cb = CompiledBlock(blk.label)
-        for phi in blk.phis:
-            cb.phis.append((phi.dst, {p: _imm(v) for p, v in phi.incoming}))
-            cb.ids.append(phi.id)
-        for instr in blk.body:
-            cb.ids.append(instr.id)
-            if isinstance(instr, Const):
-                cb.steps.append((K_CONST, instr.dst, instr.value & M64))
-            elif isinstance(instr, BinOp):
-                zerocheck = instr.op in ("div", "rem")
-                cb.steps.append((K_BINOP, instr.dst, BINOP_FNS[instr.op],
-                                 _imm(instr.a), _imm(instr.b), zerocheck, instr.id))
-            elif isinstance(instr, Load):
-                cb.steps.append((K_LOAD, instr.dst, instr.base, instr.offset,
-                                 instr.width, instr.id))
-            elif isinstance(instr, Store):
-                cb.steps.append((K_STORE, instr.base, instr.offset, instr.src,
-                                 instr.width, instr.id))
-            elif isinstance(instr, Prefetch):
-                cb.steps.append((K_PREFETCH, instr.base, instr.offset, instr.id))
-            elif isinstance(instr, Out):
-                cb.steps.append((K_OUT, instr.src))
-            else:
-                raise TypeError(f"cannot compile {instr!r}")
-        t = blk.term
-        if isinstance(t, Br):
-            cb.term = (T_BR, t.target)
-        elif isinstance(t, BrCond):
-            cb.term = (T_BRCOND, t.cond, t.if_true, t.if_false)
-        elif isinstance(t, Ret):
-            cb.term = (T_RET, _imm(t.value) if t.value is not None else None)
-        else:
-            raise TypeError(f"block {blk.label!r} lacks a terminator")
-        if t is not None:
-            cb.ids.append(t.id)
-        cb.ncount = len(cb.ids)
-        blocks[blk.label] = cb
-    return CompiledFunction(fn, fn.blocks[0].label, blocks)
+    """Generate the Python function that runs fn, and build it."""
+    blocks = {blk.label: blk for blk in fn.blocks}
+    src = _Source(fn, blocks)
+    ids: dict[str, list[int]] = {}
+    for k, (label, blk) in enumerate(blocks.items()):
+        ids[label] = [n.id for n in (*blk.phis, *blk.body)]
+        src.emit(3, f"{'if' if k == 0 else 'elif'} b == {k}:")
+        src.block(4, blk, k, len(ids[label]) + 1)
+        ids[label].append(blk.term.id)
+    counts = ", ".join(f"c{k}" for k in range(len(blocks)))
+    head = ["def run(env, mem, output, block_counts, fuel, mem_size,"
+            " on_load, on_prefetch, on_block):",
+            "    out = output.append",
+            "    f = fuel[0]",
+            f"    {counts.replace(',', ' =')} = 0"]
+    for name in fn.params:
+        if name in src.regs:
+            head.append(f"    if {name!r} in env: {src.regs[name]} = env[{name!r}]")
+    head += ["    b = 0",
+             "    p = -1",
+             "    try:",
+             "        while True:"]
+    tail = ["    finally:",
+            "        fuel[0] = f",
+            f"        for label, c in zip(_labels, ({counts},)):",
+            "            if c:",
+            "                block_counts[label] = block_counts.get(label, 0) + c",
+            # Registers the call never assigned stay out of env.
+            "    bound = locals()",
+            "    for name, r in _defs:",
+            "        if r in bound:",
+            "            env[name] = bound[r]"]
+    defined = {node_def(n) for blk in blocks.values() for n in (*blk.phis, *blk.body)}
+    namespace = dict(_NAMESPACE, _labels=tuple(blocks),
+                     _defs=tuple((name, r) for name, r in src.regs.items()
+                                 if name in defined))
+    code = "\n".join(head + src.lines + tail) + "\n"
+    exec(compile(code, f"<dir @{fn.name}>", "exec"), namespace)
+    return CompiledFunction(fn, ids, namespace["run"])
+
 
 
 def splitmix_fill(seed: int, length: int) -> bytes:
     """Deterministic byte fill from a 64-bit seed (splitmix64 stream)."""
-    out = bytearray()
+    chunks = []
     x = seed & M64
-    while len(out) < length:
-        x = (x + 0x9E3779B97F4A7C15) & M64
-        z = x
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
-        z = z ^ (z >> 31)
-        out += z.to_bytes(8, "little")
-    return bytes(out[:length])
+    words = (length + 7) // 8
+    for start in range(0, words, 4096):
+        n = min(4096, words - start)
+        chunk = []
+        for _ in range(n):
+            x = (x + 0x9E3779B97F4A7C15) & M64
+            z = x
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+            chunk.append(z ^ (z >> 31))
+        chunks.append(struct.pack(f"<{n}Q", *chunk))
+    out = b"".join(chunks)
+    return out if len(out) == length else out[:length]
 
 
 def default_mem_size(prog: Program) -> int:
@@ -177,7 +325,20 @@ def default_mem_size(prog: Program) -> int:
     return max(4096, (end + 4095) // 4096 * 4096)
 
 
+# The last image init_memory built, and what it was built from.  One
+# entry: every run of one kernel at one seed asks for the same image in
+# turn, and holding more would only raise peak memory.
+_last_image: tuple[tuple, bytes] | None = None
+
+
 def init_memory(prog: Program, mem_size: int) -> bytearray:
+    """A fresh memory image holding the program's data segments."""
+    global _last_image
+    key = (mem_size, tuple((seg.kind, seg.base, seg.length, seg.seed, seg.data)
+                           for seg in prog.data))
+    if _last_image is not None and _last_image[0] == key:
+        return bytearray(_last_image[1])
+    _last_image = None  # let the old image go before building the next
     mem = bytearray(mem_size)
     for seg in prog.data:
         if seg.end() > mem_size:
@@ -191,6 +352,7 @@ def init_memory(prog: Program, mem_size: int) -> bytearray:
             mem[seg.base:seg.end()] = splitmix_fill(seg.seed or 0, seg.length)
         else:
             raise DirRuntimeError(f"unknown data segment kind {seg.kind!r}")
+    _last_image = (key, bytes(mem))
     return mem
 
 
@@ -229,83 +391,15 @@ def run_compiled(
 
     block_counts is keyed by block label and is the basis for the retired
     instruction counts (every node in a block retires when the block runs).
-    Mutates env in place; the caller decides what to do with the final
-    register values.  Hooks, all optional: on_load observes (instr_id,
-    addr) for every executed load, on_prefetch the same for in-bounds
-    prefetches (out-of-bounds ones are dropped, never faulted), and
-    on_block observes each block's retired node count on entry.
+    Parameters are read from env on entry, and the registers the call
+    assigns are written back to env when it returns; the caller decides
+    what to do with them.  Hooks, all optional: on_load observes (instr_id, addr) for
+    every executed load, on_prefetch the same for in-bounds prefetches
+    (out-of-bounds ones are dropped, never faulted), and on_block observes
+    each block's retired node count on entry.
     """
-    blocks = cf.blocks
-    cur = blocks[cf.entry]
-    prev: str | None = None
-    bc_get = block_counts.get
-    while True:
-        label = cur.label
-        block_counts[label] = bc_get(label, 0) + 1
-        fuel[0] -= cur.ncount
-        if fuel[0] < 0:
-            raise DirRuntimeError(f"fuel exhausted in block {label!r}")
-        if on_block is not None:
-            on_block(cur.ncount)
-        if cur.phis:
-            if prev is None:
-                raise DirRuntimeError(f"phi executed on function entry in {label!r}")
-            values = []
-            for dst, incoming in cur.phis:
-                try:
-                    v = incoming[prev]
-                except KeyError:
-                    raise DirRuntimeError(
-                        f"phi %{dst} has no incoming for predecessor {prev!r}")
-                values.append((dst, env[v] if type(v) is str else v))
-            for dst, v in values:
-                env[dst] = v
-        for s in cur.steps:
-            k = s[0]
-            if k == K_BINOP:
-                a = s[3]
-                b = s[4]
-                va = env[a] if type(a) is str else a
-                vb = env[b] if type(b) is str else b
-                if s[5] and vb == 0:
-                    raise DirRuntimeError("division by zero", s[6])
-                env[s[1]] = s[2](va, vb)
-            elif k == K_LOAD:
-                addr = to_signed(env[s[2]]) + s[3]
-                w = s[4]
-                if addr < 0 or addr + w > mem_size:
-                    raise DirRuntimeError(
-                        f"load address {addr} out of [0, {mem_size})", s[5])
-                if on_load is not None:
-                    on_load(s[5], addr)
-                env[s[1]] = int.from_bytes(mem[addr:addr + w], "little")
-            elif k == K_CONST:
-                env[s[1]] = s[2]
-            elif k == K_STORE:
-                addr = to_signed(env[s[1]]) + s[2]
-                w = s[4]
-                if addr < 0 or addr + w > mem_size:
-                    raise DirRuntimeError(
-                        f"store address {addr} out of [0, {mem_size})", s[5])
-                mem[addr:addr + w] = (env[s[3]] & ((1 << (8 * w)) - 1)).to_bytes(w, "little")
-            elif k == K_OUT:
-                output.append(to_signed(env[s[1]]))
-            elif k == K_PREFETCH:
-                # Architectural no-op; only the timing model cares.
-                if on_prefetch is not None:
-                    addr = to_signed(env[s[1]]) + s[2]
-                    if 0 <= addr < mem_size:
-                        on_prefetch(s[3], addr)
-        t = cur.term
-        k = t[0]
-        if k == T_BRCOND:
-            prev = label
-            cur = blocks[t[2]] if env[t[1]] else blocks[t[3]]
-        elif k == T_BR:
-            prev = label
-            cur = blocks[t[1]]
-        else:
-            return
+    cf.run(env, mem, output, block_counts, fuel, mem_size,
+           on_load, on_prefetch, on_block)
 
 
 def retired_counts(
@@ -316,7 +410,7 @@ def retired_counts(
     for cf in compiled:
         counts = counts_per_fn.get(cf.fn.name, {})
         for label, n in counts.items():
-            for node_id in cf.blocks[label].ids:
+            for node_id in cf.ids[label]:
                 retired[node_id] = retired.get(node_id, 0) + n
     return retired
 

@@ -96,8 +96,7 @@ class L1Config:
         if self.line_bytes <= 0 or self.capacity_bytes <= 0:
             raise MachineError("l1: capacity and line size must be positive")
         if self.capacity_bytes > MAX_DATA_END:
-            # No program has more lines than this to cache, and each set
-            # costs memory whether it is used or not.
+            # No program has more lines than this to cache.
             raise MachineError(f"l1: capacity_bytes must not exceed {MAX_DATA_END},"
                                " the data memory limit")
         if self.capacity_bytes % self.line_bytes:
@@ -152,8 +151,11 @@ class MachineConfig:
     power_model: PowerConfig = PowerConfig()
 
     def __post_init__(self):
-        if self.f_min_ghz <= 0 or self.f_max_ghz <= 0:
-            raise MachineError("frequencies must be positive")
+        for f in (self.f_min_ghz, self.f_max_ghz):
+            # Far outside this range, exact times outgrow what a float prints.
+            if not Fraction(1, 1000) <= f <= 1000:
+                raise MachineError("frequencies must be positive, within"
+                                   " [0.001, 1000] GHz")
         if self.f_min_ghz > self.f_max_ghz:
             raise MachineError("f_min_ghz must not exceed f_max_ghz")
         if self.mem_latency_ns < 0 or self.dvfs_switch_ns < 0 or self.jit_ns_per_instr < 0:
@@ -212,21 +214,22 @@ class LruCache:
     """Set-associative L1 with strict least-recently-used replacement.
 
     Tracks cache lines by line number (address // line_bytes).  Each set
-    keeps its lines in recency order, least recent first.  Lookups,
-    touches and installs are split so callers can model latency between
-    the probe and the fill.
+    keeps its lines in recency order, least recent first.  A set comes
+    into being on its first install, so an empty cache costs nothing
+    however many sets it has.  Lookups, touches and installs are split so
+    callers can model latency between the probe and the fill.
     """
 
     def __init__(self, l1: L1Config):
         self.l1 = l1
         self.n_sets = l1.n_sets
-        self.sets: list[dict[int, None]] = [{} for _ in range(self.n_sets)]
+        self.sets: dict[int, dict[int, None]] = {}  # set index -> lines
 
     def line_of(self, addr: int) -> int:
         return addr // self.l1.line_bytes
 
     def contains(self, line: int) -> bool:
-        return line in self.sets[line % self.n_sets]
+        return line in self.sets.get(line % self.n_sets, ())
 
     def touch(self, line: int) -> None:
         """Make a resident line most recent; KeyError if it is not resident."""
@@ -236,7 +239,7 @@ class LruCache:
 
     def install(self, line: int) -> int | None:
         """Insert a line as most recent; returns the evicted line, if any."""
-        s = self.sets[line % self.n_sets]
+        s = self.sets.setdefault(line % self.n_sets, {})
         evicted = None
         if line in s:
             del s[line]
@@ -247,4 +250,4 @@ class LruCache:
         return evicted
 
     def resident_lines(self) -> set[int]:
-        return {line for s in self.sets for line in s}
+        return {line for s in self.sets.values() for line in s}

@@ -25,10 +25,12 @@ from daef.harness import (
     run_suite,
 )
 from daef.ir import parse_program, with_seed
-from daef.ir.interp import init_memory
+from daef.ir import interp
+from daef.ir.interp import init_memory, splitmix_fill
 from daef.ir.validate import MAX_DATA_END
 from daef.kernels import builtin_kernels, kernel_by_name
 from daef.machine import MachineConfig
+from daef import machsim
 from daef.machsim import baseline_schedule, simulate
 from daef.profiler import profile_run, read_profile, report_to_json
 
@@ -137,6 +139,21 @@ def test_one_memory_image_per_simulation(monkeypatch):
         calls.clear()
         run_kernel_all_modes(kernel_by_name(name), machine())
         assert len(calls) == 3, name
+
+
+def test_suite_fills_each_image_once(monkeypatch):
+    """All three modes of a kernel read the same seeded image, so a suite
+    pass fills each of the suite's 5 prng segments once."""
+    fills = []
+
+    def counting(seed, length):
+        fills.append(seed)
+        return splitmix_fill(seed, length)
+
+    monkeypatch.setattr(interp, "splitmix_fill", counting)
+    monkeypatch.setattr(interp, "_last_image", None, raising=False)
+    run_suite(machine(), seed=0)
+    assert len(fills) == len(set(fills)) == 5
 
 
 def test_suite_rows_follow_kernel_order():
@@ -282,6 +299,35 @@ def test_cli_bad_machine_is_exit_2(tmp_path, capsys, monkeypatch, config):
     err = capsys.readouterr().err
     assert err.startswith("daef: ") and err.count("\n") == 1
     assert next(iter(config)) in err
+
+
+@pytest.mark.parametrize("config", [
+    {"f_min_ghz": 1e-320}, {"f_max_ghz": 1001},
+])
+def test_cli_frequency_out_of_range_is_exit_2(tmp_path, capsys, config):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(config))
+    rc = main(["run", "--kernel", "gather_sum", "--mode", "dynamic_dae",
+               "--machine", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("daef: ") and err.count("\n") == 1
+    assert "[0.001, 1000] GHz" in err
+
+
+def test_cli_fuel_exhaustion_is_exit_2(tmp_path, capsys, monkeypatch):
+    """A kernel that never ends stops at the fuel budget (here cut to
+    1,000 nodes) with one line, not a hang."""
+    real = machsim.simulate
+    monkeypatch.setattr(machsim, "simulate",
+                        lambda *a, **kw: real(*a, **{**kw, "fuel": 1000}))
+    path = tmp_path / "spin.dir"
+    path.write_text("func @main() kind=original {\nentry:\n  br spin\n"
+                    "spin:\n  br spin\n}\n")
+    rc = main(["run", "--kernel", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "daef: fuel exhausted in block 'spin'\n"
 
 
 @pytest.mark.parametrize("flag", ["--kernel", "--machine", "--profile"])

@@ -23,6 +23,8 @@ from daef.ir import (
     validate_program,
     with_seed,
 )
+from daef.ir import interp
+from daef.ir.interp import BINOP_FNS, splitmix_fill, to_signed
 from daef.ir.types import predecessors
 from daef.ir.validate import MAX_DATA_END
 
@@ -203,9 +205,30 @@ def test_division_truncates_toward_zero():
 """) == [-3, -1]
 
 
+ENGINE_OPERANDS = [0, 1, 63, 64, (1 << 63) - 1, 1 << 63, M64]
+
+
+def test_every_op_agrees_with_binop_fns():
+    """Each operator through interpret() gives BINOP_FNS's value, with the
+    right operand in a register and as an immediate."""
+    cases = [(op, a, b) for op in BINOP_FNS for a in ENGINE_OPERANDS
+             for b in ENGINE_OPERANDS if not (op in ("div", "rem") and b == 0)]
+    body = []
+    for k, (op, a, b) in enumerate(cases):
+        body.append(f"  %a{k} = const {a}")
+        body.append(f"  %b{k} = const {b}")
+        body.append(f"  %r{k} = binop {op} %a{k}, %b{k}")
+        body.append(f"  %i{k} = binop {op} %a{k}, {b}")
+        body.append(f"  out %r{k}")
+        body.append(f"  out %i{k}")
+    expected = [to_signed(BINOP_FNS[op](a, b)) for op, a, b in cases
+                for _ in range(2)]
+    assert run_expr("\n".join(body)) == expected
+
+
 def test_division_by_zero_faults():
     for op in ("div", "rem"):
-        with pytest.raises(DirRuntimeError):
+        with pytest.raises(DirRuntimeError, match=r"^division by zero \(at !id=2\)$"):
             run_expr(f"""
   %a = const 5
   %z = const 0
@@ -274,13 +297,17 @@ def test_uninitialized_memory_reads_zero():
 
 
 def test_out_of_bounds_access_faults():
-    for snippet in (
-        "  %p = const -8\n  %r = load %p, 0, w8\n  out %r",
-        "  %p = const 1000000000\n  %r = load %p, 0, w8\n  out %r",
-        "  %p = const 4090\n  %r = load %p, 8, w8\n  out %r",  # straddles end
-        "  %p = const -8\n  %v = const 1\n  store %p, 0, %v, w8",
+    for snippet, message in (
+        ("  %p = const -8\n  %r = load %p, 0, w8\n  out %r",
+         r"^load address -8 out of \[0, 4096\) \(at !id=1\)$"),
+        ("  %p = const 1000000000\n  %r = load %p, 0, w8\n  out %r",
+         r"^load address 1000000000 out of \[0, 4096\) \(at !id=1\)$"),
+        ("  %p = const 4090\n  %r = load %p, 8, w8\n  out %r",  # straddles end
+         r"^load address 4098 out of \[0, 4096\) \(at !id=1\)$"),
+        ("  %p = const -8\n  %v = const 1\n  store %p, 0, %v, w8",
+         r"^store address -8 out of \[0, 4096\) \(at !id=2\)$"),
     ):
-        with pytest.raises(DirRuntimeError):
+        with pytest.raises(DirRuntimeError, match=message):
             run_expr(snippet)
 
 
@@ -357,8 +384,45 @@ spin:
   br spin
 }
 """
-    with pytest.raises(DirRuntimeError):
+    with pytest.raises(DirRuntimeError, match=r"^fuel exhausted in block 'spin'$"):
         interpret(parse_program(src), fuel=1000)
+
+
+def test_phi_on_entry_raises():
+    src = """
+func @main() kind=original {
+entry:
+  %x = phi [entry: %x]
+  ret
+}
+"""
+    with pytest.raises(DirRuntimeError,
+                       match=r"^phi executed on function entry in 'entry'$"):
+        interpret(parse_program(src))
+
+
+def test_init_memory_returns_independent_copies(monkeypatch):
+    """The second image of the same program is a copy of the first as it
+    was built, not as the caller left it, and costs no second fill."""
+    fills = []
+
+    def counting(seed, length):
+        fills.append(seed)
+        return splitmix_fill(seed, length)
+
+    monkeypatch.setattr(interp, "splitmix_fill", counting)
+    monkeypatch.setattr(interp, "_last_image", None, raising=False)
+    p = sum_kernel()
+    first = init_memory(p, 4096 * 2)
+    pristine = bytes(first)
+    first[4096:4104] = b"\xff" * 8
+    second = init_memory(p, 4096 * 2)
+    assert bytes(second) == pristine and second is not first
+    second[0] = 1
+    assert init_memory(p, 4096 * 2) == pristine
+    assert len(fills) == 1
+    init_memory(with_seed(p, 3), 4096 * 2)
+    assert len(fills) == 2
 
 
 def test_retired_counts_sum_kernel():

@@ -88,6 +88,8 @@ def test_default_digest_is_pinned():
                 "v_min_ratio": 0.8, "zeta": 1}}, "unknown keys"),
     ({"f_min_ghz": 4.0}, "f_min"),
     ({"f_max_ghz": 0}, "positive"),
+    ({"f_min_ghz": 1e-320}, "[0.001, 1000] GHz"),
+    ({"f_max_ghz": 1000.001}, "[0.001, 1000] GHz"),
     ({"l1": {"capacity_bytes": 100, "line_bytes": 64}}, "multiple"),
     ({"l1": {"capacity_bytes": 128, "line_bytes": 64, "ways": 8}}, "ways"),
     ({"power": {"alpha": 0.5, "beta": 0.6}}, "alpha + beta"),

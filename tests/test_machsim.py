@@ -10,11 +10,11 @@ import pytest
 
 from daef.cfg import find_loops
 from daef.daegen import SliceParams, make_phases
-from daef.ir import interpret, parse_program
+from daef.ir import DirRuntimeError, interpret, parse_program
 from daef.harness import run_kernel_all_modes
 from daef.ir.types import Load
 from daef.kernels import kernel_by_name
-from daef.machine import MachineConfig
+from daef.machine import LruCache, MachineConfig
 from daef.machsim import (
     CAT_EXECUTE,
     MachSimError,
@@ -550,3 +550,26 @@ def test_zero_trip_loop_still_runs_epilogue():
     for mode in ("baseline", "static_dae", "dynamic_dae"):
         rep = simulate(plan.program, build_schedule(mode, plan, m), m)
         assert rep.output == ref.output == [0]
+
+
+def test_l1_sets_are_built_on_first_install():
+    """A 64 MiB L1 of one-byte lines has 67,108,864 sets; only those a
+    run installs into exist."""
+    m = MachineConfig.from_json({"l1": {"capacity_bytes": 1 << 26,
+                                        "line_bytes": 1, "ways": 1}})
+    cache = LruCache(m.l1)
+    assert cache.n_sets == 1 << 26 and cache.sets == {}
+    p = parse_program(sum_text(16))
+    rep = simulate(p, baseline_schedule("main", m), m)
+    assert rep.output == interpret(p).output
+    cache.install(5)
+    assert list(cache.sets) == [5] and cache.contains(5)
+    assert not cache.contains(6) and list(cache.sets) == [5]
+
+
+def test_fuel_bounds_a_simulation():
+    p = parse_program("func @main() kind=original {\nentry:\n  br spin\n"
+                      "spin:\n  br spin\n}\n")
+    m = machine()
+    with pytest.raises(DirRuntimeError, match=r"^fuel exhausted in block 'spin'$"):
+        simulate(p, baseline_schedule("main", m), m, fuel=1000)
