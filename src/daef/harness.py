@@ -8,12 +8,17 @@ modes reuse that profile and plan, and every simulated variant is
 checked for observable equivalence against the baseline before any
 number is reported.  The suite runs its kernels one after another, in
 list order.
+
+A row's share columns come from CATEGORIES: each category's wall time
+and energy as a share of the baseline's total, named <category>_time
+and <category>_energy.  The CSV, the .dat file and Row.values() all
+follow that one list.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,9 +34,11 @@ from .ir import Program, parse_program, program_digest, with_seed
 from .kernels import BenchmarkKernel, builtin_kernels, kernel_by_name
 from .machine import MachineConfig
 from .machsim import (
+    CATEGORIES,
     MODES,
     MachSimError,
     SimReport,
+    Stats,
     build_schedule,
     normalize,
     simulate,
@@ -39,9 +46,12 @@ from .machsim import (
 )
 from .profiler import ProfileReport, classify_critical, profiled_baseline
 
-CSV_COLUMNS = ("kernel", "mode", "norm_time", "norm_energy",
-               "access_time", "execute_time", "overhead_time",
-               "access_energy", "execute_energy", "overhead_energy")
+# (column, category, Stats field) of every share column.
+_SHARES = tuple((f"{c}_{name}", c, stat)
+                for name, stat in (("time", "wall_ns"), ("energy", "energy"))
+                for c in CATEGORIES)
+SHARE_COLUMNS = tuple(col for col, _, _ in _SHARES)
+CSV_COLUMNS = ("kernel", "mode", "norm_time", "norm_energy") + SHARE_COLUMNS
 
 
 class HarnessError(Exception):
@@ -58,20 +68,13 @@ class Row:
     mode: str
     norm_time: Fraction
     norm_energy: Fraction
-    access_time: Fraction
-    execute_time: Fraction
-    overhead_time: Fraction
-    access_energy: Fraction
-    execute_energy: Fraction
-    overhead_energy: Fraction
-    report: SimReport | None = field(repr=False, default=None)
-    baseline: SimReport | None = field(repr=False, default=None)
-    program: Program | None = field(repr=False, default=None)  # as simulated
+    shares: dict[str, Fraction]  # SHARE_COLUMNS -> share of the baseline
+    report: SimReport = field(repr=False)
+    program: Program = field(repr=False)  # as simulated
 
     def values(self) -> list:
         return [self.kernel, self.mode, self.norm_time, self.norm_energy,
-                self.access_time, self.execute_time, self.overhead_time,
-                self.access_energy, self.execute_energy, self.overhead_energy]
+                *(self.shares[col] for col in SHARE_COLUMNS)]
 
 
 @dataclass
@@ -159,22 +162,14 @@ def _diff_dump(name: str, mode: str, rep: SimReport, base: SimReport) -> str:
 def _row_from(name: str, mode: str, rep: SimReport, base: SimReport,
               program: Program | None = None) -> Row:
     try:
-        rep = normalize(rep, base)
+        norm_time, norm_energy = normalize(rep, base)
     except MachSimError as e:
         raise EquivalenceError(_diff_dump(name, mode, rep, base) + f"\n  ({e})")
-    wall = base.total.wall_ns
-    energy = base.total.energy
-    cats = rep.categories
-    return Row(
-        kernel=name, mode=mode,
-        norm_time=rep.normalized_time, norm_energy=rep.normalized_energy,
-        access_time=cats["access"].wall_ns / wall,
-        execute_time=cats["execute"].wall_ns / wall,
-        overhead_time=cats["overhead"].wall_ns / wall,
-        access_energy=cats["access"].energy / energy,
-        execute_energy=cats["execute"].energy / energy,
-        overhead_energy=cats["overhead"].energy / energy,
-        report=rep, baseline=base, program=program)
+    shares = {col: getattr(rep.categories[c], stat) / getattr(base.total, stat)
+              for col, c, stat in _SHARES}
+    return Row(kernel=name, mode=mode, norm_time=norm_time,
+               norm_energy=norm_energy, shares=shares, report=rep,
+               program=program)
 
 
 def _run_mode(prep: Prepared, mode: str, machine: MachineConfig,
@@ -238,7 +233,11 @@ def run_suite(machine: MachineConfig, seed: int = 0,
 
 
 def _fmt(x) -> str:
-    return f"{float(x):.6f}"
+    try:
+        return f"{float(x):.6f}"
+    except OverflowError:
+        raise HarnessError("a result is too large to print as a decimal;"
+                           " `daef run --emit json` gives it exactly")
 
 
 def rows_to_csv(rows: list[Row], with_geomean: bool = True) -> str:
@@ -256,30 +255,28 @@ def rows_to_csv(rows: list[Row], with_geomean: bool = True) -> str:
             ge = math.exp(sum(math.log(float(r.norm_energy)) for r in group)
                           / len(group))
             lines.append(",".join(["geomean", mode, _fmt(gt), _fmt(ge)]
-                                  + [""] * 6))
+                                  + [""] * len(SHARE_COLUMNS)))
     return "\n".join(lines) + "\n"
 
 
 def rows_to_dat(rows: list[Row]) -> str:
     """Stacked-bar data: one labeled row per cell, whitespace separated."""
-    lines = ["# kernel mode access_time execute_time overhead_time"
-             " access_energy execute_energy overhead_energy"]
+    lines = [" ".join(("# kernel mode",) + SHARE_COLUMNS)]
     for r in rows:
-        lines.append(" ".join([r.kernel, r.mode,
-                               _fmt(r.access_time), _fmt(r.execute_time),
-                               _fmt(r.overhead_time), _fmt(r.access_energy),
-                               _fmt(r.execute_energy), _fmt(r.overhead_energy)]))
+        lines.append(" ".join([r.kernel, r.mode]
+                              + [_fmt(r.shares[col]) for col in SHARE_COLUMNS]))
     return "\n".join(lines) + "\n"
 
 
 def report_to_json(row: Row) -> dict:
-    """Exact values for debugging: every quantity as a num/den string."""
+    """Exact values for debugging: every fraction as a num/den string."""
     def frac(x) -> str:
         return str(Fraction(x))
 
-    def stats(s) -> dict:
-        return {"cycles": frac(s.cycles), "wall_ns": frac(s.wall_ns),
-                "energy": frac(s.energy), "instr_count": s.instr_count}
+    def stats(s: Stats) -> dict:
+        return {f.name: frac(getattr(s, f.name))
+                if isinstance(f.default, Fraction) else getattr(s, f.name)
+                for f in fields(Stats)}
 
     rep = row.report
     return {

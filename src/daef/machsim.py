@@ -21,13 +21,17 @@ cache.
 Frequency changes between runs, the one-time specialization of the access
 phase, and optional profiling cost are charged as overhead: wall time at
 zero-IPC power.
+
+Stats declares the reported quantities once: each run record is a Stats,
+and a report's per-category sums and its total add up every Stats field
+of its records.  normalize() returns the (time, energy) ratios of a
+report's total against a baseline's.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .daegen import PhasePlan
@@ -74,24 +78,8 @@ class PhaseRun:
 
 
 @dataclass
-class RunRecord:
-    kind: str  # "run" | "jit" | "dvfs_switch" | "profiling"
-    function: str | None
-    frequency: Fraction
-    category: str
-    slice_index: int | None
-    cycles: Fraction
-    wall_ns: Fraction
-    energy: Fraction
-    instr_count: int
-
-    @property
-    def ipc(self) -> Fraction:
-        return self.instr_count / self.cycles if self.cycles else Fraction(0)
-
-
-@dataclass
-class CategoryStats:
+class Stats:
+    """The reported quantities; a new counter is one field plus its increment."""
     cycles: Fraction = Fraction(0)
     wall_ns: Fraction = Fraction(0)
     energy: Fraction = Fraction(0)
@@ -101,25 +89,30 @@ class CategoryStats:
     def ipc(self) -> Fraction:
         return self.instr_count / self.cycles if self.cycles else Fraction(0)
 
-    def add(self, r: RunRecord) -> None:
-        self.cycles += r.cycles
-        self.wall_ns += r.wall_ns
-        self.energy += r.energy
-        self.instr_count += r.instr_count
+    def add(self, other: Stats) -> None:
+        for f in fields(Stats):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+
+@dataclass(kw_only=True)
+class RunRecord(Stats):
+    kind: str  # "run" | "jit" | "dvfs_switch" | "profiling"
+    function: str | None
+    frequency: Fraction
+    category: str
+    slice_index: int | None = None
 
 
 @dataclass
 class SimReport:
-    categories: dict[str, CategoryStats]
-    total: CategoryStats
+    categories: dict[str, Stats]
+    total: Stats
     runs: list[RunRecord]
     output: list[int]
     memory_digest: str
     program_digest: str
     machine_digest: str
     block_counts: dict[str, dict[str, int]]  # function -> label -> entries
-    normalized_time: Fraction | None = None
-    normalized_energy: Fraction | None = None
 
 
 class _RunClock:
@@ -258,8 +251,7 @@ def simulate(
     def charge(kind: str, ns: Fraction, f: Fraction) -> None:
         records.append(RunRecord(
             kind=kind, function=None, frequency=f, category=CAT_OVERHEAD,
-            slice_index=None, cycles=Fraction(0), wall_ns=ns,
-            energy=_idle_energy(machine, ns), instr_count=0))
+            wall_ns=ns, energy=_idle_energy(machine, ns)))
 
     for r in sched:
         if r.frequency != freq:
@@ -282,25 +274,22 @@ def simulate(
                      mem_size, on_load=load_hook,
                      on_prefetch=clock.on_prefetch, on_block=clock.on_block)
         cycles = clock.drain()
-        # Each retired node costs one unit of fuel.
-        instrs = fuel_before - fuel_box[0]
         if r.writeback:
             env.update(call_env)
-        wall_ns = cycles / r.frequency
-        ipc = instrs / cycles if cycles else Fraction(0)
-        records.append(RunRecord(
+        # Each retired node costs one unit of fuel.
+        rec = RunRecord(
             kind="run", function=r.function, frequency=r.frequency,
-            category=r.category, slice_index=r.slice_index,
-            cycles=cycles, wall_ns=wall_ns,
-            energy=machine.power(r.frequency, ipc) * wall_ns,
-            instr_count=instrs))
+            category=r.category, slice_index=r.slice_index, cycles=cycles,
+            wall_ns=cycles / r.frequency, instr_count=fuel_before - fuel_box[0])
+        rec.energy = machine.power(r.frequency, rec.ipc) * rec.wall_ns
+        records.append(rec)
         if r.charge is not None and r.charge[0] == "profiling":
-            charge("profiling", r.charge[1] * wall_ns, r.frequency)
+            charge("profiling", r.charge[1] * rec.wall_ns, r.frequency)
     if freq != machine.f_max_ghz:
         charge("dvfs_switch", machine.dvfs_switch_ns, machine.f_max_ghz)
 
-    categories = {c: CategoryStats() for c in CATEGORIES}
-    total = CategoryStats()
+    categories = {c: Stats() for c in CATEGORIES}
+    total = Stats()
     for rec in records:
         categories[rec.category].add(rec)
         total.add(rec)
@@ -392,8 +381,9 @@ def build_schedule(
     return sched
 
 
-def normalize(report: SimReport, baseline: SimReport) -> SimReport:
-    """Attach time and energy ratios relative to a baseline run.
+def normalize(report: SimReport,
+              baseline: SimReport) -> tuple[Fraction, Fraction]:
+    """(time ratio, energy ratio) of a report's total against a baseline's.
 
     The two reports must describe the same program, input and machine,
     and must have produced identical observable behavior.
@@ -406,8 +396,5 @@ def normalize(report: SimReport, baseline: SimReport) -> SimReport:
         raise MachSimError("behavior diverged from the baseline run")
     if not baseline.total.wall_ns or not baseline.total.energy:
         raise MachSimError("baseline has no time or energy to normalize against")
-    return dataclasses.replace(
-        report,
-        normalized_time=report.total.wall_ns / baseline.total.wall_ns,
-        normalized_energy=report.total.energy / baseline.total.energy,
-    )
+    return (report.total.wall_ns / baseline.total.wall_ns,
+            report.total.energy / baseline.total.energy)

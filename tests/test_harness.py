@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -30,7 +31,7 @@ from daef.ir.interp import init_memory, splitmix_fill
 from daef.ir.validate import MAX_DATA_END
 from daef.kernels import builtin_kernels, kernel_by_name
 from daef.machine import MachineConfig
-from daef import machsim
+from daef import harness, machsim
 from daef.machsim import baseline_schedule, simulate
 from daef.profiler import profile_run, read_profile, report_to_json
 
@@ -51,16 +52,18 @@ def test_baseline_row_is_unity():
     row = run_one(kernel_by_name("stream_sum"), "baseline", machine())
     assert row.norm_time == 1
     assert row.norm_energy == 1
-    assert row.access_time == row.overhead_time == 0
-    assert row.execute_time == 1
-    assert row.access_energy == row.overhead_energy == 0
+    assert row.shares["access_time"] == row.shares["overhead_time"] == 0
+    assert row.shares["execute_time"] == 1
+    assert row.shares["access_energy"] == row.shares["overhead_energy"] == 0
 
 
 def test_rows_decompose_exactly():
     rows = run_kernel_all_modes(kernel_by_name("stencil3"), machine())
     for r in rows:
-        assert r.access_time + r.execute_time + r.overhead_time == r.norm_time
-        assert r.access_energy + r.execute_energy + r.overhead_energy \
+        s = r.shares
+        assert s["access_time"] + s["execute_time"] + s["overhead_time"] \
+            == r.norm_time
+        assert s["access_energy"] + s["execute_energy"] + s["overhead_energy"] \
             == r.norm_energy
 
 
@@ -120,6 +123,21 @@ def test_suite_matrix_and_determinism():
     dat = rows_to_dat(rows)
     assert dat.splitlines()[0].startswith("# kernel mode")
     assert len(dat.splitlines()) == 16
+
+
+def test_suite_output_bytes_are_pinned():
+    """The CSV, the .dat file and every row's JSON at seed 0, byte for byte."""
+    def sha(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    rows = run_suite(machine(), seed=0)
+    assert sha(rows_to_csv(rows)) == \
+        "f8f1ee1ea497fac6ff31c761fedae12708b2a206dc8fa5ae4b75895094e20459"
+    assert sha(rows_to_dat(rows)) == \
+        "587d9e71b862260ac58f34cb19fba36977591eeab4bd8a902934fb8923d344fc"
+    assert sha("".join(json.dumps(harness.report_to_json(r), indent=2) + "\n"
+                       for r in rows)) == \
+        "b55cf96d0048d36193afc4b2506b37aed6ca723677581fa46f8abc9c6bd036e1"
 
 
 def test_one_memory_image_per_simulation(monkeypatch):
@@ -328,6 +346,19 @@ def test_cli_fuel_exhaustion_is_exit_2(tmp_path, capsys, monkeypatch):
     assert rc == 2
     err = capsys.readouterr().err
     assert err == "daef: fuel exhausted in block 'spin'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--kernel", "gather_sum", "--mode", "dynamic_dae"],
+    ["suite", "--out", "OUT"],
+])
+def test_cli_result_past_the_float_range_is_exit_2(tmp_path, capsys, argv):
+    argv = [str(tmp_path) if a == "OUT" else a for a in argv]
+    rc = main(argv + ["--profiling-overhead", "1e400"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("daef: ") and err.count("\n") == 1
+    assert "--emit json" in err
 
 
 @pytest.mark.parametrize("flag", ["--kernel", "--machine", "--profile"])
