@@ -129,13 +129,15 @@ def cmd_suite(args) -> int:
     rows = run_suite(machine, seed=args.seed, theta=args.theta, rho=args.rho,
                      slice_override=args.slice_override,
                      profiling_overhead=args.profiling_overhead)
+    # Format first: a value that cannot print exits 2 before any file exists.
+    csv, dat = rows_to_csv(rows), rows_to_dat(rows)
     out_dir = Path(args.out or "results")
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "suite.csv"
     dat_path = out_dir / "suite.dat"
-    csv_path.write_text(rows_to_csv(rows))
-    dat_path.write_text(rows_to_dat(rows))
-    for line in rows_to_csv(rows).splitlines():
+    csv_path.write_text(csv)
+    dat_path.write_text(dat)
+    for line in csv.splitlines():
         if line.startswith("geomean"):
             print(line)
     print(f"wrote {csv_path} and {dat_path}")

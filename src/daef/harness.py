@@ -6,8 +6,10 @@ seeded original is interpreted once for its baseline, and that same run
 yields the profile, unless a stored profile was given.  Both decoupled
 modes reuse that profile and plan, and every simulated variant is
 checked for observable equivalence against the baseline before any
-number is reported.  The suite runs its kernels one after another, in
-list order.
+number is reported.  A decoupled simulation runs on the fuel budget of
+dae_fuel, and a runtime fault in it, running past the budget included,
+counts as a divergence: the baseline ran clean.  The suite runs its
+kernels one after another, in list order.
 
 A row's share columns come from CATEGORIES: each category's wall time
 and energy as a share of the baseline's total, named <category>_time
@@ -30,7 +32,7 @@ from .daegen import (
     make_phases,
 )
 from .inputs import read_text
-from .ir import Program, parse_program, program_digest, with_seed
+from .ir import DirRuntimeError, Program, parse_program, program_digest, with_seed
 from .kernels import BenchmarkKernel, builtin_kernels, kernel_by_name
 from .machine import MachineConfig
 from .machsim import (
@@ -172,6 +174,20 @@ def _row_from(name: str, mode: str, rep: SimReport, base: SimReport,
                program=program)
 
 
+def dae_fuel(plan: PhasePlan, baseline_nodes: int) -> int:
+    """The nodes a decoupled schedule of plan may retire.
+
+    The execute and the access function each run a slice's iterations
+    with no more nodes per iteration than the original, the prologue and
+    epilogue at most once, and, per slice, straight-line dispatch, resume
+    and exit code shorter than the function itself.  So each retires at
+    most the baseline's nodes plus n_slices times its own static size.
+    """
+    static = sum(len(list(plan.program.function(name).nodes()))
+                 for name in (plan.execute, plan.access))
+    return 2 * baseline_nodes + plan.n_slices * static
+
+
 def _run_mode(prep: Prepared, mode: str, machine: MachineConfig,
               profiling_overhead: Fraction) -> Row:
     if mode == "baseline":
@@ -179,7 +195,13 @@ def _run_mode(prep: Prepared, mode: str, machine: MachineConfig,
                          prep.seeded)
     sched = build_schedule(mode, prep.plan, machine,
                            profiling_overhead=profiling_overhead)
-    rep = simulate(prep.plan.program, sched, machine)
+    fuel = dae_fuel(prep.plan, prep.baseline.total.instr_count)
+    try:
+        rep = simulate(prep.plan.program, sched, machine, fuel=fuel)
+    except DirRuntimeError as e:
+        # The baseline ran to completion, so this is a transformation bug.
+        raise EquivalenceError(f"{prep.kernel.name} [{mode}] failed where its"
+                               f" baseline ran ({fuel}-node budget): {e}")
     return _row_from(prep.kernel.name, mode, rep, prep.baseline,
                      prep.plan.program)
 

@@ -11,8 +11,11 @@ source and builds it with exec, the way the stdlib's dataclasses builds
 methods: registers are locals, each block is one arm of an if/elif on an
 integer block index, and fuel and block counts live in locals until the
 call ends.  BINOP_FNS defines every operator; the generated code spells
-out the cheap ones with the same arithmetic and calls BINOP_FNS for div,
-rem, slt and sle.  interpret() and the timing simulator both run it.
+out all but div and rem with the same arithmetic and calls BINOP_FNS for
+those two.  interpret() and the timing simulator both run it.  The
+timing hooks see each load and prefetch together with the fuel left,
+which tells the simulator how many nodes have retired, so no hook runs
+per block.
 Only parameters are read from env; a register read before any definition
 raises NameError, and the validator rejects such programs.
 """
@@ -103,6 +106,9 @@ _INLINE = {
     "shl": f"({{a}} << ({{b}} & 63)) & {M64:#x}",
     "shr": "{a} >> ({b} & 63)",
     "seq": "1 if {a} == {b} else 0",
+    # Flipping the sign bit maps signed order onto unsigned order.
+    "slt": f"1 if {{a}} ^ {_H64:#x} < {{b}} ^ {_H64:#x} else 0",
+    "sle": f"1 if {{a}} ^ {_H64:#x} <= {{b}} ^ {_H64:#x} else 0",
 }
 
 _STRUCTS = {w: struct.Struct(f"<{c}") for w, c in ((2, "H"), (4, "I"), (8, "Q"))}
@@ -198,8 +204,6 @@ class _Source:
         emit(d, "if f < 0:")
         msg = f"fuel exhausted in block {blk.label!r}"
         emit(d + 1, f"raise _Err({msg!r})")
-        emit(d, "if on_block is not None:")
-        emit(d + 1, f"on_block({ncount})")
         if blk.phis:
             self.phis(d, blk)
         for ins in blk.body:
@@ -223,7 +227,7 @@ class _Source:
                             f" [0, {{mem_size}})', {ins.id})")
                 if kind == "load":
                     emit(d, "if on_load is not None:")
-                    emit(d + 1, f"on_load({ins.id}, a)")
+                    emit(d + 1, f"on_load({ins.id}, a, f)")
                     read = "mem[a]" if ins.width == 1 else f"_ld{ins.width}(mem, a)[0]"
                     emit(d, f"{self.reg(ins.dst)} = {read}")
                 elif ins.width == 1:
@@ -236,7 +240,7 @@ class _Source:
                 emit(d, "if on_prefetch is not None:")
                 emit(d + 1, f"a = {_address(self.reg(ins.base), ins.offset)}")
                 emit(d + 1, "if 0 <= a < mem_size:")
-                emit(d + 2, f"on_prefetch({ins.id}, a)")
+                emit(d + 2, f"on_prefetch({ins.id}, a, f)")
             elif isinstance(ins, Out):
                 emit(d, f"out({_signed(self.reg(ins.src))})")
             else:
@@ -270,7 +274,7 @@ def compile_function(fn: Function) -> CompiledFunction:
         ids[label].append(blk.term.id)
     counts = ", ".join(f"c{k}" for k in range(len(blocks)))
     head = ["def run(env, mem, output, block_counts, fuel, mem_size,"
-            " on_load, on_prefetch, on_block):",
+            " on_load, on_prefetch):",
             "    out = output.append",
             "    f = fuel[0]",
             f"    {counts.replace(',', ' =')} = 0"]
@@ -300,23 +304,36 @@ def compile_function(fn: Function) -> CompiledFunction:
     return CompiledFunction(fn, ids, namespace["run"])
 
 
+def _splitmix_chunks(seed: int, words: int):
+    """The first words of the splitmix64 stream, up to 4096 at a time.
+
+    Word i mixes the state seed + (i+1) * gamma.  One integer holds a
+    chunk's states in 128-bit lanes: each mixing step acts on every lane
+    at once, the mask keeps each lane's low 64 bits, and a 64-bit product
+    never reaches the next lane.  The low half of each lane is one word.
+    The last chunk may run past words.
+    """
+    n = min(words, 4096)  # lanes
+    if not n:
+        return
+    ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
+    mask = ones * M64
+    iota = int.from_bytes(struct.pack("<" + "Q8x" * n, *range(1, n + 1)), "little")
+    gamma = 0x9E3779B97F4A7C15
+    x = ((seed & M64) * ones + gamma * iota) & mask
+    step = ((n * gamma) & M64) * ones
+    for _ in range(0, words, n):
+        z = ((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+        z ^= z >> 31
+        yield memoryview(z.to_bytes(16 * n, "little")).cast("Q")[::2].tobytes()
+        x = (x + step) & mask
+
 
 def splitmix_fill(seed: int, length: int) -> bytes:
     """Deterministic byte fill from a 64-bit seed (splitmix64 stream)."""
-    chunks = []
-    x = seed & M64
-    words = (length + 7) // 8
-    for start in range(0, words, 4096):
-        n = min(4096, words - start)
-        chunk = []
-        for _ in range(n):
-            x = (x + 0x9E3779B97F4A7C15) & M64
-            z = x
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
-            chunk.append(z ^ (z >> 31))
-        chunks.append(struct.pack(f"<{n}Q", *chunk))
-    out = b"".join(chunks)
+    # The generator frees its lane constants before join builds the result.
+    out = b"".join(_splitmix_chunks(seed, (length + 7) // 8))
     return out if len(out) == length else out[:length]
 
 
@@ -385,7 +402,6 @@ def run_compiled(
     mem_size: int,
     on_load=None,
     on_prefetch=None,
-    on_block=None,
 ) -> None:
     """Execute one function invocation against shared memory and output.
 
@@ -393,13 +409,15 @@ def run_compiled(
     instruction counts (every node in a block retires when the block runs).
     Parameters are read from env on entry, and the registers the call
     assigns are written back to env when it returns; the caller decides
-    what to do with them.  Hooks, all optional: on_load observes (instr_id, addr) for
-    every executed load, on_prefetch the same for in-bounds prefetches
-    (out-of-bounds ones are dropped, never faulted), and on_block observes
-    each block's retired node count on entry.
+    what to do with them.  Hooks, both optional: on_load observes
+    (instr_id, addr, fuel_left) for every executed load, and on_prefetch
+    the same for in-bounds prefetches (out-of-bounds ones are dropped,
+    never faulted).  fuel_left is the fuel after every node of the
+    current block has been charged, so the fuel passed in minus it is the
+    number of nodes this call has retired, counted a whole block at a time.
     """
     cf.run(env, mem, output, block_counts, fuel, mem_size,
-           on_load, on_prefetch, on_block)
+           on_load, on_prefetch)
 
 
 def retired_counts(

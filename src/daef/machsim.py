@@ -5,8 +5,11 @@ frequency.  The L1 cache and the register environment persist across runs
 within one simulation, which is the whole point: an access slice warms the
 cache that the following execute slice reads.  Each run keeps its own
 clock, an integer count of ticks of 1/q cycle since the run started, and
-its own miss-handling registers, which drain when it ends.  The run's
-cycles are converted to exact nanoseconds once, through its frequency.
+its own miss-handling registers, which drain when it ends.  The clock
+learns how many nodes have retired from the fuel left that the
+interpreter passes to the load and prefetch hooks, so nothing runs per
+block.  The run's cycles are converted to exact nanoseconds once,
+through its frequency.
 
 Cost model per retired node: one core cycle, plus hit_cycles for a load
 that hits, plus ceil(mem_latency_ns * f) blocking cycles for a load that
@@ -121,13 +124,17 @@ class _RunClock:
     Time is an integer count of ticks since the run started.  A tick is
     1/q cycle, where q is the denominator of mem_latency_ns * f, so a
     base cycle, a hit, a blocking miss and a fill are all whole numbers
-    of ticks.  Each block's cycles go on the clock when the block is
-    entered, so fills complete at instants consistent with the work
-    retired so far (at block granularity).  The miss registers belong to
-    the run and drain at its end: no fill outlives it.
+    of ticks.  The clock reads the retired nodes from the fuel that each
+    hook receives: the interpreter charges a block's nodes on entry, so
+    now = (fuel at the start - fuel left) * q + stall is the instant
+    after the work retired so far (at block granularity), where stall
+    sums the ticks spent on hits, blocking misses, joins and waits for a
+    miss register.  No call is made per block.  The miss registers
+    belong to the run and drain at its end: no fill outlives it.
     """
 
-    def __init__(self, machine: MachineConfig, cache: LruCache, f: Fraction):
+    def __init__(self, machine: MachineConfig, cache: LruCache, f: Fraction,
+                 fuel: int):
         fill = machine.mem_latency_ns * f
         self.q = fill.denominator
         self.hit = machine.l1.hit_cycles * self.q
@@ -136,58 +143,59 @@ class _RunClock:
         self.mshr_count = machine.mshr_count
         self.cache = cache
         self.mshr: OrderedDict[int, int] = OrderedDict()  # line -> done tick
-        self.now = 0
+        self.base = fuel * self.q
+        self.stall = 0
 
-    def on_block(self, ncount: int) -> None:
-        self.now += ncount * self.q
-
-    def _sync(self) -> None:
-        """Install every fill that has completed by now."""
-        mshr = self.mshr
-        while mshr and mshr[next(iter(mshr))] <= self.now:
-            self.cache.install(mshr.popitem(last=False)[0])
-
-    def on_load(self, instr_id: int, addr: int) -> bool:
+    def on_load(self, instr_id: int, addr: int, fuel: int) -> bool:
         """Account one demand load; True when it missed outright."""
-        self._sync()
-        cache = self.cache
+        now = self.base - fuel * self.q + self.stall
+        cache, mshr = self.cache, self.mshr
+        # Install every fill that has completed by now.
+        while mshr and mshr[next(iter(mshr))] <= now:
+            cache.install(mshr.popitem(last=False)[0])
         line = cache.line_of(addr)
         if cache.contains(line):
             cache.touch(line)
-        elif line in self.mshr:
+        elif line in mshr:
             # Join the in-flight fill, then read through the cache.
-            self.now = max(self.now, self.mshr.pop(line))
+            self.stall += max(0, mshr.pop(line) - now)
             cache.install(line)
         else:
             # Blocking miss: the line is delivered directly.
-            self.now += self.miss
+            self.stall += self.miss
             cache.install(line)
             return True
-        self.now += self.hit
+        self.stall += self.hit
         return False
 
-    def on_prefetch(self, instr_id: int, addr: int) -> None:
-        self._sync()
-        cache = self.cache
+    def on_prefetch(self, instr_id: int, addr: int, fuel: int) -> None:
+        now = self.base - fuel * self.q + self.stall
+        cache, mshr = self.cache, self.mshr
+        while mshr and mshr[next(iter(mshr))] <= now:
+            cache.install(mshr.popitem(last=False)[0])
         line = cache.line_of(addr)
         if cache.contains(line):
             cache.touch(line)
             return
-        if line in self.mshr:
+        if line in mshr:
             return
-        if len(self.mshr) >= self.mshr_count:
-            old_line, done = self.mshr.popitem(last=False)
-            self.now = max(self.now, done)
+        if len(mshr) >= self.mshr_count:
+            old_line, done = mshr.popitem(last=False)
+            if done > now:
+                self.stall += done - now
+                now = done
             cache.install(old_line)
-        self.mshr[line] = self.now + self.fill
+        mshr[line] = now + self.fill
 
-    def drain(self) -> Fraction:
-        """Wait for every fill; returns the run's length in cycles."""
+    def drain(self, fuel: int) -> Fraction:
+        """Wait for every fill; returns the run's length in cycles, given
+        the fuel the run left."""
+        now = self.base - fuel * self.q + self.stall
         while self.mshr:
             line, done = self.mshr.popitem(last=False)
-            self.now = max(self.now, done)
+            now = max(now, done)
             self.cache.install(line)
-        return Fraction(self.now, self.q)
+        return Fraction(now, self.q)
 
 
 def _idle_energy(m: MachineConfig, wall_ns: Fraction) -> Fraction:
@@ -263,17 +271,16 @@ def simulate(
             continue
         cf = get_compiled(r.function)
         call_env = {p: r.args.get(p, env.get(p, 0)) for p in cf.fn.params}
-        clock = _RunClock(machine, cache, r.frequency)
+        fuel_before = fuel_box[0]
+        clock = _RunClock(machine, cache, r.frequency, fuel_before)
         load_hook = clock.on_load
         if on_load is not None:
-            def load_hook(lid, addr, account=clock.on_load):
-                on_load(lid, addr, account(lid, addr))
-        fuel_before = fuel_box[0]
+            def load_hook(lid, addr, left, account=clock.on_load):
+                on_load(lid, addr, account(lid, addr, left))
         run_compiled(cf, call_env, mem, output,
                      block_counts.setdefault(r.function, {}), fuel_box,
-                     mem_size, on_load=load_hook,
-                     on_prefetch=clock.on_prefetch, on_block=clock.on_block)
-        cycles = clock.drain()
+                     mem_size, on_load=load_hook, on_prefetch=clock.on_prefetch)
+        cycles = clock.drain(fuel_box[0])
         if r.writeback:
             env.update(call_env)
         # Each retired node costs one unit of fuel.

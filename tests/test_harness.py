@@ -348,17 +348,33 @@ def test_cli_fuel_exhaustion_is_exit_2(tmp_path, capsys, monkeypatch):
     assert err == "daef: fuel exhausted in block 'spin'\n"
 
 
+@pytest.mark.parametrize("mode", ["static_dae", "dynamic_dae"])
+def test_dae_run_past_its_budget_is_exit_3(capsys, monkeypatch, mode):
+    """A decoupled run that outlives dae_fuel's budget (here cut to 1,000
+    nodes) is a transformation bug, reported as a divergence."""
+    monkeypatch.setattr(harness, "dae_fuel", lambda plan, nodes: 1000)
+    rc = main(["run", "--kernel", "gather_sum", "--mode", mode])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"daef: gather_sum [{mode}] failed where its"
+                          " baseline ran (1000-node budget): fuel exhausted")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--kernel", "gather_sum", "--mode", "dynamic_dae"],
     ["suite", "--out", "OUT"],
 ])
 def test_cli_result_past_the_float_range_is_exit_2(tmp_path, capsys, argv):
-    argv = [str(tmp_path) if a == "OUT" else a for a in argv]
+    out = tmp_path / "out"
+    argv = [str(out) if a == "OUT" else a for a in argv]
     rc = main(argv + ["--profiling-overhead", "1e400"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("daef: ") and err.count("\n") == 1
     assert "--emit json" in err
+    # Nothing is written, not even the suite's output directory.
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--kernel", "--machine", "--profile"])

@@ -324,22 +324,32 @@ entry:
     assert interpret(parse_program(src)).output == []
 
 
-def test_prng_segment_matches_splitmix64():
-    def stream(seed: int, n64: int) -> bytes:
-        out = b""
-        x = seed
-        for _ in range(n64):
-            x = (x + 0x9E3779B97F4A7C15) & M64
-            z = x
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
-            out += (z ^ (z >> 31)).to_bytes(8, "little")
-        return out
+def splitmix64_stream(seed: int, n64: int) -> bytes:
+    """The splitmix64 stream, one word at a time."""
+    out = bytearray()
+    x = seed & M64
+    for _ in range(n64):
+        x = (x + 0x9E3779B97F4A7C15) & M64
+        z = x
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+        out += (z ^ (z >> 31)).to_bytes(8, "little")
+    return bytes(out)
 
+
+@pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 4096 * 8 - 1, 4096 * 8,
+                                    4096 * 8 + 1, 1 << 20])
+@pytest.mark.parametrize("seed", [0, M64, (1 << 64) + 5])
+def test_splitmix_fill_matches_the_word_stream(seed, length):
+    expected = splitmix64_stream(seed, (length + 7) // 8)[:length]
+    assert splitmix_fill(seed, length) == expected
+
+
+def test_prng_segment_matches_splitmix64():
     p = parse_program("data @base=64 prng(seed=9, len=20)\n"
                       "func @main() kind=original {\ne:\n  ret\n}")
     mem = init_memory(p, 4096)
-    assert bytes(mem[64:84]) == stream(9, 3)[:20]
+    assert bytes(mem[64:84]) == splitmix64_stream(9, 3)[:20]
     assert mem[84] == 0
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -11,12 +12,13 @@ import pytest
 from daef.cfg import find_loops
 from daef.daegen import SliceParams, make_phases
 from daef.ir import DirRuntimeError, interpret, parse_program
-from daef.harness import run_kernel_all_modes
+from daef.harness import dae_fuel, prepare, run_kernel_all_modes
 from daef.ir.types import Load
-from daef.kernels import kernel_by_name
+from daef.kernels import builtin_kernels, kernel_by_name
 from daef.machine import LruCache, MachineConfig
 from daef.machsim import (
     CAT_EXECUTE,
+    MODES,
     MachSimError,
     PhaseRun,
     Stats,
@@ -467,13 +469,16 @@ def test_baseline_cycles_match_profile_counts():
         + misses * lat
 
 
+# 61.3 ns at 3.3 and at 1.5 GHz are 202.29 and 91.95 cycles, so a fill
+# is not a whole number of cycles at either frequency: q > 1.
+FRACTIONAL_LATENCY = {
+    "f_max_ghz": 3.3, "f_min_ghz": 1.5, "mem_latency_ns": 61.3,
+    "mshr_count": 2, "dvfs_switch_ns": 97.5,
+    "l1": {"capacity_bytes": 4096, "ways": 2}}
+
+
 def test_exact_results_when_latency_is_not_whole_cycles():
-    # 61.3 ns at 3.3 and at 1.5 GHz are 202.29 and 91.95 cycles, so a fill
-    # is not a whole number of cycles at either frequency.
-    m = MachineConfig.from_json({
-        "f_max_ghz": 3.3, "f_min_ghz": 1.5, "mem_latency_ns": 61.3,
-        "mshr_count": 2, "dvfs_switch_ns": 97.5,
-        "l1": {"capacity_bytes": 4096, "ways": 2}})
+    m = MachineConfig.from_json(FRACTIONAL_LATENCY)
     assert (m.mem_latency_ns * m.f_max_ghz).denominator > 1
     assert (m.mem_latency_ns * m.f_min_ghz).denominator > 1
     expected = {
@@ -571,3 +576,50 @@ def test_fuel_bounds_a_simulation():
     m = machine()
     with pytest.raises(DirRuntimeError, match=r"^fuel exhausted in block 'spin'$"):
         simulate(p, baseline_schedule("main", m), m, fuel=1000)
+
+
+def random_plans(n: int = 20) -> list:
+    """Seeded random loop kernels, split with every body load critical."""
+    rng = random.Random(8)
+    plans = []
+    for _ in range(n):
+        prog = random_loop_kernel(rng)
+        plans.append(make_phases(prog, critical=body_load_ids(prog),
+                                 slice_params=override(rng.choice([1, 7, 33]))))
+    return plans
+
+
+# sha256 of every run record below, recorded before the run clock read
+# its time from the interpreter's fuel instead of a per-block call.
+RECORDS_SHA256 = (
+    "7e764495bf5433046febe89c86bfcfe7e7109d807c89900323d968fdbcc04e24")
+
+
+def test_run_records_are_pinned_across_machines():
+    machines = [machine(),
+                MachineConfig.from_json({"mshr_count": 1, "l1": {
+                    "capacity_bytes": 2048, "ways": 1}}),
+                MachineConfig.from_json(FRACTIONAL_LATENCY)]
+    plans = random_plans()
+    h = hashlib.sha256()
+    for m in machines:
+        for plan in plans:
+            for mode in MODES:
+                rep = simulate(plan.program, build_schedule(mode, plan, m), m)
+                for r in rep.runs:
+                    h.update(repr((r.kind, r.function, r.slice_index, r.cycles,
+                                   r.wall_ns, r.energy, r.instr_count)).encode())
+    assert h.hexdigest() == RECORDS_SHA256
+
+
+def test_dae_fuel_bounds_every_plan():
+    m = machine()
+    plans = [(p.plan, p.baseline) for p in
+             (prepare(k, m) for k in builtin_kernels())]
+    plans += [(plan, simulate(plan.program, baseline_schedule(plan.original, m), m))
+              for plan in random_plans()]
+    for plan, base in plans:
+        fuel = dae_fuel(plan, base.total.instr_count)
+        for mode in ("static_dae", "dynamic_dae"):
+            rep = simulate(plan.program, build_schedule(mode, plan, m), m)
+            assert rep.total.instr_count <= fuel
