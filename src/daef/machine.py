@@ -214,10 +214,13 @@ class LruCache:
     """Set-associative L1 with strict least-recently-used replacement.
 
     Tracks cache lines by line number (address // line_bytes).  Each set
-    keeps its lines in recency order, least recent first.  A set comes
-    into being on its first install, so an empty cache costs nothing
-    however many sets it has.  Lookups, touches and installs are split so
-    callers can model latency between the probe and the fill.
+    keeps its lines in recency order, least recent first: sets maps a set
+    index (line % n_sets) to a dict of its lines, and a set comes into
+    being on its first install, so an empty cache costs nothing however
+    many sets it has.  The simulator's clock probes sets directly and
+    moves a hit line to the most recent end itself; it calls install for
+    misses and fills, so it can model latency between the probe and the
+    fill.
     """
 
     def __init__(self, l1: L1Config):
@@ -225,17 +228,8 @@ class LruCache:
         self.n_sets = l1.n_sets
         self.sets: dict[int, dict[int, None]] = {}  # set index -> lines
 
-    def line_of(self, addr: int) -> int:
-        return addr // self.l1.line_bytes
-
     def contains(self, line: int) -> bool:
         return line in self.sets.get(line % self.n_sets, ())
-
-    def touch(self, line: int) -> None:
-        """Make a resident line most recent; KeyError if it is not resident."""
-        s = self.sets[line % self.n_sets]
-        del s[line]
-        s[line] = None
 
     def install(self, line: int) -> int | None:
         """Insert a line as most recent; returns the evicted line, if any."""

@@ -131,6 +131,11 @@ class _RunClock:
     sums the ticks spent on hits, blocking misses, joins and waits for a
     miss register.  No call is made per block.  The miss registers
     belong to the run and drain at its end: no fill outlives it.
+
+    The hooks probe the L1's sets themselves: a hit moves the line to the
+    most recent end of its set in place, and only misses and fills call
+    LruCache.install.  A load reads the clock only while a fill is in
+    flight, and without prefetches none ever is.
     """
 
     def __init__(self, machine: MachineConfig, cache: LruCache, f: Fraction,
@@ -142,40 +147,50 @@ class _RunClock:
         self.fill = fill.numerator
         self.mshr_count = machine.mshr_count
         self.cache = cache
+        self.sets = cache.sets
+        self.n_sets = cache.n_sets
+        self.line_bytes = machine.l1.line_bytes
         self.mshr: OrderedDict[int, int] = OrderedDict()  # line -> done tick
         self.base = fuel * self.q
         self.stall = 0
 
     def on_load(self, instr_id: int, addr: int, fuel: int) -> bool:
         """Account one demand load; True when it missed outright."""
-        now = self.base - fuel * self.q + self.stall
-        cache, mshr = self.cache, self.mshr
-        # Install every fill that has completed by now.
-        while mshr and mshr[next(iter(mshr))] <= now:
-            cache.install(mshr.popitem(last=False)[0])
-        line = cache.line_of(addr)
-        if cache.contains(line):
-            cache.touch(line)
+        line = addr // self.line_bytes
+        mshr = self.mshr
+        if mshr:
+            # Install every fill that has completed by now.
+            now = self.base - fuel * self.q + self.stall
+            install = self.cache.install
+            while mshr and mshr[next(iter(mshr))] <= now:
+                install(mshr.popitem(last=False)[0])
+        s = self.sets.get(line % self.n_sets, ())
+        if line in s:
+            del s[line]
+            s[line] = None
         elif line in mshr:
-            # Join the in-flight fill, then read through the cache.
+            # Join the in-flight fill (so now is set), then read through
+            # the cache.
             self.stall += max(0, mshr.pop(line) - now)
-            cache.install(line)
+            self.cache.install(line)
         else:
             # Blocking miss: the line is delivered directly.
             self.stall += self.miss
-            cache.install(line)
+            self.cache.install(line)
             return True
         self.stall += self.hit
         return False
 
     def on_prefetch(self, instr_id: int, addr: int, fuel: int) -> None:
+        line = addr // self.line_bytes
         now = self.base - fuel * self.q + self.stall
         cache, mshr = self.cache, self.mshr
         while mshr and mshr[next(iter(mshr))] <= now:
             cache.install(mshr.popitem(last=False)[0])
-        line = cache.line_of(addr)
-        if cache.contains(line):
-            cache.touch(line)
+        s = self.sets.get(line % self.n_sets, ())
+        if line in s:
+            del s[line]
+            s[line] = None
             return
         if line in mshr:
             return

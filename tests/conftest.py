@@ -5,7 +5,8 @@ but terminating control flow (every block threads a visit counter, and
 each conditional branch bails to the sink once the counter passes its
 budget).  random_loop_kernel builds a well-formed counted loop with a
 random body DAG: loads behind power-of-two masks, loop-carried
-accumulators, and optional stores.
+accumulators, and optional stores.  br_chain and brcond_tree write the
+source of long and deeply nested kernels for the code generator.
 """
 
 from __future__ import annotations
@@ -218,3 +219,23 @@ def random_loop_kernel(rng: random.Random) -> Program:
     lines.append("  ret %acc0")
     lines.append("}")
     return parse_program("\n".join(lines))
+
+
+def br_chain(n: int) -> str:
+    """n blocks, each adding one and branching to the next."""
+    lines = ["func @main() kind=original {", "entry:", "  %x0 = const 0", "  br b1"]
+    for i in range(1, n):
+        lines += [f"b{i}:", f"  %x{i} = binop add %x{i - 1}, 1"]
+        lines += [f"  br b{i + 1}"] if i < n - 1 else [f"  out %x{i}", "  ret"]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def brcond_tree(depth: int) -> str:
+    """A brcond per level, always true, whose false side returns."""
+    lines = ["func @main() kind=original {", "entry:", "  %one = const 1",
+             "  %x0 = const 0", "  br t1"]
+    for i in range(1, depth + 1):
+        nxt = f"t{i + 1}" if i < depth else "end"
+        lines += [f"t{i}:", f"  %x{i} = binop add %x{i - 1}, 1",
+                  f"  brcond %one, {nxt}, f{i}", f"f{i}:", f"  out %x{i}", "  ret"]
+    return "\n".join(lines + ["end:", f"  out %x{depth}", "  ret", "}"]) + "\n"

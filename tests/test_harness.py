@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import br_chain, brcond_tree
 from daef.cli import main
 from daef.harness import (
     CSV_COLUMNS,
@@ -346,6 +347,40 @@ def test_cli_fuel_exhaustion_is_exit_2(tmp_path, capsys, monkeypatch):
     assert rc == 2
     err = capsys.readouterr().err
     assert err == "daef: fuel exhausted in block 'spin'\n"
+
+
+@pytest.mark.parametrize("text, output, nodes", [
+    (br_chain(3000), [2999], 2 + 2 * 2999 + 1),
+    (brcond_tree(300), [300], 3 + 2 * 300 + 2),
+], ids=["br_chain_3000", "brcond_tree_300"])
+def test_cli_runs_large_kernels(tmp_path, text, output, nodes):
+    """Thousands of blocks or hundreds of nested branches generate code
+    that Python compiles: no recursion error, no nesting limit."""
+    path = tmp_path / "big.dir"
+    path.write_text(text)
+    out = tmp_path / "rep.json"
+    rc = main(["run", "--kernel", str(path), "--mode", "baseline",
+               "--emit", "json", "--out", str(out)])
+    assert rc == 0
+    data = json.loads(out.read_text())
+    assert data["output"] == output
+    assert data["total"]["instr_count"] == nodes
+
+
+def test_suite_compiles_each_distinct_function_once(monkeypatch):
+    """A seed-0 suite pass builds 23 functions, 14 of them distinct, and
+    compiles each distinct source once."""
+    calls = []
+
+    def counting(source, filename, mode):
+        calls.append(filename)
+        return compile(source, filename, mode)
+
+    interp._code.cache_clear()
+    monkeypatch.setattr(interp, "compile", counting, raising=False)
+    run_suite(machine(), seed=0)
+    assert len(calls) == 14
+    interp._code.cache_clear()
 
 
 @pytest.mark.parametrize("mode", ["static_dae", "dynamic_dae"])

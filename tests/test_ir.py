@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
-from conftest import SUM_KERNEL, assert_valid, random_cfg_program, random_loop_kernel, sum_kernel
+from conftest import (
+    SUM_KERNEL,
+    assert_valid,
+    brcond_tree,
+    random_cfg_program,
+    random_loop_kernel,
+    sum_kernel,
+)
 from daef.ir import (
     Block,
     Br,
@@ -24,7 +32,15 @@ from daef.ir import (
     with_seed,
 )
 from daef.ir import interp
-from daef.ir.interp import BINOP_FNS, splitmix_fill, to_signed
+from daef.ir.interp import (
+    BINOP_FNS,
+    DEFAULT_FUEL,
+    compile_function,
+    default_mem_size,
+    run_compiled,
+    splitmix_fill,
+    to_signed,
+)
 from daef.ir.types import predecessors
 from daef.ir.validate import MAX_DATA_END
 
@@ -398,6 +414,34 @@ spin:
         interpret(parse_program(src), fuel=1000)
 
 
+def test_fuel_exhaustion_is_pinned():
+    """Budgets that run out in every block of 20 random loop kernels and
+    20 random CFGs: the error, the output, the block counts and the fuel
+    left hash to a value recorded before blocks were inlined into their
+    one predecessor.  Each block keeps its own fuel check."""
+    h = hashlib.sha256()
+    for seed in range(20):
+        for make in (random_loop_kernel, random_cfg_program):
+            prog = make(random.Random(seed))
+            fn = prog.entry_function()
+            size = default_mem_size(prog)
+            full = [DEFAULT_FUEL]
+            run_compiled(compile_function(fn), {}, init_memory(prog, size),
+                         [], {}, full, size)
+            total = DEFAULT_FUEL - full[0]
+            for budget in [*range(0, 64, 3), *range(max(0, total - 40), total + 2)]:
+                out, counts, fuel = [], {}, [budget]
+                try:
+                    run_compiled(compile_function(fn), {}, init_memory(prog, size),
+                                 out, counts, fuel, size)
+                    err = None
+                except DirRuntimeError as e:
+                    err = str(e)
+                h.update(repr((err, out, sorted(counts.items()), fuel[0])).encode())
+    assert h.hexdigest() == \
+        "68e463a4eeade22f97cd9503d0bab07f0e654e3c7b5273d35e0ae1ed2b8a4bb8"
+
+
 def test_phi_on_entry_raises():
     src = """
 func @main() kind=original {
@@ -455,6 +499,124 @@ def test_interpret_is_deterministic():
         assert a.output == b.output
         assert a.memory_digest == b.memory_digest
         assert a.retired_by_static_id == b.retired_by_static_id
+
+
+# -- code generation ---------------------------------------------------------
+
+
+def arm_roots(src: str) -> list[str]:
+    """The blocks that get a dispatch arm, after every arm is written."""
+    fn = parse_program(src).entry_function()
+    gen = interp._Source(fn, fn.block_map())
+    gen.all_arms()
+    return gen.roots
+
+
+def run_counts(src: str) -> tuple[list[int], dict[str, int]]:
+    prog = parse_program(src)
+    fn = prog.entry_function()
+    out, counts = [], {}
+    size = default_mem_size(prog)
+    run_compiled(compile_function(fn), {}, init_memory(prog, size), out, counts,
+                 [DEFAULT_FUEL], size)
+    return out, counts
+
+
+def test_only_join_blocks_and_the_entry_get_arms():
+    assert arm_roots(SUM_KERNEL) == ["entry", "loop"]  # body, latch, done inline
+    out, counts = run_counts(SUM_KERNEL)
+    assert out == interpret(sum_kernel()).output
+    assert counts == {"entry": 1, "loop": 9, "body": 8, "latch": 8, "done": 1}
+
+
+def test_brcond_with_equal_targets_is_two_edges():
+    src = """
+func @main() kind=original {
+entry:
+  %c = const 1
+  brcond %c, join, join
+join:
+  %x = phi [entry: %c]
+  out %x
+  ret
+}
+"""
+    assert arm_roots(src) == ["entry", "join"]
+    assert run_counts(src) == ([1], {"entry": 1, "join": 1})
+
+
+def test_self_loop_gets_an_arm():
+    src = """
+func @main() kind=original {
+entry:
+  %z = const 0
+  br spin
+spin:
+  %i = phi [entry: %z], [spin: %i2]
+  %i2 = binop add %i, 1
+  %c = binop slt %i2, 5
+  brcond %c, spin, done
+done:
+  out %i2
+  ret
+}
+"""
+    assert arm_roots(src) == ["entry", "spin"]
+    assert run_counts(src) == ([5], {"entry": 1, "spin": 5, "done": 1})
+
+
+def test_entry_with_a_back_edge():
+    """The entry's one incoming edge does not inline it into its
+    predecessor; it keeps the arm that the call starts in.  The validator
+    rejects such a function, but the interpreter runs it."""
+    src = """
+func @main() kind=original {
+entry:
+  %a = const 64
+  %n = load %a, 0, w8
+  %n2 = binop add %n, 1
+  store %a, 0, %n2, w8
+  br body
+body:
+  %c = binop slt %n2, 3
+  brcond %c, entry, done
+done:
+  out %n2
+  ret
+}
+"""
+    assert arm_roots(src) == ["entry"]
+    assert run_counts(src) == ([3], {"entry": 3, "body": 3, "done": 1})
+
+
+def test_deep_brcond_nesting_is_cut_into_arms():
+    """Each inlined true target nests one level; past MAX_NEST the block
+    gets an arm, so 100 levels compile and run."""
+    src = brcond_tree(100)
+    assert arm_roots(src) == ["entry", "t42", "t83"]
+    out, counts = run_counts(src)
+    assert out == [100] and sum(counts.values()) == 102
+
+
+def test_functions_differing_in_register_names_share_code():
+    """The code object is cached by source; the names each function
+    writes back to env are not part of it."""
+    template = """
+func @f(%n) kind=execute {{
+entry:
+  %{a} = binop add %n, 1
+  %{b} = binop mul %{a}, 3
+  ret
+}}
+"""
+    fa, fb = (parse_program(template.format(a=a, b=b)).entry_function()
+              for a, b in (("x", "y"), ("u", "v")))
+    ca, cb = compile_function(fa), compile_function(fb)
+    assert ca.run.__code__ is cb.run.__code__
+    for cf, names in ((ca, ("x", "y")), (cb, ("u", "v"))):
+        env = {"n": 4}
+        run_compiled(cf, env, bytearray(8), [], {}, [100], 8)
+        assert env == {"n": 4, names[0]: 5, names[1]: 15}
 
 
 # -- validator ---------------------------------------------------------------

@@ -15,13 +15,14 @@ from daef.ir import DirRuntimeError, interpret, parse_program
 from daef.harness import dae_fuel, prepare, run_kernel_all_modes
 from daef.ir.types import Load
 from daef.kernels import builtin_kernels, kernel_by_name
-from daef.machine import LruCache, MachineConfig
+from daef.machine import L1Config, LruCache, MachineConfig
 from daef.machsim import (
     CAT_EXECUTE,
     MODES,
     MachSimError,
     PhaseRun,
     Stats,
+    _RunClock,
     baseline_schedule,
     build_schedule,
     normalize,
@@ -568,6 +569,25 @@ def test_l1_sets_are_built_on_first_install():
     cache.install(5)
     assert list(cache.sets) == [5] and cache.contains(5)
     assert not cache.contains(6) and list(cache.sets) == [5]
+
+
+def test_load_hit_makes_its_line_most_recent():
+    """The clock probes the L1 itself: addresses map to 64-byte lines,
+    and a hit moves its line to the most recent end of the set."""
+    m = MachineConfig(l1=L1Config(capacity_bytes=128, line_bytes=64, ways=2,
+                                  hit_cycles=4))
+    cache = LruCache(m.l1)
+    clock = _RunClock(m, cache, m.f_max_ghz, 1000)
+    assert clock.on_load(0, 640, 1000)      # line 10: miss
+    assert clock.on_load(0, 704, 1000)      # line 11: miss
+    assert not clock.on_load(0, 703, 1000)  # line 10 again: hit, now most recent
+    assert clock.on_load(0, 768, 1000)      # line 12 evicts 11, not 10
+    assert cache.resident_lines() == {10, 12}
+    assert not clock.on_load(0, 640, 1000)
+    assert clock.on_load(0, 767, 1000)      # line 11 was evicted
+    # Four misses and two hits, no node retired.
+    miss = m.mem_latency_cycles(m.f_max_ghz)
+    assert clock.drain(1000) == 4 * miss + 2 * 4
 
 
 def test_fuel_bounds_a_simulation():
