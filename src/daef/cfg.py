@@ -16,7 +16,6 @@ for code that reassigns registers it degrades to a safe over-approximation.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from .ir.types import (
@@ -431,7 +430,7 @@ def dce(fn: Function, roots: set[int]) -> Function:
     every register they read.  Ids of surviving instructions are preserved.
     """
     keep = dce_keep(fn, roots)
-    out = copy.deepcopy(fn)
+    out = fn.copy()
     for blk in out.blocks:
         blk.phis = [p for p in blk.phis if p.id in keep]
         blk.body = [i for i in blk.body if i.id in keep]
@@ -453,7 +452,7 @@ def simplify_cfg(fn: Function, id_base: int | None = None) -> Function:
     id_base sets the first id for any copies the phi lowering must mint;
     it defaults to one past the function's own maximum id.
     """
-    out = copy.deepcopy(fn)
+    out = fn.copy()
     next_id = [max(out.max_id() + 1, 0) if id_base is None else id_base]
     for _ in range(10 * len(out.blocks) + 10):
         changed = (

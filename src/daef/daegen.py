@@ -24,9 +24,8 @@ machinery; input programs must not use them.
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
@@ -54,6 +53,7 @@ from .ir import (
     Prefetch,
     Program,
     Ret,
+    copy_node,
     node_def,
     node_uses,
     print_function,
@@ -114,7 +114,7 @@ def choose_slice_size(machine, bytes_per_iter: float | None,
 
 
 def _fresh_node(n: Node, alloc: IdAlloc, id_map: dict[int, int]) -> Node:
-    c = copy.deepcopy(n)
+    c = copy_node(n)
     id_map[n.id] = alloc.take()
     c.id = id_map[n.id]
     return c
@@ -297,7 +297,7 @@ def _slice_clone(fn: Function, li: LoopInfo, name: str, kind: str,
 
     resume_body = []
     for n in resume_nodes:
-        c = copy.deepcopy(n)
+        c = copy_node(n)
         c.id = alloc.take()
         resume_body.append(c)
     dispatch = Block(label="__dispatch",
@@ -394,7 +394,7 @@ def specialize_access(base: Function, critical: Iterable[int], name: str,
     non-critical loads (address dependencies) lose their tags.
     """
     critical = set(critical)
-    g = copy.deepcopy(base)
+    g = base.copy()
     g.name = name
     for blk in g.blocks:
         blk.body = [n for n in blk.body
@@ -422,9 +422,7 @@ def specialize_access(base: Function, critical: Iterable[int], name: str,
 def structural_text(fn: Function) -> str:
     """Canonical text with ids stripped and the name normalized, for
     comparing independently generated twins."""
-    g = copy.deepcopy(fn)
-    g.name = "_"
-    return print_function(g, with_ids=False)
+    return print_function(replace(fn, name="_"), with_ids=False)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +511,8 @@ def make_phases(prog: Program, critical: Iterable[int],
             f"--- specialized ---\n{structural_text(respec)}")
 
     combined = Program(
-        functions=[copy.deepcopy(fn), execute, access, base],
-        data=copy.deepcopy(prog.data),
+        functions=[fn.copy(), execute, access, base],
+        data=[replace(s) for s in prog.data],
         entry=fn.name,
     )
     diags = validate_program(combined)

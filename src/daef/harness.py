@@ -41,6 +41,7 @@ from .machsim import (
     MachSimError,
     SimReport,
     Stats,
+    baseline_schedule,
     build_schedule,
     normalize,
     simulate,
@@ -190,11 +191,22 @@ def dae_fuel(plan: PhasePlan, baseline_nodes: int) -> int:
 
 def _run_mode(prep: Prepared, mode: str, machine: MachineConfig,
               profiling_overhead: Fraction) -> Row:
+    """One mode's row, normalized against the prepared baseline.
+
+    A schedule equal to the baseline's (static_dae with nothing to
+    prefetch) runs the same original function once at f_max on the same
+    image, so it is not simulated again: its row reports prep.baseline,
+    with the plan's program as the program simulated.  The rule looks
+    only at the schedule.
+    """
     if mode == "baseline":
         return _row_from(prep.kernel.name, mode, prep.baseline, prep.baseline,
                          prep.seeded)
     sched = build_schedule(mode, prep.plan, machine,
                            profiling_overhead=profiling_overhead)
+    if sched == baseline_schedule(prep.plan.original, machine):
+        return _row_from(prep.kernel.name, mode, prep.baseline, prep.baseline,
+                         prep.plan.program)
     fuel = dae_fuel(prep.plan, prep.baseline.total.instr_count)
     try:
         rep = simulate(prep.plan.program, sched, machine, fuel=fuel)

@@ -29,7 +29,6 @@ raises NameError, and the validator rejects such programs.
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import struct
@@ -410,11 +409,21 @@ def _splitmix_chunks(seed: int, words: int):
         x = (x + step) & mask
 
 
-def splitmix_fill(seed: int, length: int) -> bytes:
-    """Deterministic byte fill from a 64-bit seed (splitmix64 stream)."""
-    # The generator frees its lane constants before join builds the result.
-    out = b"".join(_splitmix_chunks(seed, (length + 7) // 8))
-    return out if len(out) == length else out[:length]
+def splitmix_fill(seed: int, length: int) -> bytearray:
+    """Deterministic byte fill from a 64-bit seed (splitmix64 stream).
+
+    Returns a bytearray, which init_memory copies into the image.
+    """
+    # Chunks are written into one preallocated buffer, so peak memory is
+    # the fill plus one chunk.
+    words = (length + 7) // 8
+    out = bytearray(8 * words)
+    pos = 0
+    for chunk in _splitmix_chunks(seed, words):
+        out[pos:pos + len(chunk)] = chunk[:len(out) - pos]
+        pos += len(chunk)
+    del out[length:]
+    return out
 
 
 def default_mem_size(prog: Program) -> int:
@@ -461,7 +470,7 @@ def with_seed(prog: Program, seed: int) -> Program:
     """
     if seed == 0:
         return prog
-    mixed = copy.deepcopy(prog)
+    mixed = prog.copy()
     for seg in mixed.data:
         if seg.kind == "prng":
             seg.seed = (seg.seed or 0) ^ (seed & M64)

@@ -5,11 +5,16 @@ are lists of basic blocks; every block carries its phis, a straight-line
 body, and exactly one terminator.  Instruction ids are integers and must be
 unique across the whole program so that profiles and prefetch origin tags
 can refer to instructions stably.
+
+Program.copy, Function.copy, Block.copy and copy_node copy structurally:
+fresh lists down to every phi's incoming list, and every node copied
+field by field.  Node fields and data segments hold only ints, strings,
+bytes and tuples, so nothing a copy holds is shared mutably.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Collection, Iterator, Union
 
 # Registers are bare names ("acc", "i2"); the textual form adds the % sigil.
@@ -114,12 +119,25 @@ Terminator = Union[Br, BrCond, Ret]
 Node = Union[Phi, Instruction, Terminator]
 
 
+def copy_node(n: Node) -> Node:
+    """A field-by-field copy; a phi gets its own incoming list."""
+    c = type(n)(**vars(n))
+    if isinstance(c, Phi):
+        c.incoming = list(c.incoming)
+    return c
+
+
 @dataclass
 class Block:
     label: str
     phis: list[Phi] = field(default_factory=list)
     body: list[Instruction] = field(default_factory=list)
     term: Terminator | None = None
+
+    def copy(self) -> Block:
+        return Block(self.label, [copy_node(p) for p in self.phis],
+                     [copy_node(i) for i in self.body],
+                     None if self.term is None else copy_node(self.term))
 
 
 @dataclass
@@ -128,6 +146,10 @@ class Function:
     params: list[str] = field(default_factory=list)
     blocks: list[Block] = field(default_factory=list)
     kind: str = "original"
+
+    def copy(self) -> Function:
+        return Function(self.name, list(self.params),
+                        [b.copy() for b in self.blocks], self.kind)
 
     def block_map(self) -> dict[str, Block]:
         return {b.label: b for b in self.blocks}
@@ -183,6 +205,10 @@ class Program:
     functions: list[Function] = field(default_factory=list)
     data: list[DataSegment] = field(default_factory=list)
     entry: str = ""
+
+    def copy(self) -> Program:
+        return Program([f.copy() for f in self.functions],
+                       [replace(s) for s in self.data], self.entry)
 
     def function(self, name: str) -> Function:
         for f in self.functions:

@@ -104,39 +104,54 @@ def _check_defined_before_use(
     reachable: set[str],
     diags: list[Diagnostic],
 ) -> None:
-    """Must-be-defined forward dataflow over reachable blocks."""
-    universe: set[str] = set(fn.params)
+    """Must-be-defined forward dataflow over reachable blocks.
+
+    A register set is an int bitset over the function's registers,
+    numbered in first-seen order, so each block's state costs one bit
+    per register.
+    """
+    index: dict[str, int] = {p: 0 for p in fn.params}
     for n in fn.nodes():
         d = node_def(n)
         if d is not None:
-            universe.add(d)
-        universe.update(node_uses(n))
+            index[d] = 0
+        for use in node_uses(n):
+            index[use] = 0
+    for i, reg in enumerate(index):
+        index[reg] = i
+    universe = (1 << len(index)) - 1
+
+    def bits(regs) -> int:
+        m = 0
+        for reg in regs:
+            m |= 1 << index[reg]
+        return m
 
     block_map = fn.block_map()
     entry_label = fn.blocks[0].label
-    defined_out: dict[str, set[str]] = {
-        blk.label: set(universe) for blk in fn.blocks
-    }
+    params = bits(fn.params)
+    defined_out = {blk.label: universe for blk in fn.blocks}
 
-    def avail_at_entry(label: str) -> set[str]:
+    def avail_at_entry(label: str) -> int:
         if label == entry_label:
-            return set(fn.params)
-        pred_outs = [defined_out[p] for p in preds[label] if p in reachable]
-        return set.intersection(*pred_outs) if pred_outs else set(universe)
+            return params
+        avail = universe
+        for p in preds[label]:
+            if p in reachable:
+                avail &= defined_out[p]
+        return avail
 
     order = [blk.label for blk in fn.blocks if blk.label in reachable]
+    gen = {}  # label -> registers the block's phis and body define
+    for label in order:
+        blk = block_map[label]
+        gen[label] = bits(d for n in (*blk.phis, *blk.body)
+                          if (d := node_def(n)) is not None)
     changed = True
     while changed:
         changed = False
         for label in order:
-            blk = block_map[label]
-            avail = avail_at_entry(label)
-            for phi in blk.phis:
-                avail.add(phi.dst)
-            for instr in blk.body:
-                d = node_def(instr)
-                if d is not None:
-                    avail.add(d)
+            avail = avail_at_entry(label) | gen[label]
             if avail != defined_out[label]:
                 defined_out[label] = avail
                 changed = True
@@ -147,22 +162,21 @@ def _check_defined_before_use(
         for phi in blk.phis:
             for pred, value in phi.incoming:
                 if isinstance(value, str) and pred in reachable:
-                    if value not in defined_out.get(pred, set()):
+                    if not defined_out[pred] >> index[value] & 1:
                         diags.append(Diagnostic(
                             f"register %{value} not assigned on path through {pred!r}",
                             function=fn.name, block=label, instr_id=phi.id))
-        for phi in blk.phis:
-            avail.add(phi.dst)
+        avail |= bits(phi.dst for phi in blk.phis)
         nodes = list(blk.body) + ([blk.term] if blk.term is not None else [])
         for n in nodes:
             for use in node_uses(n):
-                if use not in avail:
+                if not avail >> index[use] & 1:
                     diags.append(Diagnostic(
                         f"register %{use} used before assignment",
                         function=fn.name, block=label, instr_id=n.id))
             d = node_def(n)
             if d is not None:
-                avail.add(d)
+                avail |= 1 << index[d]
 
 
 def validate_program(prog: Program) -> list[Diagnostic]:

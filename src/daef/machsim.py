@@ -23,7 +23,14 @@ cache.
 
 Frequency changes between runs, the one-time specialization of the access
 phase, and optional profiling cost are charged as overhead: wall time at
-zero-IPC power.
+zero-IPC power at f_max, one value per simulation.
+
+What depends only on the machine and a frequency f is computed once per
+distinct pair (_Rates.at, cached): the clock's tick counts and two power
+terms, p0 = power(f, 0) and slope = (power(f, 1) - p0) / f.
+power() is affine in IPC and ipc * wall_ns = instr_count / f, so a run's
+energy power(f, ipc) * wall_ns is exactly p0 * wall_ns + slope *
+instr_count.
 
 Stats declares the reported quantities once: each run record is a Stats,
 and a report's per-category sums and its total add up every Stats field
@@ -33,6 +40,7 @@ report's total against a baseline's.
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -118,6 +126,27 @@ class SimReport:
     block_counts: dict[str, dict[str, int]]  # function -> label -> entries
 
 
+@dataclass(frozen=True)
+class _Rates:
+    """The costs of a run at frequency f: ticks of 1/q cycle and power."""
+    q: int
+    hit: int
+    miss: int
+    fill: int
+    p0: Fraction
+    slope: Fraction
+
+    @classmethod
+    @functools.lru_cache(maxsize=64)
+    def at(cls, machine: MachineConfig, f: Fraction) -> _Rates:
+        fill = machine.mem_latency_ns * f
+        q = fill.denominator
+        p0 = machine.power(f, Fraction(0))
+        return cls(q=q, hit=machine.l1.hit_cycles * q,
+                   miss=machine.mem_latency_cycles(f) * q, fill=fill.numerator,
+                   p0=p0, slope=(machine.power(f, Fraction(1)) - p0) / f)
+
+
 class _RunClock:
     """One run's clock and miss registers, driven by the interpreter hooks.
 
@@ -135,16 +164,17 @@ class _RunClock:
     The hooks probe the L1's sets themselves: a hit moves the line to the
     most recent end of its set in place, and only misses and fills call
     LruCache.install.  A load reads the clock only while a fill is in
-    flight, and without prefetches none ever is.
+    flight, and without prefetches none ever is.  Its constants come
+    from _Rates.at, which computes them once per machine and frequency.
     """
 
     def __init__(self, machine: MachineConfig, cache: LruCache, f: Fraction,
                  fuel: int):
-        fill = machine.mem_latency_ns * f
-        self.q = fill.denominator
-        self.hit = machine.l1.hit_cycles * self.q
-        self.miss = machine.mem_latency_cycles(f) * self.q
-        self.fill = fill.numerator
+        self.rates = rates = _Rates.at(machine, f)
+        self.q = rates.q
+        self.hit = rates.hit
+        self.miss = rates.miss
+        self.fill = rates.fill
         self.mshr_count = machine.mshr_count
         self.cache = cache
         self.sets = cache.sets
@@ -213,10 +243,6 @@ class _RunClock:
         return Fraction(now, self.q)
 
 
-def _idle_energy(m: MachineConfig, wall_ns: Fraction) -> Fraction:
-    return m.power(m.f_max_ghz, Fraction(0)) * wall_ns
-
-
 def simulate(
     prog: Program,
     sched: list[PhaseRun],
@@ -270,11 +296,12 @@ def simulate(
 
     records: list[RunRecord] = []
     freq = machine.f_max_ghz
+    idle = machine.power(machine.f_max_ghz, Fraction(0))
 
     def charge(kind: str, ns: Fraction, f: Fraction) -> None:
         records.append(RunRecord(
             kind=kind, function=None, frequency=f, category=CAT_OVERHEAD,
-            wall_ns=ns, energy=_idle_energy(machine, ns)))
+            wall_ns=ns, energy=idle * ns))
 
     for r in sched:
         if r.frequency != freq:
@@ -299,11 +326,13 @@ def simulate(
         if r.writeback:
             env.update(call_env)
         # Each retired node costs one unit of fuel.
+        wall_ns = cycles / r.frequency
+        instr_count = fuel_before - fuel_box[0]
         rec = RunRecord(
             kind="run", function=r.function, frequency=r.frequency,
             category=r.category, slice_index=r.slice_index, cycles=cycles,
-            wall_ns=cycles / r.frequency, instr_count=fuel_before - fuel_box[0])
-        rec.energy = machine.power(r.frequency, rec.ipc) * rec.wall_ns
+            wall_ns=wall_ns, instr_count=instr_count,
+            energy=clock.rates.p0 * wall_ns + clock.rates.slope * instr_count)
         records.append(rec)
         if r.charge is not None and r.charge[0] == "profiling":
             charge("profiling", r.charge[1] * rec.wall_ns, r.frequency)

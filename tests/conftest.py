@@ -5,15 +5,16 @@ but terminating control flow (every block threads a visit counter, and
 each conditional branch bails to the sink once the counter passes its
 budget).  random_loop_kernel builds a well-formed counted loop with a
 random body DAG: loads behind power-of-two masks, loop-carried
-accumulators, and optional stores.  br_chain and brcond_tree write the
-source of long and deeply nested kernels for the code generator.
+accumulators, and optional stores.  break_program damages either kind
+for the validator.  br_chain and brcond_tree write the source of long and
+deeply nested kernels for the code generator.
 """
 
 from __future__ import annotations
 
 import random
 
-from daef.ir import Program, parse_program, validate_program
+from daef.ir import Br, Program, node_def, parse_program, validate_program
 
 
 def assert_valid(prog: Program) -> None:
@@ -219,6 +220,36 @@ def random_loop_kernel(rng: random.Random) -> Program:
     lines.append("  ret %acc0")
     lines.append("}")
     return parse_program("\n".join(lines))
+
+
+def break_program(rng: random.Random, prog: Program, n_edits: int) -> None:
+    """Apply n_edits random damaging edits to prog's entry function, in
+    place: drop a node, a phi edge or a terminator, point a branch or a
+    read elsewhere, or duplicate a label."""
+    fn = prog.entry_function()
+    for _ in range(n_edits):
+        blk = rng.choice(fn.blocks)
+        regs = sorted({d for n in fn.nodes() if (d := node_def(n))} | {"ghost"})
+        edit = rng.randrange(6)
+        if edit == 0 and blk.body:
+            del blk.body[rng.randrange(len(blk.body))]
+        elif edit == 1 and blk.phis:
+            phi = rng.choice(blk.phis)
+            if phi.incoming:
+                del phi.incoming[rng.randrange(len(phi.incoming))]
+        elif edit == 2:
+            blk.term = None
+        elif edit == 3 and isinstance(blk.term, Br):
+            blk.term.target = rng.choice([b.label for b in fn.blocks] + ["nowhere"])
+        elif edit == 4:
+            reads = [(n, attr) for n in (*blk.body, blk.term)
+                     for attr in ("a", "b", "src", "base", "cond")
+                     if isinstance(getattr(n, attr, None), str)]
+            if reads:
+                n, attr = rng.choice(reads)
+                setattr(n, attr, rng.choice(regs))
+        elif edit == 5:
+            blk.label = rng.choice(fn.blocks).label
 
 
 def br_chain(n: int) -> str:

@@ -9,6 +9,7 @@ load subset.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from daef.ir import (
     interpret,
     node_def,
     parse_program,
+    print_program,
 )
 from daef.ir.interp import (
     DEFAULT_FUEL,
@@ -638,3 +640,22 @@ done:
         plan = make_phases(prog, set(), override(s))
         assert_valid(plan.program)
         assert run_phased(plan) == (ref.output, ref.memory_digest)
+
+
+# sha256 of the printed plan programs below, recorded while phase
+# generation still copied IR with copy.deepcopy.
+PLANS_SHA256 = (
+    "432f7451985f85a9cd10a02b4fb562645e519a5173d11ed21fcf41d6f897f554")
+
+
+def test_plan_programs_are_pinned():
+    """Random loop kernels, random critical sets and slice sizes."""
+    h = hashlib.sha256()
+    for i in range(60):
+        rng = random.Random(1000 + i)
+        prog = random_loop_kernel(rng)
+        critical = {x for x in entry_loads(prog) if rng.random() < 0.5}
+        plan = make_phases(prog, critical=critical,
+                           slice_params=override(rng.randint(1, 64)))
+        h.update(print_program(plan.program).encode())
+    assert h.hexdigest() == PLANS_SHA256

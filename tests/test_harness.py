@@ -5,12 +5,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from conftest import br_chain, brcond_tree
+from conftest import br_chain, brcond_tree, random_loop_kernel
 from daef.cli import main
 from daef.harness import (
     CSV_COLUMNS,
@@ -26,14 +28,14 @@ from daef.harness import (
     run_one,
     run_suite,
 )
-from daef.ir import parse_program, with_seed
+from daef.ir import parse_program, print_program, validate_program, with_seed
 from daef.ir import interp
 from daef.ir.interp import init_memory, splitmix_fill
 from daef.ir.validate import MAX_DATA_END
-from daef.kernels import builtin_kernels, kernel_by_name
+from daef.kernels import BenchmarkKernel, builtin_kernels, kernel_by_name
 from daef.machine import MachineConfig
 from daef import harness, machsim
-from daef.machsim import baseline_schedule, simulate
+from daef.machsim import baseline_schedule, build_schedule, simulate
 from daef.profiler import profile_run, read_profile, report_to_json
 
 
@@ -142,8 +144,9 @@ def test_suite_output_bytes_are_pinned():
 
 
 def test_one_memory_image_per_simulation(monkeypatch):
-    """The baseline doubles as the profiling run: 3 materializations per
-    kernel, one for each mode."""
+    """The baseline doubles as the profiling run: one materialization per
+    simulation.  compute_poly has nothing to prefetch, so its static_dae
+    schedule is the baseline's and reuses that run: 2 images, not 3."""
     calls = []
 
     def counting(prog, mem_size):
@@ -154,10 +157,40 @@ def test_one_memory_image_per_simulation(monkeypatch):
         if name.startswith("daef") and getattr(mod, "init_memory", None) \
                 is init_memory:
             monkeypatch.setattr(mod, "init_memory", counting)
-    for name in ("compute_poly", "stream_sum"):
+    for name, images in (("compute_poly", 2), ("stream_sum", 3)):
         calls.clear()
         run_kernel_all_modes(kernel_by_name(name), machine())
-        assert len(calls) == 3, name
+        assert len(calls) == images, name
+
+
+def test_reused_static_row_equals_a_forced_simulation():
+    """With no critical load the static_dae schedule is the baseline's:
+    its row reuses the baseline report, and that report equals a fresh
+    simulation of the same schedule of the plan's program in every
+    SimReport field."""
+    rng = random.Random(11)
+    m = machine()
+    checked = 0
+    for i in range(12):
+        text = print_program(random_loop_kernel(rng))
+        kernel = BenchmarkKernel(name=f"rand{i}", text=text, working_set_bytes=0,
+                                 characterization="user", description="",
+                                 oracle=lambda seed: None)
+        prep = prepare(kernel, m, theta=Fraction(1))
+        if prep.critical:
+            continue
+        sched = build_schedule("static_dae", prep.plan, m)
+        assert sched == baseline_schedule(prep.plan.original, m)
+        row = harness._run_mode(prep, "static_dae", m, Fraction(0))
+        assert row.report is prep.baseline
+        assert row.program is prep.plan.program
+        forced = simulate(prep.plan.program, sched, m,
+                          fuel=harness.dae_fuel(prep.plan,
+                                                prep.baseline.total.instr_count))
+        for f in dataclasses.fields(machsim.SimReport):
+            assert getattr(forced, f.name) == getattr(row.report, f.name), f.name
+        checked += 1
+    assert checked >= 8
 
 
 def test_suite_fills_each_image_once(monkeypatch):
@@ -351,8 +384,9 @@ def test_cli_fuel_exhaustion_is_exit_2(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("text, output, nodes", [
     (br_chain(3000), [2999], 2 + 2 * 2999 + 1),
+    (br_chain(6000), [5999], 2 + 2 * 5999 + 1),
     (brcond_tree(300), [300], 3 + 2 * 300 + 2),
-], ids=["br_chain_3000", "brcond_tree_300"])
+], ids=["br_chain_3000", "br_chain_6000", "brcond_tree_300"])
 def test_cli_runs_large_kernels(tmp_path, text, output, nodes):
     """Thousands of blocks or hundreds of nested branches generate code
     that Python compiles: no recursion error, no nesting limit."""
@@ -365,6 +399,19 @@ def test_cli_runs_large_kernels(tmp_path, text, output, nodes):
     data = json.loads(out.read_text())
     assert data["output"] == output
     assert data["total"]["instr_count"] == nodes
+
+
+def test_long_chain_validates_in_little_memory():
+    """Validation keeps one bit per register per block: a valid
+    6,000-block chain validates under 50 MiB."""
+    prog = parse_program(br_chain(6000))
+    tracemalloc.start()
+    try:
+        assert validate_program(prog) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 << 20
 
 
 def test_suite_compiles_each_distinct_function_once(monkeypatch):

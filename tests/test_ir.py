@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import random
 
@@ -11,6 +12,7 @@ from conftest import (
     SUM_KERNEL,
     assert_valid,
     brcond_tree,
+    break_program,
     random_cfg_program,
     random_loop_kernel,
     sum_kernel,
@@ -19,6 +21,7 @@ from daef.ir import (
     Block,
     Br,
     BrCond,
+    Const,
     DirRuntimeError,
     DirSyntaxError,
     Function,
@@ -864,3 +867,71 @@ entry:
     p = parse_program(src)
     assert_valid(p)
     assert interpret(p).output == [33]
+
+
+# sha256 of validate_program's diagnostics over 300 conftest programs,
+# 169 of them left invalid by break_program, recorded while each block's
+# defined registers were still a set of names.
+DIAGNOSTICS_SHA256 = (
+    "dcb71404c0972c8e9e6e19588c3754cca70b3b18101b5fd58a15ae5584520544")
+
+
+def test_diagnostics_are_pinned():
+    h = hashlib.sha256()
+    invalid = 0
+    for i in range(300):
+        rng = random.Random(i)
+        prog = (random_cfg_program if i % 2 else random_loop_kernel)(rng)
+        break_program(rng, prog, rng.randint(0, 3))
+        diags = validate_program(prog)
+        invalid += bool(diags)
+        h.update(("\n".join(map(str, diags)) + "\n\n").encode())
+    assert invalid == 169
+    assert h.hexdigest() == DIAGNOSTICS_SHA256
+
+
+# -- structural copies -------------------------------------------------------
+
+
+def scramble(fn: Function) -> None:
+    """Mutate every list and every node field of fn in place."""
+    fn.name += "_x"
+    fn.params.append("extra")
+    for blk in fn.blocks:
+        blk.label += "_x"
+        for n in blk.phis:
+            n.dst += "_x"
+            n.incoming[0] = ("elsewhere", 0)
+            n.incoming.append(("other", 1))
+        for n in fn.nodes():
+            n.id += 10_000
+        for n in blk.body:
+            for attr in ("dst", "base", "src"):
+                if hasattr(n, attr):
+                    setattr(n, attr, getattr(n, attr) + "_x")
+        blk.phis.reverse()
+        blk.body.reverse()
+        blk.body.append(Const(id=-1, dst="added", value=1))
+    fn.blocks.reverse()
+    fn.blocks.append(Block(label="added", term=Ret(id=-2)))
+
+
+def test_copies_share_nothing_mutable():
+    """Mutating a copy's blocks, body lists, phi incoming lists or node
+    fields leaves the original unchanged."""
+    rng = random.Random(5)
+    for i in range(20):
+        prog = (random_cfg_program if i % 2 else random_loop_kernel)(rng)
+        before = copy.deepcopy(prog)
+        dup = prog.copy()
+        assert dup == prog
+        scramble(dup.entry_function())
+        dup.data[0].seed = -1
+        dup.data.append(dup.data[0])
+        dup.functions.append(Function(name="added"))
+        dup.entry = "added"
+        assert prog == before
+        fn = prog.entry_function().copy()
+        assert fn == prog.entry_function()
+        scramble(fn)
+        assert prog == before

@@ -15,7 +15,7 @@ from daef.ir import DirRuntimeError, interpret, parse_program
 from daef.harness import dae_fuel, prepare, run_kernel_all_modes
 from daef.ir.types import Load
 from daef.kernels import builtin_kernels, kernel_by_name
-from daef.machine import L1Config, LruCache, MachineConfig
+from daef.machine import L1Config, LruCache, MachineConfig, PowerConfig
 from daef.machsim import (
     CAT_EXECUTE,
     MODES,
@@ -643,3 +643,34 @@ def test_dae_fuel_bounds_every_plan():
         for mode in ("static_dae", "dynamic_dae"):
             rep = simulate(plan.program, build_schedule(mode, plan, m), m)
             assert rep.total.instr_count <= fuel
+
+
+def test_energy_is_power_times_wall_exactly():
+    """simulate costs energy from per-frequency terms; every run still
+    costs power(f, ipc) * wall_ns and every charge power(f_max, 0) *
+    wall_ns, on random power models and frequency pairs."""
+    rng = random.Random(21)
+    plans = random_plans(4)
+
+    def frac(lo: int, hi: int, den: int) -> Fraction:
+        return Fraction(rng.randint(lo, hi), den)
+
+    for _ in range(6):
+        alpha = frac(0, 10, 10)
+        f_lo, f_hi = sorted((frac(5, 40, 10), frac(5, 40, 10)))
+        m = MachineConfig(
+            f_min_ghz=f_lo, f_max_ghz=f_hi, mem_latency_ns=frac(7, 900, 7),
+            power_model=PowerConfig(p_static=frac(0, 30, 10),
+                                    c_dyn=frac(0, 50, 10), alpha=alpha,
+                                    beta=1 - alpha,
+                                    v_min_ratio=frac(1, 10, 10)))
+        idle = m.power(m.f_max_ghz, Fraction(0))
+        for plan in plans:
+            for mode in MODES:
+                sched = build_schedule(mode, plan, m,
+                                       profiling_overhead=frac(0, 3, 10))
+                for r in simulate(plan.program, sched, m).runs:
+                    if r.kind == "run":
+                        assert r.energy == m.power(r.frequency, r.ipc) * r.wall_ns
+                    else:
+                        assert r.energy == idle * r.wall_ns
