@@ -61,6 +61,7 @@ class DomInfo:
     """Immediate dominators over the reachable subgraph."""
 
     idom: dict[str, str]  # entry maps to itself
+    rpo: dict[str, int]  # reverse-postorder position of each reachable block
     dropped: list[Diagnostic] = field(default_factory=list)
 
     def dominates(self, a: str, b: str) -> bool:
@@ -134,7 +135,7 @@ def dominators(c: Cfg) -> DomInfo:
             if idom.get(n) != new:
                 idom[n] = new
                 changed = True
-    return DomInfo(idom=idom, dropped=dropped)
+    return DomInfo(idom=idom, rpo=index, dropped=dropped)
 
 
 @dataclass(frozen=True)
@@ -149,11 +150,14 @@ def natural_loops(fn: Function) -> list[NaturalLoop]:
     c = build_cfg(fn)
     dom = dominators(c)
     loops: list[NaturalLoop] = []
+    rpo = dom.rpo
     for latch in c.nodes:
-        if latch not in dom.idom:
+        if latch not in rpo:
             continue
         for header in c.succs[latch]:
-            if header in dom.idom and dom.dominates(header, latch):
+            # A header that dominates the latch comes no later in reverse
+            # postorder, so only retreating edges need the idom walk.
+            if rpo[header] <= rpo[latch] and dom.dominates(header, latch):
                 body = {header, latch}
                 stack = [latch]
                 while stack:
@@ -161,7 +165,7 @@ def natural_loops(fn: Function) -> list[NaturalLoop]:
                     if n == header:
                         continue
                     for p in c.preds[n]:
-                        if p not in body and p in dom.idom:
+                        if p not in body and p in rpo:
                             body.add(p)
                             stack.append(p)
                 loops.append(NaturalLoop(header, latch, frozenset(body)))
@@ -214,34 +218,40 @@ def resolve_constant(fn: Function, v: Operand) -> int | None:
 
     A register resolves only if it has exactly one definition which is a
     const, or a binop whose operands both resolve.  Anything else (loads,
-    phis, multiple definitions, division by a zero constant) gives None.
+    phis, multiple definitions, a cycle, division by a zero constant)
+    gives None.
     """
     from .ir.interp import BINOP_FNS, to_signed, to_unsigned
 
+    if isinstance(v, int):
+        return v
     defs = defs_of(fn)
-
-    def go(x: Operand, seen: frozenset[str]) -> int | None:
-        if isinstance(x, int):
-            return x
-        if x in seen:
-            return None
+    # Iterative post-order: a binop is expanded on the first visit and
+    # folded on the second, once its operands are in memo.  An operand
+    # still on the path closes a cycle and reads as None.
+    memo: dict[str, int | None] = {}
+    on_path: set[str] = set()
+    stack = [v]
+    while stack:
+        x = stack[-1]
+        if x in memo:
+            stack.pop()
+            continue
         ds = defs.get(x, [])
-        if len(ds) != 1:
-            return None
-        d = ds[0]
-        if isinstance(d, Const):
-            return d.value
+        d = ds[0] if len(ds) == 1 else None
+        if isinstance(d, BinOp) and x not in on_path:
+            on_path.add(x)
+            stack.extend(o for o in (d.a, d.b)
+                         if isinstance(o, str) and o not in on_path)
+            continue
+        stack.pop()
+        on_path.discard(x)
+        memo[x] = d.value if isinstance(d, Const) else None
         if isinstance(d, BinOp):
-            a = go(d.a, seen | {x})
-            b = go(d.b, seen | {x})
-            if a is None or b is None:
-                return None
-            if d.op in ("div", "rem") and b == 0:
-                return None
-            return to_signed(BINOP_FNS[d.op](to_unsigned(a), to_unsigned(b)))
-        return None
-
-    return go(v, frozenset())
+            a, b = (o if isinstance(o, int) else memo.get(o) for o in (d.a, d.b))
+            if not (a is None or b is None or (d.op in ("div", "rem") and b == 0)):
+                memo[x] = to_signed(BINOP_FNS[d.op](to_unsigned(a), to_unsigned(b)))
+    return memo[v]
 
 
 def defs_of(fn: Function) -> dict[str, list[Node]]:
@@ -444,26 +454,23 @@ def dce(fn: Function, roots: set[int]) -> Function:
 def simplify_cfg(fn: Function, id_base: int | None = None) -> Function:
     """Clean up control flow without changing observable behavior.
 
-    Iterates to a fixed point: drops unreachable blocks, folds brcond on a
-    constant or with equal targets, lowers single-predecessor phis to
-    copies, removes empty forwarding blocks (rethreading phis), and merges
-    single-successor/single-predecessor block pairs.  Idempotent.
+    Drops unreachable blocks, folds brcond on a constant or with equal
+    targets, lowers single-predecessor phis to copies, removes empty
+    forwarding blocks (rethreading phis), and merges single-successor/
+    single-predecessor block pairs.  Each rule is one sweep over the
+    blocks, and the sweeps repeat while any rule changes something;
+    they end because every change removes a block, a brcond or a block's
+    phis and none adds one.  Idempotent.
 
     id_base sets the first id for any copies the phi lowering must mint;
     it defaults to one past the function's own maximum id.
     """
     out = fn.copy()
     next_id = [max(out.max_id() + 1, 0) if id_base is None else id_base]
-    for _ in range(10 * len(out.blocks) + 10):
-        changed = (
-            _drop_unreachable(out)
-            | _fold_brcond(out)
-            | _lower_single_pred_phis(out, next_id)
-            | _remove_empty_blocks(out)
-            | _merge_linear(out)
-        )
-        if not changed:
-            break
+    while (_drop_unreachable(out) | _fold_brcond(out)
+           | _lower_single_pred_phis(out, next_id)
+           | _remove_empty_blocks(out) | _merge_linear(out)):
+        pass
     return out
 
 
@@ -480,11 +487,6 @@ def _drop_unreachable(fn: Function) -> bool:
     return True
 
 
-def _single_const_def(fn: Function, reg: str) -> int | None:
-    ds = defs_of(fn).get(reg, [])
-    return ds[0].value if len(ds) == 1 and isinstance(ds[0], Const) else None
-
-
 def _retarget_phis(blk: Block, old_pred: str, new_preds: list[str]) -> None:
     for phi in blk.phis:
         new_incoming: list[tuple[str, Operand]] = []
@@ -497,6 +499,9 @@ def _retarget_phis(blk: Block, old_pred: str, new_preds: list[str]) -> None:
 
 
 def _fold_brcond(fn: Function) -> bool:
+    # Folding a branch changes no definition, so one map serves the sweep.
+    defs = defs_of(fn)
+    bm = fn.block_map()
     changed = False
     for blk in fn.blocks:
         t = blk.term
@@ -506,14 +511,14 @@ def _fold_brcond(fn: Function) -> bool:
             blk.term = Br(id=t.id, target=t.if_true)
             changed = True
             continue
-        cval = _single_const_def(fn, t.cond)
-        if cval is None:
+        ds = defs.get(t.cond, [])
+        if len(ds) != 1 or not isinstance(ds[0], Const):
             continue
-        taken, dropped = (t.if_true, t.if_false) if cval != 0 else (t.if_false, t.if_true)
+        taken, dropped = (t.if_true, t.if_false) if ds[0].value != 0 \
+            else (t.if_false, t.if_true)
         blk.term = Br(id=t.id, target=taken)
         # The dropped edge disappears; fix the other side's phis now so a
         # later unreachable-drop cannot leave a stale incoming behind.
-        bm = fn.block_map()
         if dropped in bm:
             for phi in bm[dropped].phis:
                 phi.incoming = [(p, v) for p, v in phi.incoming if p != blk.label]
@@ -522,12 +527,12 @@ def _fold_brcond(fn: Function) -> bool:
 
 
 def _lower_single_pred_phis(fn: Function, next_id: list[int]) -> bool:
-    c = build_cfg(fn)
+    preds = predecessors(fn)
     changed = False
     for blk in fn.blocks:
-        if not blk.phis or len(c.preds[blk.label]) != 1:
+        if not blk.phis or len(preds[blk.label]) != 1:
             continue
-        pred = c.preds[blk.label][0]
+        pred = preds[blk.label][0]
         pairs: list[tuple[str, Operand]] = []
         ids: list[int] = []
         ok = True
@@ -562,72 +567,64 @@ def _lower_single_pred_phis(fn: Function, next_id: list[int]) -> bool:
     return changed
 
 
+def _pred_sets(fn: Function) -> dict[str, set[str]]:
+    """The predecessor map that _remove_empty_blocks and _merge_linear keep
+    current through one sweep in layout order.  A sweep picks the blocks
+    that restarting from the top after each change would: neither rewrite
+    makes an earlier block eligible that was passed over."""
+    return {label: set(ps) for label, ps in predecessors(fn).items()}
+
+
 def _remove_empty_blocks(fn: Function) -> bool:
-    changed = False
-    while True:
-        c = build_cfg(fn)
-        bm = fn.block_map()
-        victim: Block | None = None
-        for blk in fn.blocks[1:]:  # entry is never removed
-            if blk.phis or blk.body or not isinstance(blk.term, Br):
-                continue
-            target = blk.term.target
-            if target == blk.label:
-                continue
-            tgt = bm[target]
-            preds = c.preds[blk.label]
-            if not preds:
-                continue
-            # Rethreading must not give the target two edges from one pred.
-            if tgt.phis and any(p in c.preds[target] for p in preds):
-                continue
-            victim = blk
-            break
-        if victim is None:
-            return changed
-        target = victim.term.target  # type: ignore[union-attr]
-        c = build_cfg(fn)
-        preds = c.preds[victim.label]
-        for p in preds:
+    preds = _pred_sets(fn)
+    pos = {b.label: k for k, b in enumerate(fn.blocks)}
+    bm = fn.block_map()
+    dead: set[str] = set()
+    for blk in fn.blocks[1:]:  # entry is never removed
+        if blk.phis or blk.body or not isinstance(blk.term, Br):
+            continue
+        label, target = blk.label, blk.term.target
+        if target == label or not preds[label]:
+            continue
+        # Rethreading must not give the target two edges from one pred.
+        if bm[target].phis and preds[label] & preds[target]:
+            continue
+        incoming = sorted(preds.pop(label), key=pos.__getitem__)
+        for p in incoming:
             pt = bm[p].term
-            if isinstance(pt, Br) and pt.target == victim.label:
+            if isinstance(pt, Br):
                 pt.target = target
             elif isinstance(pt, BrCond):
-                if pt.if_true == victim.label:
+                if pt.if_true == label:
                     pt.if_true = target
-                if pt.if_false == victim.label:
+                if pt.if_false == label:
                     pt.if_false = target
-        _retarget_phis(bm[target], victim.label, preds)
-        fn.blocks.remove(victim)
-        changed = True
+        _retarget_phis(bm[target], label, incoming)
+        preds[target].discard(label)
+        preds[target].update(incoming)
+        dead.add(label)
+    fn.blocks = [b for b in fn.blocks if b.label not in dead]
+    return bool(dead)
 
 
 def _merge_linear(fn: Function) -> bool:
-    changed = False
-    while True:
-        c = build_cfg(fn)
-        bm = fn.block_map()
-        merged = False
-        for a in fn.blocks:
-            if not isinstance(a.term, Br):
-                continue
+    preds = _pred_sets(fn)
+    bm = fn.block_map()
+    entry = fn.blocks[0].label
+    dead: set[str] = set()
+    for a in fn.blocks:
+        while a.label not in dead and isinstance(a.term, Br):
             blabel = a.term.target
-            if blabel == a.label or blabel == fn.blocks[0].label:
-                continue
             b = bm[blabel]
-            if c.preds[blabel] != [a.label] or b.phis:
-                continue
-            a.body = a.body + b.body
+            if blabel in (a.label, entry) or preds[blabel] != {a.label} or b.phis:
+                break
+            a.body.extend(b.body)
             a.term = b.term
-            for succ_label in successors(b):
-                if succ_label in bm:
-                    for phi in bm[succ_label].phis:
-                        phi.incoming = [
-                            (a.label if p == blabel else p, v) for p, v in phi.incoming
-                        ]
-            fn.blocks.remove(b)
-            merged = True
-            changed = True
-            break
-        if not merged:
-            return changed
+            for succ_label in set(successors(b)) & preds.keys():
+                _retarget_phis(bm[succ_label], blabel, [a.label])
+                preds[succ_label].discard(blabel)
+                preds[succ_label].add(a.label)
+            del preds[blabel]
+            dead.add(blabel)
+    fn.blocks = [b for b in fn.blocks if b.label not in dead]
+    return bool(dead)

@@ -173,8 +173,10 @@ def _resume_closure(fn: Function, li: LoopInfo, needed_labels: set[str],
                     carry_regs: list[str]) -> list[Node]:
     """The pure prologue instructions a resumed slice must replay.
 
-    Returns them in original layout order.  Raises when a needed value
-    cannot be recomputed from constants alone.
+    Returns them in dependency order: each after the instructions its
+    operands need.  Layout order would not be safe, since block layout
+    need not follow path order.  Raises when a needed value cannot be
+    recomputed from constants alone.
     """
     where = block_of(fn)
     defs = defs_of(fn)
@@ -185,16 +187,39 @@ def _resume_closure(fn: Function, li: LoopInfo, needed_labels: set[str],
         return [d for d in defs.get(reg, [])
                 if where[d.id] not in li.body and where[d.id] not in exit_side]
 
+    roots: list[str] = []
+    bm = fn.block_map()
+    for label in sorted(needed_labels):
+        blk = bm[label]
+        for phi in blk.phis:
+            # The preheader edge is only taken when the prologue really
+            # ran, so its value needs no replay.
+            roots += [v for pred, v in phi.incoming if isinstance(v, str) and not (
+                label == li.header and pred == li.preheader)]
+        for n in blk.body + ([blk.term] if blk.term else []):
+            roots += node_uses(n)
+    if isinstance(li.bound, str):
+        roots.append(li.bound)
+
+    # Iterative post-order over the roots in turn: (reg, None) visits reg,
+    # and (reg, d) appends its definition d once every operand is needed.
     needed: list[Node] = []
     needed_ids: set[int] = set()
-
-    def require(reg: str, chain: tuple[str, ...]) -> None:
+    on_path: set[str] = set()
+    stack: list[tuple[str, Node | None]] = [(r, None) for r in reversed(roots)]
+    while stack:
+        reg, done = stack.pop()
+        if done is not None:
+            on_path.discard(reg)
+            needed.append(done)
+            needed_ids.add(done.id)
+            continue
         if reg in satisfied:
-            return
+            continue
         ds = defs.get(reg, [])
         pro = prologue_defs(reg)
         if not pro:
-            return  # defined in the loop or epilogue; runs in the slice
+            continue  # defined in the loop or epilogue; runs in the slice
         if len(pro) != len(ds):
             raise DaegenError(
                 f"loop needs %{reg}, which has conflicting definitions "
@@ -204,41 +229,17 @@ def _resume_closure(fn: Function, li: LoopInfo, needed_labels: set[str],
                 f"loop needs %{reg}, which the prologue defines more than once")
         d = pro[0]
         if d.id in needed_ids:
-            return
-        if reg in chain:
+            continue
+        if reg in on_path:
             raise DaegenError(f"loop-invariant %{reg} depends on itself")
-        if isinstance(d, Const):
-            pass
-        elif isinstance(d, BinOp):
-            for op in (d.a, d.b):
-                if isinstance(op, str):
-                    require(op, chain + (reg,))
-        else:
+        if not isinstance(d, (Const, BinOp)):
             raise DaegenError(
                 f"loop-invariant %{reg} is not recomputable from constants "
                 f"(defined by {type(d).__name__.lower()})")
-        needed.append(d)
-        needed_ids.add(d.id)
-
-    bm = fn.block_map()
-    for label in sorted(needed_labels):
-        blk = bm[label]
-        for phi in blk.phis:
-            # The preheader edge is only taken when the prologue really
-            # ran, so its value needs no replay.
-            for pred, v in phi.incoming:
-                if isinstance(v, str) and not (
-                        label == li.header and pred == li.preheader):
-                    require(v, ())
-        for n in blk.body + ([blk.term] if blk.term else []):
-            for reg in node_uses(n):
-                require(reg, ())
-    if isinstance(li.bound, str):
-        require(li.bound, ())
-
-    # needed is already in dependency order: require() appends a node
-    # only after its operands.  Layout order would not be safe here since
-    # block layout need not follow path order.
+        on_path.add(reg)
+        stack.append((reg, d))
+        if isinstance(d, BinOp):
+            stack += [(op, None) for op in (d.b, d.a) if isinstance(op, str)]
     return needed
 
 

@@ -142,14 +142,14 @@ def prepare(kernel: BenchmarkKernel, machine: MachineConfig, seed: int = 0,
     else:
         check_profile(profile, seeded, machine, allow_stale)
         baseline = simulate_baseline(seeded, machine)
-    critical = classify_critical(profile, theta).ids
+    critical = classify_critical(profile, theta)
 
     li = candidate_loop(seeded.entry_function())
     slice_params = choose_slice_size(machine, profile.footprint(li.header),
                                      rho=rho, override=slice_override)
     plan = make_phases(seeded, critical=critical, slice_params=slice_params)
     return Prepared(kernel=kernel, seeded=seeded, profile=profile,
-                    critical=frozenset(critical), slice_params=slice_params,
+                    critical=critical, slice_params=slice_params,
                     plan=plan, baseline=baseline)
 
 

@@ -54,12 +54,6 @@ class ProfileReport:
     loops: list[LoopFootprint] = field(default_factory=list)
     version: int = PROFILE_VERSION
 
-    def load(self, load_id: int) -> LoadStats | None:
-        for st in self.loads:
-            if st.id == load_id:
-                return st
-        return None
-
     def footprint(self, header: str) -> float | None:
         for lf in self.loops:
             if lf.header == header:
@@ -138,31 +132,20 @@ def profile_run(prog: Program, machine: MachineConfig,
 # -- criticality -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CriticalSet:
-    """Loads whose stall share reached the threshold."""
-
-    ids: frozenset[int]
-    theta: Fraction
-
-    def __contains__(self, load_id: int) -> bool:
-        return load_id in self.ids
-
-
-def classify_critical(report: ProfileReport, theta: float | Fraction = Fraction(1, 100)) -> CriticalSet:
-    """Pick the loads worth prefetching: stall share >= theta, and at
-    least one actual miss."""
+def classify_critical(report: ProfileReport,
+                      theta: float | Fraction = Fraction(1, 100)) -> frozenset[int]:
+    """The ids of the loads worth prefetching: stall share >= theta, and
+    at least one actual miss."""
     th = Fraction(str(theta)) if not isinstance(theta, Fraction) else theta
     if not 0 <= th <= 1:
         raise ProfileError(f"theta {th} outside [0, 1]")
     total = report.total_stall_cycles
     if total <= 0:
-        return CriticalSet(ids=frozenset(), theta=th)
-    ids = frozenset(
+        return frozenset()
+    return frozenset(
         s.id for s in report.loads
         if s.miss_count > 0 and Fraction(s.stall_cycles, total) >= th
     )
-    return CriticalSet(ids=ids, theta=th)
 
 
 # -- persistence -------------------------------------------------------------

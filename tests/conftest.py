@@ -7,7 +7,9 @@ budget).  random_loop_kernel builds a well-formed counted loop with a
 random body DAG: loads behind power-of-two masks, loop-carried
 accumulators, and optional stores.  break_program damages either kind
 for the validator.  br_chain and brcond_tree write the source of long and
-deeply nested kernels for the code generator.
+deeply nested kernels for the code generator; bound_chain, base_chain,
+load_blocks and empty_tail write counted loops whose definition chains or
+bodies are n long, for the phase generator.
 """
 
 from __future__ import annotations
@@ -270,3 +272,63 @@ def brcond_tree(depth: int) -> str:
         lines += [f"t{i}:", f"  %x{i} = binop add %x{i - 1}, 1",
                   f"  brcond %one, {nxt}, f{i}", f"f{i}:", f"  out %x{i}", "  ret"]
     return "\n".join(lines + ["end:", f"  out %x{depth}", "  ret", "}"]) + "\n"
+
+
+def _sum_loop(prologue: list[str], bound: str, body: list[str], latch: str) -> str:
+    """A counted loop over data at 65536: %i runs from 0 while below bound,
+    the body lines start at block `body`, and block `latch` defines %i2
+    and %acc2 and branches back to the header.  The epilogue outs %acc."""
+    return "\n".join([
+        "data @base=65536 prng(seed=7, len=8192)", "entry @main",
+        "func @main() kind=original {", "entry:", "  %zero = const 0",
+        *prologue, "  br loop", "loop:",
+        f"  %i = phi [entry: %zero], [{latch}: %i2]",
+        f"  %acc = phi [entry: %zero], [{latch}: %acc2]",
+        f"  %c = binop slt %i, {bound}", "  brcond %c, body, done",
+        *body, "done:", "  out %acc", "  ret", "}"]) + "\n"
+
+
+def _address(base: str) -> list[str]:
+    """%addr: the start of line i mod 128 of the data at base."""
+    return ["  %m = binop and %i, 127", "  %off = binop shl %m, 6",
+            f"  %addr = binop add {base}, %off"]
+
+
+_STEP = ["  %v = load %addr, 0, w8", "  %acc2 = binop add %acc, %v",
+         "  %i2 = binop add %i, 1"]
+
+
+def bound_chain(n: int) -> str:
+    """A loop of n trips whose bound is n adds of 1 onto a const 0."""
+    pro = ["  %base = const 65536", "  %n0 = const 0"]
+    pro += [f"  %n{k} = binop add %n{k - 1}, 1" for k in range(1, n + 1)]
+    body = ["body:", *_address("%base"), *_STEP, "  br loop"]
+    return _sum_loop(pro, f"%n{n}", body, "body")
+
+
+def base_chain(n: int) -> str:
+    """A 16-trip loop whose load base is n adds of 1 onto 65536 - n."""
+    pro = [f"  %b0 = const {65536 - n}"]
+    pro += [f"  %b{k} = binop add %b{k - 1}, 1" for k in range(1, n + 1)]
+    body = ["body:", *_address(f"%b{n}"), *_STEP, "  br loop"]
+    return _sum_loop(pro, "16", body, "body")
+
+
+def load_blocks(n: int) -> str:
+    """A 16-trip loop whose body is n blocks of one load each, chained by br."""
+    body = ["body:", *_address("%base"), "  %s0 = binop add %acc, 0",
+            "  br b1"]
+    for k in range(1, n + 1):
+        body += [f"b{k}:", f"  %v{k} = load %addr, {8 * (k % 8)}, w8",
+                 f"  %s{k} = binop add %s{k - 1}, %v{k}"]
+        body += [f"  br b{k + 1}"] if k < n else [
+            f"  %acc2 = binop add %s{n}, 0", "  %i2 = binop add %i, 1", "  br loop"]
+    return _sum_loop(["  %base = const 65536"], "16", body, f"b{n}")
+
+
+def empty_tail(n: int) -> str:
+    """A 16-trip loop whose body reaches the header through n empty blocks."""
+    body = ["body:", *_address("%base"), *_STEP, "  br e1"]
+    for k in range(1, n + 1):
+        body += [f"e{k}:", f"  br e{k + 1}" if k < n else "  br loop"]
+    return _sum_loop(["  %base = const 65536"], "16", body, f"e{n}")

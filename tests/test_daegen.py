@@ -15,8 +15,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_valid, random_loop_kernel, sum_kernel
+from conftest import (
+    assert_valid,
+    empty_tail,
+    load_blocks,
+    random_loop_kernel,
+    sum_kernel,
+)
 
+from daef import cfg
 from daef.daegen import (
     DaegenError,
     SliceParams,
@@ -528,18 +535,25 @@ done:
         make_phases(prog, set(), override(4))
 
 
-def test_rejects_impure_loop_invariant():
-    """A load feeding the loop from the prologue cannot be replayed on
-    the resume path."""
-    prog = parse_program("""
-data @base=4096 prng(seed=7, len=64)
+@pytest.mark.parametrize("prologue, redefine, message", [
+    ("  %base = const 4096\n  %k = load %base, 0, w8", "",
+     "loop-invariant %k is not recomputable from constants"),
+    ("  %k = const 3\n  %k = binop add %k, 1", "",
+     "loop needs %k, which the prologue defines more than once"),
+    ("  %k = const 3", "  %k = binop add %t, 1",
+     "loop needs %k, which has conflicting definitions inside and outside"),
+], ids=["load", "prologue_twice", "inside_and_outside"])
+def test_rejects_unreplayable_loop_invariant(prologue, redefine, message):
+    """The resume path replays the loop's prologue inputs, so each must
+    have one pure prologue definition.  A load cannot be replayed, and
+    the validator lets a register be assigned more than once."""
+    prog = parse_program(f"""
 entry @main
-func @main() kind=original {
+func @main() kind=original {{
 entry:
   %n = const 8
   %zero = const 0
-  %base = const 4096
-  %scale = load %base, 0, w8
+{prologue}
   br loop
 loop:
   %i = phi [entry: %zero], [body: %i2]
@@ -547,17 +561,40 @@ loop:
   %c = binop slt %i, %n
   brcond %c, body, done
 body:
-  %t = binop mul %i, %scale
+  %t = binop mul %i, %k
+{redefine}
   %acc2 = binop add %acc, %t
   %i2 = binop add %i, 1
   br loop
 done:
   out %acc
   ret %acc
-}
+}}
 """)
-    with pytest.raises(DaegenError, match="not recomputable"):
+    assert_valid(prog)
+    with pytest.raises(DaegenError, match=message):
         make_phases(prog, set(), override(4))
+
+
+@pytest.mark.parametrize("gen", [load_blocks, empty_tail],
+                         ids=lambda g: g.__name__)
+def test_make_phases_sweeps_instead_of_rebuilding_per_block(monkeypatch, gen):
+    """One make_phases call builds as many predecessor maps for a
+    500-block loop body as for a 50-block one: the CFG cleanup sweeps the
+    blocks, it does not rebuild the CFG after every change."""
+    calls = []
+    real = cfg.predecessors
+    monkeypatch.setattr(cfg, "predecessors",
+                        lambda fn: calls.append(fn.name) or real(fn))
+    counts = []
+    for n in (50, 500):
+        prog = parse_program(gen(n))
+        loads = {x.id for x in prog.entry_function().nodes()
+                 if isinstance(x, Load)}
+        calls.clear()
+        make_phases(prog, loads, override(8))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import br_chain, brcond_tree, random_loop_kernel
+from conftest import (
+    base_chain,
+    bound_chain,
+    br_chain,
+    brcond_tree,
+    empty_tail,
+    load_blocks,
+    random_loop_kernel,
+)
 from daef.cli import main
 from daef.harness import (
     CSV_COLUMNS,
@@ -28,7 +36,13 @@ from daef.harness import (
     run_one,
     run_suite,
 )
-from daef.ir import parse_program, print_program, validate_program, with_seed
+from daef.ir import (
+    interpret,
+    parse_program,
+    print_program,
+    validate_program,
+    with_seed,
+)
 from daef.ir import interp
 from daef.ir.interp import init_memory, splitmix_fill
 from daef.ir.validate import MAX_DATA_END
@@ -399,6 +413,26 @@ def test_cli_runs_large_kernels(tmp_path, text, output, nodes):
     data = json.loads(out.read_text())
     assert data["output"] == output
     assert data["total"]["instr_count"] == nodes
+
+
+@pytest.mark.parametrize("gen", [bound_chain, base_chain, load_blocks, empty_tail],
+                         ids=lambda g: g.__name__)
+def test_cli_transforms_large_kernels(tmp_path, gen):
+    """Definition chains and loop bodies 5,000 long go through static DAE:
+    no recursion error, and no CFG rebuild per block.  The bound chain
+    also goes through transform."""
+    text = gen(5000)
+    path = tmp_path / "big.dir"
+    path.write_text(text)
+    out = tmp_path / "rep.json"
+    rc = main(["run", "--kernel", str(path), "--mode", "static_dae",
+               "--slice", "8", "--emit", "json", "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["output"] == \
+        interpret(parse_program(text)).output
+    if gen is bound_chain:
+        assert main(["transform", "--kernel", str(path),
+                     "--out", str(tmp_path / "plan.dir")]) == 0
 
 
 def test_long_chain_validates_in_little_memory():

@@ -16,7 +16,6 @@ from daef.kernels import builtin_kernels
 from daef.machine import L1Config, MachineConfig
 from daef.machsim import baseline_schedule, simulate
 from daef.profiler import (
-    CriticalSet,
     LoadStats,
     LoopFootprint,
     ProfileError,
@@ -222,19 +221,19 @@ def fake_report(stalls: dict[int, int], misses: dict[int, int] | None = None) ->
 
 def test_classify_critical_threshold_is_inclusive():
     r = fake_report({1: 900, 2: 90, 3: 10})  # exactly 1% for load 3
-    assert classify_critical(r, Fraction(1, 100)).ids == {1, 2, 3}
-    assert classify_critical(r, Fraction(2, 100)).ids == {1, 2}
-    assert classify_critical(r, 0.5).ids == {1}
+    assert classify_critical(r, Fraction(1, 100)) == {1, 2, 3}
+    assert classify_critical(r, Fraction(2, 100)) == {1, 2}
+    assert classify_critical(r, 0.5) == {1}
 
 
 def test_classify_critical_requires_misses():
     r = fake_report({1: 1000, 2: 0}, misses={1: 5, 2: 0})
-    assert classify_critical(r, Fraction(1, 1000)).ids == {1}
+    assert classify_critical(r, Fraction(1, 1000)) == {1}
 
 
 def test_classify_critical_empty_when_no_stalls():
     r = fake_report({1: 0}, misses={1: 0})
-    assert classify_critical(r).ids == frozenset()
+    assert classify_critical(r) == frozenset()
 
 
 def test_classify_critical_rejects_bad_theta():
@@ -243,11 +242,6 @@ def test_classify_critical_rejects_bad_theta():
         classify_critical(r, 1.5)
     with pytest.raises(ProfileError):
         classify_critical(r, -0.1)
-
-
-def test_critical_set_contains():
-    c = CriticalSet(ids=frozenset({5}), theta=Fraction(1, 100))
-    assert 5 in c and 6 not in c
 
 
 # -- persistence -------------------------------------------------------------
@@ -316,8 +310,7 @@ entry:
 
 def test_report_accessors():
     r = profile_run(sum_kernel(), MACHINE)
-    assert r.load(10).exec_count == 8
-    assert r.load(999) is None
+    assert {s.id: s.exec_count for s in r.loads} == {10: 8}
     assert r.footprint("loop") == 8.0
     assert r.footprint("nope") is None
 
