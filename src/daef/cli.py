@@ -24,10 +24,10 @@ from .harness import (
     run_one,
     run_suite,
 )
-from .ir import DirError, parse_program, print_program
+from .ir import DirError, print_program
 from .machine import MachineError, load_machine
 from .machsim import MODES, MachSimError
-from .profiler import ProfileError, profile_run, read_profile, write_profile
+from .profiler import ProfileError, profiled_baseline, read_profile, write_profile
 
 
 def _fraction(text: str) -> Fraction:
@@ -74,8 +74,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_profile(args) -> int:
     kernel = load_kernel(args.kernel)
     machine = load_machine(args.machine)
-    report = profile_run(parse_program(kernel.text), machine,
-                         input_seed=args.seed)
+    report = profiled_baseline(kernel.program(args.seed), machine)[1]
     total = report.total_stall_cycles
     print(f"profile of {kernel.name} (seed {args.seed})")
     print(f"  {'id':>4}  {'execs':>8}  {'misses':>8}  {'stall':>10}  share")

@@ -478,14 +478,14 @@ def make_phases(prog: Program, critical: Iterable[int],
                 slice_params: SliceParams) -> PhasePlan:
     """Build the combined program: original, execute, access, base access.
 
-    critical holds load ids of the original program; ids outside the
-    target loop's body are ignored.  The generated access phase is also
-    rederived by specializing the base phase, and the two must agree
-    structurally; a mismatch is a bug, not an input error.
+    prog must be valid, as BenchmarkKernel.program returns it.  critical
+    holds load ids of the original program; ids outside the target
+    loop's body are ignored.  The combined program is validated before
+    it is returned, since `daef transform` prints it without simulating
+    it.  The generated access phase is also rederived by specializing the
+    base phase, and the two must agree structurally; a mismatch is a
+    bug, not an input error.
     """
-    diags = validate_program(prog)
-    if diags:
-        raise DaegenError("refusing to transform an invalid program", diags)
     fn = prog.entry_function()
     if fn.kind != "original":
         raise DaegenError(f"entry function @{fn.name} is not kind=original")

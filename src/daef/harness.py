@@ -1,15 +1,18 @@
 """Pipelines from kernel source to normalized result rows.
 
 One entry point per experiment shape: transform a kernel, run one
-(kernel, mode) cell, or sweep the whole built-in suite.  Each kernel's
-seeded original is interpreted once for its baseline, and that same run
-yields the profile, unless a stored profile was given.  Both decoupled
-modes reuse that profile and plan, and every simulated variant is
-checked for observable equivalence against the baseline before any
-number is reported.  A decoupled simulation runs on the fuel budget of
-dae_fuel, and a runtime fault in it, running past the budget included,
-counts as a divergence: the baseline ran clean.  The suite runs its
-kernels one after another, in list order.
+(kernel, mode) cell, or sweep the whole built-in suite.  A kernel's
+program is validated once, where BenchmarkKernel.program parses and
+seeds it, and its phase plan once, where make_phases builds it; the
+profiler and simulator take both as valid.  Each kernel's seeded
+original is interpreted once for its baseline, and that same run yields
+the profile, unless a stored profile was given.  Both decoupled modes
+reuse that profile and plan, and every simulated variant is checked for
+observable equivalence against the baseline before any number is
+reported.  A decoupled simulation runs on the fuel budget of dae_fuel,
+and a runtime fault in it, running past the budget included, counts as
+a divergence: the baseline ran clean.  The suite runs its kernels one
+after another, in list order.
 
 A row's share columns come from CATEGORIES: each category's wall time
 and energy as a share of the baseline's total, named <category>_time
@@ -32,7 +35,7 @@ from .daegen import (
     make_phases,
 )
 from .inputs import read_text
-from .ir import DirRuntimeError, Program, parse_program, program_digest, with_seed
+from .ir import DirRuntimeError, Program, program_digest
 from .kernels import BenchmarkKernel, builtin_kernels, kernel_by_name
 from .machine import MachineConfig
 from .machsim import (
@@ -136,7 +139,7 @@ def prepare(kernel: BenchmarkKernel, machine: MachineConfig, seed: int = 0,
     original alone, which reports the same program digest as the
     original inside the combined plan program.
     """
-    seeded = with_seed(parse_program(kernel.text), seed)
+    seeded = kernel.program(seed)
     if profile is None:
         baseline, profile = profiled_baseline(seeded, machine)
     else:
@@ -229,7 +232,7 @@ def run_one(kernel: BenchmarkKernel, mode: str, machine: MachineConfig,
         raise HarnessError(f"unknown mode {mode!r}; choices: {', '.join(MODES)}")
     if mode == "baseline":
         # The baseline must not depend on transformability.
-        seeded = with_seed(parse_program(kernel.text), seed)
+        seeded = kernel.program(seed)
         rep = simulate_baseline(seeded, machine)
         return _row_from(kernel.name, mode, rep, rep, seeded)
     prep = prepare(kernel, machine, seed=seed, theta=theta, rho=rho,

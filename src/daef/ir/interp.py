@@ -131,7 +131,20 @@ class CompiledFunction:
     """A function and the Python code generated for it.
 
     ids maps each block label to the node ids that retire when the block
-    runs; run is the generated function that run_compiled calls.
+    runs.  run(env, mem, output, block_counts, fuel, mem_size, on_load=None,
+    on_prefetch=None) executes one invocation against shared memory and
+    output.  block_counts is keyed by block label and is the basis for
+    the retired instruction counts (every node in a block retires when
+    the block runs).  Parameters are read from env on entry, and the
+    registers the call assigns are written back to env when it returns;
+    the caller decides what to do with them.  fuel is a one-element list
+    holding the nodes the call may still retire.  Hooks, both optional:
+    on_load observes (instr_id, addr, fuel_left) for every executed load,
+    and on_prefetch the same for in-bounds prefetches (out-of-bounds ones
+    are dropped, never faulted).  fuel_left is the fuel after every node
+    of the current block has been charged, so the fuel passed in minus it
+    is the number of nodes this call has retired, counted a whole block
+    at a time.
     """
 
     __slots__ = ("fn", "ids", "run")
@@ -353,7 +366,7 @@ def compile_function(fn: Function) -> CompiledFunction:
     _dispatch(arms, 0, len(arms), 3, body)
     counts = ", ".join(f"c{k}" for k in range(len(blocks)))
     head = ["def run(env, mem, output, block_counts, fuel, mem_size,"
-            " on_load, on_prefetch):",
+            " on_load=None, on_prefetch=None):",
             "    out = output.append",
             "    f = fuel[0]",
             f"    {counts.replace(',', ' =')} = 0"]
@@ -481,34 +494,6 @@ def memory_digest(mem: bytearray) -> str:
     return hashlib.sha256(mem).hexdigest()
 
 
-def run_compiled(
-    cf: CompiledFunction,
-    env: dict[str, int],
-    mem: bytearray,
-    output: list[int],
-    block_counts: dict[str, int],
-    fuel: list[int],
-    mem_size: int,
-    on_load=None,
-    on_prefetch=None,
-) -> None:
-    """Execute one function invocation against shared memory and output.
-
-    block_counts is keyed by block label and is the basis for the retired
-    instruction counts (every node in a block retires when the block runs).
-    Parameters are read from env on entry, and the registers the call
-    assigns are written back to env when it returns; the caller decides
-    what to do with them.  Hooks, both optional: on_load observes
-    (instr_id, addr, fuel_left) for every executed load, and on_prefetch
-    the same for in-bounds prefetches (out-of-bounds ones are dropped,
-    never faulted).  fuel_left is the fuel after every node of the
-    current block has been charged, so the fuel passed in minus it is the
-    number of nodes this call has retired, counted a whole block at a time.
-    """
-    cf.run(env, mem, output, block_counts, fuel, mem_size,
-           on_load, on_prefetch)
-
-
 def retired_counts(
     compiled: list[CompiledFunction],
     counts_per_fn: dict[str, dict[str, int]],
@@ -541,7 +526,7 @@ def interpret(
     env = {p: 0 for p in entry.params}
     output: list[int] = []
     counts: dict[str, int] = {}
-    run_compiled(cf, env, mem, output, counts, [fuel], mem_size)
+    cf.run(env, mem, output, counts, [fuel], mem_size)
     return ExecTrace(
         output=output,
         memory_digest=memory_digest(mem),

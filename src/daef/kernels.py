@@ -14,7 +14,14 @@ import struct
 from dataclasses import dataclass
 from typing import Callable
 
-from .ir import Program, parse_program, splitmix_fill
+from .ir import (
+    DirError,
+    Program,
+    parse_program,
+    splitmix_fill,
+    validate_program,
+    with_seed,
+)
 
 M64 = (1 << 64) - 1
 
@@ -36,8 +43,16 @@ class BenchmarkKernel:
     description: str
     oracle: Callable[[int], list[int]]
 
-    def program(self) -> Program:
-        return parse_program(self.text)
+    def program(self, seed: int = 0) -> Program:
+        """The kernel parsed, seeded and validated: the one check of a
+        program from outside, which the profiler, the phase generator
+        and the simulator take as a precondition."""
+        prog = with_seed(parse_program(self.text), seed)
+        diags = validate_program(prog)
+        if diags:
+            raise DirError("invalid program: "
+                           + "; ".join(str(d) for d in diags[:3]))
+        return prog
 
 
 def _words(seed: int, length: int) -> list[int]:

@@ -242,6 +242,3 @@ class LruCache:
             del s[evicted]
         s[line] = None
         return evicted
-
-    def resident_lines(self) -> set[int]:
-        return {line for s in self.sets.values() for line in s}

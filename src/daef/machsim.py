@@ -46,14 +46,13 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .daegen import PhasePlan
-from .ir import Program, program_digest, validate_program
+from .ir import Program, program_digest
 from .ir.interp import (
     DEFAULT_FUEL,
     compile_function,
     default_mem_size,
     init_memory,
     memory_digest,
-    run_compiled,
 )
 from .machine import LruCache, MachineConfig
 
@@ -252,6 +251,10 @@ def simulate(
 ) -> SimReport:
     """Run a schedule to completion and account time and energy.
 
+    prog must be valid (BenchmarkKernel.program checks a kernel as it is
+    loaded, and make_phases checks the plan it builds); the schedule is
+    checked here.
+
     Registers persist across runs: parameters bind from the run's args
     first, then from the persistent environment, then zero.  Runs marked
     writeback publish their final registers (execute and baseline runs);
@@ -261,11 +264,6 @@ def simulate(
     (instr_id, addr, missed), where missed is true for a load that
     missed outright.  Without it no load pays for observation.
     """
-    diags = validate_program(prog)
-    if diags:
-        raise MachSimError(
-            "refusing to simulate an invalid program: "
-            + "; ".join(str(d) for d in diags))
     names = {f.name for f in prog.functions}
     for r in sched:
         if r.function is not None and r.function not in names:
@@ -319,9 +317,9 @@ def simulate(
         if on_load is not None:
             def load_hook(lid, addr, left, account=clock.on_load):
                 on_load(lid, addr, account(lid, addr, left))
-        run_compiled(cf, call_env, mem, output,
-                     block_counts.setdefault(r.function, {}), fuel_box,
-                     mem_size, on_load=load_hook, on_prefetch=clock.on_prefetch)
+        cf.run(call_env, mem, output, block_counts.setdefault(r.function, {}),
+               fuel_box, mem_size, on_load=load_hook,
+               on_prefetch=clock.on_prefetch)
         cycles = clock.drain(fuel_box[0])
         if r.writeback:
             env.update(call_env)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .cfg import block_of, find_loops
 from .inputs import read_json
-from .ir import Load, Program, program_digest, validate_program, with_seed
+from .ir import Load, Program, program_digest
 from .machine import MachineConfig
 from .machsim import SimReport, simulate_baseline
 
@@ -27,7 +27,7 @@ PROFILE_VERSION = 1
 
 
 class ProfileError(ValueError):
-    """Raised for unusable profile files or unprofilable programs."""
+    """Raised for unusable profile files and criticality thresholds."""
 
 
 @dataclass
@@ -67,12 +67,9 @@ def profiled_baseline(seeded: Program,
     on the way.
 
     The digest stored in the profile identifies the seeded program, so a
-    profile can only be replayed against the same input instance.
+    profile can only be replayed against the same input instance.  The
+    program must be valid, as BenchmarkKernel.program returns it.
     """
-    diags = validate_program(seeded)
-    if diags:
-        raise ProfileError("cannot profile an invalid program: "
-                           + "; ".join(str(d) for d in diags[:3]))
     fn = seeded.entry_function()
     line_bytes = machine.l1.line_bytes
     exec_count: dict[int, int] = {}
@@ -121,12 +118,6 @@ def profiled_baseline(seeded: Program,
         loads=loads,
         loops=loops,
     )
-
-
-def profile_run(prog: Program, machine: MachineConfig,
-                input_seed: int = 0) -> ProfileReport:
-    """Profile one run of the program materialized with input_seed."""
-    return profiled_baseline(with_seed(prog, input_seed), machine)[1]
 
 
 # -- criticality -------------------------------------------------------------

@@ -47,7 +47,6 @@ from daef.ir.interp import (
     default_mem_size,
     init_memory,
     memory_digest,
-    run_compiled,
 )
 from daef.machine import MachineConfig
 
@@ -74,7 +73,7 @@ def run_phased(plan, with_access: bool = True):
         fn = p.function(fname)
         cf = compile_function(fn)
         call_env = {q: args.get(q, env.get(q, 0)) for q in fn.params}
-        run_compiled(cf, call_env, mem, output, {}, [DEFAULT_FUEL], mem_size)
+        cf.run(call_env, mem, output, {}, [DEFAULT_FUEL], mem_size)
         return call_env
 
     for k in range(plan.n_slices):
@@ -423,20 +422,6 @@ def test_stray_critical_ids_are_ignored():
 
 # ---------------------------------------------------------------------------
 # rejections
-
-
-def test_rejects_invalid_program():
-    bad = parse_program("""
-entry @main
-func @main() kind=original {
-entry:
-  out %nope
-  ret
-}
-""")
-    with pytest.raises(DaegenError) as e:
-        make_phases(bad, set(), override(4))
-    assert e.value.diagnostics
 
 
 def test_rejects_program_without_a_loop():

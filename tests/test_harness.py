@@ -50,7 +50,12 @@ from daef.kernels import BenchmarkKernel, builtin_kernels, kernel_by_name
 from daef.machine import MachineConfig
 from daef import harness, machsim
 from daef.machsim import baseline_schedule, build_schedule, simulate
-from daef.profiler import profile_run, read_profile, report_to_json
+from daef.profiler import (
+    profiled_baseline,
+    read_profile,
+    report_to_json,
+    write_profile,
+)
 
 
 def machine() -> MachineConfig:
@@ -238,7 +243,7 @@ def test_suite_rows_follow_kernel_order():
 def test_profile_reuse_and_staleness():
     m = machine()
     k = kernel_by_name("stream_sum")
-    prof = profile_run(parse_program(k.text), m, input_seed=0)
+    prof = profiled_baseline(k.program(), m)[1]
     prep = prepare(k, m, seed=0, profile=prof)
     assert prep.profile is prof
     with pytest.raises(HarnessError, match="different program"):
@@ -329,8 +334,8 @@ def test_cli_stale_profile_is_refused(tmp_path, capsys):
 
 
 def test_cli_run_emit_dir_prints_the_simulated_plan(tmp_path, capsys):
-    prof = profile_run(parse_program(kernel_by_name("gather_sum").text),
-                       machine())
+    prof = profiled_baseline(kernel_by_name("gather_sum").program(),
+                             machine())[1]
     data = report_to_json(prof)
     *rest, last = data["loads"]
     last["miss"] = last["stall"] = 0  # one critical load fewer
@@ -571,6 +576,60 @@ entry:
     err = capsys.readouterr().err
     assert err.startswith("daef: ") and err.count("\n") == 1
     assert "memory limit" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile"],
+    ["transform"],
+    ["run", "--mode", "baseline"],
+    ["run", "--mode", "static_dae"],
+    ["run", "--mode", "dynamic_dae"],
+    ["run", "--mode", "static_dae", "--profile", "STORED"],
+], ids=["profile", "transform", "baseline", "static_dae", "dynamic_dae",
+        "stored_profile"])
+def test_cli_invalid_kernel_is_exit_2(tmp_path, capsys, argv):
+    """Every command refuses an invalid kernel where it is loaded, with
+    one line naming the fault, before any profile or plan is used."""
+    src = tmp_path / "ghost.dir"
+    src.write_text("func @main() kind=original {\nentry:\n  out %ghost\n"
+                   "  ret\n}\n")
+    if "STORED" in argv:
+        stored = tmp_path / "p.json"
+        write_profile(profiled_baseline(kernel_by_name("compute_poly").program(),
+                                        machine())[1], stored)
+        argv = [str(stored) if a == "STORED" else a for a in argv]
+    rc = main([*argv, "--kernel", str(src)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("daef: invalid program: ") and err.count("\n") == 1
+    assert "%ghost used before assignment" in err
+
+
+def test_each_program_is_validated_once(monkeypatch):
+    """A kernel is validated where BenchmarkKernel.program loads it and
+    its plan where make_phases builds it, and nowhere downstream: twice
+    per prepare, once per baseline-only run, ten times per suite pass."""
+    real = validate_program
+    calls = []
+
+    def counting(prog):
+        calls.append(len(prog.functions))
+        return real(prog)
+
+    for mod in [m for n, m in sys.modules.items() if n.startswith("daef")]:
+        for name, value in list(vars(mod).items()):
+            if value is real:
+                monkeypatch.setattr(mod, name, counting)
+    m = machine()
+    k = kernel_by_name("gather_sum")
+    prepare(k, m, seed=3)
+    assert calls == [1, 4]  # the seeded original, then the plan
+    calls.clear()
+    run_one(k, "baseline", m, seed=3)
+    assert calls == [1]
+    calls.clear()
+    run_suite(m)
+    assert calls == [1, 4] * len(builtin_kernels())
 
 
 def test_cli_equivalence_violation_is_exit_3(monkeypatch, capsys):

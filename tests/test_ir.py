@@ -40,7 +40,6 @@ from daef.ir.interp import (
     DEFAULT_FUEL,
     compile_function,
     default_mem_size,
-    run_compiled,
     splitmix_fill,
     to_signed,
 )
@@ -429,14 +428,14 @@ def test_fuel_exhaustion_is_pinned():
             fn = prog.entry_function()
             size = default_mem_size(prog)
             full = [DEFAULT_FUEL]
-            run_compiled(compile_function(fn), {}, init_memory(prog, size),
-                         [], {}, full, size)
+            compile_function(fn).run({}, init_memory(prog, size), [], {},
+                                     full, size)
             total = DEFAULT_FUEL - full[0]
             for budget in [*range(0, 64, 3), *range(max(0, total - 40), total + 2)]:
                 out, counts, fuel = [], {}, [budget]
                 try:
-                    run_compiled(compile_function(fn), {}, init_memory(prog, size),
-                                 out, counts, fuel, size)
+                    compile_function(fn).run({}, init_memory(prog, size),
+                                             out, counts, fuel, size)
                     err = None
                 except DirRuntimeError as e:
                     err = str(e)
@@ -520,8 +519,8 @@ def run_counts(src: str) -> tuple[list[int], dict[str, int]]:
     fn = prog.entry_function()
     out, counts = [], {}
     size = default_mem_size(prog)
-    run_compiled(compile_function(fn), {}, init_memory(prog, size), out, counts,
-                 [DEFAULT_FUEL], size)
+    compile_function(fn).run({}, init_memory(prog, size), out, counts,
+                             [DEFAULT_FUEL], size)
     return out, counts
 
 
@@ -618,7 +617,7 @@ entry:
     assert ca.run.__code__ is cb.run.__code__
     for cf, names in ((ca, ("x", "y")), (cb, ("u", "v"))):
         env = {"n": 4}
-        run_compiled(cf, env, bytearray(8), [], {}, [100], 8)
+        cf.run(env, bytearray(8), [], {}, [100], 8)
         assert env == {"n": 4, names[0]: 5, names[1]: 15}
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from daef.harness import prepare
-from daef.ir import interpret, parse_program, with_seed
+from daef.ir import interpret, parse_program
 from daef.ir.types import Load, Prefetch, Store
 from daef.kernels import builtin_kernels, kernel_by_name
 from daef.machine import MachineConfig
@@ -22,7 +22,7 @@ def fn_prefetches(fn):
 @pytest.mark.parametrize("kernel", builtin_kernels(), ids=lambda k: k.name)
 @pytest.mark.parametrize("seed", [0, 1, 424242])
 def test_oracle_matches_interpreter(kernel, seed):
-    trace = interpret(with_seed(kernel.program(), seed))
+    trace = interpret(kernel.program(seed))
     assert trace.output == kernel.oracle(seed)
 
 
@@ -43,7 +43,7 @@ def test_compute_poly_touches_no_memory():
     assert not [n for b in fn.blocks for n in b.body if isinstance(n, Store)]
     assert k.working_set_bytes == 0
     # No data to reseed: every input seed computes the same thing.
-    assert interpret(with_seed(k.program(), 3)).output == k.oracle(0)
+    assert interpret(k.program(3)).output == k.oracle(0)
 
 
 def test_input_seed_changes_data_kernels():

@@ -145,5 +145,5 @@ def test_reinstall_resident_line_keeps_size():
     c.install(1)
     c.install(2)
     assert c.install(1) is None  # refresh, not a second copy
-    assert c.resident_lines() == {1, 2}
+    assert c.sets == {0: {1: None, 2: None}}
     assert c.install(3) == 2     # 2 was least recent after the refresh

