@@ -9,10 +9,15 @@ original is interpreted once for its baseline, and that same run yields
 the profile, unless a stored profile was given.  Both decoupled modes
 reuse that profile and plan, and every simulated variant is checked for
 observable equivalence against the baseline before any number is
-reported.  A decoupled simulation runs on the fuel budget of dae_fuel,
-and a runtime fault in it, running past the budget included, counts as
-a divergence: the baseline ran clean.  The suite runs its kernels one
-after another, in list order.
+reported.  The decoupled schedules of a kernel are simulated together
+by machsim.simulate_each: dynamic DAE runs slice 0 while profiling and
+then the same access/execute pairs as static DAE, so where the two
+reach equal machine states after slice 0 the shared slices are
+simulated once, and every report stays what a separate simulation of
+its schedule gives.  A decoupled simulation runs on the fuel budget of
+dae_fuel, and a runtime fault in it, running past the budget included,
+counts as a divergence of the mode that faulted: the baseline ran
+clean.  The suite runs its kernels one after another, in list order.
 
 A row's share columns come from CATEGORIES: each category's wall time
 and energy as a share of the baseline's total, named <category>_time
@@ -47,8 +52,8 @@ from .machsim import (
     baseline_schedule,
     build_schedule,
     normalize,
-    simulate,
     simulate_baseline,
+    simulate_each,
 )
 from .profiler import ProfileReport, classify_critical, profiled_baseline
 
@@ -192,33 +197,45 @@ def dae_fuel(plan: PhasePlan, baseline_nodes: int) -> int:
     return 2 * baseline_nodes + plan.n_slices * static
 
 
-def _run_mode(prep: Prepared, mode: str, machine: MachineConfig,
-              profiling_overhead: Fraction) -> Row:
-    """One mode's row, normalized against the prepared baseline.
+def _run_modes(prep: Prepared, modes: tuple[str, ...], machine: MachineConfig,
+               profiling_overhead: Fraction) -> list[Row]:
+    """The modes' rows, in order, normalized against the prepared baseline.
 
     A schedule equal to the baseline's (static_dae with nothing to
     prefetch) runs the same original function once at f_max on the same
     image, so it is not simulated again: its row reports prep.baseline,
-    with the plan's program as the program simulated.  The rule looks
-    only at the schedule.
+    with the plan's program as the program simulated.  The other
+    schedules go to one simulate_each call, which simulates the runs they
+    share once where their machine states meet (static and dynamic DAE
+    after slice 0).  Both rules look only at the schedules.
     """
-    if mode == "baseline":
-        return _row_from(prep.kernel.name, mode, prep.baseline, prep.baseline,
-                         prep.seeded)
-    sched = build_schedule(mode, prep.plan, machine,
-                           profiling_overhead=profiling_overhead)
-    if sched == baseline_schedule(prep.plan.original, machine):
-        return _row_from(prep.kernel.name, mode, prep.baseline, prep.baseline,
-                         prep.plan.program)
-    fuel = dae_fuel(prep.plan, prep.baseline.total.instr_count)
-    try:
-        rep = simulate(prep.plan.program, sched, machine, fuel=fuel)
-    except DirRuntimeError as e:
-        # The baseline ran to completion, so this is a transformation bug.
-        raise EquivalenceError(f"{prep.kernel.name} [{mode}] failed where its"
-                               f" baseline ran ({fuel}-node budget): {e}")
-    return _row_from(prep.kernel.name, mode, rep, prep.baseline,
-                     prep.plan.program)
+    plan, base = prep.plan, prep.baseline
+    base_sched = baseline_schedule(plan.original, machine)
+    scheds = [build_schedule(mode, plan, machine,
+                             profiling_overhead=profiling_overhead)
+              for mode in modes]
+    fuel = dae_fuel(plan, base.total.instr_count)
+    reports = simulate_each(plan.program, [s for s in scheds if s != base_sched],
+                            machine, fuel=fuel)
+    rows = []
+    for mode, sched in zip(modes, scheds):
+        rep = base
+        if sched != base_sched:
+            try:
+                rep = next(reports)
+            except DirRuntimeError as e:
+                # The baseline ran to completion, so this is a transformation bug.
+                raise EquivalenceError(f"{prep.kernel.name} [{mode}] failed where"
+                                       f" its baseline ran ({fuel}-node budget): {e}")
+        rows.append(_row_from(prep.kernel.name, mode, rep, base,
+                              prep.seeded if mode == "baseline" else plan.program))
+    return rows
+
+
+def _run_mode(prep: Prepared, mode: str, machine: MachineConfig,
+              profiling_overhead: Fraction) -> Row:
+    """One mode's row; see _run_modes."""
+    return _run_modes(prep, (mode,), machine, profiling_overhead)[0]
 
 
 def run_one(kernel: BenchmarkKernel, mode: str, machine: MachineConfig,
@@ -250,8 +267,7 @@ def run_kernel_all_modes(kernel: BenchmarkKernel, machine: MachineConfig,
     plan."""
     prep = prepare(kernel, machine, seed=seed, theta=theta, rho=rho,
                    slice_override=slice_override)
-    return [_run_mode(prep, mode, machine, profiling_overhead)
-            for mode in MODES]
+    return _run_modes(prep, MODES, machine, profiling_overhead)
 
 
 def run_suite(machine: MachineConfig, seed: int = 0,

@@ -231,6 +231,12 @@ class LruCache:
     def contains(self, line: int) -> bool:
         return line in self.sets.get(line % self.n_sets, ())
 
+    def snapshot(self) -> dict[int, tuple[int, ...]]:
+        """Each non-empty set's lines, least recent first.  Two caches of
+        one shape with equal snapshots behave alike from then on; an
+        absent set and an empty one compare equal."""
+        return {i: tuple(s) for i, s in self.sets.items() if s}
+
     def install(self, line: int) -> int | None:
         """Insert a line as most recent; returns the evicted line, if any."""
         s = self.sets.setdefault(line % self.n_sets, {})

@@ -36,13 +36,29 @@ Stats declares the reported quantities once: each run record is a Stats,
 and a report's per-category sums and its total add up every Stats field
 of its records.  normalize() returns the (time, energy) ratios of a
 report's total against a baseline's.
+
+simulate_each simulates several schedules of one program and simulates
+the runs they end in alike once, reusing a suffix only from an equal
+state (the exact form of Schnarr and Larus's memoization, ASPLOS 1998).
+For an earlier schedule A and a later one B whose last L runs are equal
+PhaseRuns, A records its state before its last L runs and B compares
+its own state at the same point.  The state is the frequency, the
+register environment, the sha256 of memory and each L1 set's lines in
+recency order; the miss registers are empty between runs.  From equal
+states equal runs retire the same nodes at the same cost, since a
+clock's time counts from its run's start and fuel matters only where it
+runs out.  So B joins when the states are equal and its fuel left
+covers the nodes A's suffix retired: it takes A's suffix records, the
+output and block counts they added, and A's final memory digest.
+Otherwise it simulates on.  Static and dynamic DAE meet this way
+before access(1), after dynamic's JIT charge.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from .daegen import PhasePlan
@@ -242,12 +258,28 @@ class _RunClock:
         return Fraction(now, self.q)
 
 
+@dataclass
+class _Suffix:
+    """The last runs an earlier schedule shares with a later one: the
+    earlier one's state before them, and what they did from there."""
+    state: tuple | None = None  # (frequency, env, memory sha256, L1 snapshot)
+    start: tuple = ()  # records, output and fuel left at the state, block counts
+    records: list[RunRecord] = field(default_factory=list)
+    output: list[int] = field(default_factory=list)
+    block_counts: dict[str, dict[str, int]] = field(default_factory=dict)
+    memory_digest: str = ""
+    fuel: int = 0  # nodes the suffix retired
+
+
 def simulate(
     prog: Program,
     sched: list[PhaseRun],
     machine: MachineConfig,
     fuel: int = DEFAULT_FUEL,
     on_load=None,
+    *,
+    marks: dict[int, list[_Suffix]] | None = None,
+    joins: dict[int, list[_Suffix]] | None = None,
 ) -> SimReport:
     """Run a schedule to completion and account time and energy.
 
@@ -263,7 +295,13 @@ def simulate(
     on_load, when given, observes every demand load of every run as
     (instr_id, addr, missed), where missed is true for a load that
     missed outright.  Without it no load pays for observation.
+
+    marks and joins come from simulate_each.  Before run k, simulate
+    records its state into each suffix in marks[k], and takes the first
+    suffix in joins[k] whose state equals its own and whose nodes its
+    fuel left covers.  on_load sees only the runs simulated.
     """
+    marks, joins = marks or {}, joins or {}
     names = {f.name for f in prog.functions}
     for r in sched:
         if r.function is not None and r.function not in names:
@@ -301,7 +339,18 @@ def simulate(
             kind=kind, function=None, frequency=f, category=CAT_OVERHEAD,
             wall_ns=ns, energy=idle * ns))
 
-    for r in sched:
+    joined = None
+    for k, r in enumerate(sched):
+        if k in marks or k in joins:
+            state = (freq, dict(env), memory_digest(mem), cache.snapshot())
+            for s in marks.get(k, ()):
+                s.state = state
+                s.start = (len(records), len(output), fuel_box[0],
+                           {fn: dict(c) for fn, c in block_counts.items()})
+            joined = next((s for s in joins.get(k, ())
+                           if s.state == state and s.fuel <= fuel_box[0]), None)
+            if joined is not None:
+                break
         if r.frequency != freq:
             charge("dvfs_switch", machine.dvfs_switch_ns, r.frequency)
             freq = r.frequency
@@ -334,8 +383,33 @@ def simulate(
         records.append(rec)
         if r.charge is not None and r.charge[0] == "profiling":
             charge("profiling", r.charge[1] * rec.wall_ns, r.frequency)
-    if freq != machine.f_max_ghz:
-        charge("dvfs_switch", machine.dvfs_switch_ns, machine.f_max_ghz)
+
+    if joined is None:
+        if freq != machine.f_max_ghz:
+            charge("dvfs_switch", machine.dvfs_switch_ns, machine.f_max_ghz)
+        digest = memory_digest(mem)
+    else:
+        records += joined.records  # copies; no other schedule takes them
+        output += joined.output
+        for fn, counts in joined.block_counts.items():
+            mine = block_counts.setdefault(fn, {})
+            for label, n in counts.items():
+                mine[label] = mine.get(label, 0) + n
+        digest = joined.memory_digest
+    for s in (s for group in marks.values() for s in group):
+        if s.state is None:
+            continue  # this schedule joined another before s began
+        n_rec, n_out, fuel_at, counts_at = s.start
+        s.records = [replace(rec) for rec in records[n_rec:]]
+        s.output = output[n_out:]
+        s.fuel = fuel_at - fuel_box[0]
+        s.memory_digest = digest
+        for fn, counts in block_counts.items():
+            before = counts_at.get(fn, {})
+            grown = {label: n - before.get(label, 0)
+                     for label, n in counts.items() if n != before.get(label, 0)}
+            if grown:
+                s.block_counts[fn] = grown
 
     categories = {c: Stats() for c in CATEGORIES}
     total = Stats()
@@ -350,11 +424,32 @@ def simulate(
         total=total,
         runs=records,
         output=output,
-        memory_digest=memory_digest(mem),
+        memory_digest=digest,
         program_digest=program_digest(original),
         machine_digest=machine.digest(),
         block_counts=block_counts,
     )
+
+
+def simulate_each(prog: Program, scheds: list[list[PhaseRun]],
+                  machine: MachineConfig, fuel: int = DEFAULT_FUEL):
+    """Yield simulate(prog, sched, machine, fuel) for each schedule, in
+    order, simulating the runs a later schedule shares with an earlier
+    one once (see the module docstring).  Each schedule's memory image
+    is released before the next one's is built."""
+    marks: list[dict[int, list[_Suffix]]] = [{} for _ in scheds]
+    joins: list[dict[int, list[_Suffix]]] = [{} for _ in scheds]
+    for j, b in enumerate(scheds):
+        for i, a in enumerate(scheds[:j]):
+            n = 0
+            while n < min(len(a), len(b)) and a[-1 - n] == b[-1 - n]:
+                n += 1
+            if n:
+                s = _Suffix()
+                marks[i].setdefault(len(a) - n, []).append(s)
+                joins[j].setdefault(len(b) - n, []).append(s)
+    for sched, mine, theirs in zip(scheds, marks, joins):
+        yield simulate(prog, sched, machine, fuel, marks=mine, joins=theirs)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,15 @@ accumulators, and optional stores.  break_program damages either kind
 for the validator.  br_chain and brcond_tree write the source of long and
 deeply nested kernels for the code generator; bound_chain, base_chain,
 load_blocks and empty_tail write counted loops whose definition chains or
-bodies are n long, for the phase generator.
+bodies are n long, for the phase generator.  counting_clocks counts the
+runs the simulator simulates.
 """
 
 from __future__ import annotations
 
 import random
 
+from daef import machsim
 from daef.ir import Br, Program, node_def, parse_program, validate_program
 
 
@@ -52,6 +54,20 @@ done:
   ret %acc
 }
 """
+
+
+def counting_clocks(monkeypatch) -> list:
+    """Patch the simulator's run clock to append to the returned list once
+    per simulated run."""
+    clocks = []
+
+    class Counting(machsim._RunClock):
+        def __init__(self, *args):
+            clocks.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(machsim, "_RunClock", Counting)
+    return clocks
 
 
 def sum_kernel() -> Program:

@@ -17,6 +17,7 @@ from conftest import (
     bound_chain,
     br_chain,
     brcond_tree,
+    counting_clocks,
     empty_tail,
     load_blocks,
     random_loop_kernel,
@@ -47,7 +48,7 @@ from daef.ir import interp
 from daef.ir.interp import init_memory, splitmix_fill
 from daef.ir.validate import MAX_DATA_END
 from daef.kernels import BenchmarkKernel, builtin_kernels, kernel_by_name
-from daef.machine import MachineConfig
+from daef.machine import L1Config, MachineConfig
 from daef import harness, machsim
 from daef.machsim import baseline_schedule, build_schedule, simulate
 from daef.profiler import (
@@ -652,3 +653,110 @@ def test_cli_suite_is_reproducible(tmp_path):
     assert (a / "suite.dat").read_bytes() == (b / "suite.dat").read_bytes()
     lines = (a / "suite.csv").read_text().splitlines()
     assert len(lines) == 1 + 15 + 3
+
+
+def random_machine(rng: random.Random) -> MachineConfig:
+    """A valid machine with a random L1 shape, miss registers and timing."""
+    line = rng.choice([8, 16, 32, 64, 128])
+    ways = rng.choice([1, 2, 4, 8])
+    return MachineConfig(
+        l1=L1Config(capacity_bytes=line * ways * rng.choice([1, 2, 8, 32]),
+                    line_bytes=line, ways=ways, hit_cycles=rng.randint(1, 6)),
+        mshr_count=rng.randint(1, 16),
+        mem_latency_ns=Fraction(rng.randint(1, 240), rng.choice([1, 3, 7])))
+
+
+def test_all_modes_rows_equal_standalone_simulations(monkeypatch):
+    """run_kernel_all_modes simulates the runs that static and dynamic DAE
+    share once, where their machine states meet.  On random kernels and
+    machines every row still equals a standalone simulation of its
+    schedule in every SimReport field, and no two reports share a list,
+    a dict or a record.  Both outcomes of the join rule occur."""
+    clocks = counting_clocks(monkeypatch)
+    rng = random.Random(13)
+    joins = fallbacks = 0
+    for i in range(40):
+        m = random_machine(rng)
+        overhead = rng.choice([Fraction(0), Fraction(1, 10)])
+        size = rng.choice([None, 1, 3, 8])
+        theta = rng.choice([Fraction(0), Fraction(1, 100), Fraction(1, 5)])
+        kernel = BenchmarkKernel(name=f"rand{i}",
+                                 text=print_program(random_loop_kernel(rng)),
+                                 working_set_bytes=0, characterization="user",
+                                 description="", oracle=lambda seed: None)
+        clocks.clear()
+        rows = run_kernel_all_modes(kernel, m, theta=theta, slice_override=size,
+                                    profiling_overhead=overhead)
+        simulated = len(clocks) - 1  # prepare's baseline is one run
+
+        prep = prepare(kernel, m, theta=theta, slice_override=size)
+        fuel = harness.dae_fuel(prep.plan, prep.baseline.total.instr_count)
+        scheds = {mode: build_schedule(mode, prep.plan, m,
+                                       profiling_overhead=overhead)
+                  for mode in machsim.MODES}
+        for row in rows:
+            prog = prep.seeded if row.mode == "baseline" else prep.plan.program
+            alone = simulate(prog, scheds[row.mode], m, fuel=fuel)
+            for f in dataclasses.fields(machsim.SimReport):
+                assert getattr(row.report, f.name) == getattr(alone, f.name), \
+                    (i, row.mode, f.name)
+
+        dae = [scheds[mode] for mode in ("static_dae", "dynamic_dae")
+               if scheds[mode] != scheds["baseline"]]
+        runs = sum(r.function is not None for sched in dae for r in sched)
+        assert simulated <= runs
+        if simulated < runs:
+            joins += 1
+        elif len(dae) == 2 and dae[0][-1] == dae[1][-1]:
+            fallbacks += 1
+
+        seen = set()
+        for rep in {id(r.report): r.report for r in rows}.values():
+            for obj in (rep.runs, rep.output, rep.block_counts, rep.categories,
+                        rep.total, *rep.runs, *rep.block_counts.values(),
+                        *rep.categories.values()):
+                assert id(obj) not in seen, (i, type(obj).__name__)
+                seen.add(id(obj))
+    assert joins >= 1 and fallbacks >= 1, (joins, fallbacks)
+
+
+def test_run_clocks_per_pass_are_pinned(monkeypatch):
+    """The runs simulated in a seed-0 pass of each benchmark workload.
+    Static and dynamic DAE share every run from access(1) on, so the
+    suite simulates 97 runs (145 with each schedule simulated alone) and
+    the sweep over 1, 4 and 16 miss registers 126 (228).  compute_poly
+    has nothing to prefetch: its static schedule is the baseline's, its
+    dynamic one has nothing to join, and 8 seeds take 264 runs."""
+    clocks = counting_clocks(monkeypatch)
+    run_suite(machine(), seed=0)
+    assert len(clocks) == 97
+    clocks.clear()
+    for n in (1, 4, 16):
+        m = dataclasses.replace(machine(), mshr_count=n)
+        for name in ("gather_sum", "chase_sum"):
+            run_kernel_all_modes(kernel_by_name(name), m, seed=0)
+    assert len(clocks) == 126
+    clocks.clear()
+    for seed in range(8):
+        run_kernel_all_modes(kernel_by_name("compute_poly"), machine(), seed=seed)
+    assert len(clocks) == 264
+
+
+def test_suite_past_its_budget_names_the_failing_mode(tmp_path, capsys,
+                                                     monkeypatch):
+    """With dae_fuel cut to 1,000 nodes the suite stops at its first
+    failing cell, compute_poly's dynamic schedule.  Each kernel with
+    something to prefetch fails first in static_dae, the earlier of the
+    two schedules simulated together."""
+    monkeypatch.setattr(harness, "dae_fuel", lambda plan, nodes: 1000)
+    assert main(["suite", "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "daef: compute_poly [dynamic_dae] failed where its baseline ran"
+        " (1000-node budget): fuel exhausted in block 'loop'\n")
+    for name, block in (("stream_sum", "body"), ("gather_sum", "loop"),
+                        ("chase_sum", "body"), ("stencil3", "body")):
+        with pytest.raises(EquivalenceError) as err:
+            run_kernel_all_modes(kernel_by_name(name), machine())
+        assert str(err.value) == (
+            f"{name} [static_dae] failed where its baseline ran"
+            f" (1000-node budget): fuel exhausted in block '{block}'")

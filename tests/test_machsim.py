@@ -21,16 +21,18 @@ from daef.machsim import (
     MODES,
     MachSimError,
     PhaseRun,
+    SimReport,
     Stats,
     _RunClock,
     baseline_schedule,
     build_schedule,
     normalize,
     simulate,
+    simulate_each,
 )
 from daef.profiler import profiled_baseline
 
-from conftest import random_loop_kernel
+from conftest import counting_clocks, random_loop_kernel
 
 
 def machine() -> MachineConfig:
@@ -567,6 +569,16 @@ def test_l1_sets_are_built_on_first_install():
     assert not cache.contains(6) and list(cache.sets) == [5]
 
 
+def test_l1_snapshot_lists_lines_least_recent_first():
+    c = LruCache(L1Config(capacity_bytes=256, line_bytes=64, ways=2))
+    assert c.snapshot() == {}
+    for line in (0, 2, 1, 0):
+        c.install(line)
+    assert c.snapshot() == {0: (2, 0), 1: (1,)}
+    c.sets[3] = {}  # a set with no lines equals an absent one
+    assert c.snapshot() == {0: (2, 0), 1: (1,)}
+
+
 def test_load_hit_makes_its_line_most_recent():
     """The clock probes the L1 itself: addresses map to 64-byte lines,
     and a hit moves its line to the most recent end of the set."""
@@ -670,3 +682,80 @@ def test_energy_is_power_times_wall_exactly():
                         assert r.energy == m.power(r.frequency, r.ipc) * r.wall_ns
                     else:
                         assert r.energy == idle * r.wall_ns
+
+
+def test_later_schedule_joins_only_with_fuel_for_the_shared_suffix(monkeypatch):
+    """dynamic_dae then static_dae share every run from access(1) on and
+    meet there in equal states.  With fuel for both, the later schedule
+    joins: it simulates only its two runs of slice 0.  Given fuel for
+    its prefix but not for the shared suffix, it does not join and
+    fails as it does alone."""
+    clocks = counting_clocks(monkeypatch)
+    m = machine()
+    plan = prepare(kernel_by_name("gather_sum"), m).plan
+    dyn = build_schedule("dynamic_dae", plan, m)
+    st = build_schedule("static_dae", plan, m)
+    assert dyn[2:] == st[2:] and dyn[1].function is None
+    alone = simulate(plan.program, st, m)
+    dyn_nodes = simulate(plan.program, dyn, m).total.instr_count
+    clocks.clear()
+    _, later = simulate_each(plan.program, [dyn, st], m,
+                                 fuel=alone.total.instr_count)
+    assert len(clocks) == sum(r.function is not None for r in dyn) + 2
+    for f in dataclasses.fields(SimReport):
+        assert getattr(later, f.name) == getattr(alone, f.name), f.name
+
+    short = simulate_each(plan.program, [dyn, st], m, fuel=dyn_nodes)
+    assert next(short).total.instr_count == dyn_nodes
+    with pytest.raises(DirRuntimeError) as joined:
+        next(short)
+    with pytest.raises(DirRuntimeError) as standalone:
+        simulate(plan.program, st, m, fuel=dyn_nodes)
+    assert str(joined.value) == str(standalone.value)
+
+
+def test_join_requires_equal_memory(monkeypatch):
+    """Two schedules end in the same run of @main from equal frequency,
+    registers and cache, and differ only in what an earlier run stored:
+    the later one joins only where memory is equal too."""
+    text = """
+data @base=4096 zero=64
+
+entry @main
+
+func @main() kind=original {
+entry:
+  %b = const 4096
+  %v = load %b, 0, w8
+  out %v
+  ret %v
+}
+
+func @poke() kind=original {
+entry:
+  %b = const 4096
+  %x = const 7
+  store %b, 0, %x, w8
+  ret %x
+}
+
+func @idle() kind=original {
+entry:
+  %x = const 7
+  ret %x
+}
+"""
+    clocks = counting_clocks(monkeypatch)
+    m = machine()
+    prog = parse_program(text)
+    main, poke, idle = (PhaseRun(function=name, frequency=m.f_max_ghz,
+                                 category=CAT_EXECUTE)
+                        for name in ("main", "poke", "idle"))
+    scheds = [[main], [idle, main], [poke, main]]
+    reps = list(simulate_each(prog, scheds, m))
+    assert len(clocks) == 1 + 1 + 2
+    assert [r.output for r in reps] == [[0], [0], [7]]
+    for sched, rep in zip(scheds, reps):
+        alone = simulate(prog, sched, m)
+        for f in dataclasses.fields(SimReport):
+            assert getattr(rep, f.name) == getattr(alone, f.name), f.name
