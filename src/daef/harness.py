@@ -6,7 +6,15 @@ program is validated once, where BenchmarkKernel.program parses and
 seeds it, and its phase plan once, where make_phases builds it; the
 profiler and simulator take both as valid.  Each kernel's seeded
 original is interpreted once for its baseline, and that same run yields
-the profile, unless a stored profile was given.  Both decoupled modes
+the profile, unless a stored profile was given.  Without a stored
+profile, prepare keeps what it built in a small LRU memo and serves a
+later call with equal inputs from it: the seeded program's digest,
+theta, rho, the slice override and the machine, whose mshr_count is
+left out when the seeded program has no prefetch (its baseline never
+allocates a miss register, and the plan reads only the L1 capacity).
+So a sweep over miss registers profiles and plans each kernel once.  A
+served value carries the caller's kernel and machine digest in reports
+of its own, equal to what a fresh prepare returns.  Both decoupled modes
 reuse that profile and plan, and every simulated variant is checked for
 observable equivalence against the baseline before any number is
 reported.  The decoupled schedules of a kernel are simulated together
@@ -28,7 +36,9 @@ follow that one list.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from collections import OrderedDict
+from copy import deepcopy
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,7 +50,7 @@ from .daegen import (
     make_phases,
 )
 from .inputs import read_text
-from .ir import DirRuntimeError, Program, program_digest
+from .ir import DirRuntimeError, Prefetch, Program, program_digest
 from .kernels import BenchmarkKernel, builtin_kernels, kernel_by_name
 from .machine import MachineConfig
 from .machsim import (
@@ -133,6 +143,49 @@ def check_profile(profile: ProfileReport, seeded: Program,
     return problems
 
 
+# The Prepared values prepare built, least recently used first.  A sweep
+# over miss registers, or over the seeds of a kernel without random data,
+# asks for the same few in turn; each holds one plan and two small
+# reports, and the bound only stops a long-lived process from growing.
+_PREPARED_MAX = 16
+_prepared: OrderedDict[tuple, Prepared] = OrderedDict()
+
+
+def _machine_key(seeded: Program, machine: MachineConfig) -> MachineConfig:
+    """The machine as the baseline and the plan read it.  Without a
+    prefetch the baseline never allocates a miss register, so
+    mshr_count does not matter; the plan reads only the L1 capacity."""
+    if any(isinstance(n, Prefetch) for fn in seeded.functions
+           for n in fn.nodes()):
+        return machine
+    return replace(machine, mshr_count=1)
+
+
+def _served(prep: Prepared, kernel: BenchmarkKernel, seeded: Program,
+            machine: MachineConfig) -> Prepared:
+    """prep for this caller: its kernel, program and machine digest, and
+    reports of its own, so that no call's rows share a list, dict or
+    record with another call's or with the memo."""
+    digest = machine.digest()
+    return replace(
+        prep, kernel=kernel, seeded=seeded,
+        baseline=replace(deepcopy(prep.baseline), machine_digest=digest),
+        profile=replace(deepcopy(prep.profile), machine_digest=digest))
+
+
+def _plan(kernel: BenchmarkKernel, seeded: Program, machine: MachineConfig,
+          profile: ProfileReport, baseline: SimReport, theta: Fraction,
+          rho: Fraction, slice_override: int | None) -> Prepared:
+    critical = classify_critical(profile, theta)
+    li = candidate_loop(seeded.entry_function())
+    slice_params = choose_slice_size(machine, profile.footprint(li.header),
+                                     rho=rho, override=slice_override)
+    plan = make_phases(seeded, critical=critical, slice_params=slice_params)
+    return Prepared(kernel=kernel, seeded=seeded, profile=profile,
+                    critical=critical, slice_params=slice_params,
+                    plan=plan, baseline=baseline)
+
+
 def prepare(kernel: BenchmarkKernel, machine: MachineConfig, seed: int = 0,
             theta: Fraction = Fraction(1, 100), rho: Fraction = Fraction(1, 2),
             slice_override: int | None = None,
@@ -143,22 +196,33 @@ def prepare(kernel: BenchmarkKernel, machine: MachineConfig, seed: int = 0,
     The baseline runs before the plan exists: it simulates the seeded
     original alone, which reports the same program digest as the
     original inside the combined plan program.
+
+    Without a stored profile, the result is reused from an earlier call
+    whose inputs are equal: the seeded program's digest, theta, rho,
+    slice_override and the machine, less its mshr_count when the seeded
+    program has no prefetch (see _machine_key).  A reused value carries
+    this call's kernel, seeded program and machine digest, and copies of
+    the reports, so it equals what a fresh prepare returns.
     """
     seeded = kernel.program(seed)
-    if profile is None:
-        baseline, profile = profiled_baseline(seeded, machine)
-    else:
+    if profile is not None:
         check_profile(profile, seeded, machine, allow_stale)
-        baseline = simulate_baseline(seeded, machine)
-    critical = classify_critical(profile, theta)
-
-    li = candidate_loop(seeded.entry_function())
-    slice_params = choose_slice_size(machine, profile.footprint(li.header),
-                                     rho=rho, override=slice_override)
-    plan = make_phases(seeded, critical=critical, slice_params=slice_params)
-    return Prepared(kernel=kernel, seeded=seeded, profile=profile,
-                    critical=critical, slice_params=slice_params,
-                    plan=plan, baseline=baseline)
+        return _plan(kernel, seeded, machine, profile,
+                     simulate_baseline(seeded, machine), theta, rho,
+                     slice_override)
+    key = (program_digest(seeded), theta, rho, slice_override,
+           _machine_key(seeded, machine))
+    prep = _prepared.get(key)
+    if prep is None:
+        baseline, profiled = profiled_baseline(seeded, machine)
+        prep = _plan(kernel, seeded, machine, profiled, baseline, theta, rho,
+                     slice_override)
+        _prepared[key] = prep
+        if len(_prepared) > _PREPARED_MAX:
+            _prepared.popitem(last=False)
+    else:
+        _prepared.move_to_end(key)
+    return _served(prep, kernel, seeded, machine)
 
 
 def _diff_dump(name: str, mode: str, rep: SimReport, base: SimReport) -> str:

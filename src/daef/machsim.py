@@ -276,7 +276,7 @@ def simulate(
     sched: list[PhaseRun],
     machine: MachineConfig,
     fuel: int = DEFAULT_FUEL,
-    on_load=None,
+    tally: tuple[dict[int, set[int]], dict[int, int]] | None = None,
     *,
     marks: dict[int, list[_Suffix]] | None = None,
     joins: dict[int, list[_Suffix]] | None = None,
@@ -292,14 +292,16 @@ def simulate(
     writeback publish their final registers (execute and baseline runs);
     access runs observe but never publish.
 
-    on_load, when given, observes every demand load of every run as
-    (instr_id, addr, missed), where missed is true for a load that
-    missed outright.  Without it no load pays for observation.
+    tally, when given, is the profiler's (lines, misses), keyed by the
+    id of every load the schedule may run: each demand load adds its
+    cache line to lines[id], and one that missed outright adds 1 to
+    misses[id].  One wrapper around the clock's on_load records both;
+    without a tally no load pays for it.
 
     marks and joins come from simulate_each.  Before run k, simulate
     records its state into each suffix in marks[k], and takes the first
     suffix in joins[k] whose state equals its own and whose nodes its
-    fuel left covers.  on_load sees only the runs simulated.
+    fuel left covers.  tally sees only the runs simulated.
     """
     marks, joins = marks or {}, joins or {}
     names = {f.name for f in prog.functions}
@@ -363,9 +365,13 @@ def simulate(
         fuel_before = fuel_box[0]
         clock = _RunClock(machine, cache, r.frequency, fuel_before)
         load_hook = clock.on_load
-        if on_load is not None:
-            def load_hook(lid, addr, left, account=clock.on_load):
-                on_load(lid, addr, account(lid, addr, left))
+        if tally is not None:
+            def load_hook(lid, addr, left, account=clock.on_load,
+                          lines=tally[0], misses=tally[1],
+                          line_bytes=machine.l1.line_bytes):
+                lines[lid].add(addr // line_bytes)
+                if account(lid, addr, left):
+                    misses[lid] += 1
         cf.run(call_env, mem, output, block_counts.setdefault(r.function, {}),
                fuel_box, mem_size, on_load=load_hook,
                on_prefetch=clock.on_prefetch)
@@ -462,10 +468,10 @@ def baseline_schedule(function: str, machine: MachineConfig) -> list[PhaseRun]:
 
 
 def simulate_baseline(prog: Program, machine: MachineConfig,
-                      on_load=None) -> SimReport:
-    """The entry function alone, once, at f_max."""
+                      tally=None) -> SimReport:
+    """The entry function alone, once, at f_max; tally as in simulate."""
     return simulate(prog, baseline_schedule(prog.entry, machine), machine,
-                    on_load=on_load)
+                    tally=tally)
 
 
 def build_schedule(

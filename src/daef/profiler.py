@@ -1,12 +1,15 @@
 """Offline cache profiling of DIR programs, taken on the baseline run.
 
-The profile is an observer on the baseline simulation: the seeded
-original runs once at f_max against the machine's L1, every miss
-stalling the core for the full memory latency.  From that one run the
-profile ranks loads by the stall cycles they caused and measures each
-canonical loop's cache footprint per iteration, the two inputs the phase
-generator needs.  This module also classifies critical loads and
-persists profiles as JSON.
+The profile is taken on the baseline simulation: the seeded original
+runs once at f_max against the machine's L1, every miss stalling the
+core for the full memory latency.  The simulator keeps two tallies for
+it, the cache lines and the outright misses of each load id, recorded
+by one wrapper around its clock's load hook; a load's execution count
+is its block's entry count, which every simulation reports anyway.
+From that one run the profile ranks loads by the stall cycles they
+caused and measures each canonical loop's cache footprint per
+iteration, the two inputs the phase generator needs.  This module also
+classifies critical loads and persists profiles as JSON.
 """
 
 from __future__ import annotations
@@ -72,31 +75,21 @@ def profiled_baseline(seeded: Program,
     """
     fn = seeded.entry_function()
     line_bytes = machine.l1.line_bytes
-    exec_count: dict[int, int] = {}
-    miss_count: dict[int, int] = {}
-    lines_of: dict[int, set[int]] = {}
-    for blk in fn.blocks:
-        for instr in blk.body:
-            if isinstance(instr, Load):
-                exec_count[instr.id] = 0
-                miss_count[instr.id] = 0
-                lines_of[instr.id] = set()
+    lines_of: dict[int, set[int]] = {
+        instr.id: set() for blk in fn.blocks for instr in blk.body
+        if isinstance(instr, Load)}
+    miss_count = dict.fromkeys(lines_of, 0)
+    base = simulate_baseline(seeded, machine, tally=(lines_of, miss_count))
 
-    def on_load(lid: int, addr: int, missed: bool) -> None:
-        exec_count[lid] += 1
-        lines_of[lid].add(addr // line_bytes)
-        if missed:
-            miss_count[lid] += 1
-
-    base = simulate_baseline(seeded, machine, on_load=on_load)
-
-    lat = machine.mem_latency_cycles(machine.f_max_ghz)
-    loads = [LoadStats(id=i, exec_count=exec_count[i], miss_count=miss_count[i],
-                       stall_cycles=miss_count[i] * lat, lines=len(lines_of[i]))
-             for i in sorted(exec_count)]
-
+    # A load runs once each time its block is entered.
     counts = base.block_counts[fn.name]
     where = block_of(fn)
+    lat = machine.mem_latency_cycles(machine.f_max_ghz)
+    loads = [LoadStats(id=i, exec_count=counts.get(where[i], 0),
+                       miss_count=miss_count[i],
+                       stall_cycles=miss_count[i] * lat, lines=len(lines_of[i]))
+             for i in sorted(lines_of)]
+
     loops = []
     for li in find_loops(fn).loops:
         trips = counts.get(li.latch, 0)

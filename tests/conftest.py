@@ -10,15 +10,24 @@ for the validator.  br_chain and brcond_tree write the source of long and
 deeply nested kernels for the code generator; bound_chain, base_chain,
 load_blocks and empty_tail write counted loops whose definition chains or
 bodies are n long, for the phase generator.  counting_clocks counts the
-runs the simulator simulates.
+runs the simulator simulates.  Every test starts with prepare's memo
+empty, as a fresh process does.
 """
 
 from __future__ import annotations
 
 import random
 
-from daef import machsim
+import pytest
+
+from daef import harness, machsim
 from daef.ir import Br, Program, node_def, parse_program, validate_program
+
+
+@pytest.fixture(autouse=True)
+def cold_prepare():
+    """Forget the Prepared values earlier tests built."""
+    harness._prepared.clear()
 
 
 def assert_valid(prog: Program) -> None:

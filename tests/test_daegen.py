@@ -17,6 +17,8 @@ import pytest
 
 from conftest import (
     assert_valid,
+    base_chain,
+    bound_chain,
     empty_tail,
     load_blocks,
     random_loop_kernel,
@@ -271,6 +273,21 @@ def test_phase_equivalence_random_kernels():
         else:
             critical = {x for x in loads if rng.random() < 0.5}
         plan = make_phases(prog, critical, override(rng.choice([1, 7, 64, 1000])))
+        assert run_phased(plan) == (ref.output, ref.memory_digest)
+        assert run_phased(plan, with_access=False) == (ref.output, ref.memory_digest)
+
+
+def test_phase_equivalence_random_chain_kernels():
+    """The large-kernel generators at random small sizes: long definition
+    chains in the prologue, many load blocks or empty blocks in the body,
+    random critical sets and slice lengths."""
+    rng = random.Random(4099)
+    gens = (bound_chain, base_chain, load_blocks, empty_tail)
+    for _ in range(24):
+        prog = parse_program(rng.choice(gens)(rng.randint(1, 64)))
+        ref = interpret(prog)
+        critical = {x for x in entry_loads(prog) if rng.random() < 0.5}
+        plan = make_phases(prog, critical, override(rng.choice([1, 3, 8, 64])))
         assert run_phased(plan) == (ref.output, ref.memory_digest)
         assert run_phased(plan, with_access=False) == (ref.output, ref.memory_digest)
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    SUM_KERNEL,
     base_chain,
     bound_chain,
     br_chain,
@@ -166,7 +167,8 @@ def test_suite_output_bytes_are_pinned():
 def test_one_memory_image_per_simulation(monkeypatch):
     """The baseline doubles as the profiling run: one materialization per
     simulation.  compute_poly has nothing to prefetch, so its static_dae
-    schedule is the baseline's and reuses that run: 2 images, not 3."""
+    schedule is the baseline's and reuses that run: 2 images, not 3.  A
+    second call reuses the prepared baseline and saves its image."""
     calls = []
 
     def counting(prog, mem_size):
@@ -181,6 +183,9 @@ def test_one_memory_image_per_simulation(monkeypatch):
         calls.clear()
         run_kernel_all_modes(kernel_by_name(name), machine())
         assert len(calls) == images, name
+        calls.clear()
+        run_kernel_all_modes(kernel_by_name(name), machine())
+        assert len(calls) == images - 1, name
 
 
 def test_reused_static_row_equals_a_forced_simulation():
@@ -467,6 +472,12 @@ def test_suite_compiles_each_distinct_function_once(monkeypatch):
     monkeypatch.setattr(interp, "compile", counting, raising=False)
     run_suite(machine(), seed=0)
     assert len(calls) == 14
+    # A second pass reuses each kernel's prepared baseline: with the code
+    # cache emptied, it compiles only the 9 plan functions it simulates.
+    calls.clear()
+    interp._code.cache_clear()
+    run_suite(machine(), seed=0)
+    assert len(calls) == 9
     interp._code.cache_clear()
 
 
@@ -609,7 +620,9 @@ def test_cli_invalid_kernel_is_exit_2(tmp_path, capsys, argv):
 def test_each_program_is_validated_once(monkeypatch):
     """A kernel is validated where BenchmarkKernel.program loads it and
     its plan where make_phases builds it, and nowhere downstream: twice
-    per prepare, once per baseline-only run, ten times per suite pass."""
+    per prepare, once per baseline-only run, ten times per suite pass.
+    A prepare served from the memo builds no plan: once per prepare, five
+    times per suite pass."""
     real = validate_program
     calls = []
 
@@ -626,11 +639,17 @@ def test_each_program_is_validated_once(monkeypatch):
     prepare(k, m, seed=3)
     assert calls == [1, 4]  # the seeded original, then the plan
     calls.clear()
+    prepare(k, m, seed=3)
+    assert calls == [1]
+    calls.clear()
     run_one(k, "baseline", m, seed=3)
     assert calls == [1]
     calls.clear()
     run_suite(m)
     assert calls == [1, 4] * len(builtin_kernels())
+    calls.clear()
+    run_suite(m)
+    assert calls == [1] * len(builtin_kernels())
 
 
 def test_cli_equivalence_violation_is_exit_3(monkeypatch, capsys):
@@ -653,6 +672,17 @@ def test_cli_suite_is_reproducible(tmp_path):
     assert (a / "suite.dat").read_bytes() == (b / "suite.dat").read_bytes()
     lines = (a / "suite.csv").read_text().splitlines()
     assert len(lines) == 1 + 15 + 3
+
+
+def test_cli_suite_is_reproducible_from_a_cold_start(tmp_path):
+    """Criterion 9 on two independent computations: the second suite is
+    not served from the first one's prepared kernels."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["suite", "--seed", "7", "--out", str(a)]) == 0
+    harness._prepared.clear()
+    assert main(["suite", "--seed", "7", "--out", str(b)]) == 0
+    assert (a / "suite.csv").read_bytes() == (b / "suite.csv").read_bytes()
+    assert (a / "suite.dat").read_bytes() == (b / "suite.dat").read_bytes()
 
 
 def random_machine(rng: random.Random) -> MachineConfig:
@@ -720,26 +750,155 @@ def test_all_modes_rows_equal_standalone_simulations(monkeypatch):
     assert joins >= 1 and fallbacks >= 1, (joins, fallbacks)
 
 
+def mutable_parts(rep, prof=None) -> set[int]:
+    """The ids of every list, dict and record in a baseline report and
+    a profile."""
+    parts = [rep.runs, rep.output, rep.block_counts, rep.categories,
+             rep.total, *rep.runs, *rep.block_counts.values(),
+             *rep.categories.values()]
+    if prof is not None:
+        parts += [prof.loads, prof.loops, *prof.loads, *prof.loops]
+    return {id(obj) for obj in parts}
+
+
+def test_memo_served_prepare_equals_a_cold_one(monkeypatch):
+    """A sweep over mshr_count profiles a kernel without prefetches once.
+    Every later prepare is served from the memo and equals a cold one in
+    every field, plan text, profile JSON, row JSON and CSV, and shares
+    no list, dict or record with the memo or an earlier call.  Running
+    and emitting every mode leaves the memo's value as a cold prepare
+    builds it."""
+    profiled = []
+
+    def counting(seeded, m):
+        profiled.append(m.mshr_count)
+        return profiled_baseline(seeded, m)
+
+    monkeypatch.setattr(harness, "profiled_baseline", counting)
+    rng = random.Random(17)
+    for i in range(30):
+        base_m = random_machine(rng)
+        args = dict(theta=rng.choice([Fraction(0), Fraction(1, 100),
+                                      Fraction(1, 5)]),
+                    slice_override=rng.choice([None, 8, 64]))
+        kernel = BenchmarkKernel(name=f"rand{i}",
+                                 text=print_program(random_loop_kernel(rng)),
+                                 working_set_bytes=0, characterization="user",
+                                 description="", oracle=lambda seed: None)
+        harness._prepared.clear()
+        calls = []  # kept alive, so their ids stay theirs
+        for k, n in enumerate(sorted(rng.sample(range(1, 17), 3))):
+            m = dataclasses.replace(base_m, mshr_count=n)
+            profiled.clear()
+            served = prepare(kernel, m, **args)
+            served_rows = run_kernel_all_modes(kernel, m, **args)
+            assert profiled == ([n] if k == 0 else []), (i, n)
+            (stored,) = harness._prepared.values()
+            calls += [(served.baseline, served.profile),
+                      (served_rows[0].report, None)]
+            seen: set[int] = set()
+            for rep, prof in [(stored.baseline, stored.profile), *calls]:
+                assert not mutable_parts(rep, prof) & seen, (i, n)
+                seen |= mutable_parts(rep, prof)
+
+            harness._prepared.clear()
+            cold = prepare(kernel, m, **args)
+            cold_rows = harness._run_modes(cold, machsim.MODES, m, Fraction(0))
+            assert served == cold, (i, n)
+            assert print_program(served.plan.program) == \
+                print_program(cold.plan.program)
+            assert report_to_json(served.profile) == report_to_json(cold.profile)
+            assert [harness.report_to_json(r) for r in served_rows] == \
+                [harness.report_to_json(r) for r in cold_rows], (i, n)
+            assert rows_to_csv(served_rows) == rows_to_csv(cold_rows)
+
+        (stored,) = harness._prepared.values()
+        rows = run_kernel_all_modes(kernel, m, **args)
+        json.dumps([harness.report_to_json(r) for r in rows])
+        rows_to_csv(rows)
+        rows_to_dat(rows)
+        harness._prepared.clear()
+        assert stored == prepare(kernel, m, **args), i
+
+
+def test_memo_key_separates_every_input(monkeypatch):
+    """A change to the seed's data, theta, rho, the slice override or any
+    machine field but mshr_count prepares afresh; a repeat is served,
+    and equals a cold prepare."""
+    kernel = BenchmarkKernel(name="sum", text=SUM_KERNEL, working_set_bytes=0,
+                             characterization="user", description="",
+                             oracle=lambda seed: None)
+    m = machine()
+    variants = [{}, {"seed": 1}, {"theta": Fraction(1)}, {"rho": Fraction(1, 4)},
+                {"slice_override": 3},
+                {"machine": dataclasses.replace(m, mem_latency_ns=Fraction(7))},
+                {"machine": MachineConfig(l1=L1Config(capacity_bytes=1024))}]
+    variants = [dict(v, machine=v.get("machine", m)) for v in variants]
+    colds = []
+    for v in variants:
+        harness._prepared.clear()
+        colds.append(prepare(kernel, **v))
+    harness._prepared.clear()
+    profiled = []
+
+    def counting(seeded, machine):
+        profiled.append(1)
+        return profiled_baseline(seeded, machine)
+
+    monkeypatch.setattr(harness, "profiled_baseline", counting)
+    for _ in range(2):
+        for v, cold in zip(variants, colds):
+            assert prepare(kernel, **v) == cold, v
+    assert len(profiled) == len(variants)
+
+
+def test_memo_keeps_mshr_count_for_a_kernel_with_prefetches(monkeypatch):
+    """An original with a prefetch allocates miss registers in its
+    baseline, so each mshr_count is prepared afresh."""
+    text = SUM_KERNEL.replace("  %v = load", "  prefetch %addr, 64 !origin=11\n"
+                              "  %v = load")
+    kernel = BenchmarkKernel(name="prefetching", text=text, working_set_bytes=0,
+                             characterization="user", description="",
+                             oracle=lambda seed: None)
+    profiled = []
+
+    def counting(seeded, m):
+        profiled.append(m.mshr_count)
+        return profiled_baseline(seeded, m)
+
+    monkeypatch.setattr(harness, "profiled_baseline", counting)
+    for n in (1, 4, 1, 4):
+        prepare(kernel, dataclasses.replace(machine(), mshr_count=n))
+    assert profiled == [1, 4]
+
+
 def test_run_clocks_per_pass_are_pinned(monkeypatch):
-    """The runs simulated in a seed-0 pass of each benchmark workload.
+    """The runs simulated in a seed-0 pass of each benchmark workload,
+    each pass starting with prepare's memo empty, as in a fresh process.
     Static and dynamic DAE share every run from access(1) on, so the
-    suite simulates 97 runs (145 with each schedule simulated alone) and
-    the sweep over 1, 4 and 16 miss registers 126 (228).  compute_poly
-    has nothing to prefetch: its static schedule is the baseline's, its
-    dynamic one has nothing to join, and 8 seeds take 264 runs."""
+    suite simulates 97 runs (145 with each schedule simulated alone).
+    gather_sum and chase_sum have no prefetch of their own, so the sweep
+    over 1, 4 and 16 miss registers profiles each once and reuses that
+    baseline on 4 and 16: 122 runs (126 without the memo, 228 with
+    neither).  compute_poly has nothing to prefetch: its static schedule
+    is the baseline's, its dynamic one has nothing to join, and it has no
+    random data, so its 8 seeds give one seeded program and one baseline:
+    257 runs (264 without the memo)."""
     clocks = counting_clocks(monkeypatch)
     run_suite(machine(), seed=0)
     assert len(clocks) == 97
     clocks.clear()
+    harness._prepared.clear()
     for n in (1, 4, 16):
         m = dataclasses.replace(machine(), mshr_count=n)
         for name in ("gather_sum", "chase_sum"):
             run_kernel_all_modes(kernel_by_name(name), m, seed=0)
-    assert len(clocks) == 126
+    assert len(clocks) == 122
     clocks.clear()
+    harness._prepared.clear()
     for seed in range(8):
         run_kernel_all_modes(kernel_by_name("compute_poly"), machine(), seed=seed)
-    assert len(clocks) == 264
+    assert len(clocks) == 257
 
 
 def test_suite_past_its_budget_names_the_failing_mode(tmp_path, capsys,

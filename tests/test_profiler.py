@@ -9,12 +9,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_cfg_program, random_loop_kernel, sum_kernel
+from daef import machsim
+from daef.cfg import block_of, find_loops
 from daef.harness import check_profile
-from daef.ir import interpret, parse_program, with_seed
+from daef.ir import Load, interpret, parse_program, with_seed
 from daef.ir.interp import default_mem_size, init_memory
 from daef.kernels import builtin_kernels
 from daef.machine import L1Config, MachineConfig
-from daef.machsim import baseline_schedule, simulate
+from daef.machsim import baseline_schedule, simulate, simulate_baseline
 from daef.profiler import (
     LoadStats,
     LoopFootprint,
@@ -329,3 +331,73 @@ def test_observing_leaves_the_baseline_unchanged():
     assert base == plain
     assert report == profiled_baseline(prog, MACHINE)[1]
 
+
+
+def observed_profile(prog, machine) -> tuple:
+    """The baseline and its profile as a per-load observer builds them:
+    a closure on_load(lid, addr, missed) around the clock's on_load
+    counts each load's executions, lines and misses."""
+    fn = prog.entry_function()
+    ids = [n.id for b in fn.blocks for n in b.body if isinstance(n, Load)]
+    exec_count = dict.fromkeys(ids, 0)
+    miss_count = dict.fromkeys(ids, 0)
+    lines_of = {i: set() for i in ids}
+    line_bytes = machine.l1.line_bytes
+
+    def on_load(lid: int, addr: int, missed: bool) -> None:
+        exec_count[lid] += 1
+        lines_of[lid].add(addr // line_bytes)
+        if missed:
+            miss_count[lid] += 1
+
+    class Observed(machsim._RunClock):
+        def on_load(self, lid, addr, fuel):
+            missed = super().on_load(lid, addr, fuel)
+            on_load(lid, addr, missed)
+            return missed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(machsim, "_RunClock", Observed)
+        base = simulate_baseline(prog, machine)
+    lat = machine.mem_latency_cycles(machine.f_max_ghz)
+    loads = [LoadStats(id=i, exec_count=exec_count[i], miss_count=miss_count[i],
+                       stall_cycles=miss_count[i] * lat, lines=len(lines_of[i]))
+             for i in sorted(ids)]
+    counts, where = base.block_counts[fn.name], block_of(fn)
+    loops = []
+    for li in find_loops(fn).loops:
+        trips = counts.get(li.latch, 0)
+        if trips > 0:
+            touched = set().union(*(ls for lid, ls in lines_of.items()
+                                    if where[lid] in li.body))
+            loops.append(LoopFootprint(li.header,
+                                       len(touched) * line_bytes / trips))
+    return base, ProfileReport(
+        program_digest=program_digest(prog), machine_digest=machine.digest(),
+        total_stall_cycles=sum(st.stall_cycles for st in loads),
+        loads=loads, loops=loops)
+
+
+def test_tallies_equal_a_per_load_observer():
+    """The simulator's two tallies and the block counts give the profile
+    a per-load observer gives, on the built-ins and random kernels on
+    several L1 shapes; every load's exec_count is its block's entry
+    count in the baseline."""
+    rng = random.Random(2024)
+    progs = [with_seed(parse_program(k.text), 5) for k in builtin_kernels()]
+    progs += [random_loop_kernel(rng) for _ in range(50)]
+    machines = [MACHINE,
+                MachineConfig(l1=L1Config(capacity_bytes=512, line_bytes=16,
+                                          ways=2, hit_cycles=3)),
+                MachineConfig(l1=L1Config(capacity_bytes=128, line_bytes=128,
+                                          ways=1), mshr_count=1)]
+    for k, prog in enumerate(progs):
+        m = machines[k % len(machines)]
+        base, report = profiled_baseline(prog, m)
+        ref_base, ref = observed_profile(prog, m)
+        assert base == ref_base, k
+        assert report == ref, k
+        fn = prog.entry_function()
+        where, counts = block_of(fn), base.block_counts[fn.name]
+        for st in report.loads:
+            assert st.exec_count == counts.get(where[st.id], 0), (k, st.id)
