@@ -62,7 +62,6 @@ class DomInfo:
 
     idom: dict[str, str]  # entry maps to itself
     rpo: dict[str, int]  # reverse-postorder position of each reachable block
-    dropped: list[Diagnostic] = field(default_factory=list)
 
     def dominates(self, a: str, b: str) -> bool:
         if b not in self.idom:
@@ -105,11 +104,6 @@ def dominators(c: Cfg) -> DomInfo:
     """Iterative immediate-dominator computation (RPO intersection)."""
     rpo = _reverse_postorder(c)
     index = {n: i for i, n in enumerate(rpo)}
-    dropped = [
-        Diagnostic(f"unreachable block {n!r} dropped from dominator analysis")
-        for n in c.nodes
-        if n not in index
-    ]
     idom: dict[str, str] = {c.entry: c.entry}
 
     def intersect(a: str, b: str) -> str:
@@ -135,7 +129,7 @@ def dominators(c: Cfg) -> DomInfo:
             if idom.get(n) != new:
                 idom[n] = new
                 changed = True
-    return DomInfo(idom=idom, rpo=index, dropped=dropped)
+    return DomInfo(idom=idom, rpo=index)
 
 
 @dataclass(frozen=True)

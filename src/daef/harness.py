@@ -296,12 +296,6 @@ def _run_modes(prep: Prepared, modes: tuple[str, ...], machine: MachineConfig,
     return rows
 
 
-def _run_mode(prep: Prepared, mode: str, machine: MachineConfig,
-              profiling_overhead: Fraction) -> Row:
-    """One mode's row; see _run_modes."""
-    return _run_modes(prep, (mode,), machine, profiling_overhead)[0]
-
-
 def run_one(kernel: BenchmarkKernel, mode: str, machine: MachineConfig,
             seed: int = 0, theta: Fraction = Fraction(1, 100),
             rho: Fraction = Fraction(1, 2), slice_override: int | None = None,
@@ -319,7 +313,7 @@ def run_one(kernel: BenchmarkKernel, mode: str, machine: MachineConfig,
     prep = prepare(kernel, machine, seed=seed, theta=theta, rho=rho,
                    slice_override=slice_override, profile=profile,
                    allow_stale=allow_stale)
-    return _run_mode(prep, mode, machine, profiling_overhead)
+    return _run_modes(prep, (mode,), machine, profiling_overhead)[0]
 
 
 def run_kernel_all_modes(kernel: BenchmarkKernel, machine: MachineConfig,

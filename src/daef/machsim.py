@@ -48,10 +48,10 @@ recency order; the miss registers are empty between runs.  From equal
 states equal runs retire the same nodes at the same cost, since a
 clock's time counts from its run's start and fuel matters only where it
 runs out.  So B joins when the states are equal and its fuel left
-covers the nodes A's suffix retired: it takes A's suffix records, the
-output and block counts they added, and A's final memory digest.
-Otherwise it simulates on.  Static and dynamic DAE meet this way
-before access(1), after dynamic's JIT charge.
+covers the nodes A's suffix records retired: it takes copies of those
+records, each with its own output and block counts, and A's final
+memory digest.  Otherwise it simulates on.  Static and dynamic DAE meet
+this way before access(1), after dynamic's JIT charge.
 """
 
 from __future__ import annotations
@@ -122,11 +122,14 @@ class Stats:
 
 @dataclass(kw_only=True)
 class RunRecord(Stats):
+    """One run or charge: its Stats, and what a run printed and entered."""
     kind: str  # "run" | "jit" | "dvfs_switch" | "profiling"
     function: str | None
     frequency: Fraction
     category: str
     slice_index: int | None = None
+    output: list[int] = field(default_factory=list)
+    block_counts: dict[str, int] = field(default_factory=dict)  # label -> entries
 
 
 @dataclass
@@ -134,11 +137,10 @@ class SimReport:
     categories: dict[str, Stats]
     total: Stats
     runs: list[RunRecord]
-    output: list[int]
+    output: list[int]  # the runs' outputs, in order
     memory_digest: str
     program_digest: str
     machine_digest: str
-    block_counts: dict[str, dict[str, int]]  # function -> label -> entries
 
 
 @dataclass(frozen=True)
@@ -263,12 +265,9 @@ class _Suffix:
     """The last runs an earlier schedule shares with a later one: the
     earlier one's state before them, and what they did from there."""
     state: tuple | None = None  # (frequency, env, memory sha256, L1 snapshot)
-    start: tuple = ()  # records, output and fuel left at the state, block counts
+    first: int = 0  # the index of the state's first record
     records: list[RunRecord] = field(default_factory=list)
-    output: list[int] = field(default_factory=list)
-    block_counts: dict[str, dict[str, int]] = field(default_factory=dict)
     memory_digest: str = ""
-    fuel: int = 0  # nodes the suffix retired
 
 
 def simulate(
@@ -298,10 +297,14 @@ def simulate(
     misses[id].  One wrapper around the clock's on_load records both;
     without a tally no load pays for it.
 
+    Each run record keeps the run's output and block entry counts; the
+    report's output is their concatenation.
+
     marks and joins come from simulate_each.  Before run k, simulate
     records its state into each suffix in marks[k], and takes the first
-    suffix in joins[k] whose state equals its own and whose nodes its
-    fuel left covers.  tally sees only the runs simulated.
+    suffix in joins[k] whose state equals its own and whose records'
+    instr_count its fuel left covers.  tally sees only the runs
+    simulated.
     """
     marks, joins = marks or {}, joins or {}
     names = {f.name for f in prog.functions}
@@ -328,8 +331,6 @@ def simulate(
     mem_size = default_mem_size(prog)
     mem = init_memory(prog, mem_size)
     env: dict[str, int] = {}
-    output: list[int] = []
-    block_counts: dict[str, dict[str, int]] = {}
     fuel_box = [fuel]
 
     records: list[RunRecord] = []
@@ -346,11 +347,10 @@ def simulate(
         if k in marks or k in joins:
             state = (freq, dict(env), memory_digest(mem), cache.snapshot())
             for s in marks.get(k, ()):
-                s.state = state
-                s.start = (len(records), len(output), fuel_box[0],
-                           {fn: dict(c) for fn, c in block_counts.items()})
-            joined = next((s for s in joins.get(k, ())
-                           if s.state == state and s.fuel <= fuel_box[0]), None)
+                s.state, s.first = state, len(records)
+            joined = next((s for s in joins.get(k, ()) if s.state == state and
+                           sum(r.instr_count for r in s.records) <= fuel_box[0]),
+                          None)
             if joined is not None:
                 break
         if r.frequency != freq:
@@ -372,9 +372,10 @@ def simulate(
                 lines[lid].add(addr // line_bytes)
                 if account(lid, addr, left):
                     misses[lid] += 1
-        cf.run(call_env, mem, output, block_counts.setdefault(r.function, {}),
-               fuel_box, mem_size, on_load=load_hook,
-               on_prefetch=clock.on_prefetch)
+        output: list[int] = []
+        counts: dict[str, int] = {}
+        cf.run(call_env, mem, output, counts, fuel_box, mem_size,
+               on_load=load_hook, on_prefetch=clock.on_prefetch)
         cycles = clock.drain(fuel_box[0])
         if r.writeback:
             env.update(call_env)
@@ -385,7 +386,8 @@ def simulate(
             kind="run", function=r.function, frequency=r.frequency,
             category=r.category, slice_index=r.slice_index, cycles=cycles,
             wall_ns=wall_ns, instr_count=instr_count,
-            energy=clock.rates.p0 * wall_ns + clock.rates.slope * instr_count)
+            energy=clock.rates.p0 * wall_ns + clock.rates.slope * instr_count,
+            output=output, block_counts=counts)
         records.append(rec)
         if r.charge is not None and r.charge[0] == "profiling":
             charge("profiling", r.charge[1] * rec.wall_ns, r.frequency)
@@ -396,26 +398,14 @@ def simulate(
         digest = memory_digest(mem)
     else:
         records += joined.records  # copies; no other schedule takes them
-        output += joined.output
-        for fn, counts in joined.block_counts.items():
-            mine = block_counts.setdefault(fn, {})
-            for label, n in counts.items():
-                mine[label] = mine.get(label, 0) + n
         digest = joined.memory_digest
     for s in (s for group in marks.values() for s in group):
         if s.state is None:
             continue  # this schedule joined another before s began
-        n_rec, n_out, fuel_at, counts_at = s.start
-        s.records = [replace(rec) for rec in records[n_rec:]]
-        s.output = output[n_out:]
-        s.fuel = fuel_at - fuel_box[0]
+        s.records = [replace(rec, output=list(rec.output),
+                             block_counts=dict(rec.block_counts))
+                     for rec in records[s.first:]]
         s.memory_digest = digest
-        for fn, counts in block_counts.items():
-            before = counts_at.get(fn, {})
-            grown = {label: n - before.get(label, 0)
-                     for label, n in counts.items() if n != before.get(label, 0)}
-            if grown:
-                s.block_counts[fn] = grown
 
     categories = {c: Stats() for c in CATEGORIES}
     total = Stats()
@@ -429,11 +419,10 @@ def simulate(
         categories=categories,
         total=total,
         runs=records,
-        output=output,
+        output=[v for rec in records for v in rec.output],
         memory_digest=digest,
         program_digest=program_digest(original),
         machine_digest=machine.digest(),
-        block_counts=block_counts,
     )
 
 

@@ -5,7 +5,8 @@ runs once at f_max against the machine's L1, every miss stalling the
 core for the full memory latency.  The simulator keeps two tallies for
 it, the cache lines and the outright misses of each load id, recorded
 by one wrapper around its clock's load hook; a load's execution count
-is its block's entry count, which every simulation reports anyway.
+is its block's entry count, which the baseline's one run record keeps,
+as every run record does.
 From that one run the profile ranks loads by the stall cycles they
 caused and measures each canonical loop's cache footprint per
 iteration, the two inputs the phase generator needs.  This module also
@@ -82,7 +83,7 @@ def profiled_baseline(seeded: Program,
     base = simulate_baseline(seeded, machine, tally=(lines_of, miss_count))
 
     # A load runs once each time its block is entered.
-    counts = base.block_counts[fn.name]
+    counts = base.runs[0].block_counts
     where = block_of(fn)
     lat = machine.mem_latency_cycles(machine.f_max_ghz)
     loads = [LoadStats(id=i, exec_count=counts.get(where[i], 0),

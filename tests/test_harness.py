@@ -206,7 +206,7 @@ def test_reused_static_row_equals_a_forced_simulation():
             continue
         sched = build_schedule("static_dae", prep.plan, m)
         assert sched == baseline_schedule(prep.plan.original, m)
-        row = harness._run_mode(prep, "static_dae", m, Fraction(0))
+        (row,) = harness._run_modes(prep, ("static_dae",), m, Fraction(0))
         assert row.report is prep.baseline
         assert row.program is prep.plan.program
         forced = simulate(prep.plan.program, sched, m,
@@ -742,8 +742,9 @@ def test_all_modes_rows_equal_standalone_simulations(monkeypatch):
 
         seen = set()
         for rep in {id(r.report): r.report for r in rows}.values():
-            for obj in (rep.runs, rep.output, rep.block_counts, rep.categories,
-                        rep.total, *rep.runs, *rep.block_counts.values(),
+            for obj in (rep.runs, rep.output, rep.categories, rep.total,
+                        *rep.runs, *(r.output for r in rep.runs),
+                        *(r.block_counts for r in rep.runs),
                         *rep.categories.values()):
                 assert id(obj) not in seen, (i, type(obj).__name__)
                 seen.add(id(obj))
@@ -752,9 +753,9 @@ def test_all_modes_rows_equal_standalone_simulations(monkeypatch):
 
 def mutable_parts(rep, prof=None) -> set[int]:
     """The ids of every list, dict and record in a baseline report and
-    a profile."""
-    parts = [rep.runs, rep.output, rep.block_counts, rep.categories,
-             rep.total, *rep.runs, *rep.block_counts.values(),
+    a profile, each record's output and block counts included."""
+    parts = [rep.runs, rep.output, rep.categories, rep.total, *rep.runs,
+             *(r.output for r in rep.runs), *(r.block_counts for r in rep.runs),
              *rep.categories.values()]
     if prof is not None:
         parts += [prof.loads, prof.loops, *prof.loads, *prof.loops]

@@ -623,14 +623,17 @@ RECORDS_SHA256 = (
     "7e764495bf5433046febe89c86bfcfe7e7109d807c89900323d968fdbcc04e24")
 
 
+def three_machines() -> list[MachineConfig]:
+    return [machine(),
+            MachineConfig.from_json({"mshr_count": 1, "l1": {
+                "capacity_bytes": 2048, "ways": 1}}),
+            MachineConfig.from_json(FRACTIONAL_LATENCY)]
+
+
 def test_run_records_are_pinned_across_machines():
-    machines = [machine(),
-                MachineConfig.from_json({"mshr_count": 1, "l1": {
-                    "capacity_bytes": 2048, "ways": 1}}),
-                MachineConfig.from_json(FRACTIONAL_LATENCY)]
     plans = random_plans()
     h = hashlib.sha256()
-    for m in machines:
+    for m in three_machines():
         for plan in plans:
             for mode in MODES:
                 rep = simulate(plan.program, build_schedule(mode, plan, m), m)
@@ -638,6 +641,38 @@ def test_run_records_are_pinned_across_machines():
                     h.update(repr((r.kind, r.function, r.slice_index, r.cycles,
                                    r.wall_ns, r.energy, r.instr_count)).encode())
     assert h.hexdigest() == RECORDS_SHA256
+
+
+def assert_records_hold_their_runs(prog, rep: SimReport) -> None:
+    """Each run retired its blocks' nodes, once per entry; a charge
+    printed and entered nothing; the runs' outputs make the report's."""
+    size = {fn.name: {b.label: len(b.phis) + len(b.body) + 1 for b in fn.blocks}
+            for fn in prog.functions}
+    for r in rep.runs:
+        if r.kind == "run":
+            assert r.instr_count == sum(n * size[r.function][label]
+                                        for label, n in r.block_counts.items())
+        else:
+            assert (r.output, r.block_counts) == ([], {})
+    assert [v for r in rep.runs for v in r.output] == rep.output
+
+
+def test_each_run_record_holds_its_output_and_block_counts(monkeypatch):
+    """On the built-ins in every mode, and on random plans whose three
+    modes share one simulate_each on three machines, so that joined
+    records are included."""
+    for k in builtin_kernels():
+        for row in run_kernel_all_modes(k, machine()):
+            assert_records_hold_their_runs(row.program, row.report)
+    clocks = counting_clocks(monkeypatch)
+    runs = 0
+    for m in three_machines():
+        for plan in random_plans():
+            scheds = [build_schedule(mode, plan, m) for mode in MODES]
+            runs += sum(r.function is not None for s in scheds for r in s)
+            for rep in simulate_each(plan.program, scheds, m):
+                assert_records_hold_their_runs(plan.program, rep)
+    assert len(clocks) < runs
 
 
 def test_dae_fuel_bounds_every_plan():

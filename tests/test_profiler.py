@@ -363,7 +363,7 @@ def observed_profile(prog, machine) -> tuple:
     loads = [LoadStats(id=i, exec_count=exec_count[i], miss_count=miss_count[i],
                        stall_cycles=miss_count[i] * lat, lines=len(lines_of[i]))
              for i in sorted(ids)]
-    counts, where = base.block_counts[fn.name], block_of(fn)
+    counts, where = base.runs[0].block_counts, block_of(fn)
     loops = []
     for li in find_loops(fn).loops:
         trips = counts.get(li.latch, 0)
@@ -398,6 +398,6 @@ def test_tallies_equal_a_per_load_observer():
         assert base == ref_base, k
         assert report == ref, k
         fn = prog.entry_function()
-        where, counts = block_of(fn), base.block_counts[fn.name]
+        where, counts = block_of(fn), base.runs[0].block_counts
         for st in report.loads:
             assert st.exec_count == counts.get(where[st.id], 0), (k, st.id)
