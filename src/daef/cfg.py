@@ -163,7 +163,8 @@ def natural_loops(fn: Function) -> list[NaturalLoop]:
                             body.add(p)
                             stack.append(p)
                 loops.append(NaturalLoop(header, latch, frozenset(body)))
-    loops.sort(key=lambda l: (c.nodes.index(l.header), c.nodes.index(l.latch)))
+    pos = {label: k for k, label in enumerate(c.nodes)}
+    loops.sort(key=lambda l: (pos[l.header], pos[l.latch]))
     return loops
 
 
@@ -373,17 +374,9 @@ def find_loops(fn: Function) -> LoopScan:
             cond_id=cond.id,
             step_id=step_instr.id,
         ))
-    scan.loops.sort(key=lambda l: [b.label for b in fn.blocks].index(l.header))
+    pos = {label: k for k, label in enumerate(c.nodes)}
+    scan.loops.sort(key=lambda l: pos[l.header])
     return scan
-
-
-def _dep_graph(fn: Function) -> tuple[dict[int, Node], dict[int, list[int]]]:
-    """Node ids to their data-dependence parents (defining instruction ids)."""
-    by_id: dict[int, Node] = {n.id: n for n in fn.nodes()}
-    defs = defs_of(fn)
-    parents = {n.id: [d.id for reg in node_uses(n) for d in defs.get(reg, [])]
-               for n in fn.nodes()}
-    return by_id, parents
 
 
 def backward_slice(fn: Function, seeds: set[int]) -> set[int]:
@@ -393,10 +386,11 @@ def backward_slice(fn: Function, seeds: set[int]) -> set[int]:
     Store and out never appear in the result (they produce no values),
     though a store seed still contributes its operand chain.
     """
-    by_id, parents = _dep_graph(fn)
+    by_id: dict[int, Node] = {n.id: n for n in fn.nodes()}
     bad = [s for s in seeds if s not in by_id]
     if bad:
         raise ValueError(f"seed ids not in function: {sorted(bad)}")
+    defs = defs_of(fn)
     visited: set[int] = set()
     stack = list(seeds)
     while stack:
@@ -404,27 +398,21 @@ def backward_slice(fn: Function, seeds: set[int]) -> set[int]:
         if i in visited:
             continue
         visited.add(i)
-        stack.extend(parents[i])
+        stack.extend(d.id for reg in node_uses(by_id[i]) for d in defs.get(reg, []))
     return {i for i in visited if not isinstance(by_id[i], (Store, Out))}
 
 
 def dce_keep(fn: Function, roots: set[int]) -> set[int]:
     """Ids that dce would retain: the roots, the backward closure of the
     roots and of every register any terminator reads.  Terminator ids are
-    not included; they are never removable anyway."""
-    by_id = {n.id: n for n in fn.nodes()}
-    bad = [r for r in roots if r not in by_id]
+    not included unless they are roots; they are never removable anyway."""
+    bad = roots - {n.id for n in fn.nodes()}
     if bad:
         raise ValueError(f"root ids not in function: {sorted(bad)}")
-    seeds = set(roots)
-    defs = defs_of(fn)
-    for blk in fn.blocks:
-        if blk.term is not None:
-            for reg in node_uses(blk.term):
-                seeds.update(d.id for d in defs.get(reg, []))
-    if not seeds:
-        return set(roots)
-    return backward_slice(fn, seeds) | set(roots)
+    # A terminator defines no register, so the closure reaches one only
+    # as a seed.
+    terms = {b.term.id for b in fn.blocks if b.term is not None}
+    return (backward_slice(fn, roots | terms) - terms) | roots
 
 
 def dce(fn: Function, roots: set[int]) -> Function:

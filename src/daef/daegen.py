@@ -34,7 +34,6 @@ from .cfg import (
     block_of,
     build_cfg,
     dce,
-    dce_keep,
     defs_of,
     find_loops,
     resolve_constant,
@@ -244,10 +243,11 @@ def _resume_closure(fn: Function, li: LoopInfo, needed_labels: set[str],
 
 
 def _slice_clone(fn: Function, li: LoopInfo, name: str, kind: str,
-                 alloc: IdAlloc) -> tuple[Function, dict[int, int], list[str]]:
-    """Clone fn into a slice-callable phase function (see module doc)."""
-    _check_names(fn)
-    _check_sliceable(fn, li)
+                 alloc: IdAlloc) -> tuple[Function, dict[int, int]]:
+    """Clone fn into a slice-callable phase function (see module doc).
+
+    fn must have passed _check_names and _check_sliceable for li.
+    """
     g, id_map = _clone_function(fn, name, kind, alloc)
     bm = g.block_map()
     header = bm[li.header]
@@ -310,7 +310,7 @@ def _slice_clone(fn: Function, li: LoopInfo, name: str, kind: str,
     g.params = g.params + ["__first", "__lo", "__hi"] \
         + [f"__carry_{r}" for r in carry_regs]
     g.blocks = [dispatch, resume] + g.blocks + tail
-    return g, id_map, carry_regs
+    return g, id_map
 
 
 # ---------------------------------------------------------------------------
@@ -330,48 +330,38 @@ def make_access_phase(fn: Function, li: LoopInfo, targets: Iterable[int],
     pointer the next address depends on) stay loads, tagged with their
     origin; the rest become prefetches with the same id and origin.
     Everything else not needed for addresses or control is dropped.
+    fn and li must pass the input checks make_phases runs.
     """
     targets = set(targets)
     body_loads = _loop_load_ids(fn, li)
     stray = targets - body_loads
     if stray:
         raise DaegenError(f"targets {sorted(stray)} are not loads in the loop body")
-    g, id_map, _ = _slice_clone(fn, li, name, "access", alloc)
+    g, id_map = _slice_clone(fn, li, name, "access", alloc)
     for blk in g.blocks:
         if isinstance(blk.term, Ret):
             blk.term.value = None  # access results are never consumed
     g = _simplify(g, alloc)  # drops the now unreachable epilogue
     cloned = {id_map[t]: t for t in targets}
-    _convert_unconsumed(g, cloned_targets=cloned, roots=set(cloned))
     g = dce(g, set(cloned))
+    _convert_unconsumed(g, cloned_targets=cloned)
     return _simplify(g, alloc)
 
 
-def _convert_unconsumed(g: Function, cloned_targets: dict[int, int],
-                        roots: set[int]) -> int:
-    """Tag target loads; turn the ones nothing retained consumes into
-    prefetches in place.  Returns the number converted.
+def _convert_unconsumed(g: Function, cloned_targets: dict[int, int]) -> int:
+    """Tag target loads; turn the ones no node of g reads into prefetches
+    in place.  Returns the number converted.
 
-    roots is the full set of nodes the phase must keep; consumption is
-    judged against its closure, so a load another root's address chain
-    reads stays a load.
+    g must have just been through dce, so every node it holds is kept and
+    a load another kept address chain reads stays a load.
     """
-    keep = dce_keep(g, roots)
-    by_id = {n.id: n for n in g.nodes()}
-    used_by_kept: dict[str, int] = {}
-    for i in keep:
-        for reg in node_uses(by_id[i]):
-            used_by_kept[reg] = used_by_kept.get(reg, 0) + 1
-    for blk in g.blocks:
-        if blk.term is not None:
-            for reg in node_uses(blk.term):
-                used_by_kept[reg] = used_by_kept.get(reg, 0) + 1
+    used = {reg for n in g.nodes() for reg in node_uses(n)}
     converted = 0
     for blk in g.blocks:
         for k, n in enumerate(blk.body):
             if n.id in cloned_targets and isinstance(n, Load):
                 origin = cloned_targets[n.id]
-                if used_by_kept.get(n.dst, 0):
+                if n.dst in used:
                     n.origin = origin
                 else:
                     blk.body[k] = Prefetch(id=n.id, base=n.base,
@@ -406,10 +396,9 @@ def specialize_access(base: Function, critical: Iterable[int], name: str,
                  or (isinstance(n, Load) and n.origin in critical)}
         before = {n.id for n in g.nodes()}
         g = dce(g, roots)
-        roots &= {n.id for n in g.nodes()}
         cloned = {n.id: n.origin for n in g.nodes()
                   if isinstance(n, Load) and n.origin in critical}
-        converted = _convert_unconsumed(g, cloned_targets=cloned, roots=roots)
+        converted = _convert_unconsumed(g, cloned_targets=cloned)
         if not converted and {n.id for n in g.nodes()} == before:
             break
     for blk in g.blocks:
@@ -439,11 +428,9 @@ class PhasePlan:
     base_access: str
     loop: LoopInfo
     init_val: int
-    bound_val: int
     trips: int
     slice_params: SliceParams
     critical: frozenset[int]
-    carries: list[str]
     jit_node_count: int
     access_is_empty: bool
 
@@ -499,9 +486,10 @@ def make_phases(prog: Program, critical: Iterable[int],
 
     critical = frozenset(critical) & frozenset(_loop_load_ids(fn, li))
 
+    _check_names(fn)
+    _check_sliceable(fn, li)
     alloc = IdAlloc(prog.max_id() + 1)
-    execute, _, carries = _slice_clone(fn, li, f"{fn.name}__exec", "execute",
-                                       alloc)
+    execute, _ = _slice_clone(fn, li, f"{fn.name}__exec", "execute", alloc)
     access = make_access_phase(fn, li, critical, f"{fn.name}__access", alloc)
     base = make_base_access(fn, li, f"{fn.name}__base", alloc)
     respec = specialize_access(base, critical, f"{fn.name}__respec", alloc)
@@ -532,11 +520,9 @@ def make_phases(prog: Program, critical: Iterable[int],
         base_access=base.name,
         loop=li,
         init_val=init_val,
-        bound_val=bound_val,
         trips=trips,
         slice_params=slice_params,
         critical=critical,
-        carries=carries,
         jit_node_count=len(list(base.nodes())),
         access_is_empty=access_is_empty,
     )

@@ -154,9 +154,6 @@ class Function:
     def block_map(self) -> dict[str, Block]:
         return {b.label: b for b in self.blocks}
 
-    def entry(self) -> Block:
-        return self.blocks[0]
-
     def nodes(self) -> Iterator[Node]:
         """All phis, body instructions, and terminators in layout order."""
         for b in self.blocks:

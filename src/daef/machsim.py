@@ -111,10 +111,6 @@ class Stats:
     energy: Fraction = Fraction(0)
     instr_count: int = 0
 
-    @property
-    def ipc(self) -> Fraction:
-        return self.instr_count / self.cycles if self.cycles else Fraction(0)
-
     def add(self, other: Stats) -> None:
         for f in fields(Stats):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))

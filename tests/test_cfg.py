@@ -17,6 +17,7 @@ from daef.cfg import (
     backward_slice,
     build_cfg,
     dce,
+    dce_keep,
     dominators,
     find_loops,
     natural_loops,
@@ -381,9 +382,15 @@ def test_backward_slice_matches_closure_oracle():
         assert backward_slice(fn, seeds) == brute_slice(fn, seeds), f"seed {seed}"
 
 
-def test_backward_slice_rejects_unknown_seeds():
-    with pytest.raises(ValueError):
-        backward_slice(sum_kernel().functions[0], {999})
+def test_slice_and_dce_reject_unknown_ids():
+    """Each entry point names the ids it does not know, in its own terms."""
+    fn = sum_kernel().functions[0]
+    with pytest.raises(ValueError, match=r"seed ids not in function: \[999\]"):
+        backward_slice(fn, {999, 10})
+    with pytest.raises(ValueError, match=r"root ids not in function: \[999\]"):
+        dce_keep(fn, {999, 10})
+    with pytest.raises(ValueError, match=r"root ids not in function: \[999\]"):
+        dce(fn, {999, 10})
 
 
 # -- dead code elimination ---------------------------------------------------

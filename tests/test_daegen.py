@@ -25,7 +25,7 @@ from conftest import (
     sum_kernel,
 )
 
-from daef import cfg
+from daef import cfg, daegen
 from daef.daegen import (
     DaegenError,
     SliceParams,
@@ -138,7 +138,6 @@ def test_sum_phase_plan_shape():
     plan = make_phases(prog, {10}, override(4))
     assert plan.trips == 8
     assert plan.critical == frozenset({10})
-    assert plan.carries == ["acc"]
     assert plan.n_slices == 2
     assert not plan.access_is_empty
     assert_valid(plan.program)
@@ -318,7 +317,8 @@ def test_nonzero_init_and_folded_bound():
     prog = parse_program(INIT2_BOUND_CHAIN)
     ref = interpret(prog)
     plan = make_phases(prog, entry_loads(prog), override(3))
-    assert plan.init_val == 2 and plan.bound_val == 8 and plan.trips == 6
+    assert plan.init_val == 2 and plan.trips == 6
+    assert plan.slice_args(plan.n_slices - 1)["__hi"] == 8
     assert plan.slice_args(0) == {"__first": 1, "__lo": 2, "__hi": 5}
     assert plan.slice_args(1) == {"__first": 0, "__lo": 5, "__hi": 8}
     assert run_phased(plan) == (ref.output, ref.memory_digest)
@@ -581,13 +581,21 @@ done:
 @pytest.mark.parametrize("gen", [load_blocks, empty_tail],
                          ids=lambda g: g.__name__)
 def test_make_phases_sweeps_instead_of_rebuilding_per_block(monkeypatch, gen):
-    """One make_phases call builds as many predecessor maps for a
-    500-block loop body as for a 50-block one: the CFG cleanup sweeps the
-    blocks, it does not rebuild the CFG after every change."""
+    """One make_phases call builds as many predecessor maps and def maps
+    for a 500-block loop body as for a 50-block one: the CFG cleanup
+    sweeps the blocks, it does not rebuild the CFG after every change,
+    and each slice, prune or conversion builds one def map, not one per
+    block or node."""
     calls = []
-    real = cfg.predecessors
-    monkeypatch.setattr(cfg, "predecessors",
-                        lambda fn: calls.append(fn.name) or real(fn))
+
+    def count(mod, name):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name,
+                            lambda fn: calls.append(name) or real(fn))
+
+    count(cfg, "predecessors")
+    count(cfg, "defs_of")
+    count(daegen, "defs_of")
     counts = []
     for n in (50, 500):
         prog = parse_program(gen(n))
@@ -595,8 +603,9 @@ def test_make_phases_sweeps_instead_of_rebuilding_per_block(monkeypatch, gen):
                  if isinstance(x, Load)}
         calls.clear()
         make_phases(prog, loads, override(8))
-        counts.append(len(calls))
+        counts.append((calls.count("predecessors"), calls.count("defs_of")))
     assert counts[0] == counts[1]
+    assert counts[1][1] <= 15
 
 
 # ---------------------------------------------------------------------------
