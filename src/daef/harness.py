@@ -200,9 +200,11 @@ def prepare(kernel: BenchmarkKernel, machine: MachineConfig, seed: int = 0,
     Without a stored profile, the result is reused from an earlier call
     whose inputs are equal: the seeded program's digest, theta, rho,
     slice_override and the machine, less its mshr_count when the seeded
-    program has no prefetch (see _machine_key).  A reused value carries
-    this call's kernel, seeded program and machine digest, and copies of
-    the reports, so it equals what a fresh prepare returns.
+    program has no prefetch (see _machine_key).  The memo keeps a copy
+    of the reports a cold call built, and the cold call returns them as
+    built.  A reused value carries this call's kernel, seeded program and
+    machine digest, and copies of the memo's reports, so it equals what a
+    fresh prepare returns.
     """
     seeded = kernel.program(seed)
     if profile is not None:
@@ -213,16 +215,17 @@ def prepare(kernel: BenchmarkKernel, machine: MachineConfig, seed: int = 0,
     key = (program_digest(seeded), theta, rho, slice_override,
            _machine_key(seeded, machine))
     prep = _prepared.get(key)
-    if prep is None:
-        baseline, profiled = profiled_baseline(seeded, machine)
-        prep = _plan(kernel, seeded, machine, profiled, baseline, theta, rho,
-                     slice_override)
-        _prepared[key] = prep
-        if len(_prepared) > _PREPARED_MAX:
-            _prepared.popitem(last=False)
-    else:
+    if prep is not None:
         _prepared.move_to_end(key)
-    return _served(prep, kernel, seeded, machine)
+        return _served(prep, kernel, seeded, machine)
+    baseline, profiled = profiled_baseline(seeded, machine)
+    prep = _plan(kernel, seeded, machine, profiled, baseline, theta, rho,
+                 slice_override)
+    _prepared[key] = replace(prep, baseline=deepcopy(baseline),
+                             profile=deepcopy(profiled))
+    if len(_prepared) > _PREPARED_MAX:
+        _prepared.popitem(last=False)
+    return prep
 
 
 def _diff_dump(name: str, mode: str, rep: SimReport, base: SimReport) -> str:

@@ -25,6 +25,12 @@ each load and prefetch together with the fuel left, which tells the
 simulator how many nodes have retired, so no hook runs per block.  Only
 parameters are read from env; a register read before any definition
 raises NameError, and the validator rejects such programs.
+
+Each distinct memory input is built once: pristine_image fills the data
+segments straight into one image, splitmix64 chunks included, takes its
+sha256 once, and keeps the last two images it built.  init_memory hands
+out a fresh copy of one; the simulator reads a program that never
+stores from the shared image itself, through a read-only view.
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
+import threading
+from collections import OrderedDict
+from typing import NamedTuple
 
 from .types import (
     BinOp,
@@ -422,20 +431,20 @@ def _splitmix_chunks(seed: int, words: int):
         x = (x + step) & mask
 
 
-def splitmix_fill(seed: int, length: int) -> bytearray:
-    """Deterministic byte fill from a 64-bit seed (splitmix64 stream).
+def _splitmix_into(mem: bytearray, base: int, seed: int, length: int) -> None:
+    """Write the first length bytes of the splitmix64 stream into
+    mem[base:base + length], a chunk at a time."""
+    pos, end = base, base + length
+    for chunk in _splitmix_chunks(seed, (length + 7) // 8):
+        n = min(len(chunk), end - pos)
+        mem[pos:pos + n] = memoryview(chunk)[:n]
+        pos += n
 
-    Returns a bytearray, which init_memory copies into the image.
-    """
-    # Chunks are written into one preallocated buffer, so peak memory is
-    # the fill plus one chunk.
-    words = (length + 7) // 8
-    out = bytearray(8 * words)
-    pos = 0
-    for chunk in _splitmix_chunks(seed, words):
-        out[pos:pos + len(chunk)] = chunk[:len(out) - pos]
-        pos += len(chunk)
-    del out[length:]
+
+def splitmix_fill(seed: int, length: int) -> bytearray:
+    """Deterministic byte fill from a 64-bit seed (splitmix64 stream)."""
+    out = bytearray(length)
+    _splitmix_into(out, 0, seed, length)
     return out
 
 
@@ -444,20 +453,27 @@ def default_mem_size(prog: Program) -> int:
     return max(4096, (end + 4095) // 4096 * 4096)
 
 
-# The last image init_memory built, and what it was built from.  One
-# entry: every run of one kernel at one seed asks for the same image in
-# turn, and holding more would only raise peak memory.
-_last_image: tuple[tuple, bytes] | None = None
+class Image(NamedTuple):
+    """A program's pristine memory image and its sha256, taken once.
+
+    Every caller shares it: read it through a read-only view, or copy
+    it before writing.
+    """
+    mem: bytearray
+    digest: str
 
 
-def init_memory(prog: Program, mem_size: int) -> bytearray:
-    """A fresh memory image holding the program's data segments."""
-    global _last_image
-    key = (mem_size, tuple((seg.kind, seg.base, seg.length, seg.seed, seg.data)
-                           for seg in prog.data))
-    if _last_image is not None and _last_image[0] == key:
-        return bytearray(_last_image[1])
-    _last_image = None  # let the old image go before building the next
+# The pristine images built last, keyed by what they were built from,
+# least recently used first.  A simulation that cannot store reads the
+# shared image and makes no working copy, so a second cached image takes
+# the memory of that copy; two let a sweep that alternates two inputs
+# build each once.  The lock keeps the bound when threads share them.
+_IMAGES_MAX = 2
+_images: OrderedDict[tuple, Image] = OrderedDict()
+_images_lock = threading.Lock()
+
+
+def _build_image(prog: Program, mem_size: int) -> Image:
     mem = bytearray(mem_size)
     for seg in prog.data:
         if seg.end() > mem_size:
@@ -468,11 +484,31 @@ def init_memory(prog: Program, mem_size: int) -> bytearray:
         elif seg.kind == "zero":
             mem[seg.base:seg.end()] = bytes(seg.length)
         elif seg.kind == "prng":
-            mem[seg.base:seg.end()] = splitmix_fill(seg.seed or 0, seg.length)
+            _splitmix_into(mem, seg.base, seg.seed or 0, seg.length)
         else:
             raise DirRuntimeError(f"unknown data segment kind {seg.kind!r}")
-    _last_image = (key, bytes(mem))
-    return mem
+    return Image(mem, memory_digest(mem))
+
+
+def pristine_image(prog: Program, mem_size: int) -> Image:
+    """The shared image holding the program's data segments; built once
+    per distinct mem_size and segments while it stays cached."""
+    key = (mem_size, tuple((seg.kind, seg.base, seg.length, seg.seed, seg.data)
+                           for seg in prog.data))
+    with _images_lock:
+        image = _images.get(key)
+        if image is not None:
+            _images.move_to_end(key)
+            return image
+        while len(_images) >= _IMAGES_MAX:
+            _images.popitem(last=False)  # let it go before building the next
+        image = _images[key] = _build_image(prog, mem_size)
+        return image
+
+
+def init_memory(prog: Program, mem_size: int) -> bytearray:
+    """A fresh memory image holding the program's data segments."""
+    return bytearray(pristine_image(prog, mem_size).mem)
 
 
 def with_seed(prog: Program, seed: int) -> Program:

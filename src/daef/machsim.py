@@ -19,7 +19,9 @@ allocating a miss register; when all registers are busy it first waits
 for the oldest to complete.  Completed fills install into the cache just
 before each memory access and in bulk at the end of every run (phase
 boundaries drain).  Stores write memory directly and do not touch the
-cache.
+cache.  A program with no store runs on the shared pristine image of
+its input, read only, so its memory digest, at every state below and at
+the end, is the image's sha256, taken once when the image was built.
 
 Frequency changes between runs, the one-time specialization of the access
 phase, and optional profiling cost are charged as overhead: wall time at
@@ -62,13 +64,14 @@ from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from .daegen import PhasePlan
-from .ir import Program, program_digest
+from .ir import Program, Store, program_digest
 from .ir.interp import (
     DEFAULT_FUEL,
     compile_function,
     default_mem_size,
     init_memory,
     memory_digest,
+    pristine_image,
 )
 from .machine import LruCache, MachineConfig
 
@@ -256,6 +259,19 @@ class _RunClock:
         return Fraction(now, self.q)
 
 
+def _memory(prog: Program, mem_size: int):
+    """The memory a simulation of prog runs on, and a function that
+    gives its sha256 now.  A program without a store never writes
+    memory: its runs read the shared pristine image through a read-only
+    view, and its digest is the image's, taken when the image was built.
+    Any other program runs on a fresh copy, hashed each time."""
+    if any(isinstance(n, Store) for fn in prog.functions for n in fn.nodes()):
+        mem = init_memory(prog, mem_size)
+        return mem, lambda: memory_digest(mem)
+    image = pristine_image(prog, mem_size)
+    return memoryview(image.mem).toreadonly(), lambda: image.digest
+
+
 @dataclass
 class _Suffix:
     """The last runs an earlier schedule shares with a later one: the
@@ -325,7 +341,7 @@ def simulate(
 
     cache = LruCache(machine.l1)
     mem_size = default_mem_size(prog)
-    mem = init_memory(prog, mem_size)
+    mem, mem_digest = _memory(prog, mem_size)
     env: dict[str, int] = {}
     fuel_box = [fuel]
 
@@ -341,7 +357,7 @@ def simulate(
     joined = None
     for k, r in enumerate(sched):
         if k in marks or k in joins:
-            state = (freq, dict(env), memory_digest(mem), cache.snapshot())
+            state = (freq, dict(env), mem_digest(), cache.snapshot())
             for s in marks.get(k, ()):
                 s.state, s.first = state, len(records)
             joined = next((s for s in joins.get(k, ()) if s.state == state and
@@ -391,7 +407,7 @@ def simulate(
     if joined is None:
         if freq != machine.f_max_ghz:
             charge("dvfs_switch", machine.dvfs_switch_ns, machine.f_max_ghz)
-        digest = memory_digest(mem)
+        digest = mem_digest()
     else:
         records += joined.records  # copies; no other schedule takes them
         digest = joined.memory_digest
@@ -426,8 +442,9 @@ def simulate_each(prog: Program, scheds: list[list[PhaseRun]],
                   machine: MachineConfig, fuel: int = DEFAULT_FUEL):
     """Yield simulate(prog, sched, machine, fuel) for each schedule, in
     order, simulating the runs a later schedule shares with an earlier
-    one once (see the module docstring).  Each schedule's memory image
-    is released before the next one's is built."""
+    one once (see the module docstring).  A program that stores gets a
+    working copy of memory per schedule, released before the next one's
+    is made."""
     marks: list[dict[int, list[_Suffix]]] = [{} for _ in scheds]
     joins: list[dict[int, list[_Suffix]]] = [{} for _ in scheds]
     for j, b in enumerate(scheds):

@@ -8,6 +8,7 @@ import json
 import random
 import sys
 import tracemalloc
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -46,7 +47,6 @@ from daef.ir import (
     with_seed,
 )
 from daef.ir import interp
-from daef.ir.interp import init_memory, splitmix_fill
 from daef.ir.validate import MAX_DATA_END
 from daef.kernels import BenchmarkKernel, builtin_kernels, kernel_by_name
 from daef.machine import L1Config, MachineConfig
@@ -165,27 +165,35 @@ def test_suite_output_bytes_are_pinned():
 
 
 def test_one_memory_image_per_simulation(monkeypatch):
-    """The baseline doubles as the profiling run: one materialization per
+    """The baseline doubles as the profiling run: one memory per
     simulation.  compute_poly has nothing to prefetch, so its static_dae
-    schedule is the baseline's and reuses that run: 2 images, not 3.  A
-    second call reuses the prepared baseline and saves its image."""
-    calls = []
+    schedule is the baseline's and reuses that run: 2 memories, not 3.  A
+    second call reuses the prepared baseline and saves its memory.  Every
+    simulation of a kernel reads the same input, whose image is built
+    once."""
+    calls, built = [], []
+    memory, build = machsim._memory, interp._build_image
 
-    def counting(prog, mem_size):
+    def counting_memory(prog, mem_size):
         calls.append(prog.entry)
-        return init_memory(prog, mem_size)
+        return memory(prog, mem_size)
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("daef") and getattr(mod, "init_memory", None) \
-                is init_memory:
-            monkeypatch.setattr(mod, "init_memory", counting)
+    def counting_build(prog, mem_size):
+        built.append(prog.entry)
+        return build(prog, mem_size)
+
+    monkeypatch.setattr(machsim, "_memory", counting_memory)
+    monkeypatch.setattr(interp, "_build_image", counting_build)
+    monkeypatch.setattr(interp, "_images", OrderedDict())
     for name, images in (("compute_poly", 2), ("stream_sum", 3)):
         calls.clear()
+        built.clear()
         run_kernel_all_modes(kernel_by_name(name), machine())
         assert len(calls) == images, name
         calls.clear()
         run_kernel_all_modes(kernel_by_name(name), machine())
         assert len(calls) == images - 1, name
+        assert len(built) == 1, name
 
 
 def test_reused_static_row_equals_a_forced_simulation():
@@ -220,17 +228,53 @@ def test_reused_static_row_equals_a_forced_simulation():
 
 def test_suite_fills_each_image_once(monkeypatch):
     """All three modes of a kernel read the same seeded image, so a suite
-    pass fills each of the suite's 5 prng segments once."""
-    fills = []
+    pass fills each of the suite's 5 prng segments once and builds each
+    kernel's image once."""
+    fills, built = [], []
+    fill, build = interp._splitmix_into, interp._build_image
 
-    def counting(seed, length):
+    def counting_fill(mem, base, seed, length):
         fills.append(seed)
-        return splitmix_fill(seed, length)
+        return fill(mem, base, seed, length)
 
-    monkeypatch.setattr(interp, "splitmix_fill", counting)
-    monkeypatch.setattr(interp, "_last_image", None, raising=False)
+    def counting_build(prog, mem_size):
+        built.append(prog.entry)
+        return build(prog, mem_size)
+
+    monkeypatch.setattr(interp, "_splitmix_into", counting_fill)
+    monkeypatch.setattr(interp, "_build_image", counting_build)
+    monkeypatch.setattr(interp, "_images", OrderedDict())
     run_suite(machine(), seed=0)
     assert len(fills) == len(set(fills)) == 5
+    assert len(built) == len(builtin_kernels())
+
+
+def test_mlp_sweep_fills_and_hashes_each_image_once(monkeypatch):
+    """gather_sum and chase_sum over 1, 4 and 16 miss registers: neither
+    stores, so every simulation reads the shared image and reports its
+    cached digest.  The sweep fills their 3 prng segments once and hashes
+    their 2 images once."""
+    fills, hashes = [], []
+    fill, digest = interp._splitmix_into, interp.memory_digest
+
+    def counting_fill(mem, base, seed, length):
+        fills.append(seed)
+        return fill(mem, base, seed, length)
+
+    def counting_digest(mem):
+        hashes.append(len(mem))
+        return digest(mem)
+
+    monkeypatch.setattr(interp, "_splitmix_into", counting_fill)
+    monkeypatch.setattr(interp, "memory_digest", counting_digest)
+    monkeypatch.setattr(machsim, "memory_digest", counting_digest)
+    monkeypatch.setattr(interp, "_images", OrderedDict())
+    for n in (1, 4, 16):
+        m = dataclasses.replace(machine(), mshr_count=n)
+        for name in ("gather_sum", "chase_sum"):
+            run_kernel_all_modes(kernel_by_name(name), m)
+    assert sorted(fills) == [202, 203, 404]
+    assert len(hashes) == 2
 
 
 def test_suite_rows_follow_kernel_order():

@@ -5,6 +5,9 @@ from __future__ import annotations
 import copy
 import hashlib
 import random
+import sys
+import threading
+from collections import OrderedDict
 
 import pytest
 
@@ -461,13 +464,14 @@ def test_init_memory_returns_independent_copies(monkeypatch):
     """The second image of the same program is a copy of the first as it
     was built, not as the caller left it, and costs no second fill."""
     fills = []
+    fill = interp._splitmix_into
 
-    def counting(seed, length):
+    def counting(mem, base, seed, length):
         fills.append(seed)
-        return splitmix_fill(seed, length)
+        return fill(mem, base, seed, length)
 
-    monkeypatch.setattr(interp, "splitmix_fill", counting)
-    monkeypatch.setattr(interp, "_last_image", None, raising=False)
+    monkeypatch.setattr(interp, "_splitmix_into", counting)
+    monkeypatch.setattr(interp, "_images", OrderedDict())
     p = sum_kernel()
     first = init_memory(p, 4096 * 2)
     pristine = bytes(first)
@@ -479,6 +483,41 @@ def test_init_memory_returns_independent_copies(monkeypatch):
     assert len(fills) == 1
     init_memory(with_seed(p, 3), 4096 * 2)
     assert len(fills) == 2
+
+
+def test_images_are_shared_safely_across_threads(monkeypatch):
+    """Four threads asking in turn for three distinct images through a
+    cache of two each get their own program's image, intact, and the
+    cache never holds more than two."""
+    monkeypatch.setattr(interp, "_images", OrderedDict())
+    progs = [with_seed(sum_kernel(), s) for s in range(3)]
+    want = [bytes(init_memory(p, 8192)) for p in progs]
+    errors, held = [], set()
+
+    def work(k: int) -> None:
+        try:
+            for i in range(300):
+                j = (k + i) % 3
+                image = interp.pristine_image(progs[j], 8192)
+                held.add(len(interp._images))
+                assert image.mem == want[j]
+                assert image.digest == interp.memory_digest(want[j])
+        except Exception as e:
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert max(held) <= interp._IMAGES_MAX
 
 
 def test_retired_counts_sum_kernel():

@@ -11,9 +11,11 @@ import pytest
 
 from daef.cfg import find_loops
 from daef.daegen import SliceParams, make_phases
-from daef.ir import DirRuntimeError, interpret, parse_program
+from daef import machsim
+from daef.ir import DirRuntimeError, interp, interpret, parse_program
+from daef.ir.interp import memory_digest
 from daef.harness import dae_fuel, prepare, run_kernel_all_modes
-from daef.ir.types import Load
+from daef.ir.types import Load, Store
 from daef.kernels import builtin_kernels, kernel_by_name
 from daef.machine import L1Config, LruCache, MachineConfig, PowerConfig
 from daef.machsim import (
@@ -795,3 +797,52 @@ entry:
         alone = simulate(prog, sched, m)
         for f in dataclasses.fields(SimReport):
             assert getattr(rep, f.name) == getattr(alone, f.name), f.name
+
+
+def test_store_free_runs_share_the_image_and_its_digest(monkeypatch):
+    """A differential check of the cached digest.  Every mode of every
+    built-in kernel and of 50 random kernels, with and without stores,
+    reports the memory digest of the reference interpreter.  After each
+    simulation every cached image still hashes to its cached digest, so
+    no run wrote one.  The memory a store-free program runs on refuses
+    writes; a program that stores gets a copy of its own."""
+    memory, sim = machsim._memory, machsim.simulate
+    kinds = set()
+
+    def capture(prog, mem_size):
+        mem, digest = memory(prog, mem_size)
+        store = any(isinstance(n, Store) for fn in prog.functions
+                    for n in fn.nodes())
+        kinds.add(store)
+        if store:
+            assert all(mem is not image.mem for image in interp._images.values())
+        else:
+            with pytest.raises(TypeError):
+                mem[0] = 1
+        return mem, digest
+
+    def checked(*args, **kwargs):
+        rep = sim(*args, **kwargs)
+        for image in interp._images.values():
+            assert memory_digest(image.mem) == image.digest
+        return rep
+
+    monkeypatch.setattr(machsim, "_memory", capture)
+    monkeypatch.setattr(machsim, "simulate", checked)
+    m = machine()
+    for kernel in builtin_kernels():
+        ref = interpret(kernel.program(0)).memory_digest
+        for row in run_kernel_all_modes(kernel, m):
+            assert row.report.memory_digest == ref, (kernel.name, row.mode)
+    assert kinds == {False, True}
+    kinds.clear()
+    rng = random.Random(20)
+    for i in range(50):
+        prog = random_loop_kernel(rng)
+        ref = interpret(prog).memory_digest
+        plan = make_phases(prog, critical=body_load_ids(prog),
+                           slice_params=override(rng.choice([1, 7, 33])))
+        scheds = [build_schedule(mode, plan, m) for mode in MODES]
+        for mode, rep in zip(MODES, simulate_each(plan.program, scheds, m)):
+            assert rep.memory_digest == ref, (i, mode)
+    assert kinds == {False, True}
