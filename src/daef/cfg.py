@@ -189,7 +189,6 @@ class LoopInfo:
     step: int
     bound: Operand
     cmp: str
-    phi_id: int
     cond_id: int
     step_id: int
 
@@ -370,7 +369,6 @@ def find_loops(fn: Function) -> LoopScan:
             step=step,
             bound=bound,
             cmp=cond.op,
-            phi_id=phi.id,
             cond_id=cond.id,
             step_id=step_instr.id,
         ))

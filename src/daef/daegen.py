@@ -66,8 +66,9 @@ S_DEFAULT = 256
 
 class DaegenError(ValueError):
     def __init__(self, message: str, diagnostics: list[Diagnostic] | None = None):
+        if diagnostics:
+            message += ": " + "; ".join(str(d) for d in diagnostics[:3])
         super().__init__(message)
-        self.diagnostics = diagnostics or []
 
 
 class IdAlloc:
@@ -85,7 +86,6 @@ class IdAlloc:
 @dataclass(frozen=True)
 class SliceParams:
     size: int
-    rho: Fraction
     source: str  # "profile", "default" or "override"
 
 
@@ -101,11 +101,11 @@ def choose_slice_size(machine, bytes_per_iter: float | None,
     if override is not None:
         if override < 1:
             raise DaegenError(f"slice override {override} must be at least 1")
-        return SliceParams(size=override, rho=rho, source="override")
+        return SliceParams(size=override, source="override")
     if bytes_per_iter is None or bytes_per_iter <= 0:
-        return SliceParams(size=S_DEFAULT, rho=rho, source="default")
+        return SliceParams(size=S_DEFAULT, source="default")
     raw = int(rho * machine.l1.capacity_bytes / Fraction(str(bytes_per_iter)))
-    return SliceParams(size=min(max(raw, S_MIN), S_MAX), rho=rho, source="profile")
+    return SliceParams(size=min(max(raw, S_MIN), S_MAX), source="profile")
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +370,6 @@ def _convert_unconsumed(g: Function, cloned_targets: dict[int, int]) -> int:
     return converted
 
 
-def make_base_access(fn: Function, li: LoopInfo, name: str,
-                     alloc: IdAlloc) -> Function:
-    return make_access_phase(fn, li, _loop_load_ids(fn, li), name, alloc)
-
-
 def specialize_access(base: Function, critical: Iterable[int], name: str,
                       alloc: IdAlloc) -> Function:
     """Narrow a base access phase down to a critical load set.
@@ -484,14 +479,15 @@ def make_phases(prog: Program, critical: Iterable[int],
         raise DaegenError("loop bounds must resolve to constants for slicing")
     trips = li.trip_count(init_val, bound_val)
 
-    critical = frozenset(critical) & frozenset(_loop_load_ids(fn, li))
+    loads = _loop_load_ids(fn, li)
+    critical = frozenset(critical) & frozenset(loads)
 
     _check_names(fn)
     _check_sliceable(fn, li)
     alloc = IdAlloc(prog.max_id() + 1)
     execute, _ = _slice_clone(fn, li, f"{fn.name}__exec", "execute", alloc)
     access = make_access_phase(fn, li, critical, f"{fn.name}__access", alloc)
-    base = make_base_access(fn, li, f"{fn.name}__base", alloc)
+    base = make_access_phase(fn, li, loads, f"{fn.name}__base", alloc)
     respec = specialize_access(base, critical, f"{fn.name}__respec", alloc)
     if structural_text(respec) != structural_text(access):
         raise DaegenError(

@@ -7,16 +7,17 @@ seeds it, and its phase plan once, where make_phases builds it; the
 profiler and simulator take both as valid.  Each kernel's seeded
 original is interpreted once for its baseline, and that same run yields
 the profile, unless a stored profile was given.  Without a stored
-profile, prepare keeps what it built in a small LRU memo and serves a
-later call with equal inputs from it: the seeded program's digest,
-theta, rho, the slice override and the machine, whose mshr_count is
-left out when the seeded program has no prefetch (its baseline never
-allocates a miss register, and the plan reads only the L1 capacity).
-So a sweep over miss registers profiles and plans each kernel once.  A
-served value carries the caller's kernel and machine digest in reports
-of its own, equal to what a fresh prepare returns.  Both decoupled modes
-reuse that profile and plan, and every simulated variant is checked for
-observable equivalence against the baseline before any number is
+profile, prepare keeps a seeded program, its plan and one baseline in
+a small LRU memo and serves a later call with equal inputs from it: the
+seeded program's digest, theta, rho, the slice override and the
+machine, whose mshr_count is left out when the seeded program has no
+prefetch (its baseline never allocates a miss register, and the plan
+reads only the L1 capacity).  So a sweep over miss registers profiles
+and plans each kernel once.  A served value carries a copy of that
+baseline stamped with the caller's machine digest, equal to what a
+fresh prepare returns; its rows carry the caller's kernel name.  Both
+decoupled modes reuse that plan, and every simulated variant is checked
+for observable equivalence against the baseline before any number is
 reported.  The decoupled schedules of a kernel are simulated together
 by machsim.simulate_each: dynamic DAE runs slice 0 while profiling and
 then the same access/execute pairs as static DAE, so where the two
@@ -44,7 +45,6 @@ from pathlib import Path
 
 from .daegen import (
     PhasePlan,
-    SliceParams,
     candidate_loop,
     choose_slice_size,
     make_phases,
@@ -101,11 +101,7 @@ class Row:
 @dataclass
 class Prepared:
     """Everything derived once per kernel and shared by both DAE modes."""
-    kernel: BenchmarkKernel
     seeded: Program
-    profile: ProfileReport
-    critical: frozenset[int]
-    slice_params: SliceParams
     plan: PhasePlan
     baseline: SimReport
 
@@ -121,8 +117,6 @@ def load_kernel(name_or_path: str) -> BenchmarkKernel:
                 f"built-ins: {', '.join(k.name for k in builtin_kernels())}")
         return BenchmarkKernel(
             name=path.stem, text=read_text(path, HarnessError),
-            working_set_bytes=0,
-            characterization="user", description=f"loaded from {path}",
             oracle=lambda seed: None)
 
 
@@ -145,8 +139,9 @@ def check_profile(profile: ProfileReport, seeded: Program,
 
 # The Prepared values prepare built, least recently used first.  A sweep
 # over miss registers, or over the seeds of a kernel without random data,
-# asks for the same few in turn; each holds one plan and two small
-# reports, and the bound only stops a long-lived process from growing.
+# asks for the same few in turn; each holds a seeded program, its plan
+# and one small report, and the bound only stops a long-lived process
+# from growing.
 _PREPARED_MAX = 16
 _prepared: OrderedDict[tuple, Prepared] = OrderedDict()
 
@@ -161,29 +156,14 @@ def _machine_key(seeded: Program, machine: MachineConfig) -> MachineConfig:
     return replace(machine, mshr_count=1)
 
 
-def _served(prep: Prepared, kernel: BenchmarkKernel, seeded: Program,
-            machine: MachineConfig) -> Prepared:
-    """prep for this caller: its kernel, program and machine digest, and
-    reports of its own, so that no call's rows share a list, dict or
-    record with another call's or with the memo."""
-    digest = machine.digest()
-    return replace(
-        prep, kernel=kernel, seeded=seeded,
-        baseline=replace(deepcopy(prep.baseline), machine_digest=digest),
-        profile=replace(deepcopy(prep.profile), machine_digest=digest))
-
-
-def _plan(kernel: BenchmarkKernel, seeded: Program, machine: MachineConfig,
-          profile: ProfileReport, baseline: SimReport, theta: Fraction,
-          rho: Fraction, slice_override: int | None) -> Prepared:
-    critical = classify_critical(profile, theta)
+def _plan(seeded: Program, machine: MachineConfig, profile: ProfileReport,
+          theta: Fraction, rho: Fraction,
+          slice_override: int | None) -> PhasePlan:
     li = candidate_loop(seeded.entry_function())
     slice_params = choose_slice_size(machine, profile.footprint(li.header),
                                      rho=rho, override=slice_override)
-    plan = make_phases(seeded, critical=critical, slice_params=slice_params)
-    return Prepared(kernel=kernel, seeded=seeded, profile=profile,
-                    critical=critical, slice_params=slice_params,
-                    plan=plan, baseline=baseline)
+    return make_phases(seeded, critical=classify_critical(profile, theta),
+                       slice_params=slice_params)
 
 
 def prepare(kernel: BenchmarkKernel, machine: MachineConfig, seed: int = 0,
@@ -191,38 +171,42 @@ def prepare(kernel: BenchmarkKernel, machine: MachineConfig, seed: int = 0,
             slice_override: int | None = None,
             profile: ProfileReport | None = None,
             allow_stale: bool = False) -> Prepared:
-    """Baseline, profile and phase plan of one seeded kernel.
+    """Seeded program, phase plan and baseline of one seeded kernel.
 
     The baseline runs before the plan exists: it simulates the seeded
     original alone, which reports the same program digest as the
-    original inside the combined plan program.
+    original inside the combined plan program.  The profile (the stored
+    one, or the one the baseline run takes) steers the plan: its
+    critical loads and its slice size.
 
     Without a stored profile, the result is reused from an earlier call
     whose inputs are equal: the seeded program's digest, theta, rho,
     slice_override and the machine, less its mshr_count when the seeded
-    program has no prefetch (see _machine_key).  The memo keeps a copy
-    of the reports a cold call built, and the cold call returns them as
-    built.  A reused value carries this call's kernel, seeded program and
-    machine digest, and copies of the memo's reports, so it equals what a
-    fresh prepare returns.
+    program has no prefetch (see _machine_key).  The memo keeps the
+    seeded program, the plan and a copy of the baseline a cold call
+    built, and the cold call returns the baseline as built.  A reused
+    value carries this call's seeded program and a copy of the memo's
+    baseline stamped with this call's machine digest, so it equals what
+    a fresh prepare returns, and no call's rows share a list, dict or
+    record with another call's or with the memo.
     """
     seeded = kernel.program(seed)
     if profile is not None:
         check_profile(profile, seeded, machine, allow_stale)
-        return _plan(kernel, seeded, machine, profile,
-                     simulate_baseline(seeded, machine), theta, rho,
-                     slice_override)
+        baseline = simulate_baseline(seeded, machine)
+        return Prepared(seeded, _plan(seeded, machine, profile, theta, rho,
+                                      slice_override), baseline)
     key = (program_digest(seeded), theta, rho, slice_override,
            _machine_key(seeded, machine))
     prep = _prepared.get(key)
     if prep is not None:
         _prepared.move_to_end(key)
-        return _served(prep, kernel, seeded, machine)
+        return replace(prep, seeded=seeded, baseline=replace(
+            deepcopy(prep.baseline), machine_digest=machine.digest()))
     baseline, profiled = profiled_baseline(seeded, machine)
-    prep = _plan(kernel, seeded, machine, profiled, baseline, theta, rho,
-                 slice_override)
-    _prepared[key] = replace(prep, baseline=deepcopy(baseline),
-                             profile=deepcopy(profiled))
+    prep = Prepared(seeded, _plan(seeded, machine, profiled, theta, rho,
+                                  slice_override), baseline)
+    _prepared[key] = replace(prep, baseline=deepcopy(baseline))
     if len(_prepared) > _PREPARED_MAX:
         _prepared.popitem(last=False)
     return prep
@@ -264,9 +248,10 @@ def dae_fuel(plan: PhasePlan, baseline_nodes: int) -> int:
     return 2 * baseline_nodes + plan.n_slices * static
 
 
-def _run_modes(prep: Prepared, modes: tuple[str, ...], machine: MachineConfig,
-               profiling_overhead: Fraction) -> list[Row]:
-    """The modes' rows, in order, normalized against the prepared baseline.
+def _run_modes(name: str, prep: Prepared, modes: tuple[str, ...],
+               machine: MachineConfig, profiling_overhead: Fraction) -> list[Row]:
+    """The rows of kernel name's modes, in order, normalized against the
+    prepared baseline.
 
     A schedule equal to the baseline's (static_dae with nothing to
     prefetch) runs the same original function once at f_max on the same
@@ -292,9 +277,9 @@ def _run_modes(prep: Prepared, modes: tuple[str, ...], machine: MachineConfig,
                 rep = next(reports)
             except DirRuntimeError as e:
                 # The baseline ran to completion, so this is a transformation bug.
-                raise EquivalenceError(f"{prep.kernel.name} [{mode}] failed where"
+                raise EquivalenceError(f"{name} [{mode}] failed where"
                                        f" its baseline ran ({fuel}-node budget): {e}")
-        rows.append(_row_from(prep.kernel.name, mode, rep, base,
+        rows.append(_row_from(name, mode, rep, base,
                               prep.seeded if mode == "baseline" else plan.program))
     return rows
 
@@ -316,7 +301,8 @@ def run_one(kernel: BenchmarkKernel, mode: str, machine: MachineConfig,
     prep = prepare(kernel, machine, seed=seed, theta=theta, rho=rho,
                    slice_override=slice_override, profile=profile,
                    allow_stale=allow_stale)
-    return _run_modes(prep, (mode,), machine, profiling_overhead)[0]
+    return _run_modes(kernel.name, prep, (mode,), machine,
+                      profiling_overhead)[0]
 
 
 def run_kernel_all_modes(kernel: BenchmarkKernel, machine: MachineConfig,
@@ -328,7 +314,7 @@ def run_kernel_all_modes(kernel: BenchmarkKernel, machine: MachineConfig,
     plan."""
     prep = prepare(kernel, machine, seed=seed, theta=theta, rho=rho,
                    slice_override=slice_override)
-    return _run_modes(prep, MODES, machine, profiling_overhead)
+    return _run_modes(kernel.name, prep, MODES, machine, profiling_overhead)
 
 
 def run_suite(machine: MachineConfig, seed: int = 0,

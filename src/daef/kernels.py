@@ -1,11 +1,20 @@
 """Built-in benchmark kernels spanning compute-bound to memory-bound.
 
-Five small loops with known answers: a register-only polynomial, a
-sequential array reduction, an indirect gather through a permutation
-table, a linked-list chase, and a 3-point stencil.  Each kernel carries
-an oracle that recomputes its expected output in plain Python straight
-from the data-segment definition, so the interpreter and simulator can
-be checked against something that shares none of their code.
+Five small loops with known answers:
+
+- compute_poly (compute bound): cubic polynomial evaluated per index,
+  no memory traffic;
+- stream_sum (streaming): sequential 64-bit reduction over one array;
+- gather_sum (indirect gather): table lookups through a random index
+  stream;
+- chase_sum (linked chase): pointer walk where each address comes from
+  the last load;
+- stencil3 (mixed): 3-point neighborhood sums written to a second array.
+
+Each kernel carries an oracle that recomputes its expected output in
+plain Python straight from the data-segment definition, so the
+interpreter and simulator can be checked against something that shares
+none of their code.
 """
 
 from __future__ import annotations
@@ -38,9 +47,6 @@ STENCIL_N = 8190
 class BenchmarkKernel:
     name: str
     text: str
-    working_set_bytes: int
-    characterization: str  # compute_bound | streaming | indirect_gather | linked_chase | mixed
-    description: str
     oracle: Callable[[int], list[int]]
 
     def program(self, seed: int = 0) -> Program:
@@ -282,46 +288,11 @@ def _stencil_oracle(input_seed: int) -> list[int]:
 
 
 _KERNELS = [
-    BenchmarkKernel(
-        name="compute_poly",
-        text=POLY_TEXT,
-        working_set_bytes=0,
-        characterization="compute_bound",
-        description="cubic polynomial evaluated per index, no memory traffic",
-        oracle=_poly_oracle,
-    ),
-    BenchmarkKernel(
-        name="stream_sum",
-        text=STREAM_TEXT,
-        working_set_bytes=STREAM_N * 8,
-        characterization="streaming",
-        description="sequential 64-bit reduction over one array",
-        oracle=_stream_oracle,
-    ),
-    BenchmarkKernel(
-        name="gather_sum",
-        text=GATHER_TEXT,
-        working_set_bytes=GATHER_N * 8 + (GATHER_MASK + 1) * 8,
-        characterization="indirect_gather",
-        description="table lookups through a random index stream",
-        oracle=_gather_oracle,
-    ),
-    BenchmarkKernel(
-        name="chase_sum",
-        text=CHASE_TEXT,
-        working_set_bytes=(CHASE_MASK + 1) * 16,
-        characterization="linked_chase",
-        description="pointer walk where each address comes from the last load",
-        oracle=_chase_oracle,
-    ),
-    BenchmarkKernel(
-        name="stencil3",
-        text=STENCIL_TEXT,
-        working_set_bytes=2 * (STENCIL_N + 2) * 8,
-        characterization="mixed",
-        description="3-point neighborhood sums written to a second array",
-        oracle=_stencil_oracle,
-    ),
+    BenchmarkKernel(name="compute_poly", text=POLY_TEXT, oracle=_poly_oracle),
+    BenchmarkKernel(name="stream_sum", text=STREAM_TEXT, oracle=_stream_oracle),
+    BenchmarkKernel(name="gather_sum", text=GATHER_TEXT, oracle=_gather_oracle),
+    BenchmarkKernel(name="chase_sum", text=CHASE_TEXT, oracle=_chase_oracle),
+    BenchmarkKernel(name="stencil3", text=STENCIL_TEXT, oracle=_stencil_oracle),
 ]
 
 

@@ -26,7 +26,6 @@ from daef.daegen import (
     IdAlloc,
     candidate_loop,
     make_access_phase,
-    make_base_access,
     make_phases,
     specialize_access,
     structural_text,
@@ -158,8 +157,8 @@ def test_criterion_1_semantic_preservation():
         prep = prepare(kernel, MACHINE, seed=0)
         for seed in seeds:
             seeded = with_seed(prog, seed)
-            plan = make_phases(seeded, critical=prep.critical,
-                               slice_params=prep.slice_params)
+            plan = make_phases(seeded, critical=prep.plan.critical,
+                               slice_params=prep.plan.slice_params)
             traces = []
             for mode in ("baseline", "static_dae", "dynamic_dae"):
                 sched = (baseline_schedule(plan.original, MACHINE)
@@ -198,7 +197,8 @@ def test_criterion_2_slicing_oracle_equivalence():
             loads = [n.id for b in fn.blocks if b.label in li.body
                      for n in b.body if isinstance(n, Load)]
             critical = {i for i in loads if rng.random() < 0.5}
-            base = make_base_access(fn, li, "b", IdAlloc(fn.max_id() + 1))
+            base = make_access_phase(fn, li, loads, "b",
+                                     IdAlloc(fn.max_id() + 1))
             direct = make_access_phase(fn, li, critical, "d",
                                        IdAlloc(fn.max_id() + 1))
             special = specialize_access(base, critical, "s",

@@ -54,7 +54,7 @@ from daef.machine import MachineConfig
 
 
 def override(size: int) -> SliceParams:
-    return SliceParams(size=size, rho=Fraction(1, 2), source="override")
+    return SliceParams(size=size, source="override")
 
 
 def entry_loads(prog) -> list[int]:
@@ -110,7 +110,7 @@ def test_slice_size_fallback_and_override():
     assert choose_slice_size(m, None).source == "default"
     assert choose_slice_size(m, 0.0).size == 256
     assert choose_slice_size(m, 8.0, override=17) == SliceParams(
-        size=17, rho=Fraction(1, 2), source="override")
+        size=17, source="override")
 
 
 def test_slice_size_rejects():

@@ -206,15 +206,15 @@ def test_reused_static_row_equals_a_forced_simulation():
     checked = 0
     for i in range(12):
         text = print_program(random_loop_kernel(rng))
-        kernel = BenchmarkKernel(name=f"rand{i}", text=text, working_set_bytes=0,
-                                 characterization="user", description="",
+        kernel = BenchmarkKernel(name=f"rand{i}", text=text,
                                  oracle=lambda seed: None)
         prep = prepare(kernel, m, theta=Fraction(1))
-        if prep.critical:
+        if prep.plan.critical:
             continue
         sched = build_schedule("static_dae", prep.plan, m)
         assert sched == baseline_schedule(prep.plan.original, m)
-        (row,) = harness._run_modes(prep, ("static_dae",), m, Fraction(0))
+        (row,) = harness._run_modes(kernel.name, prep, ("static_dae",), m,
+                                    Fraction(0))
         assert row.report is prep.baseline
         assert row.program is prep.plan.program
         forced = simulate(prep.plan.program, sched, m,
@@ -291,15 +291,22 @@ def test_suite_rows_follow_kernel_order():
 
 
 def test_profile_reuse_and_staleness():
+    """A stored profile steers the plan: a doctored loop footprint yields
+    the slice size that footprint implies."""
     m = machine()
     k = kernel_by_name("stream_sum")
     prof = profiled_baseline(k.program(), m)[1]
-    prep = prepare(k, m, seed=0, profile=prof)
-    assert prep.profile is prof
+    assert prepare(k, m, seed=0, profile=prof).plan.slice_params.size == \
+        m.l1.capacity_bytes // 2 // 8  # one 8-byte word per iteration
+    doctored = dataclasses.replace(prof, loops=[
+        dataclasses.replace(lf, bytes_per_iter=128.0) for lf in prof.loops])
+    plan = prepare(k, m, seed=0, profile=doctored).plan
+    assert (plan.slice_params.size, plan.slice_params.source) == \
+        (m.l1.capacity_bytes // 2 // 128, "profile")
     with pytest.raises(HarnessError, match="different program"):
         prepare(k, m, seed=1, profile=prof)
-    warned = prepare(k, m, seed=1, profile=prof, allow_stale=True)
-    assert warned.plan.n_slices >= 1
+    stale = prepare(k, m, seed=1, profile=prof, allow_stale=True)
+    assert stale.plan.n_slices >= 1
     other = dataclasses.replace(m, mshr_count=2)
     with pytest.raises(HarnessError, match="different machine"):
         check_profile(prof, with_seed(parse_program(k.text), 0), other)
@@ -616,6 +623,56 @@ entry:
     assert "no canonical loop" in capsys.readouterr().err
 
 
+def test_cli_no_loop_names_the_skip_reason(tmp_path, capsys):
+    """A loop find_loops skips is reported with the reason it skipped it,
+    on the one message line."""
+    src = tmp_path / "guard.dir"
+    src.write_text("""
+entry @main
+
+func @main() kind=original {
+entry:
+  %n = const 10
+  br loop
+loop:
+  %i = phi [entry: 0], [body: %i2]
+  %i2 = binop add %i, 1
+  %c = binop slt %i2, %n
+  brcond %c, body, done
+body:
+  br loop
+done:
+  out %i
+  ret %i
+}
+""")
+    rc = main(["transform", "--kernel", str(src)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("daef: no canonical loop to transform")
+    assert "@main:loop: guard register is not a header phi" in err
+
+
+# sha256 of `daef transform` stdout and stderr for every built-in kernel
+# at seeds 0 and 7, recorded before Prepared was cut down to its seeded
+# program, plan and baseline.
+TRANSFORM_SHA256 = (
+    "8161c6f2a20b1bb704f629cbeb6d4a79939c3d2b0920e4187325ee750e67d301")
+
+
+def test_transform_output_is_pinned(capsys):
+    h = hashlib.sha256()
+    for seed in (0, 7):
+        for k in builtin_kernels():
+            assert main(["transform", "--kernel", k.name,
+                         "--seed", str(seed)]) == 0
+            out, err = capsys.readouterr()
+            h.update(out.encode())
+            h.update(err.encode())
+    assert h.hexdigest() == TRANSFORM_SHA256
+
+
 def test_cli_data_past_the_memory_limit_is_exit_2(tmp_path, capsys):
     src = tmp_path / "huge.dir"
     src.write_text(f"""
@@ -756,8 +813,7 @@ def test_all_modes_rows_equal_standalone_simulations(monkeypatch):
         theta = rng.choice([Fraction(0), Fraction(1, 100), Fraction(1, 5)])
         kernel = BenchmarkKernel(name=f"rand{i}",
                                  text=print_program(random_loop_kernel(rng)),
-                                 working_set_bytes=0, characterization="user",
-                                 description="", oracle=lambda seed: None)
+                                 oracle=lambda seed: None)
         clocks.clear()
         rows = run_kernel_all_modes(kernel, m, theta=theta, slice_override=size,
                                     profiling_overhead=overhead)
@@ -795,22 +851,20 @@ def test_all_modes_rows_equal_standalone_simulations(monkeypatch):
     assert joins >= 1 and fallbacks >= 1, (joins, fallbacks)
 
 
-def mutable_parts(rep, prof=None) -> set[int]:
-    """The ids of every list, dict and record in a baseline report and
-    a profile, each record's output and block counts included."""
+def mutable_parts(rep) -> set[int]:
+    """The ids of every list, dict and record in a report, each record's
+    output and block counts included."""
     parts = [rep.runs, rep.output, rep.categories, rep.total, *rep.runs,
              *(r.output for r in rep.runs), *(r.block_counts for r in rep.runs),
              *rep.categories.values()]
-    if prof is not None:
-        parts += [prof.loads, prof.loops, *prof.loads, *prof.loops]
     return {id(obj) for obj in parts}
 
 
 def test_memo_served_prepare_equals_a_cold_one(monkeypatch):
     """A sweep over mshr_count profiles a kernel without prefetches once.
     Every later prepare is served from the memo and equals a cold one in
-    every field, plan text, profile JSON, row JSON and CSV, and shares
-    no list, dict or record with the memo or an earlier call.  Running
+    every field, plan text, row JSON and CSV, and shares no list, dict
+    or record with the memo or an earlier call.  Running
     and emitting every mode leaves the memo's value as a cold prepare
     builds it."""
     profiled = []
@@ -828,8 +882,7 @@ def test_memo_served_prepare_equals_a_cold_one(monkeypatch):
                     slice_override=rng.choice([None, 8, 64]))
         kernel = BenchmarkKernel(name=f"rand{i}",
                                  text=print_program(random_loop_kernel(rng)),
-                                 working_set_bytes=0, characterization="user",
-                                 description="", oracle=lambda seed: None)
+                                 oracle=lambda seed: None)
         harness._prepared.clear()
         calls = []  # kept alive, so their ids stay theirs
         for k, n in enumerate(sorted(rng.sample(range(1, 17), 3))):
@@ -839,20 +892,19 @@ def test_memo_served_prepare_equals_a_cold_one(monkeypatch):
             served_rows = run_kernel_all_modes(kernel, m, **args)
             assert profiled == ([n] if k == 0 else []), (i, n)
             (stored,) = harness._prepared.values()
-            calls += [(served.baseline, served.profile),
-                      (served_rows[0].report, None)]
+            calls += [served.baseline, served_rows[0].report]
             seen: set[int] = set()
-            for rep, prof in [(stored.baseline, stored.profile), *calls]:
-                assert not mutable_parts(rep, prof) & seen, (i, n)
-                seen |= mutable_parts(rep, prof)
+            for rep in [stored.baseline, *calls]:
+                assert not mutable_parts(rep) & seen, (i, n)
+                seen |= mutable_parts(rep)
 
             harness._prepared.clear()
             cold = prepare(kernel, m, **args)
-            cold_rows = harness._run_modes(cold, machsim.MODES, m, Fraction(0))
+            cold_rows = harness._run_modes(kernel.name, cold, machsim.MODES, m,
+                                           Fraction(0))
             assert served == cold, (i, n)
             assert print_program(served.plan.program) == \
                 print_program(cold.plan.program)
-            assert report_to_json(served.profile) == report_to_json(cold.profile)
             assert [harness.report_to_json(r) for r in served_rows] == \
                 [harness.report_to_json(r) for r in cold_rows], (i, n)
             assert rows_to_csv(served_rows) == rows_to_csv(cold_rows)
@@ -870,8 +922,7 @@ def test_memo_key_separates_every_input(monkeypatch):
     """A change to the seed's data, theta, rho, the slice override or any
     machine field but mshr_count prepares afresh; a repeat is served,
     and equals a cold prepare."""
-    kernel = BenchmarkKernel(name="sum", text=SUM_KERNEL, working_set_bytes=0,
-                             characterization="user", description="",
+    kernel = BenchmarkKernel(name="sum", text=SUM_KERNEL,
                              oracle=lambda seed: None)
     m = machine()
     variants = [{}, {"seed": 1}, {"theta": Fraction(1)}, {"rho": Fraction(1, 4)},
@@ -897,13 +948,44 @@ def test_memo_key_separates_every_input(monkeypatch):
     assert len(profiled) == len(variants)
 
 
+def test_memo_serves_a_twin_kernel_under_its_own_name(monkeypatch):
+    """Two kernels with equal text and different names share one profile
+    and plan, and each one's rows carry its own name.  Each call copies
+    one report: the cold call the baseline it stores, the served call
+    the baseline it returns."""
+    profiled, copied = [], []
+    copy = harness.deepcopy
+
+    def counting_profile(seeded, m):
+        profiled.append(1)
+        return profiled_baseline(seeded, m)
+
+    def counting_copy(obj):
+        copied.append(type(obj).__name__)
+        return copy(obj)
+
+    monkeypatch.setattr(harness, "profiled_baseline", counting_profile)
+    monkeypatch.setattr(harness, "deepcopy", counting_copy)
+    rows = {}
+    for name in ("first", "second"):
+        copied.clear()
+        kernel = BenchmarkKernel(name=name, text=SUM_KERNEL,
+                                 oracle=lambda seed: None)
+        rows[name] = run_kernel_all_modes(kernel, machine())
+        assert copied == ["SimReport"], name
+    assert len(profiled) == 1
+    for name, got in rows.items():
+        assert [r.kernel for r in got] == [name] * 3
+    assert rows_to_csv(rows["second"]) == \
+        rows_to_csv(rows["first"]).replace("first", "second")
+
+
 def test_memo_keeps_mshr_count_for_a_kernel_with_prefetches(monkeypatch):
     """An original with a prefetch allocates miss registers in its
     baseline, so each mshr_count is prepared afresh."""
     text = SUM_KERNEL.replace("  %v = load", "  prefetch %addr, 64 !origin=11\n"
                               "  %v = load")
-    kernel = BenchmarkKernel(name="prefetching", text=text, working_set_bytes=0,
-                             characterization="user", description="",
+    kernel = BenchmarkKernel(name="prefetching", text=text,
                              oracle=lambda seed: None)
     profiled = []
 

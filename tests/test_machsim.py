@@ -42,7 +42,7 @@ def machine() -> MachineConfig:
 
 
 def override(size: int) -> SliceParams:
-    return SliceParams(size=size, rho=Fraction(1, 2), source="override")
+    return SliceParams(size=size, source="override")
 
 
 def sum_text(n: int, stride: int = 8, seed: int = 7) -> str:
