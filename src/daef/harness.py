@@ -37,6 +37,7 @@ follow that one list.
 from __future__ import annotations
 
 import math
+import sys
 from collections import OrderedDict
 from copy import deepcopy
 from dataclasses import dataclass, field, fields, replace
@@ -177,7 +178,9 @@ def prepare(kernel: BenchmarkKernel, machine: MachineConfig, seed: int = 0,
     original alone, which reports the same program digest as the
     original inside the combined plan program.  The profile (the stored
     one, or the one the baseline run takes) steers the plan: its
-    critical loads and its slice size.
+    critical loads and its slice size.  A stored profile must match the
+    seeded program and the machine (check_profile); each mismatch that
+    allow_stale waives is printed to stderr as a "daef: warning:" line.
 
     Without a stored profile, the result is reused from an earlier call
     whose inputs are equal: the seeded program's digest, theta, rho,
@@ -192,7 +195,8 @@ def prepare(kernel: BenchmarkKernel, machine: MachineConfig, seed: int = 0,
     """
     seeded = kernel.program(seed)
     if profile is not None:
-        check_profile(profile, seeded, machine, allow_stale)
+        for problem in check_profile(profile, seeded, machine, allow_stale):
+            print(f"daef: warning: {problem}", file=sys.stderr)
         baseline = simulate_baseline(seeded, machine)
         return Prepared(seeded, _plan(seeded, machine, profile, theta, rho,
                                       slice_override), baseline)

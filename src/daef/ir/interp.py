@@ -2,9 +2,9 @@
 
 This is the semantic oracle for the whole toolkit: transformations and the
 timing simulator are checked against it.  It is timing-free; prefetch is a
-no-op here.  Values are 64-bit two's-complement integers kept internally
-in unsigned form.  Loads zero-extend, div/rem truncate toward zero, shr is
-a logical shift, and shift amounts are taken mod 64.
+no-op here.  Values are 64-bit two's-complement integers.  Loads
+zero-extend, div/rem truncate toward zero, shr is a logical shift, and
+shift amounts are taken mod 64.
 
 There is one engine.  compile_function writes each function as Python
 source and builds it with exec, the way the stdlib's dataclasses builds
@@ -14,9 +14,23 @@ more or fewer than one CFG edge, or by a self-loop) get an arm of the
 dispatch, a balanced if-tree on an integer arm index.  Every other block
 is written out where its one edge is taken, so a loop's header, body and
 latch run as one arm; each block still counts its entries and charges
-its fuel itself.  Code objects are cached by source, and each call of
-compile_function execs one into a fresh namespace, because the register
-names written back to env are not in the source.
+its fuel itself.  Each edge moves its target's phi values where it is
+taken, in one tuple assignment, before it jumps to the target's arm or
+runs into the inlined target; the edge that enters a phi's block with no
+value for it (the call's start included) counts the entry, charges the
+fuel and raises instead.  Code objects are cached by source, and each
+call of compile_function execs one into a fresh namespace, because the
+register names written back to env are not in the source.
+
+A register holds its canonical value, the unsigned form in [0, 2**64),
+wherever something observes it: a phi move, a branch, a comparison, shr,
+div, rem, an out, an address, and the write-back to env, which wraps
+each value it writes.  add, sub, mul, and, or, xor and shl commute with
+reduction mod 2**64 on Python's ints, so a result of one that only later
+ones of the same block read (or a store, as the value it masks) stays
+unwrapped, possibly negative; such chains are wrapped where a bound on
+their bit length would pass 256 bits (_MAX_BITS).  An address with a
+non-negative offset is tested with one compare of its canonical form.
 
 BINOP_FNS defines every operator; the generated code spells out all but
 div and rem with the same arithmetic and calls BINOP_FNS for those two.
@@ -58,7 +72,7 @@ from .types import (
     Ret,
     Store,
     node_def,
-    predecessors,
+    node_uses,
     successors,
 )
 
@@ -112,20 +126,30 @@ BINOP_FNS = {
 }
 
 # The generated spelling of each BINOP_FNS entry; the rest are called.
+# The forms of _LOOSE_OPS leave out the reduction mod 2**64, which
+# _Source.arith adds where a value must be canonical.
 _INLINE = {
-    "add": f"({{a}} + {{b}}) & {M64:#x}",
-    "sub": f"({{a}} - {{b}}) & {M64:#x}",
-    "mul": f"({{a}} * {{b}}) & {M64:#x}",
+    "add": "{a} + {b}",
+    "sub": "{a} - {b}",
+    "mul": "{a} * {b}",
     "and": "{a} & {b}",
     "or": "{a} | {b}",
     "xor": "{a} ^ {b}",
-    "shl": f"({{a}} << ({{b}} & 63)) & {M64:#x}",
+    "shl": "{a} << ({b} & 63)",
     "shr": "{a} >> ({b} & 63)",
     "seq": "1 if {a} == {b} else 0",
     # Flipping the sign bit maps signed order onto unsigned order.
     "slt": f"1 if {{a}} ^ {_H64:#x} < {{b}} ^ {_H64:#x} else 0",
     "sle": f"1 if {{a}} ^ {_H64:#x} <= {{b}} ^ {_H64:#x} else 0",
 }
+
+# On Python's ints each of these commutes with reduction mod 2**64 (a
+# shl reads its count mod 64 either way), so a chain of them may be
+# reduced once, at its end.
+_LOOSE_OPS = frozenset(("add", "sub", "mul", "and", "or", "xor", "shl"))
+# The most bits an unwrapped value may need; a result that could need
+# more is wrapped, so a chain of squarings stays small.
+_MAX_BITS = 256
 
 _STRUCTS = {w: struct.Struct(f"<{c}") for w, c in ((2, "H"), (4, "I"), (8, "Q"))}
 _NAMESPACE = {
@@ -145,9 +169,10 @@ class CompiledFunction:
     output.  block_counts is keyed by block label and is the basis for
     the retired instruction counts (every node in a block retires when
     the block runs).  Parameters are read from env on entry, and the
-    registers the call assigns are written back to env when it returns;
-    the caller decides what to do with them.  fuel is a one-element list
-    holding the nodes the call may still retire.  Hooks, both optional:
+    registers the call assigns are written back to env, in canonical
+    form, when it returns; the caller decides what to do with them.
+    fuel is a one-element list holding the nodes the call may still
+    retire.  Hooks, both optional:
     on_load observes (instr_id, addr, fuel_left) for every executed load,
     and on_prefetch the same for in-bounds prefetches (out-of-bounds ones
     are dropped, never faulted).  fuel_left is the fuel after every node
@@ -172,6 +197,39 @@ def _address(base: str, offset: int) -> str:
     return f"{_signed(base)} + {offset}" if offset else _signed(base)
 
 
+def _unobserved(blocks: dict) -> set[str]:
+    """The registers whose values nothing observes unwrapped.
+
+    Each is defined once, by a _LOOSE_OPS binop, and read only later in
+    its own block, by _LOOSE_OPS binops or as a store's value, which the
+    store masks to its width.  Every other read observes the value: a
+    comparison, shr, div or rem, a branch, an out, an address, and a phi
+    move, which carries it into another block.
+    """
+    site: dict[str, tuple[str, int] | None] = {}  # register -> (block, index)
+    for label, blk in blocks.items():
+        for k, n in enumerate((*blk.phis, *blk.body)):
+            d = node_def(n)
+            if d is not None:
+                loose = isinstance(n, BinOp) and n.op in _LOOSE_OPS
+                site[d] = (label, k) if loose and d not in site else None
+    for label, blk in blocks.items():
+        for k, n in enumerate((*blk.phis, *blk.body, blk.term)):
+            if isinstance(n, BinOp) and n.op in _LOOSE_OPS:
+                quiet, loud = node_uses(n), []
+            elif isinstance(n, Store):
+                quiet, loud = [n.src], [n.base]
+            else:
+                quiet, loud = [], node_uses(n)
+            for r in loud:
+                site[r] = None
+            for r in quiet:
+                s = site.get(r)
+                if s is not None and (s[0] != label or s[1] >= k):
+                    site[r] = None
+    return {r for r, s in site.items() if s is not None}
+
+
 # Each inlined brcond target nests one level deeper than its branch.
 # A block that would sit deeper gets its own arm instead, which keeps the
 # generated code well inside the nesting limits of Python's parser.
@@ -188,10 +246,11 @@ class _Source:
     """
 
     def __init__(self, fn: Function, blocks: dict):
+        self.params = fn.params
         self.blocks = blocks
         self.index = {label: k for k, label in enumerate(blocks)}
         self.entry = fn.blocks[0].label
-        self.preds = predecessors(fn)
+        self.unobserved = _unobserved(blocks)
         self.regs: dict[str, str] = {}  # register -> local name
         edges = dict.fromkeys(blocks, 0)
         for label, blk in blocks.items():
@@ -213,6 +272,41 @@ class _Source:
     def val(self, v: Operand) -> str:
         return self.reg(v) if isinstance(v, str) else str(v & M64)
 
+    def text(self) -> str:
+        """The source of run, the function compile_function builds."""
+        arms = self.all_arms()
+        body: list[str] = []
+        _dispatch(arms, 0, len(arms), 3, body)
+        self.lines = []
+        entry = self.blocks[self.entry]
+        if entry.phis:
+            # The call enters the entry by no edge.
+            self.fault(2, entry, f"phi executed on function entry in {self.entry!r}")
+        counts = ", ".join(f"c{k}" for k in range(len(self.blocks)))
+        head = ["def run(env, mem, output, block_counts, fuel, mem_size,"
+                " on_load=None, on_prefetch=None):",
+                "    out = output.append",
+                "    f = fuel[0]",
+                f"    {counts.replace(',', ' =')} = 0"]
+        for name in self.params:
+            if name in self.regs:
+                head.append(f"    if {name!r} in env: {self.regs[name]} = env[{name!r}]")
+        head += ["    b = 0",
+                 "    try:",
+                 *self.lines,
+                 "        while True:"]
+        tail = ["    finally:",
+                "        fuel[0] = f",
+                f"        for label, c in zip(_labels, ({counts},)):",
+                "            if c:",
+                "                block_counts[label] = block_counts.get(label, 0) + c",
+                # Registers the call never assigned stay out of env.
+                "    bound = locals()",
+                "    for name, r in _defs:",
+                "        if r in bound:",
+                f"            env[name] = bound[r] & {M64:#x}"]
+        return "\n".join(head + body + tail) + "\n"
+
     def all_arms(self) -> list[list[str]]:
         """Every arm's code, in arm order; writing an arm may add roots."""
         arms: list[list[str]] = []
@@ -225,9 +319,11 @@ class _Source:
 
         A stack of (label, depth, the block jumping there) stands in for
         recursion, so a long chain of inlined blocks costs no Python
-        stack.  A brcond writes its true target inside an if and its
-        false target after it; every path ends in continue, break or
-        raise, so nothing falls through.
+        stack.  Each edge first moves the target's phi values, then
+        jumps to the target's arm or writes the target inline.  A brcond
+        writes its true target inside an if and its false target after
+        it; every path ends in continue, break or raise, so nothing
+        falls through.
         """
         self.lines = []
         todo = [(root, 0, None)]
@@ -236,16 +332,18 @@ class _Source:
             if label not in self.blocks:
                 self.emit(d, f"raise KeyError({label!r})")
                 continue
-            if prev is not None and (label in self.arms or d > MAX_NEST):
-                if label not in self.arms:
-                    self.arms[label] = len(self.roots)
-                    self.roots.append(label)
-                if self.blocks[label].phis:
-                    self.emit(d, f"p = {self.index[prev]}")
-                self.emit(d, f"b = {self.arms[label]}")
-                self.emit(d, "continue")
-                continue
-            t = self.block(d, self.blocks[label])
+            blk = self.blocks[label]
+            if prev is not None:
+                if not self.moves(d, prev, blk):
+                    continue
+                if label in self.arms or d > MAX_NEST:
+                    if label not in self.arms:
+                        self.arms[label] = len(self.roots)
+                        self.roots.append(label)
+                    self.emit(d, f"b = {self.arms[label]}")
+                    self.emit(d, "continue")
+                    continue
+            t = self.block(d, blk)
             if t is None:
                 continue
             if isinstance(t, Br):
@@ -256,80 +354,123 @@ class _Source:
                 todo.append((t.if_true, d + 1, label))
         return self.lines
 
-    def phis(self, d: int, blk) -> None:
-        """Assign the block's phis, all at once, for the predecessor p."""
+    def moves(self, d: int, prev: str, blk) -> bool:
+        """Assign blk's phis, all at once, the values of the edge from
+        prev; False when the edge has none, after writing the fault."""
         incoming = [(phi.dst, dict(phi.incoming)) for phi in blk.phis]
-        arms: list[str | None] = list(self.preds[blk.label])
-        if blk.label == self.entry:
-            arms.insert(0, None)
-        for n, prev in enumerate(arms):
-            inner = d
-            if len(arms) > 1:
-                inner = d + 1
-                if n == len(arms) - 1:
-                    self.emit(d, "else:")
-                else:
-                    test = "p < 0" if prev is None else f"p == {self.index[prev]}"
-                    self.emit(d, f"{'if' if n == 0 else 'elif'} {test}:")
-            if prev is None:
-                msg = f"phi executed on function entry in {blk.label!r}"
-                self.emit(inner, f"raise _Err({msg!r})")
-                continue
-            missing = [dst for dst, inc in incoming if prev not in inc]
-            if missing:
-                msg = f"phi %{missing[0]} has no incoming for predecessor {prev!r}"
-                self.emit(inner, f"raise _Err({msg!r})")
-                continue
+        missing = [dst for dst, inc in incoming if prev not in inc]
+        if missing:
+            self.fault(d, blk, f"phi %{missing[0]} has no incoming"
+                               f" for predecessor {prev!r}")
+            return False
+        if incoming:
             dsts = ", ".join(self.reg(dst) for dst, _ in incoming)
             vals = ", ".join(self.val(inc[prev]) for _, inc in incoming)
-            self.emit(inner, f"{dsts} = {vals}")
+            self.emit(d, f"{dsts} = {vals}")
+        return True
+
+    def enter(self, d: int, blk) -> None:
+        """Count one entry of blk and charge its nodes' fuel."""
+        self.emit(d, f"c{self.index[blk.label]} += 1")
+        self.emit(d, f"f -= {len(blk.phis) + len(blk.body) + 1}")
+        self.emit(d, "if f < 0:")
+        msg = f"fuel exhausted in block {blk.label!r}"
+        self.emit(d + 1, f"raise _Err({msg!r})")
+
+    def fault(self, d: int, blk, msg: str) -> None:
+        """Enter blk and raise msg, the fault of an edge into it."""
+        self.enter(d, blk)
+        self.emit(d, f"raise _Err({msg!r})")
+
+    def arith(self, ins: BinOp, bits: dict[str, int]) -> str:
+        """The inline form of a _LOOSE_OPS binop, wrapped unless nothing
+        observes its register and its result needs at most _MAX_BITS bits.
+
+        bits maps each unwrapped register the block has defined so far
+        to a bound on its bit length; any other register is canonical,
+        64 bits, and an immediate needs its own length.  A product needs
+        the sum of its operands' lengths, a shl 63 more than its left
+        operand, and the rest one more than the longer.  An and, or or
+        xor of canonical operands is canonical as it stands.
+        """
+        a, b = ins.a, ins.b
+        expr = _INLINE[ins.op].format(a=self.val(a), b=self.val(b))
+        if ins.op in ("and", "or", "xor") and a not in bits and b not in bits:
+            return expr
+        x, y = (bits.get(v, 64) if isinstance(v, str) else (v & M64).bit_length()
+                for v in (a, b))
+        n = x + y if ins.op == "mul" else x + 63 if ins.op == "shl" else max(x, y) + 1
+        if ins.dst in self.unobserved and n <= _MAX_BITS:
+            bits[ins.dst] = n
+            return expr
+        return f"({expr}) & {M64:#x}"
+
+    def address(self, d: int, base: str, offset: int) -> tuple[str, bool]:
+        """Write the address base + offset; returns its expression and
+        whether it is the canonical address.
+
+        base is canonical.  With 0 <= offset < 2**63 the canonical sum is
+        the signed address whenever that lies in [0, 2**64), and at or
+        past 2**63, so past memory, whenever the signed address is
+        negative: one compare tests it.  Other offsets get the signed
+        address itself.
+        """
+        if not 0 <= offset < _H64:
+            self.emit(d, f"a = {_address(base, offset)}")
+            return "a", False
+        if not offset:
+            return base, True
+        self.emit(d, f"a = ({base} + {offset}) & {M64:#x}")
+        return "a", True
 
     def block(self, d: int, blk):
         """Write the block up to its terminator; returns a br or brcond
         for the caller to follow, or None after a ret."""
         emit = self.emit
-        emit(d, f"c{self.index[blk.label]} += 1")
-        emit(d, f"f -= {len(blk.phis) + len(blk.body) + 1}")
-        emit(d, "if f < 0:")
-        msg = f"fuel exhausted in block {blk.label!r}"
-        emit(d + 1, f"raise _Err({msg!r})")
-        if blk.phis:
-            self.phis(d, blk)
+        self.enter(d, blk)
+        bits: dict[str, int] = {}
         for ins in blk.body:
             if isinstance(ins, Const):
                 emit(d, f"{self.reg(ins.dst)} = {ins.value & M64}")
             elif isinstance(ins, BinOp):
-                a, b = self.val(ins.a), self.val(ins.b)
-                if ins.op in _INLINE:
-                    expr = _INLINE[ins.op].format(a=a, b=b)
+                if ins.op in _LOOSE_OPS:
+                    expr = self.arith(ins, bits)
                 else:
-                    if ins.op in ("div", "rem"):
-                        emit(d, f"if {b} == 0:")
-                        emit(d + 1, f"raise _Err('division by zero', {ins.id})")
-                    expr = f"_{ins.op}({a}, {b})"
+                    a, b = self.val(ins.a), self.val(ins.b)
+                    if ins.op in _INLINE:
+                        expr = _INLINE[ins.op].format(a=a, b=b)
+                    else:
+                        if ins.op in ("div", "rem"):
+                            emit(d, f"if {b} == 0:")
+                            emit(d + 1, f"raise _Err('division by zero', {ins.id})")
+                        expr = f"_{ins.op}({a}, {b})"
                 emit(d, f"{self.reg(ins.dst)} = {expr}")
             elif isinstance(ins, (Load, Store)):
                 kind = "load" if isinstance(ins, Load) else "store"
-                emit(d, f"a = {_address(self.reg(ins.base), ins.offset)}")
-                emit(d, f"if a < 0 or a + {ins.width} > mem_size:")
-                emit(d + 1, f"raise _Err(f'{kind} address {{a}} out of"
+                base = self.reg(ins.base)
+                a, canonical = self.address(d, base, ins.offset)
+                shown = _address(base, ins.offset) if canonical else a
+                test = "" if canonical else f"{a} < 0 or "
+                emit(d, f"if {test}{a} + {ins.width} > mem_size:")
+                emit(d + 1, f"raise _Err(f'{kind} address {{{shown}}} out of"
                             f" [0, {{mem_size}})', {ins.id})")
                 if kind == "load":
                     emit(d, "if on_load is not None:")
-                    emit(d + 1, f"on_load({ins.id}, a, f)")
-                    read = "mem[a]" if ins.width == 1 else f"_ld{ins.width}(mem, a)[0]"
+                    emit(d + 1, f"on_load({ins.id}, {a}, f)")
+                    read = f"mem[{a}]" if ins.width == 1 else f"_ld{ins.width}(mem, {a})[0]"
                     emit(d, f"{self.reg(ins.dst)} = {read}")
                 elif ins.width == 1:
-                    emit(d, f"mem[a] = {self.reg(ins.src)} & 0xff")
+                    emit(d, f"mem[{a}] = {self.reg(ins.src)} & 0xff")
                 else:
                     mask = (1 << (8 * ins.width)) - 1
-                    emit(d, f"_st{ins.width}(mem, a, {self.reg(ins.src)} & {mask:#x})")
+                    emit(d, f"_st{ins.width}(mem, {a}, {self.reg(ins.src)} & {mask:#x})")
             elif isinstance(ins, Prefetch):
                 # Architectural no-op; only the timing model cares.
                 emit(d, "if on_prefetch is not None:")
-                emit(d + 1, f"a = {_address(self.reg(ins.base), ins.offset)}")
-                emit(d + 1, "if 0 <= a < mem_size:")
-                emit(d + 2, f"on_prefetch({ins.id}, a, f)")
+                a, canonical = self.address(d + 1, self.reg(ins.base), ins.offset)
+                emit(d + 1, f"if {a} < mem_size:" if canonical else
+                     f"if 0 <= {a} < mem_size:")
+                emit(d + 2, f"on_prefetch({ins.id}, {a}, f)")
             elif isinstance(ins, Out):
                 emit(d, f"out({_signed(self.reg(ins.src))})")
             else:
@@ -370,37 +511,11 @@ def compile_function(fn: Function) -> CompiledFunction:
     ids = {label: [n.id for n in (*blk.phis, *blk.body, blk.term)]
            for label, blk in blocks.items()}
     src = _Source(fn, blocks)
-    arms = src.all_arms()
-    body: list[str] = []
-    _dispatch(arms, 0, len(arms), 3, body)
-    counts = ", ".join(f"c{k}" for k in range(len(blocks)))
-    head = ["def run(env, mem, output, block_counts, fuel, mem_size,"
-            " on_load=None, on_prefetch=None):",
-            "    out = output.append",
-            "    f = fuel[0]",
-            f"    {counts.replace(',', ' =')} = 0"]
-    for name in fn.params:
-        if name in src.regs:
-            head.append(f"    if {name!r} in env: {src.regs[name]} = env[{name!r}]")
-    head += ["    b = 0",
-             "    p = -1",
-             "    try:",
-             "        while True:"]
-    tail = ["    finally:",
-            "        fuel[0] = f",
-            f"        for label, c in zip(_labels, ({counts},)):",
-            "            if c:",
-            "                block_counts[label] = block_counts.get(label, 0) + c",
-            # Registers the call never assigned stay out of env.
-            "    bound = locals()",
-            "    for name, r in _defs:",
-            "        if r in bound:",
-            "            env[name] = bound[r]"]
+    code = _code(src.text(), f"<dir @{fn.name}>")
     defined = {node_def(n) for blk in blocks.values() for n in (*blk.phis, *blk.body)}
     namespace = dict(_NAMESPACE, _labels=tuple(blocks),
                      _defs=tuple((name, r) for name, r in src.regs.items()
                                  if name in defined))
-    code = _code("\n".join(head + body + tail) + "\n", f"<dir @{fn.name}>")
     exec(code, namespace)
     return CompiledFunction(fn, ids, namespace["run"])
 

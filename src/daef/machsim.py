@@ -67,6 +67,7 @@ from .daegen import PhasePlan
 from .ir import Program, Store, program_digest
 from .ir.interp import (
     DEFAULT_FUEL,
+    CompiledFunction,
     compile_function,
     default_mem_size,
     init_memory,
@@ -291,6 +292,7 @@ def simulate(
     *,
     marks: dict[int, list[_Suffix]] | None = None,
     joins: dict[int, list[_Suffix]] | None = None,
+    compiled: dict[str, CompiledFunction] | None = None,
 ) -> SimReport:
     """Run a schedule to completion and account time and energy.
 
@@ -312,13 +314,16 @@ def simulate(
     Each run record keeps the run's output and block entry counts; the
     report's output is their concatenation.
 
-    marks and joins come from simulate_each.  Before run k, simulate
-    records its state into each suffix in marks[k], and takes the first
-    suffix in joins[k] whose state equals its own and whose records'
-    instr_count its fuel left covers.  tally sees only the runs
-    simulated.
+    marks, joins and compiled come from simulate_each.  Before run k,
+    simulate records its state into each suffix in marks[k], and takes
+    the first suffix in joins[k] whose state equals its own and whose
+    records' instr_count its fuel left covers.  tally sees only the runs
+    simulated.  compiled maps function names to their CompiledFunction;
+    simulate adds each function it compiles, so the schedules of one
+    simulate_each call compile each function once.
     """
     marks, joins = marks or {}, joins or {}
+    compiled = {} if compiled is None else compiled
     names = {f.name for f in prog.functions}
     for r in sched:
         if r.function is not None and r.function not in names:
@@ -331,13 +336,6 @@ def simulate(
             raise MachSimError(f"unknown category {r.category!r}")
         if r.charge is not None and r.charge[1] < 0:
             raise MachSimError(f"negative charge {r.charge!r}")
-
-    compiled = {}
-
-    def get_compiled(name: str):
-        if name not in compiled:
-            compiled[name] = compile_function(prog.function(name))
-        return compiled[name]
 
     cache = LruCache(machine.l1)
     mem_size = default_mem_size(prog)
@@ -372,7 +370,9 @@ def simulate(
             if r.charge is not None:
                 charge(r.charge[0], r.charge[1], r.frequency)
             continue
-        cf = get_compiled(r.function)
+        cf = compiled.get(r.function)
+        if cf is None:
+            cf = compiled[r.function] = compile_function(prog.function(r.function))
         call_env = {p: r.args.get(p, env.get(p, 0)) for p in cf.fn.params}
         fuel_before = fuel_box[0]
         clock = _RunClock(machine, cache, r.frequency, fuel_before)
@@ -442,9 +442,9 @@ def simulate_each(prog: Program, scheds: list[list[PhaseRun]],
                   machine: MachineConfig, fuel: int = DEFAULT_FUEL):
     """Yield simulate(prog, sched, machine, fuel) for each schedule, in
     order, simulating the runs a later schedule shares with an earlier
-    one once (see the module docstring).  A program that stores gets a
-    working copy of memory per schedule, released before the next one's
-    is made."""
+    one once (see the module docstring) and compiling each function
+    once.  A program that stores gets a working copy of memory per
+    schedule, released before the next one's is made."""
     marks: list[dict[int, list[_Suffix]]] = [{} for _ in scheds]
     joins: list[dict[int, list[_Suffix]]] = [{} for _ in scheds]
     for j, b in enumerate(scheds):
@@ -456,8 +456,10 @@ def simulate_each(prog: Program, scheds: list[list[PhaseRun]],
                 s = _Suffix()
                 marks[i].setdefault(len(a) - n, []).append(s)
                 joins[j].setdefault(len(b) - n, []).append(s)
+    compiled: dict[str, CompiledFunction] = {}
     for sched, mine, theirs in zip(scheds, marks, joins):
-        yield simulate(prog, sched, machine, fuel, marks=mine, joins=theirs)
+        yield simulate(prog, sched, machine, fuel, marks=mine, joins=theirs,
+                       compiled=compiled)
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,26 @@ def test_cli_stale_profile_is_refused(tmp_path, capsys):
     assert rc == 0
 
 
+
+@pytest.mark.parametrize("command", [["run", "--mode", "static_dae"], ["transform"]])
+def test_cli_prints_each_waived_profile_mismatch(tmp_path, capsys, command):
+    """A profile of stream_sum at seed 0 used at seed 3 on another
+    machine: --allow-stale uses it, prints one warning per mismatch on
+    stderr and exits 0."""
+    prof, other = tmp_path / "p.json", tmp_path / "m.json"
+    assert main(["profile", "--kernel", "stream_sum", "--out", str(prof)]) == 0
+    other.write_text(json.dumps({"mshr_count": 2}))
+    capsys.readouterr()
+    rc = main([*command, "--kernel", "stream_sum", "--seed", "3", "--machine",
+               str(other), "--profile", str(prof), "--allow-stale",
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("daef: warning: ")]
+    assert warnings == [
+        "daef: warning: profile was taken from a different program or seed",
+        "daef: warning: profile was taken on a different machine config"]
+
 def test_cli_run_emit_dir_prints_the_simulated_plan(tmp_path, capsys):
     prof = profiled_baseline(kernel_by_name("gather_sum").program(),
                              machine())[1]
@@ -511,8 +531,9 @@ def test_long_chain_validates_in_little_memory():
 
 
 def test_suite_compiles_each_distinct_function_once(monkeypatch):
-    """A seed-0 suite pass builds 23 functions, 14 of them distinct, and
-    compiles each distinct source once."""
+    """A seed-0 suite pass builds 14 functions, each distinct (each
+    simulate_each builds a function once for all its schedules), and
+    compiles each source once."""
     calls = []
 
     def counting(source, filename, mode):

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import random
 import sys
 import threading
+import time
 from collections import OrderedDict
 
 import pytest
@@ -20,6 +22,7 @@ from conftest import (
     random_loop_kernel,
     sum_kernel,
 )
+from daef.daegen import SliceParams, make_phases
 from daef.ir import (
     Block,
     Br,
@@ -28,6 +31,7 @@ from daef.ir import (
     DirRuntimeError,
     DirSyntaxError,
     Function,
+    Load,
     Ret,
     init_memory,
     interpret,
@@ -48,6 +52,7 @@ from daef.ir.interp import (
 )
 from daef.ir.types import predecessors
 from daef.ir.validate import MAX_DATA_END
+from daef.kernels import builtin_kernels
 
 M64 = (1 << 64) - 1
 
@@ -658,6 +663,209 @@ entry:
         env = {"n": 4}
         cf.run(env, bytearray(8), [], {}, [100], 8)
         assert env == {"n": 4, names[0]: 5, names[1]: 15}
+
+
+# -- where values are wrapped --------------------------------------------------
+
+WRAP = f"& {M64:#x}"
+
+
+def generated(fn) -> str:
+    return interp._Source(fn, fn.block_map()).text()
+
+
+def run_fn(src: str, env: dict | None = None):
+    """(output, env after the call, error text, prefetched addresses) of
+    the one function in src, on 4096 bytes of zeroed memory."""
+    fn = parse_program(src).entry_function()
+    out, env, hits = [], dict(env or {}), []
+    try:
+        compile_function(fn).run(env, bytearray(4096), out, {}, [DEFAULT_FUEL],
+                                 4096, on_prefetch=lambda i, a, f: hits.append(a))
+    except DirRuntimeError as e:
+        return out, env, str(e), hits
+    return out, env, None, hits
+
+
+@pytest.mark.parametrize("op, operand", [("mul", "%x{k}"), ("add", "%c"),
+                                         ("shl", "%c")])
+def test_long_chains_in_one_block_stay_small(op, operand):
+    """300 chained ops, each unwrapped as far as the 256-bit bound lets
+    it: squaring doubles a value's length, so without the bound the last
+    of 300 would need 2**300 bits.  The chain compiles, runs at once and
+    matches BINOP_FNS.  (%c is 64, a shift by 0 that still counts 63
+    bits in the bound.)"""
+    lines = ["func @main() kind=original {", "entry:", "  %c = const 64",
+             f"  %x0 = const {0x9E3779B97F4A7C15}"]
+    want = 0x9E3779B97F4A7C15
+    for k in range(300):
+        b = operand.format(k=k)
+        lines.append(f"  %x{k + 1} = binop {op} %x{k}, {b}")
+        want = BINOP_FNS[op](want, 64 if b == "%c" else want)
+    lines += ["  out %x300", "  ret", "}"]
+    src = "\n".join(lines)
+    start = time.perf_counter()
+    out, env, err, _ = run_fn(src)
+    assert time.perf_counter() - start < 0.5
+    assert (out, err, env["x300"]) == ([to_signed(want)], None, want)
+    wraps = generated(parse_program(src).entry_function()).count(WRAP)
+    assert 1 < wraps < 300
+
+
+OBSERVERS = {
+    "slt": ["%r = binop slt %w, %a", "out %r"],
+    "sle": ["%r = binop sle %a, %w", "out %r"],
+    "seq": ["%r = binop seq %w, %a", "out %r"],
+    "shr": ["%r = binop shr %w, %a", "out %r"],
+    "div": ["%r = binop div %a, %w", "out %r"],
+    "rem": ["%r = binop rem %w, %b", "out %r"],
+    "brcond": ["brcond %w, yes, no", "yes:", "%one = const 1", "out %one", "ret",
+               "no:"],
+    "out": ["out %w"],
+    "load": ["%r = load %w, 0, w1", "out %r"],
+    "store": ["store %w, 0, %a, w1"],
+    "prefetch": ["prefetch %w, 0 !origin=0"],
+    "phi": ["br next", "next:", "%q = phi [entry: %w]", "out %q"],
+    "env": [],
+}
+
+
+def observed(kind: str, a: int, b: int, w: int):
+    """What the observer shows of w, by BINOP_FNS and the access rules:
+    (output, error text, prefetched addresses)."""
+    s = to_signed(w)
+    inside = 0 <= s < 4096
+    if kind in ("slt", "seq", "shr"):
+        return [to_signed(BINOP_FNS[kind](w, a))], None, []
+    if kind == "sle":
+        return [BINOP_FNS["sle"](a, w)], None, []
+    if kind in ("div", "rem"):
+        x, y = (a, w) if kind == "div" else (w, b)
+        if y == 0:
+            return [], "division by zero (at !id=4)", []
+        return [to_signed(BINOP_FNS[kind](x, y))], None, []
+    if kind == "brcond":
+        return [1] if w else [], None, []
+    if kind in ("out", "phi"):
+        return [s], None, []
+    if kind in ("load", "store"):
+        err = None if inside else f"{kind} address {s} out of [0, 4096) (at !id=4)"
+        return [0] if kind == "load" and inside else [], err, []
+    if kind == "prefetch":
+        return [], None, [w] if inside else []
+    return [], None, []
+
+
+@pytest.mark.parametrize("kind", OBSERVERS)
+def test_unwrapped_values_reach_each_observer_wrapped(kind):
+    """%u = a - b, negative whenever a < b, stays unwrapped: its one read
+    is the add that makes %w.  Whatever observes %w (a comparison, shr,
+    div, rem, a branch, an out, an address, a phi move or the write-back
+    to env) sees what BINOP_FNS gives, and env holds canonical values."""
+    for a, b, k in itertools.product([0, 7, M64], [1, 1 << 63], [0, 1, 8, 4000, (1 << 63) + 5]):
+        src = "\n".join(["func @main() kind=original {", "entry:",
+                         f"%a = const {a}", f"%b = const {b}",
+                         "%u = binop sub %a, %b", f"%w = binop add %u, {k}",
+                         *OBSERVERS[kind], "ret", "}"])
+        fn = parse_program(src).entry_function()
+        assert "u" in interp._unobserved(fn.block_map())
+        u = BINOP_FNS["sub"](a, b)
+        w = BINOP_FNS["add"](u, k)
+        out, env, err, hits = run_fn(src)
+        assert (out, err, hits) == observed(kind, a, b, w), (a, b, k)
+        if err is None:
+            assert env["u"] == u and env["w"] == w
+
+
+def test_reassigned_or_early_read_registers_are_wrapped():
+    """Only %y may stay unwrapped: %x is read before its one definition
+    in its block (on later trips, the last trip's %x), and %t is defined
+    twice.  Were %x unwrapped, each trip would double its length; 300
+    trips of %x = (%x + 1) ** 2 agree with BINOP_FNS."""
+    src = """
+func @main(%x) kind=original {
+entry:
+  %n = const 0
+  br loop
+loop:
+  %i = phi [entry: %n], [loop: %i2]
+  %y = binop add %x, 1
+  %x = binop mul %y, %y
+  %t = binop add %i, 5
+  %t = binop mul %i, 3
+  %i2 = binop add %i, 1
+  %c = binop slt %i2, 300
+  brcond %c, loop, done
+done:
+  ret
+}
+"""
+    fn = parse_program(src).entry_function()
+    assert interp._unobserved(fn.block_map()) == {"y"}
+    x = 3
+    for _ in range(300):
+        x = BINOP_FNS["mul"](x + 1, x + 1)
+    out, env, err, _ = run_fn(src, {"x": 3})
+    assert (out, err, env["x"], env["t"]) == ([], None, x, 299 * 3)
+
+ADDRESS_BASES = [0, 4088, 1 << 63, M64 - 7]
+ADDRESS_OFFSETS = [0, 8, 16, (1 << 62) - 1, 1 << 62, (1 << 63) - 1, -1, -(1 << 63)]
+
+
+@pytest.mark.parametrize("kind", ["load", "store", "prefetch"])
+def test_address_checks_agree_with_signed_addresses(kind):
+    """A base register plus an offset decides in or out of memory, and
+    names a faulting address, as the signed sum does: base 2**64 - 8
+    (that is, -8) plus 8 is address 0, and plus 2**62 - 1 is far past
+    memory."""
+    access = {"load": "%r = load %p, {off}, w8", "store": "store %p, {off}, %p, w8",
+              "prefetch": "prefetch %p, {off} !origin=0"}[kind]
+    for base, off in itertools.product(ADDRESS_BASES, ADDRESS_OFFSETS):
+        src = "\n".join(["func @main() kind=original {", "entry:",
+                         f"%p = const {base}", access.format(off=off), "ret", "}"])
+        addr = to_signed(base) + off
+        width = 1 if kind == "prefetch" else 8
+        inside = 0 <= addr and addr + width <= 4096
+        _, _, err, hits = run_fn(src)
+        if kind == "prefetch":
+            assert (err, hits) == (None, [addr] if inside else []), (base, off)
+        else:
+            want = None if inside else f"{kind} address {addr} out of [0, 4096) (at !id=1)"
+            assert err == want, (base, off)
+
+
+def loop_wraps(fn, labels) -> int:
+    """The wraps in the generated code of the blocks named: each block's
+    code runs from its counter to the next block's."""
+    index = {f"c{k} += 1": label for k, label in enumerate(fn.block_map())}
+    wraps, current = {}, None
+    for line in generated(fn).splitlines():
+        if line.strip() in index:
+            current = index[line.strip()]
+        elif line == "    finally:":
+            current = None
+        wraps[current] = wraps.get(current, 0) + line.count(WRAP)
+    return sum(wraps.get(label, 0) for label in labels)
+
+
+def test_generated_loops_wrap_only_what_is_observed():
+    """compute_poly's execute clone wraps 2 values per trip (the ones its
+    phis carry; it wrapped 8), and no generated function selects its
+    phi values on a predecessor index."""
+    functions = []
+    for k in builtin_kernels():
+        prog = k.program()
+        loads = [n.id for n in prog.entry_function().nodes() if isinstance(n, Load)]
+        plan = make_phases(prog, critical=loads,
+                           slice_params=SliceParams(64, "override"))
+        functions += plan.program.functions
+        if k.name == "compute_poly":
+            execute = plan.program.function(plan.execute)
+            assert loop_wraps(execute, ["loop", "body", "latch"]) <= 2
+    functions += [random_cfg_program(random.Random(s)).entry_function()
+                  for s in range(20)]
+    for fn in functions:
+        assert "p ==" not in generated(fn), fn.name
 
 
 # -- validator ---------------------------------------------------------------

@@ -752,6 +752,22 @@ def test_later_schedule_joins_only_with_fuel_for_the_shared_suffix(monkeypatch):
     assert str(joined.value) == str(standalone.value)
 
 
+
+def test_simulate_each_compiles_each_function_once(monkeypatch):
+    """The three modes of gather_sum's plan, simulated by one
+    simulate_each, compile each function they run once."""
+    names = []
+    compile_function = machsim.compile_function
+    monkeypatch.setattr(machsim, "compile_function",
+                        lambda fn: names.append(fn.name) or compile_function(fn))
+    m = machine()
+    plan = prepare(kernel_by_name("gather_sum"), m).plan
+    scheds = [build_schedule(mode, plan, m) for mode in MODES]
+    names.clear()
+    list(simulate_each(plan.program, scheds, m))
+    assert sorted(names) == sorted({r.function for s in scheds for r in s
+                                    if r.function is not None})
+
 def test_join_requires_equal_memory(monkeypatch):
     """Two schedules end in the same run of @main from equal frequency,
     registers and cache, and differ only in what an earlier run stored:

@@ -1,0 +1,186 @@
+"""An independent semantic oracle, and the code generator checked against it.
+
+walk() runs a function one node at a time on canonical Python ints and
+shares no code with ir.interp: each block counts its entry and charges
+its fuel first, its phis take the values of the edge just taken all at
+once, and every fault raises the interpreter's text.  The differential
+tests run it and compile_function on the same random programs, at full
+and at random fuel, and compare everything a run shows.
+"""
+
+from __future__ import annotations
+
+import random
+
+from conftest import break_program, random_cfg_program, random_loop_kernel
+from daef.ir import Br, BinOp, Const, DirRuntimeError, Load, Out, Prefetch, Ret
+from daef.ir.interp import (
+    DEFAULT_FUEL,
+    compile_function,
+    default_mem_size,
+    init_memory,
+    memory_digest,
+)
+
+M64 = (1 << 64) - 1
+
+
+def _signed(v: int) -> int:
+    return v - (1 << 64) if v >> 63 else v
+
+
+def _div(a: int, b: int, rem: bool) -> int:
+    q = abs(a) // abs(b) * (1 if (a < 0) == (b < 0) else -1)
+    return (a - q * b if rem else q) & M64
+
+
+_OPS = {
+    "add": lambda a, b: (a + b) & M64, "sub": lambda a, b: (a - b) & M64,
+    "mul": lambda a, b: (a * b) & M64, "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b, "xor": lambda a, b: a ^ b,
+    "shl": lambda a, b: (a << b % 64) & M64, "shr": lambda a, b: a >> b % 64,
+    "div": lambda a, b: _div(_signed(a), _signed(b), False),
+    "rem": lambda a, b: _div(_signed(a), _signed(b), True),
+    "slt": lambda a, b: int(_signed(a) < _signed(b)),
+    "sle": lambda a, b: int(_signed(a) <= _signed(b)), "seq": lambda a, b: int(a == b),
+}
+
+
+def walk(fn, env, mem, mem_size, fuel, seen):
+    """Run fn; returns (output, block counts, fuel left, error text or
+    None).  env gives the parameters and, after a clean return, receives
+    every register; seen gets (kind, id, address, fuel left) per load
+    and in-bounds prefetch, as the interpreter's hooks see them."""
+    blocks = {blk.label: blk for blk in fn.blocks}
+    regs = {p: env[p] for p in fn.params if p in env}
+
+    def val(v):
+        return regs[v] if isinstance(v, str) else v & M64
+
+    out, counts, label, prev = [], {}, fn.blocks[0].label, None
+    try:
+        while True:
+            blk = blocks[label]
+            counts[label] = counts.get(label, 0) + 1
+            fuel -= len(blk.phis) + len(blk.body) + 1
+            if fuel < 0:
+                raise DirRuntimeError(f"fuel exhausted in block {label!r}")
+            if blk.phis and prev is None:
+                raise DirRuntimeError(f"phi executed on function entry in {label!r}")
+            moves = {}
+            for phi in blk.phis:
+                incoming = dict(phi.incoming)
+                if prev not in incoming:
+                    raise DirRuntimeError(f"phi %{phi.dst} has no incoming"
+                                          f" for predecessor {prev!r}")
+                moves[phi.dst] = val(incoming[prev])
+            regs.update(moves)
+            for n in blk.body:
+                if isinstance(n, Const):
+                    regs[n.dst] = n.value & M64
+                elif isinstance(n, BinOp):
+                    a, b = val(n.a), val(n.b)
+                    if n.op in ("div", "rem") and b == 0:
+                        raise DirRuntimeError("division by zero", n.id)
+                    regs[n.dst] = _OPS[n.op](a, b)
+                elif isinstance(n, Out):
+                    out.append(_signed(regs[n.src]))
+                else:
+                    addr = _signed(regs[n.base]) + n.offset
+                    width = getattr(n, "width", 1)
+                    inside = 0 <= addr and addr + width <= mem_size
+                    kind = type(n).__name__.lower()
+                    if isinstance(n, Prefetch):
+                        if inside:
+                            seen.append((kind, n.id, addr, fuel))
+                        continue
+                    if not inside:
+                        raise DirRuntimeError(f"{kind} address {addr} out of"
+                                              f" [0, {mem_size})", n.id)
+                    if isinstance(n, Load):
+                        seen.append((kind, n.id, addr, fuel))
+                        regs[n.dst] = int.from_bytes(mem[addr:addr + width], "little")
+                    else:
+                        value = regs[n.src] & ((1 << 8 * width) - 1)
+                        mem[addr:addr + width] = value.to_bytes(width, "little")
+            if isinstance(blk.term, Ret):
+                break
+            prev = label
+            if isinstance(blk.term, Br):
+                label = blk.term.target
+            else:
+                t = blk.term
+                label = t.if_true if regs[t.cond] else t.if_false
+    except DirRuntimeError as e:
+        return out, counts, fuel, str(e)
+    env.update(regs)
+    return out, counts, fuel, None
+
+
+def compiled_run(fn, env, mem, mem_size, fuel, seen):
+    """compile_function's run, reporting what walk reports."""
+    out, counts, box = [], {}, [fuel]
+    try:
+        compile_function(fn).run(
+            env, mem, out, counts, box, mem_size,
+            on_load=lambda i, a, f: seen.append(("load", i, a, f)),
+            on_prefetch=lambda i, a, f: seen.append(("prefetch", i, a, f)))
+    except DirRuntimeError as e:
+        return out, counts, box[0], str(e)
+    return out, counts, box[0], None
+
+
+def both(prog, fuel: int):
+    """(walk's result, compile_function's result), each with its memory
+    digest, env and hook calls."""
+    fn, size = prog.entry_function(), default_mem_size(prog)
+    results = []
+    for run in (walk, compiled_run):
+        mem, env, seen = init_memory(prog, size), {}, []
+        try:
+            shown = run(fn, env, mem, size, fuel, seen)
+        except (KeyError, NameError):
+            # A damaged program reads a register or block that does not
+            # exist; neither engine defines what else it has done.
+            results.append("lookup error")
+            continue
+        results.append((*shown, memory_digest(mem), env, seen))
+    return results
+
+
+def test_compiled_code_agrees_with_the_walker():
+    """100 random loop kernels and 100 random CFGs, each at full fuel and
+    at a random budget: output, block counts, fuel left, error text,
+    memory, the env written back (every value canonical) and each hook
+    call agree."""
+    rng = random.Random(2024)
+    for seed in range(100):
+        for make in (random_loop_kernel, random_cfg_program):
+            prog = make(random.Random(seed))
+            full = both(prog, DEFAULT_FUEL)
+            assert full[0] == full[1]
+            out, counts, left, err, digest, env, seen = full[0]
+            assert err is None
+            assert all(0 <= v <= M64 for v in env.values())
+            spent = DEFAULT_FUEL - left
+            cut = both(prog, rng.randrange(spent + 2))
+            assert cut[0] == cut[1]
+
+
+def test_damaged_programs_fault_alike():
+    """Random CFGs with up to three damaging edits (a phi edge dropped,
+    a branch or a read pointed elsewhere, a label duplicated) raise the
+    same faults at the same point, or both read something undefined."""
+    rng = random.Random(7)
+    compared = 0
+    for seed in range(150):
+        prog = random_cfg_program(random.Random(seed))
+        break_program(rng, prog, rng.randint(1, 3))
+        try:
+            compile_function(prog.entry_function())
+        except TypeError:
+            continue  # a block lost its terminator
+        walked, ran = both(prog, 5000)
+        assert walked == ran
+        compared += 1
+    assert compared > 100
