@@ -348,15 +348,14 @@ def make_access_phase(fn: Function, li: LoopInfo, targets: Iterable[int],
     return _simplify(g, alloc)
 
 
-def _convert_unconsumed(g: Function, cloned_targets: dict[int, int]) -> int:
+def _convert_unconsumed(g: Function, cloned_targets: dict[int, int]) -> None:
     """Tag target loads; turn the ones no node of g reads into prefetches
-    in place.  Returns the number converted.
+    in place.
 
     g must have just been through dce, so every node it holds is kept and
     a load another kept address chain reads stays a load.
     """
     used = {reg for n in g.nodes() for reg in node_uses(n)}
-    converted = 0
     for blk in g.blocks:
         for k, n in enumerate(blk.body):
             if n.id in cloned_targets and isinstance(n, Load):
@@ -366,18 +365,18 @@ def _convert_unconsumed(g: Function, cloned_targets: dict[int, int]) -> int:
                 else:
                     blk.body[k] = Prefetch(id=n.id, base=n.base,
                                            offset=n.offset, origin=origin)
-                    converted += 1
-    return converted
 
 
 def specialize_access(base: Function, critical: Iterable[int], name: str,
                       alloc: IdAlloc) -> Function:
     """Narrow a base access phase down to a critical load set.
 
-    Drops prefetches for non-critical origins, then alternates dead-code
-    elimination with load-to-prefetch conversion until stable: a critical
-    load whose consumers all disappeared becomes a prefetch.  Surviving
-    non-critical loads (address dependencies) lose their tags.
+    Drops prefetches for non-critical origins, then runs dead-code
+    elimination from the remaining prefetches and critical loads, and
+    load-to-prefetch conversion once: a critical load whose consumers
+    all disappeared becomes a prefetch.  A prefetch reads the base its
+    load read, so a second elimination would keep the same nodes.
+    Surviving non-critical loads (address dependencies) lose their tags.
     """
     critical = set(critical)
     g = base.copy()
@@ -385,17 +384,10 @@ def specialize_access(base: Function, critical: Iterable[int], name: str,
     for blk in g.blocks:
         blk.body = [n for n in blk.body
                     if not (isinstance(n, Prefetch) and n.origin not in critical)]
-    while True:
-        roots = {n.id for n in g.nodes()
-                 if isinstance(n, Prefetch)
-                 or (isinstance(n, Load) and n.origin in critical)}
-        before = {n.id for n in g.nodes()}
-        g = dce(g, roots)
-        cloned = {n.id: n.origin for n in g.nodes()
-                  if isinstance(n, Load) and n.origin in critical}
-        converted = _convert_unconsumed(g, cloned_targets=cloned)
-        if not converted and {n.id for n in g.nodes()} == before:
-            break
+    cloned = {n.id: n.origin for n in g.nodes()
+              if isinstance(n, Load) and n.origin in critical}
+    g = dce(g, set(cloned) | {n.id for n in g.nodes() if isinstance(n, Prefetch)})
+    _convert_unconsumed(g, cloned_targets=cloned)
     for blk in g.blocks:
         for n in blk.body:
             if isinstance(n, Load) and n.origin is not None \
@@ -420,7 +412,6 @@ class PhasePlan:
     original: str
     execute: str
     access: str
-    base_access: str
     loop: LoopInfo
     init_val: int
     trips: int
@@ -513,7 +504,6 @@ def make_phases(prog: Program, critical: Iterable[int],
         original=fn.name,
         execute=execute.name,
         access=access.name,
-        base_access=base.name,
         loop=li,
         init_val=init_val,
         trips=trips,

@@ -324,11 +324,9 @@ def run_kernel_all_modes(kernel: BenchmarkKernel, machine: MachineConfig,
 def run_suite(machine: MachineConfig, seed: int = 0,
               theta: Fraction = Fraction(1, 100), rho: Fraction = Fraction(1, 2),
               slice_override: int | None = None,
-              profiling_overhead: Fraction = Fraction(0),
-              kernels: list[BenchmarkKernel] | None = None) -> list[Row]:
+              profiling_overhead: Fraction = Fraction(0)) -> list[Row]:
     """The full kernel x mode matrix, one kernel after another."""
-    kernels = builtin_kernels() if kernels is None else kernels
-    return [row for k in kernels
+    return [row for k in builtin_kernels()
             for row in run_kernel_all_modes(k, machine, seed, theta, rho,
                                             slice_override, profiling_overhead)]
 

@@ -163,16 +163,14 @@ _NAMESPACE = {
 class CompiledFunction:
     """A function and the Python code generated for it.
 
-    ids maps each block label to the node ids that retire when the block
-    runs.  run(env, mem, output, block_counts, fuel, mem_size, on_load=None,
+    run(env, mem, output, block_counts, fuel, mem_size, on_load=None,
     on_prefetch=None) executes one invocation against shared memory and
-    output.  block_counts is keyed by block label and is the basis for
-    the retired instruction counts (every node in a block retires when
-    the block runs).  Parameters are read from env on entry, and the
-    registers the call assigns are written back to env, in canonical
-    form, when it returns; the caller decides what to do with them.
-    fuel is a one-element list holding the nodes the call may still
-    retire.  Hooks, both optional:
+    output.  block_counts is keyed by block label; every node of a block
+    retires each time the block runs.  Parameters are read from env on
+    entry, and the registers the call assigns are written back to env,
+    in canonical form, when it returns; the caller decides what to do
+    with them.  fuel is a one-element list holding the nodes the call
+    may still retire.  Hooks, both optional:
     on_load observes (instr_id, addr, fuel_left) for every executed load,
     and on_prefetch the same for in-bounds prefetches (out-of-bounds ones
     are dropped, never faulted).  fuel_left is the fuel after every node
@@ -181,11 +179,10 @@ class CompiledFunction:
     at a time.
     """
 
-    __slots__ = ("fn", "ids", "run")
+    __slots__ = ("fn", "run")
 
-    def __init__(self, fn: Function, ids: dict[str, list[int]], run):
+    def __init__(self, fn: Function, run):
         self.fn = fn
-        self.ids = ids
         self.run = run
 
 
@@ -251,6 +248,9 @@ class _Source:
         self.index = {label: k for k, label in enumerate(blocks)}
         self.entry = fn.blocks[0].label
         self.unobserved = _unobserved(blocks)
+        # Each phi's values by predecessor, built once per block, not per edge.
+        self.incoming = {label: [(phi.dst, dict(phi.incoming)) for phi in blk.phis]
+                         for label, blk in blocks.items() if blk.phis}
         self.regs: dict[str, str] = {}  # register -> local name
         edges = dict.fromkeys(blocks, 0)
         for label, blk in blocks.items():
@@ -357,7 +357,7 @@ class _Source:
     def moves(self, d: int, prev: str, blk) -> bool:
         """Assign blk's phis, all at once, the values of the edge from
         prev; False when the edge has none, after writing the fault."""
-        incoming = [(phi.dst, dict(phi.incoming)) for phi in blk.phis]
+        incoming = self.incoming.get(blk.label, ())
         missing = [dst for dst, inc in incoming if prev not in inc]
         if missing:
             self.fault(d, blk, f"phi %{missing[0]} has no incoming"
@@ -508,8 +508,6 @@ def compile_function(fn: Function) -> CompiledFunction:
     for label, blk in blocks.items():
         if not isinstance(blk.term, (Br, BrCond, Ret)):
             raise TypeError(f"block {label!r} lacks a terminator")
-    ids = {label: [n.id for n in (*blk.phis, *blk.body, blk.term)]
-           for label, blk in blocks.items()}
     src = _Source(fn, blocks)
     code = _code(src.text(), f"<dir @{fn.name}>")
     defined = {node_def(n) for blk in blocks.values() for n in (*blk.phis, *blk.body)}
@@ -517,7 +515,7 @@ def compile_function(fn: Function) -> CompiledFunction:
                      _defs=tuple((name, r) for name, r in src.regs.items()
                                  if name in defined))
     exec(code, namespace)
-    return CompiledFunction(fn, ids, namespace["run"])
+    return CompiledFunction(fn, namespace["run"])
 
 
 def _splitmix_chunks(seed: int, words: int):
@@ -645,19 +643,6 @@ def memory_digest(mem: bytearray) -> str:
     return hashlib.sha256(mem).hexdigest()
 
 
-def retired_counts(
-    compiled: list[CompiledFunction],
-    counts_per_fn: dict[str, dict[str, int]],
-) -> dict[int, int]:
-    retired: dict[int, int] = {}
-    for cf in compiled:
-        counts = counts_per_fn.get(cf.fn.name, {})
-        for label, n in counts.items():
-            for node_id in cf.ids[label]:
-                retired[node_id] = retired.get(node_id, 0) + n
-    return retired
-
-
 def interpret(
     prog: Program,
     mem_size: int | None = None,
@@ -678,8 +663,11 @@ def interpret(
     output: list[int] = []
     counts: dict[str, int] = {}
     cf.run(env, mem, output, counts, [fuel], mem_size)
-    return ExecTrace(
-        output=output,
-        memory_digest=memory_digest(mem),
-        retired_by_static_id=retired_counts([cf], {entry.name: counts}),
-    )
+    blocks = entry.block_map()
+    retired: dict[int, int] = {}
+    for label, n in counts.items():
+        blk = blocks[label]
+        for node in (*blk.phis, *blk.body, blk.term):
+            retired[node.id] = retired.get(node.id, 0) + n
+    return ExecTrace(output=output, memory_digest=memory_digest(mem),
+                     retired_by_static_id=retired)

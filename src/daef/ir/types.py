@@ -322,9 +322,9 @@ def predecessors(fn: Function) -> dict[str, list[str]]:
 
     Edges to labels that name no block are left out.
     """
-    preds: dict[str, list[str]] = {blk.label: [] for blk in fn.blocks}
+    preds: dict[str, dict[str, None]] = {blk.label: {} for blk in fn.blocks}
     for blk in fn.blocks:
         for target in successors(blk):
-            if target in preds and blk.label not in preds[target]:
-                preds[target].append(blk.label)
-    return preds
+            if target in preds:
+                preds[target][blk.label] = None
+    return {label: list(ps) for label, ps in preds.items()}

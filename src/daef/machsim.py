@@ -28,7 +28,7 @@ phase, and optional profiling cost are charged as overhead: wall time at
 zero-IPC power at f_max, one value per simulation.
 
 What depends only on the machine and a frequency f is computed once per
-distinct pair (_Rates.at, cached): the clock's tick counts and two power
+simulation and distinct f (_Rates.at): the clock's tick counts and two power
 terms, p0 = power(f, 0) and slope = (power(f, 1) - p0) / f.
 power() is affine in IPC and ipc * wall_ns = instr_count / f, so a run's
 energy power(f, ipc) * wall_ns is exactly p0 * wall_ns + slope *
@@ -58,7 +58,6 @@ this way before access(1), after dynamic's JIT charge.
 
 from __future__ import annotations
 
-import functools
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
@@ -154,7 +153,6 @@ class _Rates:
     slope: Fraction
 
     @classmethod
-    @functools.lru_cache(maxsize=64)
     def at(cls, machine: MachineConfig, f: Fraction) -> _Rates:
         fill = machine.mem_latency_ns * f
         q = fill.denominator
@@ -182,12 +180,12 @@ class _RunClock:
     most recent end of its set in place, and only misses and fills call
     LruCache.install.  A load reads the clock only while a fill is in
     flight, and without prefetches none ever is.  Its constants come
-    from _Rates.at, which computes them once per machine and frequency.
+    from rates, which simulate computes once per frequency it runs at.
     """
 
-    def __init__(self, machine: MachineConfig, cache: LruCache, f: Fraction,
+    def __init__(self, machine: MachineConfig, cache: LruCache, rates: _Rates,
                  fuel: int):
-        self.rates = rates = _Rates.at(machine, f)
+        self.rates = rates
         self.q = rates.q
         self.hit = rates.hit
         self.miss = rates.miss
@@ -336,6 +334,8 @@ def simulate(
             raise MachSimError(f"unknown category {r.category!r}")
         if r.charge is not None and r.charge[1] < 0:
             raise MachSimError(f"negative charge {r.charge!r}")
+    rates = {f: _Rates.at(machine, f)
+             for f in {r.frequency for r in sched if r.function is not None}}
 
     cache = LruCache(machine.l1)
     mem_size = default_mem_size(prog)
@@ -375,7 +375,7 @@ def simulate(
             cf = compiled[r.function] = compile_function(prog.function(r.function))
         call_env = {p: r.args.get(p, env.get(p, 0)) for p in cf.fn.params}
         fuel_before = fuel_box[0]
-        clock = _RunClock(machine, cache, r.frequency, fuel_before)
+        clock = _RunClock(machine, cache, rates[r.frequency], fuel_before)
         load_hook = clock.on_load
         if tally is not None:
             def load_hook(lid, addr, left, account=clock.on_load,

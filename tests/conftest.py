@@ -7,7 +7,8 @@ budget).  random_loop_kernel builds a well-formed counted loop with a
 random body DAG: loads behind power-of-two masks, loop-carried
 accumulators, and optional stores.  break_program damages either kind
 for the validator.  br_chain and brcond_tree write the source of long and
-deeply nested kernels for the code generator; bound_chain, base_chain,
+deeply nested kernels for the code generator, and fan_in one whose last
+block has thousands of predecessors; bound_chain, base_chain,
 load_blocks and empty_tail write counted loops whose definition chains or
 bodies are n long, for the phase generator.  counting_clocks counts the
 runs the simulator simulates.  Every test starts with prepare's memo
@@ -297,6 +298,18 @@ def brcond_tree(depth: int) -> str:
         lines += [f"t{i}:", f"  %x{i} = binop add %x{i - 1}, 1",
                   f"  brcond %one, {nxt}, f{i}", f"f{i}:", f"  out %x{i}", "  ret"]
     return "\n".join(lines + ["end:", f"  out %x{depth}", "  ret", "}"]) + "\n"
+
+
+def fan_in(n: int) -> str:
+    """n blocks in a chain, each able to branch to one done block, whose
+    phi takes block i's number from block i; the walk reaches b{n}."""
+    lines = ["func @main() kind=original {", "entry:", "  %one = const 1", "  br b1"]
+    for i in range(1, n):
+        lines += [f"b{i}:", f"  brcond %one, b{i + 1}, done"]
+    lines += [f"b{n}:", "  br done", "done:",
+              "  %r = phi " + ", ".join(f"[b{i}: {i}]" for i in range(1, n + 1)),
+              "  out %r", "  ret"]
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 def _sum_loop(prologue: list[str], bound: str, body: list[str], latch: str) -> str:

@@ -144,7 +144,7 @@ def test_sum_phase_plan_shape():
 
     ex = plan.program.function(plan.execute)
     ac = plan.program.function(plan.access)
-    base = plan.program.function(plan.base_access)
+    base = plan.program.function(f"{plan.original}__base")
     assert ex.kind == "execute" and ac.kind == "access" and base.kind == "access"
     assert ex.params == ["__first", "__lo", "__hi", "__carry_acc"]
     assert ac.params == ex.params

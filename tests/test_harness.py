@@ -21,6 +21,7 @@ from conftest import (
     brcond_tree,
     counting_clocks,
     empty_tail,
+    fan_in,
     load_blocks,
     random_loop_kernel,
 )
@@ -279,15 +280,13 @@ def test_mlp_sweep_fills_and_hashes_each_image_once(monkeypatch):
 
 def test_suite_rows_follow_kernel_order():
     m = machine()
-    kernels = [kernel_by_name(n) for n in ("stream_sum", "compute_poly")]
-    rows = run_suite(m, seed=3, kernels=kernels)
+    kernels = builtin_kernels()
+    rows = run_suite(m, seed=3)
     assert [(r.kernel, r.mode) for r in rows] == [
         (k.name, mode) for k in kernels
         for mode in ("baseline", "static_dae", "dynamic_dae")]
     singles = [r for k in kernels for r in run_kernel_all_modes(k, m, seed=3)]
     assert rows_to_csv(rows) == rows_to_csv(singles)
-    assert [k.name for k in builtin_kernels()][:2] != \
-        [k.name for k in kernels]  # not the built-in order
 
 
 def test_profile_reuse_and_staleness():
@@ -482,10 +481,12 @@ def test_cli_fuel_exhaustion_is_exit_2(tmp_path, capsys, monkeypatch):
     (br_chain(3000), [2999], 2 + 2 * 2999 + 1),
     (br_chain(6000), [5999], 2 + 2 * 5999 + 1),
     (brcond_tree(300), [300], 3 + 2 * 300 + 2),
-], ids=["br_chain_3000", "br_chain_6000", "brcond_tree_300"])
+    (fan_in(20000), [20000], 2 + 19999 + 1 + 3),
+], ids=["br_chain_3000", "br_chain_6000", "brcond_tree_300", "fan_in_20000"])
 def test_cli_runs_large_kernels(tmp_path, text, output, nodes):
-    """Thousands of blocks or hundreds of nested branches generate code
-    that Python compiles: no recursion error, no nesting limit."""
+    """Thousands of blocks, hundreds of nested branches or a phi with
+    20,000 predecessors generate code that Python compiles: no recursion
+    error, no nesting limit."""
     path = tmp_path / "big.dir"
     path.write_text(text)
     out = tmp_path / "rep.json"

@@ -70,7 +70,7 @@ def test_chase_access_keeps_the_link_load():
     assert [n.origin for n in loads] == [link_id]
     assert not fn_prefetches(access)
     # The base variant still tags both loads for later specialization.
-    base = prep.plan.program.function(prep.plan.base_access)
+    base = prep.plan.program.function(f"{prep.plan.original}__base")
     assert len(fn_loads(base) + fn_prefetches(base)) == 2
 
 
@@ -82,6 +82,6 @@ def test_base_access_covers_every_body_load():
         fn = parse_program(k.text).entry_function()
         body_loads = {n.id for b in fn.blocks if b.label in plan.loop.body
                       for n in b.body if isinstance(n, Load)}
-        base = plan.program.function(plan.base_access)
+        base = plan.program.function(f"{plan.original}__base")
         origins = {n.origin for n in fn_loads(base) + fn_prefetches(base)}
         assert origins == body_loads, k.name

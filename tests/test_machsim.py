@@ -25,6 +25,7 @@ from daef.machsim import (
     PhaseRun,
     SimReport,
     Stats,
+    _Rates,
     _RunClock,
     baseline_schedule,
     build_schedule,
@@ -587,7 +588,7 @@ def test_load_hit_makes_its_line_most_recent():
     m = MachineConfig(l1=L1Config(capacity_bytes=128, line_bytes=64, ways=2,
                                   hit_cycles=4))
     cache = LruCache(m.l1)
-    clock = _RunClock(m, cache, m.f_max_ghz, 1000)
+    clock = _RunClock(m, cache, _Rates.at(m, m.f_max_ghz), 1000)
     assert clock.on_load(0, 640, 1000)      # line 10: miss
     assert clock.on_load(0, 704, 1000)      # line 11: miss
     assert not clock.on_load(0, 703, 1000)  # line 10 again: hit, now most recent

@@ -5,15 +5,29 @@ shares no code with ir.interp: each block counts its entry and charges
 its fuel first, its phis take the values of the edge just taken all at
 once, and every fault raises the interpreter's text.  The differential
 tests run it and compile_function on the same random programs, at full
-and at random fuel, and compare everything a run shows.
+and at random fuel, and compare everything a run shows.  Programs
+derived from the random ones by planting a division by zero or an
+address that leaves memory test the faults that the generators never
+raise.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from conftest import break_program, random_cfg_program, random_loop_kernel
-from daef.ir import Br, BinOp, Const, DirRuntimeError, Load, Out, Prefetch, Ret
+from daef.ir import (
+    Br,
+    BinOp,
+    Const,
+    DirRuntimeError,
+    Load,
+    Out,
+    Prefetch,
+    Ret,
+    Store,
+)
 from daef.ir.interp import (
     DEFAULT_FUEL,
     compile_function,
@@ -184,3 +198,74 @@ def test_damaged_programs_fault_alike():
         assert walked == ran
         compared += 1
     assert compared > 100
+
+
+def plant_fault(rng: random.Random, prog, kind: str):
+    """Insert, at a random point of a block of prog's entry function,
+    nodes that read a counter r of that block: %i in a loop kernel's
+    body, a random CFG block's visit counter.  kind "div" divides by r -
+    k (times an odd constant half the time), 0 where r equals k.  kind
+    "address" gives a load, store or prefetch an address that crosses
+    mem_size as r grows (8r with an offset near mem_size - 8k), or 0
+    (-8r with an offset near 8k, or 8r with one near -8k).  Returns the
+    block and the last node inserted."""
+    fn = prog.entry_function()
+    consts = {n.dst: n.value for n in fn.blocks[0].body if isinstance(n, Const)}
+    if "n" in consts:  # a loop kernel of consts["n"] trips
+        blk, r, top = fn.block_map()["body"], "i", consts["n"]
+    else:  # a random CFG: each block's phi counts the blocks walked so far
+        blk = rng.choice(fn.blocks[1:])
+        r, top = blk.phis[0].dst, consts["lim"] + 1
+    k = rng.randint(0, top)
+    ids = itertools.count(prog.max_id() + 1)
+    if kind == "div":
+        nodes = [BinOp(next(ids), "z0", "sub", r, k)]
+        if rng.random() < 0.5:
+            nodes.append(BinOp(next(ids), "z1", "mul", "z0",
+                               rng.randrange(1, 1 << 64, 2)))
+        nodes += [BinOp(next(ids), "zq", rng.choice(["div", "rem"]),
+                        rng.choice([r, rng.randint(-9, 9)]), nodes[-1].dst),
+                  Out(next(ids), "zq")]
+    else:
+        width, e = rng.choice([1, 2, 4, 8]), rng.randint(-8, 8)
+        form = rng.randrange(3)
+        nodes = [BinOp(next(ids), "za", "mul" if form == 1 else "shl", r,
+                       -8 if form == 1 else 3)]
+        offset = [default_mem_size(prog) - 8 * k - width + e, 8 * k + e,
+                  e - 8 * k][form]
+        mem = rng.randrange(3)
+        if mem == 0:
+            nodes += [Load(next(ids), "zv", "za", offset, width),
+                      Out(next(ids), "zv")]
+        elif mem == 1:
+            nodes.append(Store(next(ids), "za", offset, r, width))
+        else:
+            nodes.append(Prefetch(next(ids), "za", offset))
+    at = rng.randint(0, len(blk.body))
+    blk.body[at:at] = nodes
+    return blk, nodes[-1]
+
+
+def test_runtime_faults_agree_with_the_walker():
+    """Random loop kernels and CFGs with a planted division by zero or an
+    address outside [0, mem_size): the error text, fuel left, block
+    counts, hook calls, output and memory agree, at full and at random
+    fuel.  Over 100 programs divide by zero, and over 100 fault on a
+    load or store address or drop a prefetch outside memory."""
+    rng = random.Random(11)
+    divided = addressed = 0
+    for seed in range(120):
+        for make in (random_loop_kernel, random_cfg_program):
+            for kind in ("div", "address"):
+                prog = make(random.Random(seed))
+                blk, last = plant_fault(rng, prog, kind)
+                full = both(prog, DEFAULT_FUEL)
+                assert full[0] == full[1]
+                _, counts, left, err, _, _, seen = full[0]
+                divided += err is not None and err.startswith("division by zero")
+                addressed += err is not None and " address " in err
+                addressed += isinstance(last, Prefetch) and \
+                    sum(e[1] == last.id for e in seen) < counts.get(blk.label, 0)
+                cut = both(prog, rng.randrange(DEFAULT_FUEL - left + 2))
+                assert cut[0] == cut[1]
+    assert divided >= 100 and addressed >= 100
