@@ -13,12 +13,12 @@ seeded program's digest, theta, rho, the slice override and the
 machine, whose mshr_count is left out when the seeded program has no
 prefetch (its baseline never allocates a miss register, and the plan
 reads only the L1 capacity).  So a sweep over miss registers profiles
-and plans each kernel once.  A served value carries a copy of that
-baseline stamped with the caller's machine digest, equal to what a
-fresh prepare returns; its rows carry the caller's kernel name.  Both
-decoupled modes reuse that plan, and every simulated variant is checked
-for observable equivalence against the baseline before any number is
-reported.  The decoupled schedules of a kernel are simulated together
+and plans each kernel once.  Reports are immutable, so a served value
+shares that baseline's records, stamped with the caller's machine
+digest, and equals what a fresh prepare returns; its rows carry the
+caller's kernel name.  Both decoupled modes reuse that plan, and every
+simulated variant is checked for observable equivalence against the
+baseline before any number is reported.  The decoupled schedules of a kernel are simulated together
 by machsim.simulate_each: dynamic DAE runs slice 0 while profiling and
 then the same access/execute pairs as static DAE, so where the two
 reach equal machine states after slice 0 the shared slices are
@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import OrderedDict
-from copy import deepcopy
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -99,7 +98,7 @@ class Row:
                 *(self.shares[col] for col in SHARE_COLUMNS)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Prepared:
     """Everything derived once per kernel and shared by both DAE modes."""
     seeded: Program
@@ -185,13 +184,11 @@ def prepare(kernel: BenchmarkKernel, machine: MachineConfig, seed: int = 0,
     Without a stored profile, the result is reused from an earlier call
     whose inputs are equal: the seeded program's digest, theta, rho,
     slice_override and the machine, less its mshr_count when the seeded
-    program has no prefetch (see _machine_key).  The memo keeps the
-    seeded program, the plan and a copy of the baseline a cold call
-    built, and the cold call returns the baseline as built.  A reused
-    value carries this call's seeded program and a copy of the memo's
-    baseline stamped with this call's machine digest, so it equals what
-    a fresh prepare returns, and no call's rows share a list, dict or
-    record with another call's or with the memo.
+    program has no prefetch (see _machine_key).  The memo keeps what a
+    cold call returns.  A reused value carries this call's seeded program
+    and the memo's baseline stamped with this call's machine digest, so
+    it equals what a fresh prepare returns.  Reports are immutable and
+    shared: a served baseline's records are the stored ones.
     """
     seeded = kernel.program(seed)
     if profile is not None:
@@ -206,11 +203,11 @@ def prepare(kernel: BenchmarkKernel, machine: MachineConfig, seed: int = 0,
     if prep is not None:
         _prepared.move_to_end(key)
         return replace(prep, seeded=seeded, baseline=replace(
-            deepcopy(prep.baseline), machine_digest=machine.digest()))
+            prep.baseline, machine_digest=machine.digest()))
     baseline, profiled = profiled_baseline(seeded, machine)
     prep = Prepared(seeded, _plan(seeded, machine, profiled, theta, rho,
                                   slice_override), baseline)
-    _prepared[key] = replace(prep, baseline=deepcopy(baseline))
+    _prepared[key] = prep
     if len(_prepared) > _PREPARED_MAX:
         _prepared.popitem(last=False)
     return prep

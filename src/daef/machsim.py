@@ -35,9 +35,10 @@ energy power(f, ipc) * wall_ns is exactly p0 * wall_ns + slope *
 instr_count.
 
 Stats declares the reported quantities once: each run record is a Stats,
-and a report's per-category sums and its total add up every Stats field
-of its records.  normalize() returns the (time, energy) ratios of a
-report's total against a baseline's.
+and a report's per-category sums and its total are sums of its records.
+Stats, run records and reports are immutable, so a report and its
+records can be shared by every reader.  normalize() returns the (time,
+energy) ratios of a report's total against a baseline's.
 
 simulate_each simulates several schedules of one program and simulates
 the runs they end in alike once, reusing a suffix only from an equal
@@ -50,17 +51,19 @@ recency order; the miss registers are empty between runs.  From equal
 states equal runs retire the same nodes at the same cost, since a
 clock's time counts from its run's start and fuel matters only where it
 runs out.  So B joins when the states are equal and its fuel left
-covers the nodes A's suffix records retired: it takes copies of those
-records, each with its own output and block counts, and A's final
-memory digest.  Otherwise it simulates on.  Static and dynamic DAE meet
-this way before access(1), after dynamic's JIT charge.
+covers the nodes A's suffix records retired: it shares those records
+and takes A's final memory digest.  Otherwise it simulates on.  Static
+and dynamic DAE meet this way before access(1), after dynamic's JIT
+charge.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from types import MappingProxyType
 
 from .daegen import PhasePlan
 from .ir import Program, Store, program_digest
@@ -106,20 +109,20 @@ class PhaseRun:
     charge: tuple[str, Fraction] | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Stats:
-    """The reported quantities; a new counter is one field plus its increment."""
+    """The reported quantities; a new counter is one field."""
     cycles: Fraction = Fraction(0)
     wall_ns: Fraction = Fraction(0)
     energy: Fraction = Fraction(0)
     instr_count: int = 0
 
-    def add(self, other: Stats) -> None:
-        for f in fields(Stats):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+    def __add__(self, other: Stats) -> Stats:
+        return Stats(*(getattr(self, f.name) + getattr(other, f.name)
+                       for f in fields(Stats)))
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class RunRecord(Stats):
     """One run or charge: its Stats, and what a run printed and entered."""
     kind: str  # "run" | "jit" | "dvfs_switch" | "profiling"
@@ -127,19 +130,24 @@ class RunRecord(Stats):
     frequency: Fraction
     category: str
     slice_index: int | None = None
-    output: list[int] = field(default_factory=list)
-    block_counts: dict[str, int] = field(default_factory=dict)  # label -> entries
+    output: tuple[int, ...] = ()
+    block_counts: Mapping[str, int] = field(  # label -> entries
+        default_factory=lambda: MappingProxyType({}))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimReport:
-    categories: dict[str, Stats]
+    categories: Mapping[str, Stats]
     total: Stats
-    runs: list[RunRecord]
-    output: list[int]  # the runs' outputs, in order
+    runs: tuple[RunRecord, ...]
     memory_digest: str
     program_digest: str
     machine_digest: str
+
+    @property
+    def output(self) -> list[int]:
+        """The runs' outputs, in order, in a new list."""
+        return [v for rec in self.runs for v in rec.output]
 
 
 @dataclass(frozen=True)
@@ -399,7 +407,7 @@ def simulate(
             category=r.category, slice_index=r.slice_index, cycles=cycles,
             wall_ns=wall_ns, instr_count=instr_count,
             energy=clock.rates.p0 * wall_ns + clock.rates.slope * instr_count,
-            output=output, block_counts=counts)
+            output=tuple(output), block_counts=MappingProxyType(counts))
         records.append(rec)
         if r.charge is not None and r.charge[0] == "profiling":
             charge("profiling", r.charge[1] * rec.wall_ns, r.frequency)
@@ -409,29 +417,22 @@ def simulate(
             charge("dvfs_switch", machine.dvfs_switch_ns, machine.f_max_ghz)
         digest = mem_digest()
     else:
-        records += joined.records  # copies; no other schedule takes them
+        records += joined.records
         digest = joined.memory_digest
     for s in (s for group in marks.values() for s in group):
         if s.state is None:
             continue  # this schedule joined another before s began
-        s.records = [replace(rec, output=list(rec.output),
-                             block_counts=dict(rec.block_counts))
-                     for rec in records[s.first:]]
+        s.records = records[s.first:]
         s.memory_digest = digest
-
-    categories = {c: Stats() for c in CATEGORIES}
-    total = Stats()
-    for rec in records:
-        categories[rec.category].add(rec)
-        total.add(rec)
 
     original = Program(functions=[prog.entry_function()], data=prog.data,
                        entry=prog.entry)
     return SimReport(
-        categories=categories,
-        total=total,
-        runs=records,
-        output=[v for rec in records for v in rec.output],
+        categories=MappingProxyType(
+            {c: sum((rec for rec in records if rec.category == c), Stats())
+             for c in CATEGORIES}),
+        total=sum(records, Stats()),
+        runs=tuple(records),
         memory_digest=digest,
         program_digest=program_digest(original),
         machine_digest=machine.digest(),

@@ -331,9 +331,14 @@ def test_equivalence_failure_reports_a_diff():
     m = machine()
     prog = with_seed(parse_program(kernel_by_name("stream_sum").text), 0)
     base = simulate(prog, baseline_schedule("main", m), m)
-    forged = dataclasses.replace(base, output=[123])
-    with pytest.raises(EquivalenceError, match="diverged"):
+    (run,) = base.runs
+    forged = dataclasses.replace(
+        base, runs=(dataclasses.replace(run, output=(123,)),))
+    with pytest.raises(EquivalenceError, match="diverged") as err:
         _row_from("stream_sum", "static_dae", forged, base)
+    # The list form, which the benchmark's fingerprints hash too.
+    assert "  output  [123] != [-6275875263781682430]" in \
+        str(err.value).splitlines()
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -823,8 +828,9 @@ def test_all_modes_rows_equal_standalone_simulations(monkeypatch):
     """run_kernel_all_modes simulates the runs that static and dynamic DAE
     share once, where their machine states meet.  On random kernels and
     machines every row still equals a standalone simulation of its
-    schedule in every SimReport field, and no two reports share a list,
-    a dict or a record.  Both outcomes of the join rule occur."""
+    schedule in every SimReport field, every report is immutable, and a
+    joined report's suffix records are the earlier report's objects.
+    Both outcomes of the join rule occur."""
     clocks = counting_clocks(monkeypatch)
     rng = random.Random(13)
     joins = fallbacks = 0
@@ -859,36 +865,43 @@ def test_all_modes_rows_equal_standalone_simulations(monkeypatch):
         assert simulated <= runs
         if simulated < runs:
             joins += 1
+            # The runs not simulated are the static report's own records.
+            st, dy = rows[1].report.runs, rows[2].report.runs
+            n = 0
+            while n < min(len(st), len(dy)) and st[-1 - n] is dy[-1 - n]:
+                n += 1
+            assert sum(r.kind == "run" for r in dy[len(dy) - n:]) == \
+                runs - simulated, i
         elif len(dae) == 2 and dae[0][-1] == dae[1][-1]:
             fallbacks += 1
-
-        seen = set()
-        for rep in {id(r.report): r.report for r in rows}.values():
-            for obj in (rep.runs, rep.output, rep.categories, rep.total,
-                        *rep.runs, *(r.output for r in rep.runs),
-                        *(r.block_counts for r in rep.runs),
-                        *rep.categories.values()):
-                assert id(obj) not in seen, (i, type(obj).__name__)
-                seen.add(id(obj))
+        for row in rows:
+            assert_immutable(row.report)
     assert joins >= 1 and fallbacks >= 1, (joins, fallbacks)
 
 
-def mutable_parts(rep) -> set[int]:
-    """The ids of every list, dict and record in a report, each record's
-    output and block counts included."""
-    parts = [rep.runs, rep.output, rep.categories, rep.total, *rep.runs,
-             *(r.output for r in rep.runs), *(r.block_counts for r in rep.runs),
-             *rep.categories.values()]
-    return {id(obj) for obj in parts}
+def assert_immutable(rep) -> None:
+    """No field of a report, its Stats or its records can be set, its
+    runs are a tuple, its categories and block counts take no item
+    assignment, and each read of its output is a new list."""
+    for obj in (rep, rep.total, *rep.categories.values(), *rep.runs):
+        for f in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+    assert isinstance(rep.runs, tuple)
+    for mapping in (rep.categories, *(r.block_counts for r in rep.runs)):
+        with pytest.raises(TypeError):
+            mapping["x"] = 0
+    output = rep.output
+    rep.output.append(0)
+    assert rep.output == output
 
 
 def test_memo_served_prepare_equals_a_cold_one(monkeypatch):
     """A sweep over mshr_count profiles a kernel without prefetches once.
     Every later prepare is served from the memo and equals a cold one in
-    every field, plan text, row JSON and CSV, and shares no list, dict
-    or record with the memo or an earlier call.  Running
-    and emitting every mode leaves the memo's value as a cold prepare
-    builds it."""
+    every field, plan text, row JSON and CSV, and every report it hands
+    out is immutable.  Running and emitting every mode leaves the memo's
+    value as a cold prepare builds it."""
     profiled = []
 
     def counting(seeded, m):
@@ -906,7 +919,6 @@ def test_memo_served_prepare_equals_a_cold_one(monkeypatch):
                                  text=print_program(random_loop_kernel(rng)),
                                  oracle=lambda seed: None)
         harness._prepared.clear()
-        calls = []  # kept alive, so their ids stay theirs
         for k, n in enumerate(sorted(rng.sample(range(1, 17), 3))):
             m = dataclasses.replace(base_m, mshr_count=n)
             profiled.clear()
@@ -914,11 +926,8 @@ def test_memo_served_prepare_equals_a_cold_one(monkeypatch):
             served_rows = run_kernel_all_modes(kernel, m, **args)
             assert profiled == ([n] if k == 0 else []), (i, n)
             (stored,) = harness._prepared.values()
-            calls += [served.baseline, served_rows[0].report]
-            seen: set[int] = set()
-            for rep in [stored.baseline, *calls]:
-                assert not mutable_parts(rep) & seen, (i, n)
-                seen |= mutable_parts(rep)
+            for rep in (stored.baseline, served.baseline, served_rows[0].report):
+                assert_immutable(rep)
 
             harness._prepared.clear()
             cold = prepare(kernel, m, **args)
@@ -972,30 +981,23 @@ def test_memo_key_separates_every_input(monkeypatch):
 
 def test_memo_serves_a_twin_kernel_under_its_own_name(monkeypatch):
     """Two kernels with equal text and different names share one profile
-    and plan, and each one's rows carry its own name.  Each call copies
-    one report: the cold call the baseline it stores, the served call
-    the baseline it returns."""
-    profiled, copied = [], []
-    copy = harness.deepcopy
+    and plan, and each one's rows carry its own name.  The served
+    baseline shares the stored one's records."""
+    profiled = []
 
     def counting_profile(seeded, m):
         profiled.append(1)
         return profiled_baseline(seeded, m)
 
-    def counting_copy(obj):
-        copied.append(type(obj).__name__)
-        return copy(obj)
-
     monkeypatch.setattr(harness, "profiled_baseline", counting_profile)
-    monkeypatch.setattr(harness, "deepcopy", counting_copy)
     rows = {}
     for name in ("first", "second"):
-        copied.clear()
         kernel = BenchmarkKernel(name=name, text=SUM_KERNEL,
                                  oracle=lambda seed: None)
         rows[name] = run_kernel_all_modes(kernel, machine())
-        assert copied == ["SimReport"], name
     assert len(profiled) == 1
+    (stored,) = harness._prepared.values()
+    assert rows["second"][0].report.runs is stored.baseline.runs
     for name, got in rows.items():
         assert [r.kernel for r in got] == [name] * 3
     assert rows_to_csv(rows["second"]) == \

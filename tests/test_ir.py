@@ -1057,21 +1057,39 @@ def test_predecessors_are_distinct_and_skip_dangling_labels():
     assert predecessors(fn) == {"entry": [], "a": ["entry", "b"], "b": ["a"]}
 
 
-def test_predecessors_scale_linearly_in_fan_in():
-    """A block with n predecessors costs O(n), not a list scan per edge:
-    the best of 3 timings at 4n is at most 8 times that at n (a
-    quadratic map gives 16), and the order stays the chain's."""
-    def best(n: int) -> float:
-        fn = parse_program(fan_in(n)).entry_function()
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            preds = predecessors(fn)
-            times.append(time.perf_counter() - start)
-        assert preds["done"] == [f"b{i}" for i in range(1, n + 1)]
-        return min(times)
+class _CountedLabel(str):
+    """A label that counts the comparisons made with it."""
+    eqs = 0
 
-    assert best(8000) <= 8 * best(2000)
+    def __eq__(self, other):
+        _CountedLabel.eqs += 1
+        return str.__eq__(self, other)
+
+    __hash__ = str.__hash__
+
+
+def test_predecessors_scale_linearly_in_fan_in():
+    """A block with n predecessors costs O(n) label comparisons, not a
+    list scan per edge: a dict lookup compares a label once per edge, a
+    list scan once per element.  The comparisons at 4n are at most 4
+    times those at n (a quadratic map gives 16), and the order stays the
+    chain's."""
+    def comparisons(n: int) -> int:
+        fn = parse_program(fan_in(n)).entry_function()
+        for blk in fn.blocks:
+            blk.label = _CountedLabel(blk.label)
+            for attr in ("target", "if_true", "if_false"):
+                if hasattr(blk.term, attr):
+                    setattr(blk.term, attr,
+                            _CountedLabel(getattr(blk.term, attr)))
+        _CountedLabel.eqs = 0
+        preds = predecessors(fn)
+        eqs = _CountedLabel.eqs
+        assert preds["done"] == [f"b{i}" for i in range(1, n + 1)]
+        return eqs
+
+    small, large = comparisons(500), comparisons(2000)
+    assert 0 < large <= 4 * small, (small, large)
 
 
 def test_duplicate_ids_rejected():

@@ -137,7 +137,7 @@ def test_empty_schedule_is_all_zero():
     assert rep.total.wall_ns == 0
     assert rep.total.energy == 0
     assert rep.total.instr_count == 0
-    assert rep.runs == []
+    assert rep.runs == ()
     assert rep.output == []
 
 
@@ -526,7 +526,9 @@ def test_normalize_rejects_mismatches():
     base2 = simulate(prog2, baseline_schedule("main", m), m)
     with pytest.raises(MachSimError, match="programs"):
         normalize(base2, base)
-    forged = dataclasses.replace(base, output=[0])
+    (run,) = base.runs
+    forged = dataclasses.replace(
+        base, runs=(dataclasses.replace(run, output=(0,)),))
     with pytest.raises(MachSimError, match="diverged"):
         normalize(forged, base)
 
@@ -656,7 +658,7 @@ def assert_records_hold_their_runs(prog, rep: SimReport) -> None:
             assert r.instr_count == sum(n * size[r.function][label]
                                         for label, n in r.block_counts.items())
         else:
-            assert (r.output, r.block_counts) == ([], {})
+            assert (r.output, r.block_counts) == ((), {})
     assert [v for r in rep.runs for v in r.output] == rep.output
 
 
