@@ -13,14 +13,19 @@ until the call ends.  Only the entry and the join blocks (entered by
 more or fewer than one CFG edge, or by a self-loop) get an arm of the
 dispatch, a balanced if-tree on an integer arm index.  Every other block
 is written out where its one edge is taken, so a loop's header, body and
-latch run as one arm; each block still counts its entries and charges
-its fuel itself.  Each edge moves its target's phi values where it is
-taken, in one tuple assignment, before it jumps to the target's arm or
-runs into the inlined target; the edge that enters a phi's block with no
-value for it (the call's start included) counts the entry, charges the
-fuel and raises instead.  Code objects are cached by source, and each
-call of compile_function execs one into a fresh namespace, because the
-register names written back to env are not in the source.
+latch run as one arm.  Each block counts its entries and charges its
+fuel as it starts, except in the fast copy of a small loop arm, which
+runs a trip that starts with fuel for the arm's longest path: there a
+path charges its fuel where it ends (a block that loads or prefetches
+first charges what the path owes through it), and a trip back to the
+arm's root adds 1 to one counter and loops in place.  Each edge moves
+its target's phi values where it is taken, in one tuple assignment,
+before it jumps to the target's arm or runs into the inlined target;
+the edge that enters a phi's block with no value for it (the call's
+start included) counts the entry, charges the fuel and raises instead.
+Code objects are cached by source, and each call of compile_function
+execs one into a fresh namespace, because the register names written
+back to env are not in the source.
 
 A register holds its canonical value, the unsigned form in [0, 2**64),
 wherever something observes it: a phi move, a branch, a comparison, shr,
@@ -52,7 +57,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
-import threading
 from collections import OrderedDict
 from typing import NamedTuple
 
@@ -176,7 +180,9 @@ class CompiledFunction:
     are dropped, never faulted).  fuel_left is the fuel after every node
     of the current block has been charged, so the fuel passed in minus it
     is the number of nodes this call has retired, counted a whole block
-    at a time.
+    at a time.  A loop's fast copy (see _Source.arm) shows all of this as
+    the per-block code does; only an exception that a hook raises, or a
+    NameError, leaves the trip it cuts short uncharged and uncounted.
     """
 
     __slots__ = ("fn", "run")
@@ -231,6 +237,10 @@ def _unobserved(blocks: dict) -> set[str]:
 # A block that would sit deeper gets its own arm instead, which keeps the
 # generated code well inside the nesting limits of Python's parser.
 MAX_NEST = 40
+# An arm that jumps back to its own root gets a fast copy (see _Source.arm)
+# when it enters at most this many blocks; a longer loop body is written
+# and compiled once.
+MAX_FAST = 32
 
 
 class _Source:
@@ -240,6 +250,9 @@ class _Source:
     other block entered by more or fewer than one CFG edge or by a
     self-loop, in block order, then any block that MAX_NEST pushes out.
     Every other block is written out where its one edge is taken.
+
+    A path is the blocks entered since the arm's root, a linked list of
+    (label, fuel charged from the root through it, the rest) or None.
     """
 
     def __init__(self, fn: Function, blocks: dict):
@@ -261,7 +274,14 @@ class _Source:
                       if label == self.entry or edges[label] != 1
                       or label in successors(blk)]
         self.arms = {label: n for n, label in enumerate(self.roots)}
-        self.lines: list[str] = []  # the arm being written
+        self.lines: list[str] = []  # the copy being written
+        self.fast = False  # whether that is a fast copy
+        self.path: tuple | None = None  # the path being written
+        self.charged = 0  # the fuel of the path that the fast copy has subtracted
+        self.entered = 0  # the blocks the copy enters
+        self.top = 0  # the most fuel a path of the copy charges
+        self.looped = False  # whether a path of the copy jumps back to its root
+        self.trips: list[tuple] = []  # the path of each trip counter
 
     def emit(self, depth: int, line: str) -> None:
         self.lines.append("    " * depth + line)
@@ -272,22 +292,29 @@ class _Source:
     def val(self, v: Operand) -> str:
         return self.reg(v) if isinstance(v, str) else str(v & M64)
 
+    def labels(self, path):
+        """The blocks of path, last first."""
+        while path is not None:
+            yield path[0]
+            path = path[2]
+
     def text(self) -> str:
         """The source of run, the function compile_function builds."""
         arms = self.all_arms()
         body: list[str] = []
         _dispatch(arms, 0, len(arms), 3, body)
-        self.lines = []
+        self.lines, self.fast, self.path = [], False, None
         entry = self.blocks[self.entry]
         if entry.phis:
             # The call enters the entry by no edge.
             self.fault(2, entry, f"phi executed on function entry in {self.entry!r}")
         counts = ", ".join(f"c{k}" for k in range(len(self.blocks)))
+        trips = "".join(f" = p{j}" for j in range(len(self.trips)))
         head = ["def run(env, mem, output, block_counts, fuel, mem_size,"
                 " on_load=None, on_prefetch=None):",
                 "    out = output.append",
                 "    f = fuel[0]",
-                f"    {counts.replace(',', ' =')} = 0"]
+                f"    {counts.replace(',', ' =')}{trips} = 0"]
         for name in self.params:
             if name in self.regs:
                 head.append(f"    if {name!r} in env: {self.regs[name]} = env[{name!r}]")
@@ -295,7 +322,13 @@ class _Source:
                  "    try:",
                  *self.lines,
                  "        while True:"]
+        # Each trip counter adds its trips to the blocks on its path.
+        on_path: dict[int, list[str]] = {}
+        for j, path in enumerate(self.trips):
+            for label in self.labels(path):
+                on_path.setdefault(self.index[label], []).append(f"p{j}")
         tail = ["    finally:",
+                *(f"        c{k} += {' + '.join(ps)}" for k, ps in sorted(on_path.items())),
                 "        fuel[0] = f",
                 f"        for label, c in zip(_labels, ({counts},)):",
                 "            if c:",
@@ -317,20 +350,57 @@ class _Source:
     def arm(self, root: str) -> list[str]:
         """The code of the arm that starts at root, at depth 0.
 
-        A stack of (label, depth, the block jumping there) stands in for
-        recursion, so a long chain of inlined blocks costs no Python
-        stack.  Each edge first moves the target's phi values, then
-        jumps to the target's arm or writes the target inline.  A brcond
-        writes its true target inside an if and its false target after
-        it; every path ends in continue, break or raise, so nothing
-        falls through.
+        The per-block copy counts each block's entry and charges its fuel
+        as the block starts.  An arm whose code jumps back to root and
+        that enters at most MAX_FAST blocks also gets a fast copy:
+
+            while f >= K:
+                <the fast copy>
+            else:
+                <the per-block copy>
+            if b < 0:
+                break
+            continue
+
+        K is the most fuel that any path from root to a leaf (a continue,
+        a break or a raise) charges, so no block runs out of fuel on a
+        trip that starts with f >= K, and the fast copy leaves out every
+        per-block count, charge and test.  Each of its leaves subtracts
+        what its path's fuel still owes: all of it, unless a block on the
+        path loads or prefetches, which first subtracts the path's fuel
+        through that block, so that its hooks see f itself, the value
+        the per-block copy passes them.  A trip back to root adds 1 to
+        its trip counter, which the finally adds to each block on its
+        path, and loops in place.  Any other leaf counts its path's
+        blocks itself and raises, or leaves the loop with b set to the
+        next arm (-1 after a ret).
         """
-        self.lines = []
-        todo = [(root, 0, None)]
+        slow = self.copy(root, False)
+        if self.entered > MAX_FAST or not self.looped:
+            return slow
+        loop = f"while f >= {self.top}:"
+        return [loop, *("    " + line for line in self.copy(root, True)),
+                "else:", *("    " + line for line in slow),
+                "if b < 0:", "    break", "continue"]
+
+    def copy(self, root: str, fast: bool) -> list[str]:
+        """One copy of the arm that starts at root, at depth 0.
+
+        A stack of (label, depth, the block jumping there, the path
+        there, the fuel of it charged) stands in for recursion, so a long
+        chain of inlined blocks costs no Python stack.  Each edge first
+        moves the target's phi values, then jumps to the target's arm or
+        writes the target inline.  A brcond writes its true target inside
+        an if and its false target after it; every path ends in continue,
+        break or raise, so nothing falls through.
+        """
+        self.lines, self.fast = [], fast
+        self.entered, self.top, self.looped = 0, 0, False
+        todo = [(root, 0, None, None, 0)]
         while todo:
-            label, d, prev = todo.pop()
+            label, d, prev, self.path, self.charged = todo.pop()
             if label not in self.blocks:
-                self.emit(d, f"raise KeyError({label!r})")
+                self.leave(d, "raise", f"raise KeyError({label!r})")
                 continue
             blk = self.blocks[label]
             if prev is not None:
@@ -340,19 +410,40 @@ class _Source:
                     if label not in self.arms:
                         self.arms[label] = len(self.roots)
                         self.roots.append(label)
-                    self.emit(d, f"b = {self.arms[label]}")
-                    self.emit(d, "continue")
+                    jump = f"b = {self.arms[label]}"
+                    if label == root:
+                        self.leave(d, "trip", *(() if fast else (jump,)), "continue")
+                    else:
+                        self.leave(d, "exit", jump, "break" if fast else "continue")
                     continue
             t = self.block(d, blk)
             if t is None:
                 continue
             if isinstance(t, Br):
-                todo.append((t.target, d, label))
+                todo.append((t.target, d, label, self.path, self.charged))
             else:
                 self.emit(d, f"if {self.reg(t.cond)}:")
-                todo.append((t.if_false, d, label))
-                todo.append((t.if_true, d + 1, label))
+                todo.append((t.if_false, d, label, self.path, self.charged))
+                todo.append((t.if_true, d + 1, label, self.path, self.charged))
         return self.lines
+
+    def leave(self, d: int, kind: str, *lines: str) -> None:
+        """End the path being written with lines.  kind is "trip" for a
+        jump back to the arm's root, "raise" or "exit"; a fast copy first
+        charges the path's fuel still owed and counts its blocks."""
+        self.top = max(self.top, self.path[1])
+        self.looped |= kind == "trip"
+        if self.fast:
+            if self.path[1] > self.charged:
+                self.emit(d, f"f -= {self.path[1] - self.charged}")
+            if kind == "trip":
+                self.emit(d, f"p{len(self.trips)} += 1")
+                self.trips.append(self.path)
+            else:
+                for label in self.labels(self.path):
+                    self.emit(d, f"c{self.index[label]} += 1")
+        for line in lines:
+            self.emit(d, line)
 
     def moves(self, d: int, prev: str, blk) -> bool:
         """Assign blk's phis, all at once, the values of the edge from
@@ -370,9 +461,15 @@ class _Source:
         return True
 
     def enter(self, d: int, blk) -> None:
-        """Count one entry of blk and charge its nodes' fuel."""
+        """Add blk to the path; the per-block copy counts its entry and
+        charges its nodes' fuel here."""
+        n = len(blk.phis) + len(blk.body) + 1
+        self.path = (blk.label, n + (self.path[1] if self.path else 0), self.path)
+        self.entered += 1
+        if self.fast:
+            return
         self.emit(d, f"c{self.index[blk.label]} += 1")
-        self.emit(d, f"f -= {len(blk.phis) + len(blk.body) + 1}")
+        self.emit(d, f"f -= {n}")
         self.emit(d, "if f < 0:")
         msg = f"fuel exhausted in block {blk.label!r}"
         self.emit(d + 1, f"raise _Err({msg!r})")
@@ -380,7 +477,7 @@ class _Source:
     def fault(self, d: int, blk, msg: str) -> None:
         """Enter blk and raise msg, the fault of an edge into it."""
         self.enter(d, blk)
-        self.emit(d, f"raise _Err({msg!r})")
+        self.leave(d, "raise", f"raise _Err({msg!r})")
 
     def arith(self, ins: BinOp, bits: dict[str, int]) -> str:
         """The inline form of a _LOOSE_OPS binop, wrapped unless nothing
@@ -430,6 +527,11 @@ class _Source:
         self.enter(d, blk)
         bits: dict[str, int] = {}
         for ins in blk.body:
+            if (self.fast and isinstance(ins, (Load, Prefetch))
+                    and self.charged < self.path[1]):
+                # Its hook must see the fuel left after this block.
+                emit(d, f"f -= {self.path[1] - self.charged}")
+                self.charged = self.path[1]
             if isinstance(ins, Const):
                 emit(d, f"{self.reg(ins.dst)} = {ins.value & M64}")
             elif isinstance(ins, BinOp):
@@ -442,7 +544,8 @@ class _Source:
                     else:
                         if ins.op in ("div", "rem"):
                             emit(d, f"if {b} == 0:")
-                            emit(d + 1, f"raise _Err('division by zero', {ins.id})")
+                            self.leave(d + 1, "raise",
+                                       f"raise _Err('division by zero', {ins.id})")
                         expr = f"_{ins.op}({a}, {b})"
                 emit(d, f"{self.reg(ins.dst)} = {expr}")
             elif isinstance(ins, (Load, Store)):
@@ -452,8 +555,8 @@ class _Source:
                 shown = _address(base, ins.offset) if canonical else a
                 test = "" if canonical else f"{a} < 0 or "
                 emit(d, f"if {test}{a} + {ins.width} > mem_size:")
-                emit(d + 1, f"raise _Err(f'{kind} address {{{shown}}} out of"
-                            f" [0, {{mem_size}})', {ins.id})")
+                self.leave(d + 1, "raise", f"raise _Err(f'{kind} address {{{shown}}}"
+                                           f" out of [0, {{mem_size}})', {ins.id})")
                 if kind == "load":
                     emit(d, "if on_load is not None:")
                     emit(d + 1, f"on_load({ins.id}, {a}, f)")
@@ -476,7 +579,7 @@ class _Source:
             else:
                 raise TypeError(f"cannot compile {ins!r}")
         if isinstance(blk.term, Ret):
-            emit(d, "break")
+            self.leave(d, "exit", *(("b = -1", "break") if self.fast else ("break",)))
             return None
         return blk.term
 
@@ -580,10 +683,9 @@ class Image(NamedTuple):
 # least recently used first.  A simulation that cannot store reads the
 # shared image and makes no working copy, so a second cached image takes
 # the memory of that copy; two let a sweep that alternates two inputs
-# build each once.  The lock keeps the bound when threads share them.
+# build each once.
 _IMAGES_MAX = 2
 _images: OrderedDict[tuple, Image] = OrderedDict()
-_images_lock = threading.Lock()
 
 
 def _build_image(prog: Program, mem_size: int) -> Image:
@@ -608,15 +710,14 @@ def pristine_image(prog: Program, mem_size: int) -> Image:
     per distinct mem_size and segments while it stays cached."""
     key = (mem_size, tuple((seg.kind, seg.base, seg.length, seg.seed, seg.data)
                            for seg in prog.data))
-    with _images_lock:
-        image = _images.get(key)
-        if image is not None:
-            _images.move_to_end(key)
-            return image
-        while len(_images) >= _IMAGES_MAX:
-            _images.popitem(last=False)  # let it go before building the next
-        image = _images[key] = _build_image(prog, mem_size)
+    image = _images.get(key)
+    if image is not None:
+        _images.move_to_end(key)
         return image
+    while len(_images) >= _IMAGES_MAX:
+        _images.popitem(last=False)  # let it go before building the next
+    image = _images[key] = _build_image(prog, mem_size)
+    return image
 
 
 def init_memory(prog: Program, mem_size: int) -> bytearray:

@@ -28,11 +28,11 @@ phase, and optional profiling cost are charged as overhead: wall time at
 zero-IPC power at f_max, one value per simulation.
 
 What depends only on the machine and a frequency f is computed once per
-simulation and distinct f (_Rates.at): the clock's tick counts and two power
-terms, p0 = power(f, 0) and slope = (power(f, 1) - p0) / f.
-power() is affine in IPC and ipc * wall_ns = instr_count / f, so a run's
-energy power(f, ipc) * wall_ns is exactly p0 * wall_ns + slope *
-instr_count.
+distinct f and simulate_each call, or lone simulate (_Rates.at): the
+clock's tick counts and two power terms, p0 = power(f, 0) and
+slope = (power(f, 1) - p0) / f.  power() is affine in IPC and
+ipc * wall_ns = instr_count / f, so a run's energy power(f, ipc) *
+wall_ns is exactly p0 * wall_ns + slope * instr_count.
 
 Stats declares the reported quantities once: each run record is a Stats,
 and a report's per-category sums and its total are sums of its records.
@@ -188,7 +188,7 @@ class _RunClock:
     most recent end of its set in place, and only misses and fills call
     LruCache.install.  A load reads the clock only while a fill is in
     flight, and without prefetches none ever is.  Its constants come
-    from rates, which simulate computes once per frequency it runs at.
+    from rates, computed once per frequency and simulate_each call.
     """
 
     def __init__(self, machine: MachineConfig, cache: LruCache, rates: _Rates,
@@ -299,6 +299,7 @@ def simulate(
     marks: dict[int, list[_Suffix]] | None = None,
     joins: dict[int, list[_Suffix]] | None = None,
     compiled: dict[str, CompiledFunction] | None = None,
+    rates: dict[Fraction, _Rates] | None = None,
 ) -> SimReport:
     """Run a schedule to completion and account time and energy.
 
@@ -320,16 +321,18 @@ def simulate(
     Each run record keeps the run's output and block entry counts; the
     report's output is their concatenation.
 
-    marks, joins and compiled come from simulate_each.  Before run k,
-    simulate records its state into each suffix in marks[k], and takes
-    the first suffix in joins[k] whose state equals its own and whose
-    records' instr_count its fuel left covers.  tally sees only the runs
-    simulated.  compiled maps function names to their CompiledFunction;
-    simulate adds each function it compiles, so the schedules of one
-    simulate_each call compile each function once.
+    marks, joins, compiled and rates come from simulate_each.  Before
+    run k, simulate records its state into each suffix in marks[k], and
+    takes the first suffix in joins[k] whose state equals its own and
+    whose records' instr_count its fuel left covers.  tally sees only the
+    runs simulated.  compiled maps function names to their
+    CompiledFunction, and rates frequencies to the machine's _Rates;
+    simulate adds each function it compiles and each table it computes,
+    so the schedules of one simulate_each call compute each once.
     """
     marks, joins = marks or {}, joins or {}
     compiled = {} if compiled is None else compiled
+    rates = {} if rates is None else rates
     names = {f.name for f in prog.functions}
     for r in sched:
         if r.function is not None and r.function not in names:
@@ -342,8 +345,9 @@ def simulate(
             raise MachSimError(f"unknown category {r.category!r}")
         if r.charge is not None and r.charge[1] < 0:
             raise MachSimError(f"negative charge {r.charge!r}")
-    rates = {f: _Rates.at(machine, f)
-             for f in {r.frequency for r in sched if r.function is not None}}
+    for r in sched:
+        if r.function is not None and r.frequency not in rates:
+            rates[r.frequency] = _Rates.at(machine, r.frequency)
 
     cache = LruCache(machine.l1)
     mem_size = default_mem_size(prog)
@@ -443,9 +447,10 @@ def simulate_each(prog: Program, scheds: list[list[PhaseRun]],
                   machine: MachineConfig, fuel: int = DEFAULT_FUEL):
     """Yield simulate(prog, sched, machine, fuel) for each schedule, in
     order, simulating the runs a later schedule shares with an earlier
-    one once (see the module docstring) and compiling each function
-    once.  A program that stores gets a working copy of memory per
-    schedule, released before the next one's is made."""
+    one once (see the module docstring), and compiling each function and
+    computing each frequency's rates once.  A program that stores gets a
+    working copy of memory per schedule, released before the next one's
+    is made."""
     marks: list[dict[int, list[_Suffix]]] = [{} for _ in scheds]
     joins: list[dict[int, list[_Suffix]]] = [{} for _ in scheds]
     for j, b in enumerate(scheds):
@@ -458,9 +463,10 @@ def simulate_each(prog: Program, scheds: list[list[PhaseRun]],
                 marks[i].setdefault(len(a) - n, []).append(s)
                 joins[j].setdefault(len(b) - n, []).append(s)
     compiled: dict[str, CompiledFunction] = {}
+    rates: dict[Fraction, _Rates] = {}
     for sched, mine, theirs in zip(scheds, marks, joins):
         yield simulate(prog, sched, machine, fuel, marks=mine, joins=theirs,
-                       compiled=compiled)
+                       compiled=compiled, rates=rates)
 
 
 # ---------------------------------------------------------------------------

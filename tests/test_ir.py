@@ -6,8 +6,7 @@ import copy
 import hashlib
 import itertools
 import random
-import sys
-import threading
+import re
 import time
 from collections import OrderedDict
 
@@ -19,6 +18,7 @@ from conftest import (
     brcond_tree,
     break_program,
     fan_in,
+    load_blocks,
     random_cfg_program,
     random_loop_kernel,
     sum_kernel,
@@ -491,41 +491,6 @@ def test_init_memory_returns_independent_copies(monkeypatch):
     assert len(fills) == 2
 
 
-def test_images_are_shared_safely_across_threads(monkeypatch):
-    """Four threads asking in turn for three distinct images through a
-    cache of two each get their own program's image, intact, and the
-    cache never holds more than two."""
-    monkeypatch.setattr(interp, "_images", OrderedDict())
-    progs = [with_seed(sum_kernel(), s) for s in range(3)]
-    want = [bytes(init_memory(p, 8192)) for p in progs]
-    errors, held = [], set()
-
-    def work(k: int) -> None:
-        try:
-            for i in range(300):
-                j = (k + i) % 3
-                image = interp.pristine_image(progs[j], 8192)
-                held.add(len(interp._images))
-                assert image.mem == want[j]
-                assert image.digest == interp.memory_digest(want[j])
-        except Exception as e:
-            errors.append(e)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert max(held) <= interp._IMAGES_MAX
-
-
 def test_retired_counts_sum_kernel():
     t = interpret(sum_kernel())
     r = t.retired_by_static_id
@@ -835,38 +800,70 @@ def test_address_checks_agree_with_signed_addresses(kind):
             assert err == want, (base, off)
 
 
-def loop_wraps(fn, labels) -> int:
-    """The wraps in the generated code of the blocks named: each block's
-    code runs from its counter to the next block's."""
-    index = {f"c{k} += 1": label for k, label in enumerate(fn.block_map())}
-    wraps, current = {}, None
-    for line in generated(fn).splitlines():
-        if line.strip() in index:
-            current = index[line.strip()]
-        elif line == "    finally:":
-            current = None
-        wraps[current] = wraps.get(current, 0) + line.count(WRAP)
-    return sum(wraps.get(label, 0) for label in labels)
+def trip_lines(fn) -> list[str]:
+    """The lines that a full-fuel trip of fn's one loop arm runs: in the
+    arm's fast copy, the path from its while to the continue that loops
+    back.  Lines nested deeper than that path (fault raises, hook calls
+    and the other paths' leaves) are left out."""
+    lines = generated(fn).splitlines()
+    top = next(k for k, line in enumerate(lines)
+               if line.lstrip().startswith("while f >= "))
+    back = next(k for k in range(top, len(lines)) if lines[k].strip() == "continue")
+    path, depth = [], None
+    for line in reversed(lines[top + 1:back + 1]):
+        indent = len(line) - len(line.lstrip())
+        if depth is None or indent <= depth:
+            path.append(line.strip())
+            depth = indent
+    return path[::-1]
+
+
+def plan_functions() -> dict:
+    """Every built-in kernel's plan functions, keyed (kernel, name)."""
+    functions = {}
+    for k in builtin_kernels():
+        prog = k.program()
+        loads = [n.id for n in prog.entry_function().nodes() if isinstance(n, Load)]
+        plan = make_phases(prog, critical=loads,
+                           slice_params=SliceParams(64, "override"))
+        for fn in plan.program.functions:
+            functions[k.name, fn.name] = fn
+    return functions
 
 
 def test_generated_loops_wrap_only_what_is_observed():
     """compute_poly's execute clone wraps 2 values per trip (the ones its
     phis carry; it wrapped 8), and no generated function selects its
     phi values on a predecessor index."""
-    functions = []
-    for k in builtin_kernels():
-        prog = k.program()
-        loads = [n.id for n in prog.entry_function().nodes() if isinstance(n, Load)]
-        plan = make_phases(prog, critical=loads,
-                           slice_params=SliceParams(64, "override"))
-        functions += plan.program.functions
-        if k.name == "compute_poly":
-            execute = plan.program.function(plan.execute)
-            assert loop_wraps(execute, ["loop", "body", "latch"]) <= 2
-    functions += [random_cfg_program(random.Random(s)).entry_function()
-                  for s in range(20)]
-    for fn in functions:
+    functions = plan_functions()
+    trip = trip_lines(functions["compute_poly", "main__exec"])
+    assert sum(line.count(WRAP) for line in trip) <= 2
+    cfgs = [random_cfg_program(random.Random(s)).entry_function() for s in range(20)]
+    for fn in [*functions.values(), *cfgs]:
         assert "p ==" not in generated(fn), fn.name
+
+
+def test_a_full_fuel_trip_charges_and_counts_once():
+    """A trip of compute_poly's execute loop (header, body and latch)
+    with fuel for its longest path subtracts its fuel once, adds 1 to one
+    counter and tests no fuel; every built-in plan function's loop gets
+    such a trip."""
+    functions = plan_functions()
+    trip = trip_lines(functions["compute_poly", "main__exec"])
+    assert [line for line in trip if line.startswith("f -= ")] == ["f -= 14"]
+    assert len([line for line in trip if re.fullmatch(r"[cp]\d+ \+= 1", line)]) == 1
+    assert not any("if f < 0" in line for line in trip)
+    for key, fn in functions.items():
+        assert generated(fn).count("while f >= ") == 1, key
+
+
+def test_long_loop_bodies_get_no_fast_copy():
+    """A loop arm that enters more than MAX_FAST blocks keeps only its
+    per-block code."""
+    fits = parse_program(load_blocks(interp.MAX_FAST - 3)).entry_function()
+    over = parse_program(load_blocks(interp.MAX_FAST - 2)).entry_function()
+    assert "while f >= " in generated(fits)
+    assert "while f >= " not in generated(over)
 
 
 # -- validator ---------------------------------------------------------------

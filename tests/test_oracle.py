@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 from conftest import break_program, random_cfg_program, random_loop_kernel
+from daef.daegen import SliceParams, make_phases
 from daef.ir import (
     Br,
     BinOp,
@@ -30,11 +32,13 @@ from daef.ir import (
 )
 from daef.ir.interp import (
     DEFAULT_FUEL,
+    _Source,
     compile_function,
     default_mem_size,
     init_memory,
     memory_digest,
 )
+from daef.kernels import builtin_kernels
 
 M64 = (1 << 64) - 1
 
@@ -144,13 +148,14 @@ def compiled_run(fn, env, mem, mem_size, fuel, seen):
     return out, counts, box[0], None
 
 
-def both(prog, fuel: int):
-    """(walk's result, compile_function's result), each with its memory
-    digest, env and hook calls."""
-    fn, size = prog.entry_function(), default_mem_size(prog)
+def both(prog, fuel: int, fn=None, params=None):
+    """(walk's result, compile_function's result) for a call of fn,
+    prog's entry function by default, with params in env; each with its
+    memory digest, env and hook calls."""
+    fn, size = fn or prog.entry_function(), default_mem_size(prog)
     results = []
     for run in (walk, compiled_run):
-        mem, env, seen = init_memory(prog, size), {}, []
+        mem, env, seen = init_memory(prog, size), dict(params or {}), []
         try:
             shown = run(fn, env, mem, size, fuel, seen)
         except (KeyError, NameError):
@@ -179,6 +184,41 @@ def test_compiled_code_agrees_with_the_walker():
             spent = DEFAULT_FUEL - left
             cut = both(prog, rng.randrange(spent + 2))
             assert cut[0] == cut[1]
+
+
+def test_fuel_cuts_near_the_fast_copy_agree_with_the_walker():
+    """A loop arm runs its fast copy only on trips that start with at
+    least K fuel, the most any of its paths charges.  Every fuel from a
+    full run's spend minus 2K to the spend plus 1 moves that switch
+    across the last trips.  The built-in kernels' clones, at their first
+    and last slices (their originals run the same loops, but every trip
+    in one call), 20 random loop kernels and those of 40 random CFGs that
+    have a loop arm with a fast copy agree with the walker at each fuel."""
+    cases = []
+    for kernel in builtin_kernels():
+        prog = kernel.program()
+        loads = [n.id for n in prog.entry_function().nodes() if isinstance(n, Load)]
+        plan = make_phases(prog, critical=loads, slice_params=SliceParams(64, "override"))
+        for fn in plan.program.functions:
+            if fn.name != plan.original:
+                cases += [(plan.program, fn, plan.slice_args(k))
+                          for k in {0, plan.n_slices - 1}]
+    progs = [random_loop_kernel(random.Random(seed)) for seed in range(20)]
+    progs += [random_cfg_program(random.Random(seed)) for seed in range(40)]
+    cases += [(prog, prog.entry_function(), {}) for prog in progs]
+    for prog, fn, args in cases:
+        params = {p: args.get(p, 0) for p in fn.params}
+        tops = [int(k) for k in re.findall(r"while f >= (\d+):",
+                                           _Source(fn, fn.block_map()).text())]
+        if not tops:
+            continue
+        top = max(tops)
+        full = both(prog, DEFAULT_FUEL, fn, params)
+        assert full[0] == full[1]
+        spent = DEFAULT_FUEL - full[0][2]
+        for fuel in range(max(0, spent - 2 * top), spent + 2):
+            cut = both(prog, fuel, fn, params)
+            assert cut[0] == cut[1], (fn.name, args, fuel)
 
 
 def test_damaged_programs_fault_alike():
