@@ -284,7 +284,9 @@ class _Source:
         self.trips: list[tuple] = []  # the path of each trip counter
 
     def emit(self, depth: int, line: str) -> None:
-        self.lines.append("    " * depth + line)
+        # One space per level: an arm nests up to MAX_NEST deep, so wider
+        # indentation would be most of the source that compile() reads.
+        self.lines.append(" " * depth + line)
 
     def reg(self, name: str) -> str:
         return self.regs.setdefault(name, f"r{len(self.regs)}")
@@ -312,32 +314,32 @@ class _Source:
         trips = "".join(f" = p{j}" for j in range(len(self.trips)))
         head = ["def run(env, mem, output, block_counts, fuel, mem_size,"
                 " on_load=None, on_prefetch=None):",
-                "    out = output.append",
-                "    f = fuel[0]",
-                f"    {counts.replace(',', ' =')}{trips} = 0"]
+                " out = output.append",
+                " f = fuel[0]",
+                f" {counts.replace(',', ' =')}{trips} = 0"]
         for name in self.params:
             if name in self.regs:
-                head.append(f"    if {name!r} in env: {self.regs[name]} = env[{name!r}]")
-        head += ["    b = 0",
-                 "    try:",
+                head.append(f" if {name!r} in env: {self.regs[name]} = env[{name!r}]")
+        head += [" b = 0",
+                 " try:",
                  *self.lines,
-                 "        while True:"]
+                 "  while True:"]
         # Each trip counter adds its trips to the blocks on its path.
         on_path: dict[int, list[str]] = {}
         for j, path in enumerate(self.trips):
             for label in self.labels(path):
                 on_path.setdefault(self.index[label], []).append(f"p{j}")
-        tail = ["    finally:",
-                *(f"        c{k} += {' + '.join(ps)}" for k, ps in sorted(on_path.items())),
-                "        fuel[0] = f",
-                f"        for label, c in zip(_labels, ({counts},)):",
-                "            if c:",
-                "                block_counts[label] = block_counts.get(label, 0) + c",
+        tail = [" finally:",
+                *(f"  c{k} += {' + '.join(ps)}" for k, ps in sorted(on_path.items())),
+                "  fuel[0] = f",
+                f"  for label, c in zip(_labels, ({counts},)):",
+                "   if c:",
+                "    block_counts[label] = block_counts.get(label, 0) + c",
                 # Registers the call never assigned stay out of env.
-                "    bound = locals()",
-                "    for name, r in _defs:",
-                "        if r in bound:",
-                f"            env[name] = bound[r] & {M64:#x}"]
+                " bound = locals()",
+                " for name, r in _defs:",
+                "  if r in bound:",
+                f"   env[name] = bound[r] & {M64:#x}"]
         return "\n".join(head + body + tail) + "\n"
 
     def all_arms(self) -> list[list[str]]:
@@ -379,9 +381,9 @@ class _Source:
         if self.entered > MAX_FAST or not self.looped:
             return slow
         loop = f"while f >= {self.top}:"
-        return [loop, *("    " + line for line in self.copy(root, True)),
-                "else:", *("    " + line for line in slow),
-                "if b < 0:", "    break", "continue"]
+        return [loop, *(" " + line for line in self.copy(root, True)),
+                "else:", *(" " + line for line in slow),
+                "if b < 0:", " break", "continue"]
 
     def copy(self, root: str, fast: bool) -> list[str]:
         """One copy of the arm that starts at root, at depth 0.
@@ -588,12 +590,12 @@ def _dispatch(arms: list[list[str]], lo: int, hi: int, depth: int,
               lines: list[str]) -> None:
     """A balanced if b < k tree over arms[lo:hi]."""
     if hi - lo == 1:
-        lines.extend("    " * depth + line for line in arms[lo])
+        lines.extend(" " * depth + line for line in arms[lo])
         return
     mid = (lo + hi) // 2
-    lines.append("    " * depth + f"if b < {mid}:")
+    lines.append(" " * depth + f"if b < {mid}:")
     _dispatch(arms, lo, mid, depth + 1, lines)
-    lines.append("    " * depth + "else:")
+    lines.append(" " * depth + "else:")
     _dispatch(arms, mid, hi, depth + 1, lines)
 
 

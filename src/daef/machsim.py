@@ -8,8 +8,10 @@ clock, an integer count of ticks of 1/q cycle since the run started, and
 its own miss-handling registers, which drain when it ends.  The clock
 learns how many nodes have retired from the fuel left that the
 interpreter passes to the load and prefetch hooks, so nothing runs per
-block.  The run's cycles are converted to exact nanoseconds once,
-through its frequency.
+block.  The hooks are closures over the run's state, and a load to the
+line of the run's last load, with no fill installed and no prefetch
+since, is a hit that touches no set (_run_clock).  The run's cycles are
+converted to exact nanoseconds once, through its frequency.
 
 Cost model per retired node: one core cycle, plus hit_cycles for a load
 that hits, plus ceil(mem_latency_ns * f) blocking cycles for a load that
@@ -170,8 +172,10 @@ class _Rates:
                    p0=p0, slope=(machine.power(f, Fraction(1)) - p0) / f)
 
 
-class _RunClock:
-    """One run's clock and miss registers, driven by the interpreter hooks.
+def _run_clock(machine: MachineConfig, cache: LruCache, rates: _Rates,
+               fuel: int, tally: tuple | None = None):
+    """One run's clock and miss registers: the run's (on_load,
+    on_prefetch, drain) hooks, closures over its state.
 
     Time is an integer count of ticks since the run started.  A tick is
     1/q cycle, where q is the denominator of mem_latency_ns * f, so a
@@ -189,81 +193,93 @@ class _RunClock:
     LruCache.install.  A load reads the clock only while a fill is in
     flight, and without prefetches none ever is.  Its constants come
     from rates, computed once per frequency and simulate_each call.
+
+    recent is the line of the run's last load, which that load left
+    resident and most recent in its set.  Until a fill installs or a
+    prefetch runs, both of which reset recent, nothing else touches the
+    L1, so a later load to that line, once the fills completed by then
+    are installed, is a hit that leaves every set as it is.
+
+    tally, when given, is simulate's (lines, misses): each load adds its
+    line to lines[id], and one that misses outright adds 1 to misses[id].
     """
+    q, hit, miss, fill = rates.q, rates.hit, rates.miss, rates.fill
+    mshr_count, line_bytes = machine.mshr_count, machine.l1.line_bytes
+    sets, n_sets, install = cache.sets, cache.n_sets, cache.install
+    lines, misses = tally or (None, None)
+    mshr: OrderedDict[int, int] = OrderedDict()  # line -> done tick
+    base = fuel * q
+    stall = 0
+    recent = -1  # no line: line numbers are not negative
 
-    def __init__(self, machine: MachineConfig, cache: LruCache, rates: _Rates,
-                 fuel: int):
-        self.rates = rates
-        self.q = rates.q
-        self.hit = rates.hit
-        self.miss = rates.miss
-        self.fill = rates.fill
-        self.mshr_count = machine.mshr_count
-        self.cache = cache
-        self.sets = cache.sets
-        self.n_sets = cache.n_sets
-        self.line_bytes = machine.l1.line_bytes
-        self.mshr: OrderedDict[int, int] = OrderedDict()  # line -> done tick
-        self.base = fuel * self.q
-        self.stall = 0
-
-    def on_load(self, instr_id: int, addr: int, fuel: int) -> bool:
+    def on_load(instr_id: int, addr: int, fuel: int) -> bool:
         """Account one demand load; True when it missed outright."""
-        line = addr // self.line_bytes
-        mshr = self.mshr
+        nonlocal stall, recent
+        line = addr // line_bytes
+        if lines is not None:
+            lines[instr_id].add(line)
         if mshr:
             # Install every fill that has completed by now.
-            now = self.base - fuel * self.q + self.stall
-            install = self.cache.install
+            now = base - fuel * q + stall
             while mshr and mshr[next(iter(mshr))] <= now:
                 install(mshr.popitem(last=False)[0])
-        s = self.sets.get(line % self.n_sets, ())
+                recent = -1
+        if line == recent:
+            stall += hit
+            return False
+        recent = line
+        s = sets.get(line % n_sets, ())
         if line in s:
             del s[line]
             s[line] = None
         elif line in mshr:
             # Join the in-flight fill (so now is set), then read through
             # the cache.
-            self.stall += max(0, mshr.pop(line) - now)
-            self.cache.install(line)
+            stall += max(0, mshr.pop(line) - now)
+            install(line)
         else:
             # Blocking miss: the line is delivered directly.
-            self.stall += self.miss
-            self.cache.install(line)
+            stall += miss
+            install(line)
+            if misses is not None:
+                misses[instr_id] += 1
             return True
-        self.stall += self.hit
+        stall += hit
         return False
 
-    def on_prefetch(self, instr_id: int, addr: int, fuel: int) -> None:
-        line = addr // self.line_bytes
-        now = self.base - fuel * self.q + self.stall
-        cache, mshr = self.cache, self.mshr
+    def on_prefetch(instr_id: int, addr: int, fuel: int) -> None:
+        nonlocal stall, recent
+        recent = -1
+        line = addr // line_bytes
+        now = base - fuel * q + stall
         while mshr and mshr[next(iter(mshr))] <= now:
-            cache.install(mshr.popitem(last=False)[0])
-        s = self.sets.get(line % self.n_sets, ())
+            install(mshr.popitem(last=False)[0])
+        s = sets.get(line % n_sets, ())
         if line in s:
             del s[line]
             s[line] = None
             return
         if line in mshr:
             return
-        if len(mshr) >= self.mshr_count:
+        if len(mshr) >= mshr_count:
             old_line, done = mshr.popitem(last=False)
             if done > now:
-                self.stall += done - now
+                stall += done - now
                 now = done
-            cache.install(old_line)
-        mshr[line] = now + self.fill
+            install(old_line)
+        mshr[line] = now + fill
 
-    def drain(self, fuel: int) -> Fraction:
+    def drain(fuel: int) -> Fraction:
         """Wait for every fill; returns the run's length in cycles, given
         the fuel the run left."""
-        now = self.base - fuel * self.q + self.stall
-        while self.mshr:
-            line, done = self.mshr.popitem(last=False)
+        now = base - fuel * q + stall
+        while mshr:
+            line, done = mshr.popitem(last=False)
             now = max(now, done)
-            self.cache.install(line)
-        return Fraction(now, self.q)
+            install(line)
+        return Fraction(now, q)
+
+    return on_load, on_prefetch, drain
 
 
 def _memory(prog: Program, mem_size: int):
@@ -315,8 +331,8 @@ def simulate(
     tally, when given, is the profiler's (lines, misses), keyed by the
     id of every load the schedule may run: each demand load adds its
     cache line to lines[id], and one that missed outright adds 1 to
-    misses[id].  One wrapper around the clock's on_load records both;
-    without a tally no load pays for it.
+    misses[id].  The clock's on_load records both as it accounts the
+    load; without a tally a load pays one test for it.
 
     Each run record keeps the run's output and block entry counts; the
     report's output is their concatenation.
@@ -387,20 +403,14 @@ def simulate(
             cf = compiled[r.function] = compile_function(prog.function(r.function))
         call_env = {p: r.args.get(p, env.get(p, 0)) for p in cf.fn.params}
         fuel_before = fuel_box[0]
-        clock = _RunClock(machine, cache, rates[r.frequency], fuel_before)
-        load_hook = clock.on_load
-        if tally is not None:
-            def load_hook(lid, addr, left, account=clock.on_load,
-                          lines=tally[0], misses=tally[1],
-                          line_bytes=machine.l1.line_bytes):
-                lines[lid].add(addr // line_bytes)
-                if account(lid, addr, left):
-                    misses[lid] += 1
+        rt = rates[r.frequency]
+        on_load, on_prefetch, drain = _run_clock(machine, cache, rt,
+                                                 fuel_before, tally)
         output: list[int] = []
         counts: dict[str, int] = {}
         cf.run(call_env, mem, output, counts, fuel_box, mem_size,
-               on_load=load_hook, on_prefetch=clock.on_prefetch)
-        cycles = clock.drain(fuel_box[0])
+               on_load=on_load, on_prefetch=on_prefetch)
+        cycles = drain(fuel_box[0])
         if r.writeback:
             env.update(call_env)
         # Each retired node costs one unit of fuel.
@@ -410,7 +420,7 @@ def simulate(
             kind="run", function=r.function, frequency=r.frequency,
             category=r.category, slice_index=r.slice_index, cycles=cycles,
             wall_ns=wall_ns, instr_count=instr_count,
-            energy=clock.rates.p0 * wall_ns + clock.rates.slope * instr_count,
+            energy=rt.p0 * wall_ns + rt.slope * instr_count,
             output=tuple(output), block_counts=MappingProxyType(counts))
         records.append(rec)
         if r.charge is not None and r.charge[0] == "profiling":

@@ -10,19 +10,22 @@ for the validator.  br_chain and brcond_tree write the source of long and
 deeply nested kernels for the code generator, and fan_in one whose last
 block has thousands of predecessors; bound_chain, base_chain,
 load_blocks and empty_tail write counted loops whose definition chains or
-bodies are n long, for the phase generator.  counting_clocks counts the
-runs the simulator simulates.  Every test starts with prepare's memo
-empty, as a fresh process does.
+bodies are n long, for the phase generator.  random_machine draws a
+valid machine, and counting_clocks counts the runs the simulator
+simulates.  Every test starts with prepare's memo empty, as a fresh
+process does.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from daef import harness, machsim
 from daef.ir import Br, Program, node_def, parse_program, validate_program
+from daef.machine import L1Config, MachineConfig
 
 
 @pytest.fixture(autouse=True)
@@ -70,14 +73,25 @@ def counting_clocks(monkeypatch) -> list:
     """Patch the simulator's run clock to append to the returned list once
     per simulated run."""
     clocks = []
+    make = machsim._run_clock
 
-    class Counting(machsim._RunClock):
-        def __init__(self, *args):
-            clocks.append(1)
-            super().__init__(*args)
+    def counting(*args):
+        clocks.append(1)
+        return make(*args)
 
-    monkeypatch.setattr(machsim, "_RunClock", Counting)
+    monkeypatch.setattr(machsim, "_run_clock", counting)
     return clocks
+
+
+def random_machine(rng: random.Random) -> MachineConfig:
+    """A valid machine with a random L1 shape, miss registers and timing."""
+    line = rng.choice([8, 16, 32, 64, 128])
+    ways = rng.choice([1, 2, 4, 8])
+    return MachineConfig(
+        l1=L1Config(capacity_bytes=line * ways * rng.choice([1, 2, 8, 32]),
+                    line_bytes=line, ways=ways, hit_cycles=rng.randint(1, 6)),
+        mshr_count=rng.randint(1, 16),
+        mem_latency_ns=Fraction(rng.randint(1, 240), rng.choice([1, 3, 7])))
 
 
 def sum_kernel() -> Program:

@@ -24,6 +24,7 @@ from conftest import (
     fan_in,
     load_blocks,
     random_loop_kernel,
+    random_machine,
 )
 from daef.cli import main
 from daef.harness import (
@@ -811,17 +812,6 @@ def test_cli_suite_is_reproducible_from_a_cold_start(tmp_path):
     assert main(["suite", "--seed", "7", "--out", str(b)]) == 0
     assert (a / "suite.csv").read_bytes() == (b / "suite.csv").read_bytes()
     assert (a / "suite.dat").read_bytes() == (b / "suite.dat").read_bytes()
-
-
-def random_machine(rng: random.Random) -> MachineConfig:
-    """A valid machine with a random L1 shape, miss registers and timing."""
-    line = rng.choice([8, 16, 32, 64, 128])
-    ways = rng.choice([1, 2, 4, 8])
-    return MachineConfig(
-        l1=L1Config(capacity_bytes=line * ways * rng.choice([1, 2, 8, 32]),
-                    line_bytes=line, ways=ways, hit_cycles=rng.randint(1, 6)),
-        mshr_count=rng.randint(1, 16),
-        mem_latency_ns=Fraction(rng.randint(1, 240), rng.choice([1, 3, 7])))
 
 
 def test_all_modes_rows_equal_standalone_simulations(monkeypatch):

@@ -1089,6 +1089,15 @@ def test_predecessors_scale_linearly_in_fan_in():
     assert 0 < large <= 4 * small, (small, large)
 
 
+def test_generated_source_indents_one_character_per_level():
+    """A 2,000-block fan-in's brcond chain nests to MAX_NEST inside its
+    dispatch tree, so the source's size is mostly indentation: at one
+    character per level it stays under 400 bytes a block."""
+    fn = parse_program(fan_in(2000)).entry_function()
+    src = generated(fn)
+    assert len(src) < 400 * 2000, len(src)
+
+
 def test_duplicate_ids_rejected():
     check_diag("""
 func @main() kind=original {

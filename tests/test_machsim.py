@@ -26,7 +26,7 @@ from daef.machsim import (
     SimReport,
     Stats,
     _Rates,
-    _RunClock,
+    _run_clock,
     baseline_schedule,
     build_schedule,
     normalize,
@@ -590,17 +590,65 @@ def test_load_hit_makes_its_line_most_recent():
     m = MachineConfig(l1=L1Config(capacity_bytes=128, line_bytes=64, ways=2,
                                   hit_cycles=4))
     cache = LruCache(m.l1)
-    clock = _RunClock(m, cache, _Rates.at(m, m.f_max_ghz), 1000)
-    assert clock.on_load(0, 640, 1000)      # line 10: miss
-    assert clock.on_load(0, 704, 1000)      # line 11: miss
-    assert not clock.on_load(0, 703, 1000)  # line 10 again: hit, now most recent
-    assert clock.on_load(0, 768, 1000)      # line 12 evicts 11, not 10
+    on_load, _, drain = _run_clock(m, cache, _Rates.at(m, m.f_max_ghz), 1000)
+    assert on_load(0, 640, 1000)      # line 10: miss
+    assert on_load(0, 704, 1000)      # line 11: miss
+    assert not on_load(0, 703, 1000)  # line 10 again: hit, now most recent
+    assert on_load(0, 768, 1000)      # line 12 evicts 11, not 10
     assert cache.sets == {0: {10: None, 12: None}}
-    assert not clock.on_load(0, 640, 1000)
-    assert clock.on_load(0, 767, 1000)      # line 11 was evicted
+    assert not on_load(0, 640, 1000)
+    assert on_load(0, 767, 1000)      # line 11 was evicted
     # Four misses and two hits, no node retired.
     miss = m.mem_latency_cycles(m.f_max_ghz)
-    assert clock.drain(1000) == 4 * miss + 2 * 4
+    assert drain(1000) == 4 * miss + 2 * 4
+
+
+def one_set_clock(ways: int):
+    """A run clock on an L1 of one set of 64-byte lines, the cache, and
+    the cycles of a blocking miss."""
+    m = MachineConfig(l1=L1Config(capacity_bytes=64 * ways, line_bytes=64,
+                                  ways=ways, hit_cycles=4))
+    cache = LruCache(m.l1)
+    hooks = _run_clock(m, cache, _Rates.at(m, m.f_max_ghz), 1000)
+    return hooks, cache, m.mem_latency_cycles(m.f_max_ghz)
+
+
+def test_repeat_load_after_a_fill_into_its_set_misses():
+    """A load that repeats the last load's line skips the set only while
+    nothing else has touched the L1: on a 1-way L1, the prefetched line
+    20 lands once the first load's miss has outlasted its fill and
+    evicts line 10, so the repeat misses."""
+    (on_load, on_prefetch, drain), cache, miss = one_set_clock(1)
+    on_prefetch(0, 1280, 1000)        # line 20: in flight
+    assert on_load(0, 640, 1000)      # line 10: miss
+    assert on_load(0, 640, 1000)      # 20 lands first and evicts 10
+    assert cache.sets == {0: {10: None}}
+    assert drain(1000) == 2 * miss
+
+
+def test_repeat_load_installs_completed_fills_first():
+    """The fills completed by a repeated load install before it hits, so
+    the repeat leaves its line the most recent, after line 20."""
+    (on_load, on_prefetch, drain), cache, miss = one_set_clock(2)
+    on_prefetch(0, 1280, 1000)        # line 20: in flight
+    assert on_load(0, 640, 1000)      # line 10: miss
+    assert not on_load(0, 640, 1000)  # 20 lands, then 10 hits
+    assert list(cache.sets[0]) == [20, 10]
+    assert drain(1000) == miss + 4
+
+
+def test_repeat_load_after_a_prefetch_takes_the_full_path():
+    """A prefetch that hits makes its line the most recent, so a load that
+    repeats the last load's line after it moves that line back."""
+    (on_load, on_prefetch, drain), cache, miss = one_set_clock(2)
+    assert on_load(0, 640, 1000)      # line 10: miss
+    assert on_load(0, 704, 1000)      # line 11: miss
+    on_prefetch(0, 640, 1000)         # line 10 hits, now most recent
+    assert not on_load(0, 704, 1000)  # line 11 again: most recent again
+    assert list(cache.sets[0]) == [10, 11]
+    assert on_load(0, 768, 1000)      # line 12 evicts 10, not 11
+    assert list(cache.sets[0]) == [11, 12]
+    assert drain(1000) == 3 * miss + 4
 
 
 def test_fuel_bounds_a_simulation():

@@ -1,4 +1,4 @@
-"""An independent semantic oracle, and the code generator checked against it.
+"""Independent oracles: the code generator and the run clock checked against them.
 
 walk() runs a function one node at a time on canonical Python ints and
 shares no code with ir.interp: each block counts its entry and charges
@@ -9,16 +9,32 @@ and at random fuel, and compare everything a run shows.  Programs
 derived from the random ones by planting a division by zero or an
 address that leaves memory test the faults that the generators never
 raise.
+
+model_run is the cost model written out naively, sharing no code with
+machsim: it replays the (kind, addr, fuel) events that a run's hooks
+received and gives the run's cycles and the L1 after it, which the
+simulator's run clock must match.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 import random
 import re
+from collections import Counter
+from fractions import Fraction
 
-from conftest import break_program, random_cfg_program, random_loop_kernel
+from conftest import (
+    break_program,
+    random_cfg_program,
+    random_loop_kernel,
+    random_machine,
+)
+from daef import machsim
 from daef.daegen import SliceParams, make_phases
+from daef.harness import dae_fuel, prepare
 from daef.ir import (
     Br,
     BinOp,
@@ -29,6 +45,7 @@ from daef.ir import (
     Prefetch,
     Ret,
     Store,
+    print_program,
 )
 from daef.ir.interp import (
     DEFAULT_FUEL,
@@ -38,7 +55,9 @@ from daef.ir.interp import (
     init_memory,
     memory_digest,
 )
-from daef.kernels import builtin_kernels
+from daef.kernels import BenchmarkKernel, builtin_kernels
+from daef.machine import L1Config, LruCache, MachineConfig
+from daef.machsim import _Rates, build_schedule, simulate
 
 M64 = (1 << 64) - 1
 
@@ -309,3 +328,143 @@ def test_runtime_faults_agree_with_the_walker():
                 cut = both(prog, rng.randrange(DEFAULT_FUEL - left + 2))
                 assert cut[0] == cut[1]
     assert divided >= 100 and addressed >= 100
+
+
+# -- the timing model ----------------------------------------------------------
+
+
+def model_run(machine, f, sets, fuel, events, left, seen) -> Fraction:
+    """One run's cycles under the cost model, replayed from its hook
+    events (kind, addr, fuel left) on the L1 sets, which it updates.
+    Time is in Fraction cycles, the fills in flight are a list of [line,
+    done] in issue order, and each set is a list of lines, least recent
+    first.  seen counts the joins and the waits for a miss register."""
+    l1 = machine.l1
+    stall = Fraction(0)
+    flight = []
+
+    def put(line):
+        s = sets.setdefault(line % l1.n_sets, [])
+        if line in s:
+            s.remove(line)
+        elif len(s) == l1.ways:
+            del s[0]
+        s.append(line)
+
+    for kind, addr, f_left in events:
+        line, now = addr // l1.line_bytes, fuel - f_left + stall
+        while flight and flight[0][1] <= now:
+            put(flight.pop(0)[0])
+        waiting = [x for x in flight if x[0] == line]
+        if line in sets.get(line % l1.n_sets, []):
+            put(line)
+            stall += l1.hit_cycles if kind == "load" else 0
+        elif kind == "load" and waiting:
+            seen["join"] += 1
+            flight.remove(waiting[0])
+            stall += max(0, waiting[0][1] - now) + l1.hit_cycles
+            put(line)
+        elif kind == "load":
+            stall += math.ceil(machine.mem_latency_ns * f)
+            put(line)
+        elif not waiting:
+            if len(flight) == machine.mshr_count:
+                old, done = flight.pop(0)
+                seen["wait"] += done > now
+                stall += max(0, done - now)
+                now = max(now, done)
+                put(old)
+            flight.append([line, now + machine.mem_latency_ns * f])
+    now = fuel - left + stall
+    for line, done in flight:
+        now = max(now, done)
+        put(line)
+    return now
+
+
+def record_runs(monkeypatch) -> list:
+    """Patch the run clock so that each run it times appends (fuel at the
+    start, its hook events, fuel left) to the returned list."""
+    runs = []
+    make = machsim._run_clock
+
+    def recording(machine, cache, rates, fuel, tally=None):
+        on_load, on_prefetch, drain = make(machine, cache, rates, fuel, tally)
+        events = []
+
+        def load(lid, addr, left):
+            events.append(("load", addr, left))
+            return on_load(lid, addr, left)
+
+        def prefetch(lid, addr, left):
+            events.append(("prefetch", addr, left))
+            on_prefetch(lid, addr, left)
+
+        def end(left):
+            runs.append((fuel, events, left))
+            return drain(left)
+        return load, prefetch, end
+
+    monkeypatch.setattr(machsim, "_run_clock", recording)
+    return runs
+
+
+def replay(clock, machine, runs, seen) -> list[Fraction]:
+    """Each run's cycles, replaying runs' (frequency, fuel at the start,
+    events, fuel left) in order on one L1 through clock, a run clock
+    factory, and through model_run, which must agree on them and on the
+    L1 after each run.  seen also counts the machines with prefetches
+    whose fills take a fractional cycle count, and those with a 1-way
+    L1."""
+    cache, sets, cycles = LruCache(machine.l1), {}, []
+    for f, fuel, events, left in runs:
+        on_load, on_prefetch, drain = clock(machine, cache,
+                                            _Rates.at(machine, f), fuel)
+        for kind, addr, f_left in events:
+            (on_load if kind == "load" else on_prefetch)(0, addr, f_left)
+        cycles.append(model_run(machine, f, sets, fuel, events, left, seen))
+        assert drain(left) == cycles[-1]
+        assert cache.snapshot() == {i: tuple(s) for i, s in sets.items() if s}
+    if any(kind == "prefetch" for run in runs for kind, _, _ in run[2]):
+        fill = machine.mem_latency_ns * machine.f_min_ghz
+        seen["fractional"] += fill.denominator > 1
+        seen["one way"] += machine.l1.ways == 1
+    return cycles
+
+
+def test_timing_model_agrees_with_the_clock(monkeypatch):
+    """The built-in kernels on the default machine and 24 random loop
+    kernels on random machines, each in its baseline (profiled) and its
+    static and dynamic DAE schedules: every run's cycles equal
+    model_run's replay of the events its hooks received, and the run
+    clock's replay agrees with model_run on the cycles and the L1 after
+    each run.  The static DAE events replay again on an L1 of one
+    128-byte line, where each fill evicts the line that loads read.  The
+    machines include fills of a fractional cycle count (q > 1) and 1-way
+    L1s, each with prefetches, loads that join a fill and prefetches that
+    wait for a register."""
+    clock = machsim._run_clock
+    recorded = record_runs(monkeypatch)
+    rng = random.Random(5)
+    seen: Counter = Counter()
+    cases = [(kernel, MachineConfig(), {}) for kernel in builtin_kernels()]
+    cases += [(BenchmarkKernel(name=f"rand{i}",
+                               text=print_program(random_loop_kernel(rng)),
+                               oracle=lambda seed: None),
+               random_machine(rng), {"slice_override": rng.choice([None, 8, 64])})
+              for i in range(24)]
+    for kernel, m, args in cases:
+        prep = prepare(kernel, m, **args)
+        fuel = dae_fuel(prep.plan, prep.baseline.total.instr_count)
+        for mode in ("baseline", "static_dae", "dynamic_dae"):
+            report = prep.baseline if mode == "baseline" else simulate(
+                prep.plan.program, build_schedule(mode, prep.plan, m), m, fuel)
+            recs = [rec for rec in report.runs if rec.kind == "run"]
+            runs = [(rec.frequency, *recorded.pop(0)) for rec in recs]
+            assert replay(clock, m, runs, seen) == [rec.cycles for rec in recs]
+            if mode == "static_dae":
+                tiny = dataclasses.replace(random_machine(rng),
+                                           l1=L1Config(128, 128, 1, 2))
+                replay(clock, tiny, runs, seen)
+        assert not recorded
+    assert all(seen[k] for k in ("fractional", "one way", "join", "wait")), seen

@@ -350,14 +350,19 @@ def observed_profile(prog, machine) -> tuple:
         if missed:
             miss_count[lid] += 1
 
-    class Observed(machsim._RunClock):
-        def on_load(self, lid, addr, fuel):
-            missed = super().on_load(lid, addr, fuel)
+    make = machsim._run_clock
+
+    def observed(*args):
+        account, on_prefetch, drain = make(*args)
+
+        def load(lid, addr, fuel):
+            missed = account(lid, addr, fuel)
             on_load(lid, addr, missed)
             return missed
+        return load, on_prefetch, drain
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(machsim, "_RunClock", Observed)
+        mp.setattr(machsim, "_run_clock", observed)
         base = simulate_baseline(prog, machine)
     lat = machine.mem_latency_cycles(machine.f_max_ghz)
     loads = [LoadStats(id=i, exec_count=exec_count[i], miss_count=miss_count[i],
