@@ -30,15 +30,16 @@ back to env are not in the source.
 A register holds its canonical value, the unsigned form in [0, 2**64),
 wherever something observes it: a phi move, a branch, a comparison, shr,
 div, rem, an out, an address, and the write-back to env, which wraps
-each value it writes.  add, sub, mul, and, or, xor and shl commute with
-reduction mod 2**64 on Python's ints, so a result of one that only later
-ones of the same block read (or a store, as the value it masks) stays
-unwrapped, possibly negative; such chains are wrapped where a bound on
-their bit length would pass 256 bits (_MAX_BITS).  An address with a
-non-negative offset is tested with one compare of its canonical form.
+each value it writes.  The bounds that ir.ranges carries along each
+path decide which results need no reduction and which slt and sle need
+no sign flips; a fast trip of a loop starts by testing its induction
+variables, and the registers it compares them with, below _GUARD.  An
+address with a non-negative offset is tested with one compare of its
+canonical form.
 
 BINOP_FNS defines every operator; the generated code spells out all but
-div and rem with the same arithmetic and calls BINOP_FNS for those two.
+div and rem with the same arithmetic (ir.ranges) and calls BINOP_FNS for
+those two.
 interpret() and the timing simulator both run it.  The timing hooks see
 each load and prefetch together with the fuel left, which tells the
 simulator how many nodes have retired, so no hook runs per block.  Only
@@ -60,6 +61,7 @@ import struct
 from collections import OrderedDict
 from typing import NamedTuple
 
+from .ranges import Facts, Ranges
 from .types import (
     BinOp,
     Br,
@@ -76,7 +78,6 @@ from .types import (
     Ret,
     Store,
     node_def,
-    node_uses,
     successors,
 )
 
@@ -129,36 +130,11 @@ BINOP_FNS = {
     "seq": lambda a, b: 1 if a == b else 0,
 }
 
-# The generated spelling of each BINOP_FNS entry; the rest are called.
-# The forms of _LOOSE_OPS leave out the reduction mod 2**64, which
-# _Source.arith adds where a value must be canonical.
-_INLINE = {
-    "add": "{a} + {b}",
-    "sub": "{a} - {b}",
-    "mul": "{a} * {b}",
-    "and": "{a} & {b}",
-    "or": "{a} | {b}",
-    "xor": "{a} ^ {b}",
-    "shl": "{a} << ({b} & 63)",
-    "shr": "{a} >> ({b} & 63)",
-    "seq": "1 if {a} == {b} else 0",
-    # Flipping the sign bit maps signed order onto unsigned order.
-    "slt": f"1 if {{a}} ^ {_H64:#x} < {{b}} ^ {_H64:#x} else 0",
-    "sle": f"1 if {{a}} ^ {_H64:#x} <= {{b}} ^ {_H64:#x} else 0",
-}
-
-# On Python's ints each of these commutes with reduction mod 2**64 (a
-# shl reads its count mod 64 either way), so a chain of them may be
-# reduced once, at its end.
-_LOOSE_OPS = frozenset(("add", "sub", "mul", "and", "or", "xor", "shl"))
-# The most bits an unwrapped value may need; a result that could need
-# more is wrapped, so a chain of squarings stays small.
-_MAX_BITS = 256
-
 _STRUCTS = {w: struct.Struct(f"<{c}") for w, c in ((2, "H"), (4, "I"), (8, "Q"))}
 _NAMESPACE = {
     "_Err": DirRuntimeError,
-    **{f"_{op}": BINOP_FNS[op] for op in BINOP_FNS if op not in _INLINE},
+    "_div": _sdiv,
+    "_rem": _srem,
     **{f"_ld{w}": s.unpack_from for w, s in _STRUCTS.items()},
     **{f"_st{w}": s.pack_into for w, s in _STRUCTS.items()},
 }
@@ -183,13 +159,18 @@ class CompiledFunction:
     at a time.  A loop's fast copy (see _Source.arm) shows all of this as
     the per-block code does; only an exception that a hook raises, or a
     NameError, leaves the trip it cuts short uncharged and uncounted.
+    Parameters must be canonical, as the write-back leaves them, and all
+    bound: a loop's trip guard (see _Source.arm) may read one that the
+    trip does not.  hooked tells whether the function has a load or a
+    prefetch, without which it calls no hook.
     """
 
-    __slots__ = ("fn", "run")
+    __slots__ = ("fn", "run", "hooked")
 
     def __init__(self, fn: Function, run):
         self.fn = fn
         self.run = run
+        self.hooked = any(isinstance(n, (Load, Prefetch)) for n in fn.nodes())
 
 
 def _signed(r: str) -> str:
@@ -200,39 +181,6 @@ def _address(base: str, offset: int) -> str:
     return f"{_signed(base)} + {offset}" if offset else _signed(base)
 
 
-def _unobserved(blocks: dict) -> set[str]:
-    """The registers whose values nothing observes unwrapped.
-
-    Each is defined once, by a _LOOSE_OPS binop, and read only later in
-    its own block, by _LOOSE_OPS binops or as a store's value, which the
-    store masks to its width.  Every other read observes the value: a
-    comparison, shr, div or rem, a branch, an out, an address, and a phi
-    move, which carries it into another block.
-    """
-    site: dict[str, tuple[str, int] | None] = {}  # register -> (block, index)
-    for label, blk in blocks.items():
-        for k, n in enumerate((*blk.phis, *blk.body)):
-            d = node_def(n)
-            if d is not None:
-                loose = isinstance(n, BinOp) and n.op in _LOOSE_OPS
-                site[d] = (label, k) if loose and d not in site else None
-    for label, blk in blocks.items():
-        for k, n in enumerate((*blk.phis, *blk.body, blk.term)):
-            if isinstance(n, BinOp) and n.op in _LOOSE_OPS:
-                quiet, loud = node_uses(n), []
-            elif isinstance(n, Store):
-                quiet, loud = [n.src], [n.base]
-            else:
-                quiet, loud = [], node_uses(n)
-            for r in loud:
-                site[r] = None
-            for r in quiet:
-                s = site.get(r)
-                if s is not None and (s[0] != label or s[1] >= k):
-                    site[r] = None
-    return {r for r, s in site.items() if s is not None}
-
-
 # Each inlined brcond target nests one level deeper than its branch.
 # A block that would sit deeper gets its own arm instead, which keeps the
 # generated code well inside the nesting limits of Python's parser.
@@ -241,6 +189,9 @@ MAX_NEST = 40
 # when it enters at most this many blocks; a longer loop body is written
 # and compiled once.
 MAX_FAST = 32
+# A fast trip also starts only while its guarded registers are below this
+# (Ranges.guards), so that their sums and products stay well inside 64 bits.
+_GUARD = 1 << 32
 
 
 class _Source:
@@ -260,7 +211,7 @@ class _Source:
         self.blocks = blocks
         self.index = {label: k for k, label in enumerate(blocks)}
         self.entry = fn.blocks[0].label
-        self.unobserved = _unobserved(blocks)
+        self.ranges = Ranges(fn.params, self.entry, blocks)
         # Each phi's values by predecessor, built once per block, not per edge.
         self.incoming = {label: [(phi.dst, dict(phi.incoming)) for phi in blk.phis]
                          for label, blk in blocks.items() if blk.phis}
@@ -278,9 +229,10 @@ class _Source:
         self.fast = False  # whether that is a fast copy
         self.path: tuple | None = None  # the path being written
         self.charged = 0  # the fuel of the path that the fast copy has subtracted
-        self.entered = 0  # the blocks the copy enters
+        self.facts: Facts | None = None  # the bounds the path shows
+        self.inside: list[str] = []  # the blocks the copy enters
         self.top = 0  # the most fuel a path of the copy charges
-        self.looped = False  # whether a path of the copy jumps back to its root
+        self.back: set[str] = set()  # the blocks whose edges jump back to its root
         self.trips: list[tuple] = []  # the path of each trip counter
 
     def emit(self, depth: int, line: str) -> None:
@@ -356,7 +308,7 @@ class _Source:
         as the block starts.  An arm whose code jumps back to root and
         that enters at most MAX_FAST blocks also gets a fast copy:
 
-            while f >= K:
+            while f >= K and r < _GUARD ...:
                 <the fast copy>
             else:
                 <the per-block copy>
@@ -375,32 +327,39 @@ class _Source:
         its trip counter, which the finally adds to each block on its
         path, and loops in place.  Any other leaf counts its path's
         blocks itself and raises, or leaves the loop with b set to the
-        next arm (-1 after a ret).
+        next arm (-1 after a ret).  Each r is a register that Ranges.guards
+        picks, which the fast copy's bounds then take to be below _GUARD.
+        A trip that starts with less fuel, or a guard failed, runs the
+        per-block copy.
         """
-        slow = self.copy(root, False)
-        if self.entered > MAX_FAST or not self.looped:
+        slow = self.copy(root, False, {})
+        if len(self.inside) > MAX_FAST or not self.back:
             return slow
-        loop = f"while f >= {self.top}:"
-        return [loop, *(" " + line for line in self.copy(root, True)),
+        guards = self.ranges.guards(self.blocks[root], self.back, self.inside, _GUARD)
+        loop = "".join([f"while f >= {self.top}",
+                        *(f" and {self.reg(r)} < {_GUARD:#x}" for r in guards), ":"])
+        fast = self.copy(root, True, dict.fromkeys(guards, (_GUARD - 1).bit_length()))
+        return [loop, *(" " + line for line in fast),
                 "else:", *(" " + line for line in slow),
                 "if b < 0:", " break", "continue"]
 
-    def copy(self, root: str, fast: bool) -> list[str]:
-        """One copy of the arm that starts at root, at depth 0.
+    def copy(self, root: str, fast: bool, known: dict[str, int]) -> list[str]:
+        """One copy of the arm that starts at root, at depth 0, where
+        known gives the bounds that hold as a trip starts.
 
         A stack of (label, depth, the block jumping there, the path
-        there, the fuel of it charged) stands in for recursion, so a long
-        chain of inlined blocks costs no Python stack.  Each edge first
-        moves the target's phi values, then jumps to the target's arm or
-        writes the target inline.  A brcond writes its true target inside
+        there, the fuel of it charged, its Facts) stands in for
+        recursion, so a long chain of inlined blocks costs no Python
+        stack.  Each edge first moves the target's phi values, then jumps
+        to the target's arm or writes the target inline.  A brcond writes its true target inside
         an if and its false target after it; every path ends in continue,
         break or raise, so nothing falls through.
         """
         self.lines, self.fast = [], fast
-        self.entered, self.top, self.looped = 0, 0, False
-        todo = [(root, 0, None, None, 0)]
+        self.inside, self.top, self.back = [], 0, set()
+        todo = [(root, 0, None, None, 0, Facts(self.ranges, known))]
         while todo:
-            label, d, prev, self.path, self.charged = todo.pop()
+            label, d, prev, self.path, self.charged, self.facts = todo.pop()
             if label not in self.blocks:
                 self.leave(d, "raise", f"raise KeyError({label!r})")
                 continue
@@ -414,6 +373,7 @@ class _Source:
                         self.roots.append(label)
                     jump = f"b = {self.arms[label]}"
                     if label == root:
+                        self.back.add(prev)
                         self.leave(d, "trip", *(() if fast else (jump,)), "continue")
                     else:
                         self.leave(d, "exit", jump, "break" if fast else "continue")
@@ -421,12 +381,13 @@ class _Source:
             t = self.block(d, blk)
             if t is None:
                 continue
+            at = (label, self.path, self.charged)
             if isinstance(t, Br):
-                todo.append((t.target, d, label, self.path, self.charged))
+                todo.append((t.target, d, *at, self.facts))
             else:
                 self.emit(d, f"if {self.reg(t.cond)}:")
-                todo.append((t.if_false, d, label, self.path, self.charged))
-                todo.append((t.if_true, d + 1, label, self.path, self.charged))
+                todo.append((t.if_false, d, *at, self.facts.fork()))
+                todo.append((t.if_true, d + 1, *at, self.facts))
         return self.lines
 
     def leave(self, d: int, kind: str, *lines: str) -> None:
@@ -434,7 +395,6 @@ class _Source:
         jump back to the arm's root, "raise" or "exit"; a fast copy first
         charges the path's fuel still owed and counts its blocks."""
         self.top = max(self.top, self.path[1])
-        self.looped |= kind == "trip"
         if self.fast:
             if self.path[1] > self.charged:
                 self.emit(d, f"f -= {self.path[1] - self.charged}")
@@ -457,9 +417,9 @@ class _Source:
                                f" for predecessor {prev!r}")
             return False
         if incoming:
-            dsts = ", ".join(self.reg(dst) for dst, _ in incoming)
-            vals = ", ".join(self.val(inc[prev]) for _, inc in incoming)
-            self.emit(d, f"{dsts} = {vals}")
+            dsts, vals = [dst for dst, _ in incoming], [inc[prev] for _, inc in incoming]
+            self.emit(d, f"{', '.join(map(self.reg, dsts))} = {', '.join(map(self.val, vals))}")
+            self.facts.move(dsts, vals)
         return True
 
     def enter(self, d: int, blk) -> None:
@@ -467,7 +427,7 @@ class _Source:
         charges its nodes' fuel here."""
         n = len(blk.phis) + len(blk.body) + 1
         self.path = (blk.label, n + (self.path[1] if self.path else 0), self.path)
-        self.entered += 1
+        self.inside.append(blk.label)
         if self.fast:
             return
         self.emit(d, f"c{self.index[blk.label]} += 1")
@@ -481,53 +441,31 @@ class _Source:
         self.enter(d, blk)
         self.leave(d, "raise", f"raise _Err({msg!r})")
 
-    def arith(self, ins: BinOp, bits: dict[str, int]) -> str:
-        """The inline form of a _LOOSE_OPS binop, wrapped unless nothing
-        observes its register and its result needs at most _MAX_BITS bits.
-
-        bits maps each unwrapped register the block has defined so far
-        to a bound on its bit length; any other register is canonical,
-        64 bits, and an immediate needs its own length.  A product needs
-        the sum of its operands' lengths, a shl 63 more than its left
-        operand, and the rest one more than the longer.  An and, or or
-        xor of canonical operands is canonical as it stands.
-        """
-        a, b = ins.a, ins.b
-        expr = _INLINE[ins.op].format(a=self.val(a), b=self.val(b))
-        if ins.op in ("and", "or", "xor") and a not in bits and b not in bits:
-            return expr
-        x, y = (bits.get(v, 64) if isinstance(v, str) else (v & M64).bit_length()
-                for v in (a, b))
-        n = x + y if ins.op == "mul" else x + 63 if ins.op == "shl" else max(x, y) + 1
-        if ins.dst in self.unobserved and n <= _MAX_BITS:
-            bits[ins.dst] = n
-            return expr
-        return f"({expr}) & {M64:#x}"
-
-    def address(self, d: int, base: str, offset: int) -> tuple[str, bool]:
-        """Write the address base + offset; returns its expression and
+    def address(self, d: int, reg: str, offset: int) -> tuple[str, bool]:
+        """Write the address reg + offset; returns its expression and
         whether it is the canonical address.
 
-        base is canonical.  With 0 <= offset < 2**63 the canonical sum is
+        reg is canonical.  With 0 <= offset < 2**63 the canonical sum is
         the signed address whenever that lies in [0, 2**64), and at or
         past 2**63, so past memory, whenever the signed address is
-        negative: one compare tests it.  Other offsets get the signed
-        address itself.
+        negative: one compare tests it; a sum that stays below 2**64
+        needs no reduction.  Other offsets get the signed address itself.
         """
+        base = self.reg(reg)
         if not 0 <= offset < _H64:
             self.emit(d, f"a = {_address(base, offset)}")
             return "a", False
         if not offset:
             return base, True
-        self.emit(d, f"a = ({base} + {offset}) & {M64:#x}")
+        a = f"{base} + {offset}"
+        self.emit(d, f"a = {a}" if self.facts.bits(reg) < 64 else f"a = ({a}) & {M64:#x}")
         return "a", True
 
     def block(self, d: int, blk):
         """Write the block up to its terminator; returns a br or brcond
         for the caller to follow, or None after a ret."""
-        emit = self.emit
+        emit, facts = self.emit, self.facts
         self.enter(d, blk)
-        bits: dict[str, int] = {}
         for ins in blk.body:
             if (self.fast and isinstance(ins, (Load, Prefetch))
                     and self.charged < self.path[1]):
@@ -536,24 +474,17 @@ class _Source:
                 self.charged = self.path[1]
             if isinstance(ins, Const):
                 emit(d, f"{self.reg(ins.dst)} = {ins.value & M64}")
+                facts.set(ins.dst, (ins.value & M64).bit_length())
             elif isinstance(ins, BinOp):
-                if ins.op in _LOOSE_OPS:
-                    expr = self.arith(ins, bits)
-                else:
-                    a, b = self.val(ins.a), self.val(ins.b)
-                    if ins.op in _INLINE:
-                        expr = _INLINE[ins.op].format(a=a, b=b)
-                    else:
-                        if ins.op in ("div", "rem"):
-                            emit(d, f"if {b} == 0:")
-                            self.leave(d + 1, "raise",
-                                       f"raise _Err('division by zero', {ins.id})")
-                        expr = f"_{ins.op}({a}, {b})"
-                emit(d, f"{self.reg(ins.dst)} = {expr}")
+                a, b = self.val(ins.a), self.val(ins.b)
+                if ins.op in ("div", "rem"):
+                    emit(d, f"if {b} == 0:")
+                    self.leave(d + 1, "raise", f"raise _Err('division by zero', {ins.id})")
+                emit(d, f"{self.reg(ins.dst)} = {facts.binop(ins, a, b)}")
             elif isinstance(ins, (Load, Store)):
                 kind = "load" if isinstance(ins, Load) else "store"
                 base = self.reg(ins.base)
-                a, canonical = self.address(d, base, ins.offset)
+                a, canonical = self.address(d, ins.base, ins.offset)
                 shown = _address(base, ins.offset) if canonical else a
                 test = "" if canonical else f"{a} < 0 or "
                 emit(d, f"if {test}{a} + {ins.width} > mem_size:")
@@ -564,6 +495,7 @@ class _Source:
                     emit(d + 1, f"on_load({ins.id}, {a}, f)")
                     read = f"mem[{a}]" if ins.width == 1 else f"_ld{ins.width}(mem, {a})[0]"
                     emit(d, f"{self.reg(ins.dst)} = {read}")
+                    facts.set(ins.dst, 8 * ins.width)
                 elif ins.width == 1:
                     emit(d, f"mem[{a}] = {self.reg(ins.src)} & 0xff")
                 else:
@@ -572,7 +504,7 @@ class _Source:
             elif isinstance(ins, Prefetch):
                 # Architectural no-op; only the timing model cares.
                 emit(d, "if on_prefetch is not None:")
-                a, canonical = self.address(d + 1, self.reg(ins.base), ins.offset)
+                a, canonical = self.address(d + 1, ins.base, ins.offset)
                 emit(d + 1, f"if {a} < mem_size:" if canonical else
                      f"if 0 <= {a} < mem_size:")
                 emit(d + 2, f"on_prefetch({ins.id}, {a}, f)")

@@ -10,8 +10,10 @@ learns how many nodes have retired from the fuel left that the
 interpreter passes to the load and prefetch hooks, so nothing runs per
 block.  The hooks are closures over the run's state, and a load to the
 line of the run's last load, with no fill installed and no prefetch
-since, is a hit that touches no set (_run_clock).  The run's cycles are
-converted to exact nanoseconds once, through its frequency.
+since, is a hit that touches no set (_run_clock).  A run of a function
+with no load or prefetch gets no clock: its cycles are its retired
+nodes.  The run's cycles are converted to exact nanoseconds once,
+through its frequency.
 
 Cost model per retired node: one core cycle, plus hit_cycles for a load
 that hits, plus ceil(mem_latency_ns * f) blocking cycles for a load that
@@ -404,18 +406,21 @@ def simulate(
         call_env = {p: r.args.get(p, env.get(p, 0)) for p in cf.fn.params}
         fuel_before = fuel_box[0]
         rt = rates[r.frequency]
-        on_load, on_prefetch, drain = _run_clock(machine, cache, rt,
-                                                 fuel_before, tally)
+        on_load = on_prefetch = None
+        if cf.hooked:
+            on_load, on_prefetch, drain = _run_clock(machine, cache, rt,
+                                                     fuel_before, tally)
         output: list[int] = []
         counts: dict[str, int] = {}
         cf.run(call_env, mem, output, counts, fuel_box, mem_size,
                on_load=on_load, on_prefetch=on_prefetch)
-        cycles = drain(fuel_box[0])
+        # Each retired node costs one unit of fuel, and without a load or
+        # a prefetch one cycle: what the clock would drain to.
+        instr_count = fuel_before - fuel_box[0]
+        cycles = drain(fuel_box[0]) if cf.hooked else Fraction(instr_count)
         if r.writeback:
             env.update(call_env)
-        # Each retired node costs one unit of fuel.
         wall_ns = cycles / r.frequency
-        instr_count = fuel_before - fuel_box[0]
         rec = RunRecord(
             kind="run", function=r.function, frequency=r.frequency,
             category=r.category, slice_index=r.slice_index, cycles=cycles,

@@ -11,7 +11,7 @@ deeply nested kernels for the code generator, and fan_in one whose last
 block has thousands of predecessors; bound_chain, base_chain,
 load_blocks and empty_tail write counted loops whose definition chains or
 bodies are n long, for the phase generator.  random_machine draws a
-valid machine, and counting_clocks counts the runs the simulator
+valid machine, and counting_runs counts the runs the simulator
 simulates.  Every test starts with prepare's memo empty, as a fresh
 process does.
 """
@@ -69,18 +69,20 @@ done:
 """
 
 
-def counting_clocks(monkeypatch) -> list:
-    """Patch the simulator's run clock to append to the returned list once
-    per simulated run."""
-    clocks = []
-    make = machsim._run_clock
+def counting_runs(monkeypatch) -> list:
+    """Patch the simulator's run records to append to the returned list
+    once per simulated run; a joined record is shared, not made again."""
+    made = []
+    make = machsim.RunRecord
 
-    def counting(*args):
-        clocks.append(1)
-        return make(*args)
+    def counting(**fields):
+        record = make(**fields)
+        if record.kind == "run":
+            made.append(1)
+        return record
 
-    monkeypatch.setattr(machsim, "_run_clock", counting)
-    return clocks
+    monkeypatch.setattr(machsim, "RunRecord", counting)
+    return made
 
 
 def random_machine(rng: random.Random) -> MachineConfig:

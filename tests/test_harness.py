@@ -19,7 +19,7 @@ from conftest import (
     bound_chain,
     br_chain,
     brcond_tree,
-    counting_clocks,
+    counting_runs,
     empty_tail,
     fan_in,
     load_blocks,
@@ -821,7 +821,7 @@ def test_all_modes_rows_equal_standalone_simulations(monkeypatch):
     schedule in every SimReport field, every report is immutable, and a
     joined report's suffix records are the earlier report's objects.
     Both outcomes of the join rule occur."""
-    clocks = counting_clocks(monkeypatch)
+    made = counting_runs(monkeypatch)
     rng = random.Random(13)
     joins = fallbacks = 0
     for i in range(40):
@@ -832,10 +832,10 @@ def test_all_modes_rows_equal_standalone_simulations(monkeypatch):
         kernel = BenchmarkKernel(name=f"rand{i}",
                                  text=print_program(random_loop_kernel(rng)),
                                  oracle=lambda seed: None)
-        clocks.clear()
+        made.clear()
         rows = run_kernel_all_modes(kernel, m, theta=theta, slice_override=size,
                                     profiling_overhead=overhead)
-        simulated = len(clocks) - 1  # prepare's baseline is one run
+        simulated = len(made) - 1  # prepare's baseline is one run
 
         prep = prepare(kernel, m, theta=theta, slice_override=size)
         fuel = harness.dae_fuel(prep.plan, prep.baseline.total.instr_count)
@@ -1025,21 +1025,21 @@ def test_run_clocks_per_pass_are_pinned(monkeypatch):
     is the baseline's, its dynamic one has nothing to join, and it has no
     random data, so its 8 seeds give one seeded program and one baseline:
     257 runs (264 without the memo)."""
-    clocks = counting_clocks(monkeypatch)
+    made = counting_runs(monkeypatch)
     run_suite(machine(), seed=0)
-    assert len(clocks) == 97
-    clocks.clear()
+    assert len(made) == 97
+    made.clear()
     harness._prepared.clear()
     for n in (1, 4, 16):
         m = dataclasses.replace(machine(), mshr_count=n)
         for name in ("gather_sum", "chase_sum"):
             run_kernel_all_modes(kernel_by_name(name), m, seed=0)
-    assert len(clocks) == 122
-    clocks.clear()
+    assert len(made) == 122
+    made.clear()
     harness._prepared.clear()
     for seed in range(8):
         run_kernel_all_modes(kernel_by_name("compute_poly"), machine(), seed=seed)
-    assert len(clocks) == 257
+    assert len(made) == 257
 
 
 def test_suite_past_its_budget_names_the_failing_mode(tmp_path, capsys,

@@ -31,6 +31,7 @@ from daef.ir import (
     Const,
     DirRuntimeError,
     DirSyntaxError,
+    BinOp,
     Function,
     Load,
     Ret,
@@ -51,6 +52,7 @@ from daef.ir.interp import (
     splitmix_fill,
     to_signed,
 )
+from daef.ir.ranges import LOOSE_OPS, Facts, Ranges
 from daef.ir.types import predecessors
 from daef.ir.validate import MAX_DATA_END
 from daef.kernels import builtin_kernels
@@ -640,6 +642,10 @@ def generated(fn) -> str:
     return interp._Source(fn, fn.block_map()).text()
 
 
+def unobserved(fn) -> set[str]:
+    return Ranges(fn.params, fn.blocks[0].label, fn.block_map()).unobserved
+
+
 def run_fn(src: str, env: dict | None = None):
     """(output, env after the call, error text, prefetched addresses) of
     the one function in src, on 4096 bytes of zeroed memory."""
@@ -734,7 +740,7 @@ def test_unwrapped_values_reach_each_observer_wrapped(kind):
                          "%u = binop sub %a, %b", f"%w = binop add %u, {k}",
                          *OBSERVERS[kind], "ret", "}"])
         fn = parse_program(src).entry_function()
-        assert "u" in interp._unobserved(fn.block_map())
+        assert "u" in unobserved(fn)
         u = BINOP_FNS["sub"](a, b)
         w = BINOP_FNS["add"](u, k)
         out, env, err, hits = run_fn(src)
@@ -767,12 +773,56 @@ done:
 }
 """
     fn = parse_program(src).entry_function()
-    assert interp._unobserved(fn.block_map()) == {"y"}
+    assert unobserved(fn) == {"y"}
     x = 3
     for _ in range(300):
         x = BINOP_FNS["mul"](x + 1, x + 1)
     out, env, err, _ = run_fn(src, {"x": 3})
     assert (out, err, env["x"], env["t"]) == ([], None, x, 299 * 3)
+
+def operand(rng: random.Random, loose: bool):
+    """A bound and a value within it: below 2**n, or for an unwrapped
+    register of at most n bits, possibly negative.  Edges half the time."""
+    n = rng.randint(1, 130) if loose else rng.randint(0, 64)
+    v = rng.choice([0, (1 << n) - 1, rng.randrange(1 << n)])
+    return n, (rng.choice([v, -v]) if loose else v)
+
+
+def test_bounds_that_facts_claim_hold():
+    """Each operator on operands drawn within their bounds (canonical
+    registers, unwrapped ones for LOOSE_OPS, and immediates), the
+    result's register unobserved or not: the expression Facts.binop
+    writes gives what BINOP_FNS gives (mod 2**64 where it leaves the
+    result unwrapped), and the bound it records for the result holds."""
+    rng = random.Random(3)
+    fn = parse_program("func @main() kind=original {\nentry:\n  ret\n}").entry_function()
+    ranges = Ranges(fn.params, "entry", fn.block_map())
+    namespace = {"_div": BINOP_FNS["div"], "_rem": BINOP_FNS["rem"]}
+    for _ in range(20000):
+        op = rng.choice(sorted(BINOP_FNS))
+        ranges.unobserved = {"d"} if rng.random() < 0.5 else set()
+        facts, values, names = Facts(ranges, {}), [], []
+        for name in ("a", "b"):
+            if rng.random() < 0.2:
+                names.append(rng.choice([0, 1, 3, 63, 64, 4095, M64, rng.randrange(1 << 64)]))
+                values.append(names[-1])
+                continue
+            loose = op in LOOSE_OPS and rng.random() < 0.3
+            n, v = operand(rng, loose)
+            (facts.loose if loose else facts.known)[name] = n
+            names.append(name)
+            values.append(v)
+        if op in ("div", "rem") and values[1] == 0:
+            continue
+        want = BINOP_FNS[op](*(v & M64 for v in values))
+        expr = facts.binop(BinOp(0, "d", op, *names), "a", "b")
+        got = eval(expr, namespace, dict(zip(("a", "b"), values)))
+        case = (op, names, values, facts.known, facts.loose, expr)
+        if "d" in facts.loose:
+            assert got & M64 == want and abs(got).bit_length() <= facts.loose["d"], case
+        else:
+            assert got == want and got < 1 << facts.bits("d"), case
+
 
 ADDRESS_BASES = [0, 4088, 1 << 63, M64 - 7]
 ADDRESS_OFFSETS = [0, 8, 16, (1 << 62) - 1, 1 << 62, (1 << 63) - 1, -1, -(1 << 63)]
@@ -831,16 +881,44 @@ def plan_functions() -> dict:
     return functions
 
 
+def fast_copy(fn) -> list[str]:
+    """The lines of fn's one fast copy: its while and what it runs."""
+    lines = generated(fn).splitlines()
+    top = next(k for k, line in enumerate(lines)
+               if line.lstrip().startswith("while f >= "))
+    other = lines[top][:len(lines[top]) - len(lines[top].lstrip())] + "else:"
+    return lines[top:lines.index(other, top)]
+
+
 def test_generated_loops_wrap_only_what_is_observed():
-    """compute_poly's execute clone wraps 2 values per trip (the ones its
-    phis carry; it wrapped 8), and no generated function selects its
-    phi values on a predecessor index."""
+    """A fast trip of compute_poly's execute clone wraps 1 value, the
+    accumulator that its phi carries (it wrapped 8, and 2 before the
+    trip guard), its fast copy flips no sign bit, and no generated
+    function selects its phi values on a predecessor index."""
     functions = plan_functions()
-    trip = trip_lines(functions["compute_poly", "main__exec"])
-    assert sum(line.count(WRAP) for line in trip) <= 2
+    fn = functions["compute_poly", "main__exec"]
+    src = interp._Source(fn, fn.block_map())
+    src.text()
+    trip = trip_lines(fn)
+    assert [line.split(" = ")[0] for line in trip if WRAP in line] == [src.regs["acc2"]]
+    assert not any(f"^ {1 << 63:#x}" in line for line in fast_copy(fn))
     cfgs = [random_cfg_program(random.Random(s)).entry_function() for s in range(20)]
     for fn in [*functions.values(), *cfgs]:
         assert "p ==" not in generated(fn), fn.name
+
+
+def test_trip_guards_hold_induction_variables_only():
+    """Every built-in plan function's fast trips guard its counter %i
+    and, in the clones, the slice bound %__hi that %i is compared with;
+    never an accumulator, which passes _GUARD within a few trips and
+    would send every trip after that to the per-block copy."""
+    for (kernel, name), fn in plan_functions().items():
+        src = interp._Source(fn, fn.block_map())
+        src.text()
+        local = {r: reg for reg, r in src.regs.items()}
+        guarded = re.findall(rf"(r\d+) < {interp._GUARD:#x}\b", fast_copy(fn)[0])
+        want = ["i"] if name == "main" else ["i", "__hi"]
+        assert [local[r] for r in guarded] == want, (kernel, name)
 
 
 def test_a_full_fuel_trip_charges_and_counts_once():

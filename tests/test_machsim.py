@@ -35,7 +35,7 @@ from daef.machsim import (
 )
 from daef.profiler import profiled_baseline
 
-from conftest import counting_clocks, random_loop_kernel
+from conftest import counting_runs, random_loop_kernel
 
 
 def machine() -> MachineConfig:
@@ -717,7 +717,7 @@ def test_each_run_record_holds_its_output_and_block_counts(monkeypatch):
     for k in builtin_kernels():
         for row in run_kernel_all_modes(k, machine()):
             assert_records_hold_their_runs(row.program, row.report)
-    clocks = counting_clocks(monkeypatch)
+    made = counting_runs(monkeypatch)
     runs = 0
     for m in three_machines():
         for plan in random_plans():
@@ -725,7 +725,7 @@ def test_each_run_record_holds_its_output_and_block_counts(monkeypatch):
             runs += sum(r.function is not None for s in scheds for r in s)
             for rep in simulate_each(plan.program, scheds, m):
                 assert_records_hold_their_runs(plan.program, rep)
-    assert len(clocks) < runs
+    assert len(made) < runs
 
 
 def test_dae_fuel_bounds_every_plan():
@@ -779,7 +779,7 @@ def test_later_schedule_joins_only_with_fuel_for_the_shared_suffix(monkeypatch):
     joins: it simulates only its two runs of slice 0.  Given fuel for
     its prefix but not for the shared suffix, it does not join and
     fails as it does alone."""
-    clocks = counting_clocks(monkeypatch)
+    made = counting_runs(monkeypatch)
     m = machine()
     plan = prepare(kernel_by_name("gather_sum"), m).plan
     dyn = build_schedule("dynamic_dae", plan, m)
@@ -787,10 +787,10 @@ def test_later_schedule_joins_only_with_fuel_for_the_shared_suffix(monkeypatch):
     assert dyn[2:] == st[2:] and dyn[1].function is None
     alone = simulate(plan.program, st, m)
     dyn_nodes = simulate(plan.program, dyn, m).total.instr_count
-    clocks.clear()
+    made.clear()
     _, later = simulate_each(plan.program, [dyn, st], m,
                                  fuel=alone.total.instr_count)
-    assert len(clocks) == sum(r.function is not None for r in dyn) + 2
+    assert len(made) == sum(r.function is not None for r in dyn) + 2
     for f in dataclasses.fields(SimReport):
         assert getattr(later, f.name) == getattr(alone, f.name), f.name
 
@@ -850,7 +850,7 @@ entry:
   ret %x
 }
 """
-    clocks = counting_clocks(monkeypatch)
+    made = counting_runs(monkeypatch)
     m = machine()
     prog = parse_program(text)
     main, poke, idle = (PhaseRun(function=name, frequency=m.f_max_ghz,
@@ -858,7 +858,7 @@ entry:
                         for name in ("main", "poke", "idle"))
     scheds = [[main], [idle, main], [poke, main]]
     reps = list(simulate_each(prog, scheds, m))
-    assert len(clocks) == 1 + 1 + 2
+    assert len(made) == 1 + 1 + 2
     assert [r.output for r in reps] == [[0], [0], [7]]
     for sched, rep in zip(scheds, reps):
         alone = simulate(prog, sched, m)

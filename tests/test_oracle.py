@@ -45,10 +45,12 @@ from daef.ir import (
     Prefetch,
     Ret,
     Store,
+    parse_program,
     print_program,
 )
 from daef.ir.interp import (
     DEFAULT_FUEL,
+    _GUARD,
     _Source,
     compile_function,
     default_mem_size,
@@ -227,7 +229,7 @@ def test_fuel_cuts_near_the_fast_copy_agree_with_the_walker():
     cases += [(prog, prog.entry_function(), {}) for prog in progs]
     for prog, fn, args in cases:
         params = {p: args.get(p, 0) for p in fn.params}
-        tops = [int(k) for k in re.findall(r"while f >= (\d+):",
+        tops = [int(k) for k in re.findall(r"while f >= (\d+)",
                                            _Source(fn, fn.block_map()).text())]
         if not tops:
             continue
@@ -328,6 +330,172 @@ def test_runtime_faults_agree_with_the_walker():
                 cut = both(prog, rng.randrange(DEFAULT_FUEL - left + 2))
                 assert cut[0] == cut[1]
     assert divided >= 100 and addressed >= 100
+
+
+# A counted loop whose fast trips guard %i and, given as a parameter, %hi
+# below _GUARD.  {fault} reads %z = %i - k, which is 0 mid-loop.
+GUARDED_LOOP = """
+data @base=0 prng(seed=3, len=4096)
+entry @main
+func @main({params}) kind=original {{
+entry:
+{consts}
+  %zero = const 0
+  br loop
+loop:
+  %i = phi [entry: %lo], [latch: %i2]
+  %acc = phi [entry: %zero], [latch: %acc2]
+  %c = binop slt %i, %hi
+  brcond %c, body, done
+body:
+  %t1 = binop mul %i, 3
+  %t2 = binop add %t1, 5
+  %t3 = binop mul %t2, %i
+  %m = binop and %i, 511
+  %p = binop shl %m, 3
+  %v = load %p, 0, w8
+  %e = binop sle %i, %t2
+  %s = binop add %t3, %v
+  %s2 = binop add %s, %e
+  %z = binop sub %i, {k}
+{fault}
+  %acc2 = binop add %acc, %s2
+  br latch
+latch:
+  %i2 = binop add %i, 1
+  br loop
+done:
+  out %acc
+  out %i
+  ret
+}}
+"""
+FAULTS = {"none": "", "div": "  %q = binop div %s2, %z\n  out %q",
+          "load": "  %w = load %z, 4088, w8\n  out %w",
+          "store": "  store %z, 4088, %s2, w8", "prefetch": "  prefetch %z, 4088 !origin=0"}
+
+
+def test_guard_boundaries_agree_with_the_walker():
+    """Counters that start just below _GUARD and cross it mid-loop, at
+    2**63, and at 2**64 - 3 (they wrap to 0 and pass the guard from
+    then on), with %hi a constant or a guarded parameter, and with a
+    division by zero, an address that leaves memory mid-loop or none;
+    and the built-in kernels' DAE clones with __lo and __hi at or past
+    _GUARD.  Output, block counts, fuel left, fault text, env, memory
+    and hook calls agree with the walker at full and at random fuel."""
+    rng = random.Random(31)
+    cases = []
+    for lo, hi in [(0, 12), (_GUARD - 6, _GUARD + 6), (1 << 63, (1 << 63) + 12),
+                   ((1 << 64) - 3, 9)]:
+        k = (lo + 6) % (1 << 64)
+        for fault, as_params in itertools.product(FAULTS, (False, True)):
+            consts = "" if as_params else f"  %lo = const {lo}\n  %hi = const {hi}"
+            prog = parse_program(GUARDED_LOOP.format(
+                params="%lo, %hi" if as_params else "", consts=consts, k=k,
+                fault=FAULTS[fault]))
+            fn = prog.entry_function()
+            loop, = re.findall("while f >= .*", _Source(fn, fn.block_map()).text())
+            assert loop.count(f" < {_GUARD:#x}") == 1 + as_params
+            cases.append((prog, fn, {"lo": lo, "hi": hi} if as_params else {}))
+    for kernel in builtin_kernels():
+        prog = kernel.program()
+        loads = [n.id for n in prog.entry_function().nodes() if isinstance(n, Load)]
+        plan = make_phases(prog, critical=loads, slice_params=SliceParams(64, "override"))
+        for fn in plan.program.functions:
+            if fn.name == plan.original:
+                continue
+            for lo in (_GUARD - 3, _GUARD, 1 << 63):
+                args = {"__first": 0, "__lo": lo, "__hi": lo + 5}
+                cases.append((plan.program, fn, {p: args.get(p, 0) for p in fn.params}))
+    faults = Counter()
+    for prog, fn, params in cases:
+        full = both(prog, DEFAULT_FUEL, fn, params)
+        assert full[0] == full[1] and full[0] != "lookup error", (fn.name, params)
+        err = full[0][3]
+        faults[err.split(" ")[0] if err else None] += 1
+        spent = DEFAULT_FUEL - full[0][2]
+        for fuel in {rng.randrange(spent + 2) for _ in range(3)}:
+            cut = both(prog, fuel, fn, params)
+            assert cut[0] == cut[1], (fn.name, params, fuel)
+    assert faults[None] and faults["division"] and faults["load"] and faults["store"], faults
+
+
+# Registers assigned more than once: a large constant or load over a
+# small and, a phi move of a large value over a small constant, a parameter that the loop redefines, and a register
+# that two paths define with constants of different lengths.
+REDEFINED = ["""
+data @base=0 prng(seed=1, len=8)
+func @main() kind=original {
+entry:
+  %r = const 5
+  %big = const -1
+  %u = binop and %big, 3
+  %u = const -3
+  %cu = binop slt %u, 3
+  %w = binop and %big, 3
+  %w = load %w, -3, w8
+  %cw = binop slt %w, 3
+  out %cu
+  out %cw
+  br next
+next:
+  %r = phi [entry: %big]
+  %s = binop add %r, 1
+  %c = binop slt %r, 3
+  out %s
+  out %c
+  prefetch %r, 8 !origin=0
+  ret
+}
+""", """
+func @main(%p) kind=original {
+entry:
+  %z = const 0
+  br loop
+loop:
+  %i = phi [entry: %z], [loop: %i2]
+  %c = binop slt %p, 10
+  %s = binop add %p, 1
+  out %c
+  out %s
+  %p = const 20
+  %i2 = binop add %i, 1
+  %d = binop slt %i2, 3
+  brcond %d, loop, done
+done:
+  ret
+}
+""", """
+func @main(%p) kind=original {
+entry:
+  brcond %p, small, large
+small:
+  %n = const 7
+  br join
+large:
+  %n = const -2
+  br join
+join:
+  %c = binop slt %n, 3
+  %s = binop add %n, 5
+  %v = load %n, 16, w1
+  out %c
+  out %s
+  ret
+}
+"""]
+
+
+def test_bounds_end_where_a_register_is_redefined():
+    """No bound outlives the definition or phi move that set it, and a
+    parameter's value on entry is not bounded by its definitions: each
+    program of REDEFINED agrees with the walker."""
+    for text in REDEFINED:
+        fn = parse_program(text).entry_function()
+        for p in (0, 1, (1 << 63) + 5, (1 << 64) - 1):
+            params = {q: p for q in fn.params}
+            walked, ran = both(parse_program(text), DEFAULT_FUEL, fn, params)
+            assert walked == ran and walked != "lookup error", (text, p)
 
 
 # -- the timing model ----------------------------------------------------------
@@ -436,7 +604,9 @@ def test_timing_model_agrees_with_the_clock(monkeypatch):
     """The built-in kernels on the default machine and 24 random loop
     kernels on random machines, each in its baseline (profiled) and its
     static and dynamic DAE schedules: every run's cycles equal
-    model_run's replay of the events its hooks received, and the run
+    model_run's replay of the events its hooks received (a run of a
+    function with no load or prefetch, which gets no clock, its nodes
+    retired), and the run
     clock's replay agrees with model_run on the cycles and the L1 after
     each run.  The static DAE events replay again on an L1 of one
     128-byte line, where each fill evicts the line that loads read.  The
@@ -456,10 +626,16 @@ def test_timing_model_agrees_with_the_clock(monkeypatch):
     for kernel, m, args in cases:
         prep = prepare(kernel, m, **args)
         fuel = dae_fuel(prep.plan, prep.baseline.total.instr_count)
+        quiet = {fn.name for fn in prep.plan.program.functions
+                 if not any(isinstance(n, (Load, Prefetch)) for n in fn.nodes())}
         for mode in ("baseline", "static_dae", "dynamic_dae"):
             report = prep.baseline if mode == "baseline" else simulate(
                 prep.plan.program, build_schedule(mode, prep.plan, m), m, fuel)
             recs = [rec for rec in report.runs if rec.kind == "run"]
+            # A run with no load or prefetch gets no clock: a cycle a node.
+            assert all(rec.cycles == rec.instr_count for rec in recs
+                       if rec.function in quiet)
+            recs = [rec for rec in recs if rec.function not in quiet]
             runs = [(rec.frequency, *recorded.pop(0)) for rec in recs]
             assert replay(clock, m, runs, seen) == [rec.cycles for rec in recs]
             if mode == "static_dae":
