@@ -4,29 +4,32 @@ One entry point per experiment shape: transform a kernel, run one
 (kernel, mode) cell, or sweep the whole built-in suite.  A kernel's
 program is validated once, where BenchmarkKernel.program parses and
 seeds it, and its phase plan once, where make_phases builds it; the
-profiler and simulator take both as valid.  Each kernel's seeded
-original is interpreted once for its baseline, and that same run yields
-the profile, unless a stored profile was given.  Without a stored
-profile, prepare keeps a seeded program, its plan and one baseline in
-a small LRU memo and serves a later call with equal inputs from it: the
-seeded program's digest, theta, rho, the slice override and the
-machine, whose mshr_count is left out when the seeded program has no
-prefetch (its baseline never allocates a miss register, and the plan
-reads only the L1 capacity).  So a sweep over miss registers profiles
-and plans each kernel once.  Reports are immutable, so a served value
-shares that baseline's records, stamped with the caller's machine
+profiler and simulator take both as valid.  Each kernel's seeded original
+is interpreted once for its baseline, and that same run yields the
+profile, unless a stored profile was given.  Without a stored profile,
+prepare keeps a seeded program, its plan, one baseline and the plan's
+compiled functions in a small LRU memo and serves a later call with
+equal inputs from it: the seeded program's digest, theta, rho, the slice
+override and the machine, whose mshr_count is left out when the seeded
+program has no prefetch (its baseline never allocates a miss register,
+and the plan reads only the L1 capacity).  So a sweep over miss registers
+profiles and plans each kernel once.  Reports are immutable, so a served
+value shares that baseline's records, stamped with the caller's machine
 digest, and equals what a fresh prepare returns; its rows carry the
-caller's kernel name.  Both decoupled modes reuse that plan, and every
+caller's kernel name.  It also shares the compiled functions, so each
+function of a plan is compiled once per plan, however many seeds or
+machines run it.  Both decoupled modes reuse that plan, and every
 simulated variant is checked for observable equivalence against the
-baseline before any number is reported.  The decoupled schedules of a kernel are simulated together
-by machsim.simulate_each: dynamic DAE runs slice 0 while profiling and
-then the same access/execute pairs as static DAE, so where the two
-reach equal machine states after slice 0 the shared slices are
-simulated once, and every report stays what a separate simulation of
-its schedule gives.  A decoupled simulation runs on the fuel budget of
-dae_fuel, and a runtime fault in it, running past the budget included,
-counts as a divergence of the mode that faulted: the baseline ran
-clean.  The suite runs its kernels one after another, in list order.
+baseline before any number is reported.  The decoupled schedules of a
+kernel are simulated together by machsim.simulate_each: dynamic DAE runs
+slice 0 while profiling and then the same access/execute pairs as static
+DAE, so where the two reach equal machine states after slice 0 the
+shared slices are simulated once, and every report stays what a separate
+simulation of its schedule gives.  A decoupled simulation runs on the
+fuel budget of dae_fuel, and a runtime fault in it, running past the
+budget included, counts as a divergence of the mode that faulted: the
+baseline ran clean.  The suite runs its kernels one after another, in
+list order.
 
 A row's share columns come from CATEGORIES: each category's wall time
 and energy as a share of the baseline's total, named <category>_time
@@ -51,6 +54,7 @@ from .daegen import (
 )
 from .inputs import read_text
 from .ir import DirRuntimeError, Prefetch, Program, program_digest
+from .ir.interp import CompiledFunction
 from .kernels import BenchmarkKernel, builtin_kernels, kernel_by_name
 from .machine import MachineConfig
 from .machsim import (
@@ -100,10 +104,14 @@ class Row:
 
 @dataclass(frozen=True)
 class Prepared:
-    """Everything derived once per kernel and shared by both DAE modes."""
+    """Everything derived once per kernel and shared by both DAE modes.
+    compiled maps the plan's function names to the code simulate_each
+    built for them; a value the memo serves shares it."""
     seeded: Program
     plan: PhasePlan
     baseline: SimReport
+    compiled: dict[str, CompiledFunction] = field(
+        default_factory=dict, compare=False, repr=False)
 
 
 def load_kernel(name_or_path: str) -> BenchmarkKernel:
@@ -139,9 +147,9 @@ def check_profile(profile: ProfileReport, seeded: Program,
 
 # The Prepared values prepare built, least recently used first.  A sweep
 # over miss registers, or over the seeds of a kernel without random data,
-# asks for the same few in turn; each holds a seeded program, its plan
-# and one small report, and the bound only stops a long-lived process
-# from growing.
+# asks for the same few in turn; each holds a seeded program, its plan,
+# one small report and the plan's compiled functions, and the bound only
+# stops a long-lived process from growing.
 _PREPARED_MAX = 16
 _prepared: OrderedDict[tuple, Prepared] = OrderedDict()
 
@@ -269,7 +277,7 @@ def _run_modes(name: str, prep: Prepared, modes: tuple[str, ...],
               for mode in modes]
     fuel = dae_fuel(plan, base.total.instr_count)
     reports = simulate_each(plan.program, [s for s in scheds if s != base_sched],
-                            machine, fuel=fuel)
+                            machine, fuel=fuel, compiled=prep.compiled)
     rows = []
     for mode, sched in zip(modes, scheds):
         rep = base

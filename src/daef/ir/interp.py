@@ -23,9 +23,9 @@ its target's phi values where it is taken, in one tuple assignment,
 before it jumps to the target's arm or runs into the inlined target;
 the edge that enters a phi's block with no value for it (the call's
 start included) counts the entry, charges the fuel and raises instead.
-Code objects are cached by source, and each call of compile_function
-execs one into a fresh namespace, because the register names written
-back to env are not in the source.
+Each call of compile_function generates, compiles and execs the source
+anew, in a namespace that holds the register names written back to env;
+a caller that runs a function many times keeps its CompiledFunction.
 
 A register holds its canonical value, the unsigned form in [0, 2**64),
 wherever something observes it: a phi move, a branch, a comparison, shr,
@@ -55,7 +55,6 @@ stores from the shared image itself, through a read-only view.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import struct
 from collections import OrderedDict
@@ -531,14 +530,6 @@ def _dispatch(arms: list[list[str]], lo: int, hi: int, depth: int,
     _dispatch(arms, mid, hi, depth + 1, lines)
 
 
-# A suite pass builds 14 distinct functions, each a few kilobytes of
-# source; the bound only stops a long-lived process from growing.
-@functools.lru_cache(maxsize=64)
-def _code(source: str, filename: str):
-    """The code object of one generated source; equal sources compile once."""
-    return compile(source, filename, "exec")
-
-
 def compile_function(fn: Function) -> CompiledFunction:
     """Generate the Python function that runs fn, and build it."""
     blocks = {blk.label: blk for blk in fn.blocks}
@@ -546,7 +537,7 @@ def compile_function(fn: Function) -> CompiledFunction:
         if not isinstance(blk.term, (Br, BrCond, Ret)):
             raise TypeError(f"block {label!r} lacks a terminator")
     src = _Source(fn, blocks)
-    code = _code(src.text(), f"<dir @{fn.name}>")
+    code = compile(src.text(), f"<dir @{fn.name}>", "exec")
     defined = {node_def(n) for blk in blocks.values() for n in (*blk.phis, *blk.body)}
     namespace = dict(_NAMESPACE, _labels=tuple(blocks),
                      _defs=tuple((name, r) for name, r in src.regs.items()

@@ -459,13 +459,16 @@ def simulate(
 
 
 def simulate_each(prog: Program, scheds: list[list[PhaseRun]],
-                  machine: MachineConfig, fuel: int = DEFAULT_FUEL):
+                  machine: MachineConfig, fuel: int = DEFAULT_FUEL,
+                  compiled: dict[str, CompiledFunction] | None = None):
     """Yield simulate(prog, sched, machine, fuel) for each schedule, in
     order, simulating the runs a later schedule shares with an earlier
     one once (see the module docstring), and compiling each function and
-    computing each frequency's rates once.  A program that stores gets a
-    working copy of memory per schedule, released before the next one's
-    is made."""
+    computing each frequency's rates once.  compiled, a map from prog's
+    function names to their CompiledFunction, is read and filled when
+    given (harness.Prepared keeps one per plan), and made fresh when
+    not.  A program that stores gets a working copy of memory per
+    schedule, released before the next one's is made."""
     marks: list[dict[int, list[_Suffix]]] = [{} for _ in scheds]
     joins: list[dict[int, list[_Suffix]]] = [{} for _ in scheds]
     for j, b in enumerate(scheds):
@@ -477,7 +480,7 @@ def simulate_each(prog: Program, scheds: list[list[PhaseRun]],
                 s = _Suffix()
                 marks[i].setdefault(len(a) - n, []).append(s)
                 joins[j].setdefault(len(b) - n, []).append(s)
-    compiled: dict[str, CompiledFunction] = {}
+    compiled = {} if compiled is None else compiled
     rates: dict[Fraction, _Rates] = {}
     for sched, mine, theirs in zip(scheds, marks, joins):
         yield simulate(prog, sched, machine, fuel, marks=mine, joins=theirs,

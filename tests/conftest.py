@@ -5,7 +5,9 @@ but terminating control flow (every block threads a visit counter, and
 each conditional branch bails to the sink once the counter passes its
 budget).  random_loop_kernel builds a well-formed counted loop with a
 random body DAG: loads behind power-of-two masks, loop-carried
-accumulators, and optional stores.  break_program damages either kind
+accumulators, and optional stores.  random_chase_kernel builds a
+counted pointer chase whose access phase keeps loads of a node's line
+next to prefetches.  break_program damages either kind
 for the validator.  br_chain and brcond_tree write the source of long and
 deeply nested kernels for the code generator, and fan_in one whose last
 block has thousands of predecessors; bound_chain, base_chain,
@@ -263,6 +265,66 @@ def random_loop_kernel(rng: random.Random) -> Program:
         lines.append(f"  out %acc{k}")
     lines.append("  ret %acc0")
     lines.append("}")
+    return parse_program("\n".join(lines))
+
+
+def random_chase_kernel(rng: random.Random) -> Program:
+    """A counted loop that chases a pointer through random nodes.
+
+    Each trip loads the next node's index and one to three more fields of
+    the current node, in random order.  A field is summed or indexes a
+    gather table; one that indexes a table stays a load in the access
+    phase, beside the node's other loads and the table's prefetches.  The
+    gathers may sit in a block of their own.  Always validates and always
+    terminates.
+    """
+    node_log, table_log = rng.randint(6, 10), rng.randint(6, 10)
+    node_shift = rng.choice([4, 5, 6])  # 16-, 32- or 64-byte nodes
+    nbase, nodes_len = 4096, 1 << node_shift + node_log
+    tbase = nbase + nodes_len
+    offsets = rng.sample(range(8, 1 << node_shift, 8),
+                         rng.randint(1, min(3, (1 << node_shift - 3) - 1)))
+    gathers = [k for k in offsets if rng.random() < 0.7]
+    reads = [0, *offsets]
+    rng.shuffle(reads)
+    body = ["body:"]
+    for k in reads:
+        body.append(f"  %f{k} = load %p, {k}, w8")
+        if k in gathers:
+            body += [f"  %m{k} = binop and %f{k}, {(1 << table_log) - 1}",
+                     f"  %o{k} = binop shl %m{k}, 3",
+                     f"  %a{k} = binop add %tbase, %o{k}"]
+    if gathers and rng.random() < 0.5:
+        body += ["  br gather", "gather:"]
+    sums = [f"%f{k}" for k in offsets if k not in gathers]
+    for k in gathers:
+        body.append(f"  %g{k} = load %a{k}, 0, w8")
+        sums.append(f"%g{k}")
+    acc = "%acc"
+    for t, v in enumerate(sums):
+        body.append(f"  %s{t} = binop {rng.choice(['add', 'xor'])} {acc}, {v}")
+        acc = f"%s{t}"
+    body += [f"  %acc2 = binop add {acc}, 0",
+             f"  %j = binop and %f0, {(1 << node_log) - 1}",
+             f"  %jo = binop shl %j, {node_shift}",
+             "  %p2 = binop add %nbase, %jo",
+             "  %i2 = binop add %i, 1",
+             "  br loop"]
+    latch = "gather" if "gather:" in body else "body"
+    lines = [
+        f"data @base={nbase} prng(seed={rng.randint(1, 1 << 30)}, "
+        f"len={nodes_len})",
+        f"data @base={tbase} prng(seed={rng.randint(1, 1 << 30)}, "
+        f"len={8 << table_log})",
+        "entry @main", "func @main() kind=original {", "entry:",
+        f"  %n = const {rng.randint(40, 300)}", "  %zero = const 0",
+        f"  %nbase = const {nbase}", f"  %tbase = const {tbase}",
+        "  br loop", "loop:",
+        f"  %i = phi [entry: %zero], [{latch}: %i2]",
+        f"  %p = phi [entry: %nbase], [{latch}: %p2]",
+        f"  %acc = phi [entry: %zero], [{latch}: %acc2]",
+        "  %c = binop slt %i, %n", "  brcond %c, body, done",
+        *body, "done:", "  out %acc", "  ret %acc", "}"]
     return parse_program("\n".join(lines))
 
 

@@ -28,10 +28,14 @@ from conftest import (
 from daef import cfg, daegen
 from daef.daegen import (
     DaegenError,
+    IdAlloc,
     SliceParams,
     choose_slice_size,
     make_phases,
+    specialize_access,
+    structural_text,
 )
+from daef.harness import prepare
 from daef.ir import (
     Load,
     Out,
@@ -50,6 +54,7 @@ from daef.ir.interp import (
     init_memory,
     memory_digest,
 )
+from daef.kernels import builtin_kernels
 from daef.machine import MachineConfig
 
 
@@ -62,6 +67,17 @@ def entry_loads(prog) -> list[int]:
     return [n.id for b in fn.blocks for n in b.body if isinstance(n, Load)]
 
 
+def assert_specializes(plan) -> None:
+    """The plan's access phase, built directly from the original, is its
+    base phase specialized to the plan's critical set, as the paper's
+    runtime derives it."""
+    base = plan.program.function(f"{plan.original}__base")
+    special = specialize_access(base, plan.critical, "s",
+                                IdAlloc(plan.program.max_id() + 1))
+    assert structural_text(special) == \
+        structural_text(plan.program.function(plan.access))
+
+
 def run_phased(plan, with_access: bool = True):
     """Drive the slice schedule by hand: access then execute per slice,
     registers persisting through execute runs only."""
@@ -70,11 +86,12 @@ def run_phased(plan, with_access: bool = True):
     mem = init_memory(p, mem_size)
     output: list[int] = []
     env: dict[str, int] = {}
+    compiled = {name: compile_function(p.function(name))
+                for name in (plan.access, plan.execute)}
 
     def run(fname, args):
-        fn = p.function(fname)
-        cf = compile_function(fn)
-        call_env = {q: args.get(q, env.get(q, 0)) for q in fn.params}
+        cf = compiled[fname]
+        call_env = {q: args.get(q, env.get(q, 0)) for q in cf.fn.params}
         cf.run(call_env, mem, output, {}, [DEFAULT_FUEL], mem_size)
         return call_env
 
@@ -272,6 +289,7 @@ def test_phase_equivalence_random_kernels():
         else:
             critical = {x for x in loads if rng.random() < 0.5}
         plan = make_phases(prog, critical, override(rng.choice([1, 7, 64, 1000])))
+        assert_specializes(plan)
         assert run_phased(plan) == (ref.output, ref.memory_digest)
         assert run_phased(plan, with_access=False) == (ref.output, ref.memory_digest)
 
@@ -287,6 +305,7 @@ def test_phase_equivalence_random_chain_kernels():
         ref = interpret(prog)
         critical = {x for x in entry_loads(prog) if rng.random() < 0.5}
         plan = make_phases(prog, critical, override(rng.choice([1, 3, 8, 64])))
+        assert_specializes(plan)
         assert run_phased(plan) == (ref.output, ref.memory_digest)
         assert run_phased(plan, with_access=False) == (ref.output, ref.memory_digest)
 
@@ -418,14 +437,38 @@ def test_critical_pointer_without_consumer_becomes_prefetch():
 
 
 def test_two_load_subsets_specialize_cleanly():
-    """Every subset must survive the internal base-vs-direct cross-check
-    and tag exactly its own loads."""
+    """Every subset's access phase is the base phase specialized to it,
+    and the plan tags exactly its own loads."""
     prog = parse_program(CHASE)
     loads = entry_loads(prog)
     for bits in range(4):
         critical = {x for k, x in enumerate(loads) if bits >> k & 1}
         plan = make_phases(prog, critical, override(8))
+        assert_specializes(plan)
         assert plan.critical == frozenset(critical)
+
+
+def test_access_phase_is_its_base_phase_specialized():
+    """The built-in kernels at their profiled critical sets (the plans
+    prepare builds), at all loads and at none, and the chain generators
+    at small sizes: each access phase equals its base phase specialized
+    to the plan's critical set.  The random kernels of the equivalence
+    tests above check the same.  32 of the 51 plans have a critical
+    load."""
+    plans = []
+    for kernel in builtin_kernels():
+        plans.append(prepare(kernel, MachineConfig()).plan)
+        prog = kernel.program()
+        plans += [make_phases(prog, critical, override(64))
+                  for critical in (entry_loads(prog), ())]
+    for gen in (bound_chain, base_chain, load_blocks, empty_tail):
+        for n in (1, 2, 5):
+            prog = parse_program(gen(n))
+            plans += [make_phases(prog, critical, override(8))
+                      for critical in (entry_loads(prog), entry_loads(prog)[:1], ())]
+    assert sum(bool(plan.critical) for plan in plans) == 32
+    for plan in plans:
+        assert_specializes(plan)
 
 
 def test_stray_critical_ids_are_ignored():

@@ -537,27 +537,60 @@ def test_long_chain_validates_in_little_memory():
     assert peak < 50 << 20
 
 
+def workload_passes():
+    """(name, pass) of each benchmark workload at seed 0, as bench/
+    runs them: the suite, gather_sum and chase_sum on 1, 4 and 16 miss
+    registers, and compute_poly at seeds 0 to 7."""
+    def mlp_sweep():
+        for n in (1, 4, 16):
+            m = dataclasses.replace(machine(), mshr_count=n)
+            for name in ("gather_sum", "chase_sum"):
+                run_kernel_all_modes(kernel_by_name(name), m, seed=0)
+
+    def compute_poly():
+        for seed in range(8):
+            run_kernel_all_modes(kernel_by_name("compute_poly"), machine(),
+                                 seed=seed)
+    return [("suite", lambda: run_suite(machine(), seed=0)),
+            ("mlp_sweep", mlp_sweep), ("compute_poly", compute_poly)]
+
+
 def test_suite_compiles_each_distinct_function_once(monkeypatch):
-    """A seed-0 suite pass builds 14 functions, each distinct (each
-    simulate_each builds a function once for all its schedules), and
-    compiles each source once."""
-    calls = []
+    """A seed-0 suite pass compiles 14 functions, each distinct: each
+    kernel's original for its baseline and the 9 plan functions its
+    decoupled modes run, each once for all their schedules.  A second
+    pass reuses each kernel's prepared plan and the code compiled for
+    it, so it compiles nothing.  From an empty memo, each workload pass
+    generates one source per function it compiles: the suite 14, the
+    miss-register sweep 6 (2 kernels, one plan each for the 3 machines)
+    and compute_poly 2 (its 8 seeds share one plan, whose dynamic mode
+    runs only the execute phase)."""
+    calls, texts = [], []
+    generator = interp._Source
+    text = generator.text
 
     def counting(source, filename, mode):
-        calls.append(filename)
+        calls.append(source)
         return compile(source, filename, mode)
 
-    interp._code.cache_clear()
+    def counting_text(src):
+        texts.append(1)
+        return text(src)
+
     monkeypatch.setattr(interp, "compile", counting, raising=False)
+    monkeypatch.setattr(generator, "text", counting_text)
     run_suite(machine(), seed=0)
-    assert len(calls) == 14
-    # A second pass reuses each kernel's prepared baseline: with the code
-    # cache emptied, it compiles only the 9 plan functions it simulates.
+    assert len(calls) == len(set(calls)) == 14
     calls.clear()
-    interp._code.cache_clear()
     run_suite(machine(), seed=0)
-    assert len(calls) == 9
-    interp._code.cache_clear()
+    assert len(calls) == 0
+    generated = {}
+    for name, run in workload_passes():
+        harness._prepared.clear()
+        texts.clear()
+        run()
+        generated[name] = len(texts)
+    assert generated == {"suite": 14, "mlp_sweep": 6, "compute_poly": 2}
 
 
 @pytest.mark.parametrize("mode", ["static_dae", "dynamic_dae"])
@@ -1026,20 +1059,13 @@ def test_run_clocks_per_pass_are_pinned(monkeypatch):
     random data, so its 8 seeds give one seeded program and one baseline:
     257 runs (264 without the memo)."""
     made = counting_runs(monkeypatch)
-    run_suite(machine(), seed=0)
-    assert len(made) == 97
-    made.clear()
-    harness._prepared.clear()
-    for n in (1, 4, 16):
-        m = dataclasses.replace(machine(), mshr_count=n)
-        for name in ("gather_sum", "chase_sum"):
-            run_kernel_all_modes(kernel_by_name(name), m, seed=0)
-    assert len(made) == 122
-    made.clear()
-    harness._prepared.clear()
-    for seed in range(8):
-        run_kernel_all_modes(kernel_by_name("compute_poly"), machine(), seed=seed)
-    assert len(made) == 257
+    simulated = {}
+    for name, run in workload_passes():
+        harness._prepared.clear()
+        made.clear()
+        run()
+        simulated[name] = len(made)
+    assert simulated == {"suite": 97, "mlp_sweep": 122, "compute_poly": 257}
 
 
 def test_suite_past_its_budget_names_the_failing_mode(tmp_path, capsys,

@@ -406,6 +406,21 @@ entry:
 }
 """
     assert interpret(parse_program(src)).output == [0]
+    # A compiled call reads its parameters from env and writes back the
+    # registers it assigns, each function under its own names.
+    template = """
+func @f(%n) kind=execute {{
+entry:
+  %{a} = binop add %n, 1
+  %{b} = binop mul %{a}, 3
+  ret
+}}
+"""
+    for a, b in (("x", "y"), ("u", "v")):
+        env = {"n": 4}
+        compile_function(parse_program(template.format(a=a, b=b)).entry_function()
+                         ).run(env, bytearray(8), [], {}, [100], 8)
+        assert env == {"n": 4, a: 5, b: 15}
 
 
 def test_ret_value_and_empty_output():
@@ -438,15 +453,14 @@ def test_fuel_exhaustion_is_pinned():
             prog = make(random.Random(seed))
             fn = prog.entry_function()
             size = default_mem_size(prog)
+            cf = compile_function(fn)
             full = [DEFAULT_FUEL]
-            compile_function(fn).run({}, init_memory(prog, size), [], {},
-                                     full, size)
+            cf.run({}, init_memory(prog, size), [], {}, full, size)
             total = DEFAULT_FUEL - full[0]
             for budget in [*range(0, 64, 3), *range(max(0, total - 40), total + 2)]:
                 out, counts, fuel = [], {}, [budget]
                 try:
-                    compile_function(fn).run({}, init_memory(prog, size),
-                                             out, counts, fuel, size)
+                    cf.run({}, init_memory(prog, size), out, counts, fuel, size)
                     err = None
                 except DirRuntimeError as e:
                     err = str(e)
@@ -610,27 +624,6 @@ def test_deep_brcond_nesting_is_cut_into_arms():
     assert arm_roots(src) == ["entry", "t42", "t83"]
     out, counts = run_counts(src)
     assert out == [100] and sum(counts.values()) == 102
-
-
-def test_functions_differing_in_register_names_share_code():
-    """The code object is cached by source; the names each function
-    writes back to env are not part of it."""
-    template = """
-func @f(%n) kind=execute {{
-entry:
-  %{a} = binop add %n, 1
-  %{b} = binop mul %{a}, 3
-  ret
-}}
-"""
-    fa, fb = (parse_program(template.format(a=a, b=b)).entry_function()
-              for a, b in (("x", "y"), ("u", "v")))
-    ca, cb = compile_function(fa), compile_function(fb)
-    assert ca.run.__code__ is cb.run.__code__
-    for cf, names in ((ca, ("x", "y")), (cb, ("u", "v"))):
-        env = {"n": 4}
-        cf.run(env, bytearray(8), [], {}, [100], 8)
-        assert env == {"n": 4, names[0]: 5, names[1]: 15}
 
 
 # -- where values are wrapped --------------------------------------------------

@@ -806,7 +806,9 @@ def test_later_schedule_joins_only_with_fuel_for_the_shared_suffix(monkeypatch):
 
 def test_simulate_each_compiles_each_function_once(monkeypatch):
     """The three modes of gather_sum's plan, simulated by one
-    simulate_each, compile each function they run once."""
+    simulate_each, compile each function they run once.  A map of
+    compiled functions passed in is filled with them, and a later call
+    given that map compiles nothing."""
     names = []
     compile_function = machsim.compile_function
     monkeypatch.setattr(machsim, "compile_function",
@@ -814,10 +816,15 @@ def test_simulate_each_compiles_each_function_once(monkeypatch):
     m = machine()
     plan = prepare(kernel_by_name("gather_sum"), m).plan
     scheds = [build_schedule(mode, plan, m) for mode in MODES]
+    run = sorted({r.function for s in scheds for r in s if r.function is not None})
     names.clear()
     list(simulate_each(plan.program, scheds, m))
-    assert sorted(names) == sorted({r.function for s in scheds for r in s
-                                    if r.function is not None})
+    assert sorted(names) == run
+    names.clear()
+    compiled = {}
+    for _ in range(2):
+        list(simulate_each(plan.program, scheds, m, compiled=compiled))
+    assert sorted(names) == sorted(compiled) == run
 
 def test_join_requires_equal_memory(monkeypatch):
     """Two schedules end in the same run of @main from equal frequency,

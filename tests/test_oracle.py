@@ -29,6 +29,7 @@ from fractions import Fraction
 from conftest import (
     break_program,
     random_cfg_program,
+    random_chase_kernel,
     random_loop_kernel,
     random_machine,
 )
@@ -156,11 +157,11 @@ def walk(fn, env, mem, mem_size, fuel, seen):
     return out, counts, fuel, None
 
 
-def compiled_run(fn, env, mem, mem_size, fuel, seen):
-    """compile_function's run, reporting what walk reports."""
+def compiled_run(cf, env, mem, mem_size, fuel, seen):
+    """cf's run, cf a CompiledFunction, reporting what walk reports."""
     out, counts, box = [], {}, [fuel]
     try:
-        compile_function(fn).run(
+        cf.run(
             env, mem, out, counts, box, mem_size,
             on_load=lambda i, a, f: seen.append(("load", i, a, f)),
             on_prefetch=lambda i, a, f: seen.append(("prefetch", i, a, f)))
@@ -169,16 +170,18 @@ def compiled_run(fn, env, mem, mem_size, fuel, seen):
     return out, counts, box[0], None
 
 
-def both(prog, fuel: int, fn=None, params=None):
+def both(prog, fuel: int, fn=None, params=None, cf=None):
     """(walk's result, compile_function's result) for a call of fn,
     prog's entry function by default, with params in env; each with its
-    memory digest, env and hook calls."""
+    memory digest, env and hook calls.  cf is fn compiled, compiled here
+    when not given: a caller that runs fn at many budgets compiles it
+    once."""
     fn, size = fn or prog.entry_function(), default_mem_size(prog)
     results = []
-    for run in (walk, compiled_run):
+    for run, code in ((walk, fn), (compiled_run, cf or compile_function(fn))):
         mem, env, seen = init_memory(prog, size), dict(params or {}), []
         try:
-            shown = run(fn, env, mem, size, fuel, seen)
+            shown = run(code, env, mem, size, fuel, seen)
         except (KeyError, NameError):
             # A damaged program reads a register or block that does not
             # exist; neither engine defines what else it has done.
@@ -234,11 +237,12 @@ def test_fuel_cuts_near_the_fast_copy_agree_with_the_walker():
         if not tops:
             continue
         top = max(tops)
-        full = both(prog, DEFAULT_FUEL, fn, params)
+        cf = compile_function(fn)
+        full = both(prog, DEFAULT_FUEL, fn, params, cf)
         assert full[0] == full[1]
         spent = DEFAULT_FUEL - full[0][2]
         for fuel in range(max(0, spent - 2 * top), spent + 2):
-            cut = both(prog, fuel, fn, params)
+            cut = both(prog, fuel, fn, params, cf)
             assert cut[0] == cut[1], (fn.name, args, fuel)
 
 
@@ -252,10 +256,10 @@ def test_damaged_programs_fault_alike():
         prog = random_cfg_program(random.Random(seed))
         break_program(rng, prog, rng.randint(1, 3))
         try:
-            compile_function(prog.entry_function())
+            cf = compile_function(prog.entry_function())
         except TypeError:
             continue  # a block lost its terminator
-        walked, ran = both(prog, 5000)
+        walked, ran = both(prog, 5000, cf=cf)
         assert walked == ran
         compared += 1
     assert compared > 100
@@ -409,13 +413,14 @@ def test_guard_boundaries_agree_with_the_walker():
                 cases.append((plan.program, fn, {p: args.get(p, 0) for p in fn.params}))
     faults = Counter()
     for prog, fn, params in cases:
-        full = both(prog, DEFAULT_FUEL, fn, params)
+        cf = compile_function(fn)
+        full = both(prog, DEFAULT_FUEL, fn, params, cf)
         assert full[0] == full[1] and full[0] != "lookup error", (fn.name, params)
         err = full[0][3]
         faults[err.split(" ")[0] if err else None] += 1
         spent = DEFAULT_FUEL - full[0][2]
         for fuel in {rng.randrange(spent + 2) for _ in range(3)}:
-            cut = both(prog, fuel, fn, params)
+            cut = both(prog, fuel, fn, params, cf)
             assert cut[0] == cut[1], (fn.name, params, fuel)
     assert faults[None] and faults["division"] and faults["load"] and faults["store"], faults
 
@@ -506,10 +511,13 @@ def model_run(machine, f, sets, fuel, events, left, seen) -> Fraction:
     events (kind, addr, fuel left) on the L1 sets, which it updates.
     Time is in Fraction cycles, the fills in flight are a list of [line,
     done] in issue order, and each set is a list of lines, least recent
-    first.  seen counts the joins and the waits for a miss register."""
+    first.  seen counts the joins, the waits for a miss register and
+    the reloads after an install: loads to the line of the run's last
+    load, with no prefetch since, that install a completed fill first."""
     l1 = machine.l1
     stall = Fraction(0)
     flight = []
+    last = None  # the line of the last load, if no prefetch ran since
 
     def put(line):
         s = sets.setdefault(line % l1.n_sets, [])
@@ -521,8 +529,15 @@ def model_run(machine, f, sets, fuel, events, left, seen) -> Fraction:
 
     for kind, addr, f_left in events:
         line, now = addr // l1.line_bytes, fuel - f_left + stall
+        installed = False
         while flight and flight[0][1] <= now:
             put(flight.pop(0)[0])
+            installed = True
+        if kind == "load":
+            seen["reload after install"] += line == last and installed
+            last = line
+        else:
+            last = None
         waiting = [x for x in flight if x[0] == line]
         if line in sets.get(line % l1.n_sets, []):
             put(line)
@@ -601,18 +616,19 @@ def replay(clock, machine, runs, seen) -> list[Fraction]:
 
 
 def test_timing_model_agrees_with_the_clock(monkeypatch):
-    """The built-in kernels on the default machine and 24 random loop
-    kernels on random machines, each in its baseline (profiled) and its
-    static and dynamic DAE schedules: every run's cycles equal
-    model_run's replay of the events its hooks received (a run of a
-    function with no load or prefetch, which gets no clock, its nodes
-    retired), and the run
-    clock's replay agrees with model_run on the cycles and the L1 after
-    each run.  The static DAE events replay again on an L1 of one
-    128-byte line, where each fill evicts the line that loads read.  The
-    machines include fills of a fractional cycle count (q > 1) and 1-way
-    L1s, each with prefetches, loads that join a fill and prefetches that
-    wait for a register."""
+    """The built-in kernels on the default machine, and 24 random loop
+    kernels and 8 random chase kernels on random machines, each in its
+    baseline (profiled) and its static and dynamic DAE schedules: every
+    run's cycles equal model_run's replay of the events its hooks
+    received (a run of a function with no load or prefetch, which gets
+    no clock, its nodes retired), and the run clock's replay agrees with
+    model_run on the cycles and the L1 after each run.  The static DAE
+    events replay again on an L1 of one 128-byte line, where each fill
+    evicts the line that loads read.  The machines include fills of a
+    fractional cycle count (q > 1) and 1-way L1s, each with prefetches,
+    loads that join a fill, prefetches that wait for a register, and
+    loads to the last load's line after a fill installed, which the
+    clock's same-line shortcut must not take."""
     clock = machsim._run_clock
     recorded = record_runs(monkeypatch)
     rng = random.Random(5)
@@ -623,6 +639,12 @@ def test_timing_model_agrees_with_the_clock(monkeypatch):
                                oracle=lambda seed: None),
                random_machine(rng), {"slice_override": rng.choice([None, 8, 64])})
               for i in range(24)]
+    chase = random.Random(6)
+    cases += [(BenchmarkKernel(name=f"chase{i}",
+                               text=print_program(random_chase_kernel(chase)),
+                               oracle=lambda seed: None),
+               random_machine(chase), {"slice_override": chase.choice([None, 8])})
+              for i in range(8)]
     for kernel, m, args in cases:
         prep = prepare(kernel, m, **args)
         fuel = dae_fuel(prep.plan, prep.baseline.total.instr_count)
@@ -643,4 +665,5 @@ def test_timing_model_agrees_with_the_clock(monkeypatch):
                                            l1=L1Config(128, 128, 1, 2))
                 replay(clock, tiny, runs, seen)
         assert not recorded
-    assert all(seen[k] for k in ("fractional", "one way", "join", "wait")), seen
+    assert all(seen[k] for k in ("fractional", "one way", "join", "wait",
+                                 "reload after install")), seen
