@@ -12,8 +12,8 @@ block.  The hooks are closures over the run's state, and a load to the
 line of the run's last load, with no fill installed and no prefetch
 since, is a hit that touches no set (_run_clock).  A run of a function
 with no load or prefetch gets no clock: its cycles are its retired
-nodes.  The run's cycles are converted to exact nanoseconds once,
-through its frequency.
+nodes.  The run's ticks become its exact cycles, nanoseconds and
+energy once, when its record is built.
 
 Cost model per retired node: one core cycle, plus hit_cycles for a load
 that hits, plus ceil(mem_latency_ns * f) blocking cycles for a load that
@@ -33,13 +33,17 @@ zero-IPC power at f_max, one value per simulation.
 
 What depends only on the machine and a frequency f is computed once per
 distinct f and simulate_each call, or lone simulate (_Rates.at): the
-clock's tick counts and two power terms, p0 = power(f, 0) and
-slope = (power(f, 1) - p0) / f.  power() is affine in IPC and
-ipc * wall_ns = instr_count / f, so a run's energy power(f, ipc) *
-wall_ns is exactly p0 * wall_ns + slope * instr_count.
+clock's tick counts, the record of a switch into f, and a run's time
+and energy per tick and per node over one integer denominator.  A
+run's T ticks last T / (q * f) ns; power() is affine in IPC and ipc *
+wall_ns = instr_count / f, so its energy power(f, ipc) * wall_ns is
+exactly power(f, 0) * wall_ns + slope * instr_count, where slope =
+(power(f, 1) - power(f, 0)) / f.  So each Fraction of a run record is
+built once from integers (_Rates.stats).
 
 Stats declares the reported quantities once: each run record is a Stats,
-and a report's per-category sums and its total are sums of its records.
+and a report's per-category sums are sums of its records, each field
+over a common denominator (_sum), and its total is their sum.
 Stats, run records and reports are immutable, so a report and its
 records can be shared by every reader.  normalize() returns the (time,
 energy) ratios of a report's total against a baseline's.
@@ -63,6 +67,7 @@ charge.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
@@ -154,24 +159,56 @@ class SimReport:
         return [v for rec in self.runs for v in rec.output]
 
 
+def _common(values) -> tuple[list[int], int]:
+    """Exact rationals (ints too) as numerators over their least common
+    denominator, and that denominator."""
+    den = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _sum(records: list[Stats]) -> Stats:
+    """The exact sum of records: each field normalized once, in its type."""
+    def total(name: str) -> Fraction:
+        nums, den = _common([getattr(rec, name) for rec in records])
+        return Fraction(sum(nums), den)
+    return Stats(*(type(f.default)(total(f.name)) for f in fields(Stats)))
+
+
 @dataclass(frozen=True)
 class _Rates:
-    """The costs of a run at frequency f: ticks of 1/q cycle and power."""
+    """The costs of a run at frequency f: ticks of 1/q cycle; its wall_ns =
+    ticks * wall / den and energy = (ticks * per_tick + nodes * per_node)
+    / den; and the record of a switch into f."""
+    f: Fraction
     q: int
     hit: int
     miss: int
     fill: int
-    p0: Fraction
-    slope: Fraction
+    den: int
+    wall: int
+    per_tick: int
+    per_node: int
+    switch: RunRecord
 
     @classmethod
     def at(cls, machine: MachineConfig, f: Fraction) -> _Rates:
         fill = machine.mem_latency_ns * f
-        q = fill.denominator
-        p0 = machine.power(f, Fraction(0))
-        return cls(q=q, hit=machine.l1.hit_cycles * q,
+        q, ns = fill.denominator, machine.dvfs_switch_ns
+        p0, tick_ns = machine.power(f, Fraction(0)), 1 / (q * f)
+        (wall, per_tick, per_node), den = _common(
+            [tick_ns, p0 * tick_ns, (machine.power(f, Fraction(1)) - p0) / f])
+        return cls(f=f, q=q, hit=machine.l1.hit_cycles * q,
                    miss=machine.mem_latency_cycles(f) * q, fill=fill.numerator,
-                   p0=p0, slope=(machine.power(f, Fraction(1)) - p0) / f)
+                   den=den, wall=wall, per_tick=per_tick, per_node=per_node,
+                   switch=RunRecord(
+                       kind="dvfs_switch", function=None, frequency=f,
+                       category=CAT_OVERHEAD, wall_ns=ns,
+                       energy=machine.power(machine.f_max_ghz, Fraction(0)) * ns))
+
+    def stats(self, ticks: int, nodes: int) -> tuple[Fraction, Fraction, Fraction]:
+        """A run's exact (cycles, wall_ns, energy) from its ticks and nodes."""
+        return (Fraction(ticks, self.q), Fraction(ticks * self.wall, self.den),
+                Fraction(ticks * self.per_tick + nodes * self.per_node, self.den))
 
 
 def _run_clock(machine: MachineConfig, cache: LruCache, rates: _Rates,
@@ -271,15 +308,15 @@ def _run_clock(machine: MachineConfig, cache: LruCache, rates: _Rates,
             install(old_line)
         mshr[line] = now + fill
 
-    def drain(fuel: int) -> Fraction:
-        """Wait for every fill; returns the run's length in cycles, given
+    def drain(fuel: int) -> int:
+        """Wait for every fill; returns the run's length in ticks, given
         the fuel the run left."""
         now = base - fuel * q + stall
         while mshr:
             line, done = mshr.popitem(last=False)
             now = max(now, done)
             install(line)
-        return Fraction(now, q)
+        return now
 
     return on_load, on_prefetch, drain
 
@@ -355,17 +392,21 @@ def simulate(
     for r in sched:
         if r.function is not None and r.function not in names:
             raise MachSimError(f"schedule references unknown function {r.function!r}")
-        if not machine.f_min_ghz <= r.frequency <= machine.f_max_ghz:
-            raise MachSimError(
-                f"frequency {r.frequency} outside "
-                f"[{machine.f_min_ghz}, {machine.f_max_ghz}]")
         if r.category not in CATEGORIES:
             raise MachSimError(f"unknown category {r.category!r}")
         if r.charge is not None and r.charge[1] < 0:
             raise MachSimError(f"negative charge {r.charge!r}")
-    for r in sched:
-        if r.function is not None and r.frequency not in rates:
-            rates[r.frequency] = _Rates.at(machine, r.frequency)
+    # The schedule's few frequency objects and f_max, each checked and
+    # looked up once, by identity; equal frequencies share one _Rates.
+    rates_of = {id(r.frequency): r.frequency for r in sched}
+    rates_of[id(machine.f_max_ghz)] = machine.f_max_ghz
+    for i, f in rates_of.items():
+        if not machine.f_min_ghz <= f <= machine.f_max_ghz:
+            raise MachSimError(f"frequency {f} outside "
+                               f"[{machine.f_min_ghz}, {machine.f_max_ghz}]")
+        if f not in rates:
+            rates[f] = _Rates.at(machine, f)
+        rates_of[i] = rates[f]
 
     cache = LruCache(machine.l1)
     mem_size = default_mem_size(prog)
@@ -374,7 +415,7 @@ def simulate(
     fuel_box = [fuel]
 
     records: list[RunRecord] = []
-    freq = machine.f_max_ghz
+    top = cur = rates_of[id(machine.f_max_ghz)]
     idle = machine.power(machine.f_max_ghz, Fraction(0))
 
     def charge(kind: str, ns: Fraction, f: Fraction) -> None:
@@ -384,8 +425,9 @@ def simulate(
 
     joined = None
     for k, r in enumerate(sched):
+        rt = rates_of[id(r.frequency)]
         if k in marks or k in joins:
-            state = (freq, dict(env), mem_digest(), cache.snapshot())
+            state = (cur.f, dict(env), mem_digest(), cache.snapshot())
             for s in marks.get(k, ()):
                 s.state, s.first = state, len(records)
             joined = next((s for s in joins.get(k, ()) if s.state == state and
@@ -393,9 +435,9 @@ def simulate(
                           None)
             if joined is not None:
                 break
-        if r.frequency != freq:
-            charge("dvfs_switch", machine.dvfs_switch_ns, r.frequency)
-            freq = r.frequency
+        if rt is not cur:
+            records.append(rt.switch)
+            cur = rt
         if r.function is None:
             if r.charge is not None:
                 charge(r.charge[0], r.charge[1], r.frequency)
@@ -405,7 +447,6 @@ def simulate(
             cf = compiled[r.function] = compile_function(prog.function(r.function))
         call_env = {p: r.args.get(p, env.get(p, 0)) for p in cf.fn.params}
         fuel_before = fuel_box[0]
-        rt = rates[r.frequency]
         on_load = on_prefetch = None
         if cf.hooked:
             on_load, on_prefetch, drain = _run_clock(machine, cache, rt,
@@ -417,23 +458,22 @@ def simulate(
         # Each retired node costs one unit of fuel, and without a load or
         # a prefetch one cycle: what the clock would drain to.
         instr_count = fuel_before - fuel_box[0]
-        cycles = drain(fuel_box[0]) if cf.hooked else Fraction(instr_count)
+        ticks = drain(fuel_box[0]) if cf.hooked else instr_count * rt.q
         if r.writeback:
             env.update(call_env)
-        wall_ns = cycles / r.frequency
+        cycles, wall_ns, energy = rt.stats(ticks, instr_count)
         rec = RunRecord(
             kind="run", function=r.function, frequency=r.frequency,
             category=r.category, slice_index=r.slice_index, cycles=cycles,
-            wall_ns=wall_ns, instr_count=instr_count,
-            energy=rt.p0 * wall_ns + rt.slope * instr_count,
+            wall_ns=wall_ns, instr_count=instr_count, energy=energy,
             output=tuple(output), block_counts=MappingProxyType(counts))
         records.append(rec)
         if r.charge is not None and r.charge[0] == "profiling":
             charge("profiling", r.charge[1] * rec.wall_ns, r.frequency)
 
     if joined is None:
-        if freq != machine.f_max_ghz:
-            charge("dvfs_switch", machine.dvfs_switch_ns, machine.f_max_ghz)
+        if cur is not top:
+            records.append(top.switch)
         digest = mem_digest()
     else:
         records += joined.records
@@ -446,11 +486,11 @@ def simulate(
 
     original = Program(functions=[prog.entry_function()], data=prog.data,
                        entry=prog.entry)
+    categories = {c: _sum([rec for rec in records if rec.category == c])
+                  for c in CATEGORIES}
     return SimReport(
-        categories=MappingProxyType(
-            {c: sum((rec for rec in records if rec.category == c), Stats())
-             for c in CATEGORIES}),
-        total=sum(records, Stats()),
+        categories=MappingProxyType(categories),
+        total=sum(categories.values(), Stats()),
         runs=tuple(records),
         memory_digest=digest,
         program_digest=program_digest(original),

@@ -3,10 +3,10 @@
 The profile is taken on the baseline simulation: the seeded original
 runs once at f_max against the machine's L1, every miss stalling the
 core for the full memory latency.  The simulator keeps two tallies for
-it, the cache lines and the outright misses of each load id, recorded
-by one wrapper around its clock's load hook; a load's execution count
-is its block's entry count, which the baseline's one run record keeps,
-as every run record does.
+it, the cache lines and the outright misses of each load id, which its
+clock's load hook counts as it accounts each load; a load's execution
+count is its block's entry count, which the baseline's one run record
+keeps, as every run record does.
 From that one run the profile ranks loads by the stall cycles they
 caused and measures each canonical loop's cache footprint per
 iteration, the two inputs the phase generator needs.  This module also

@@ -734,6 +734,25 @@ def test_transform_output_is_pinned(capsys):
     assert h.hexdigest() == TRANSFORM_SHA256
 
 
+# sha256 of `daef run --kernel stream_sum --slice 16 --emit json` in each
+# DAE mode, 2,048 records a report, recorded before a run's time, energy
+# and sums were computed from integers.
+RUN_SLICE_16_SHA256 = {
+    "static_dae":
+        "8e7864d6624b9fb8659b116ee3c610c468c27807ea9c5b504044cd46ab8eebda",
+    "dynamic_dae":
+        "17945c72d596f66b2b20e2e63b7b8b2b7810d7b85f513001948ab0efff13fcf8",
+}
+
+
+def test_run_json_with_many_slices_is_pinned(capsys):
+    for mode, digest in RUN_SLICE_16_SHA256.items():
+        assert main(["run", "--kernel", "stream_sum", "--mode", mode,
+                     "--slice", "16", "--emit", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, mode
+
+
 def test_cli_data_past_the_memory_limit_is_exit_2(tmp_path, capsys):
     src = tmp_path / "huge.dir"
     src.write_text(f"""

@@ -14,7 +14,7 @@ from daef.daegen import SliceParams, make_phases
 from daef import machsim
 from daef.ir import DirRuntimeError, interp, interpret, parse_program
 from daef.ir.interp import memory_digest
-from daef.harness import dae_fuel, prepare, run_kernel_all_modes
+from daef.harness import dae_fuel, prepare, run_kernel_all_modes, run_suite
 from daef.ir.types import Load, Store
 from daef.kernels import builtin_kernels, kernel_by_name
 from daef.machine import L1Config, LruCache, MachineConfig, PowerConfig
@@ -35,7 +35,7 @@ from daef.machsim import (
 )
 from daef.profiler import profiled_baseline
 
-from conftest import counting_runs, random_loop_kernel
+from conftest import counting_runs, random_loop_kernel, random_machine
 
 
 def machine() -> MachineConfig:
@@ -590,7 +590,8 @@ def test_load_hit_makes_its_line_most_recent():
     m = MachineConfig(l1=L1Config(capacity_bytes=128, line_bytes=64, ways=2,
                                   hit_cycles=4))
     cache = LruCache(m.l1)
-    on_load, _, drain = _run_clock(m, cache, _Rates.at(m, m.f_max_ghz), 1000)
+    rates = _Rates.at(m, m.f_max_ghz)
+    on_load, _, drain = _run_clock(m, cache, rates, 1000)
     assert on_load(0, 640, 1000)      # line 10: miss
     assert on_load(0, 704, 1000)      # line 11: miss
     assert not on_load(0, 703, 1000)  # line 10 again: hit, now most recent
@@ -600,17 +601,18 @@ def test_load_hit_makes_its_line_most_recent():
     assert on_load(0, 767, 1000)      # line 11 was evicted
     # Four misses and two hits, no node retired.
     miss = m.mem_latency_cycles(m.f_max_ghz)
-    assert drain(1000) == 4 * miss + 2 * 4
+    assert Fraction(drain(1000), rates.q) == 4 * miss + 2 * 4
 
 
 def one_set_clock(ways: int):
-    """A run clock on an L1 of one set of 64-byte lines, the cache, and
-    the cycles of a blocking miss."""
+    """A run clock on an L1 of one set of 64-byte lines, the cache, the
+    cycles of a blocking miss and the clock's ticks per cycle."""
     m = MachineConfig(l1=L1Config(capacity_bytes=64 * ways, line_bytes=64,
                                   ways=ways, hit_cycles=4))
     cache = LruCache(m.l1)
-    hooks = _run_clock(m, cache, _Rates.at(m, m.f_max_ghz), 1000)
-    return hooks, cache, m.mem_latency_cycles(m.f_max_ghz)
+    rates = _Rates.at(m, m.f_max_ghz)
+    hooks = _run_clock(m, cache, rates, 1000)
+    return hooks, cache, m.mem_latency_cycles(m.f_max_ghz), rates.q
 
 
 def test_repeat_load_after_a_fill_into_its_set_misses():
@@ -618,29 +620,29 @@ def test_repeat_load_after_a_fill_into_its_set_misses():
     nothing else has touched the L1: on a 1-way L1, the prefetched line
     20 lands once the first load's miss has outlasted its fill and
     evicts line 10, so the repeat misses."""
-    (on_load, on_prefetch, drain), cache, miss = one_set_clock(1)
+    (on_load, on_prefetch, drain), cache, miss, q = one_set_clock(1)
     on_prefetch(0, 1280, 1000)        # line 20: in flight
     assert on_load(0, 640, 1000)      # line 10: miss
     assert on_load(0, 640, 1000)      # 20 lands first and evicts 10
     assert cache.sets == {0: {10: None}}
-    assert drain(1000) == 2 * miss
+    assert Fraction(drain(1000), q) == 2 * miss
 
 
 def test_repeat_load_installs_completed_fills_first():
     """The fills completed by a repeated load install before it hits, so
     the repeat leaves its line the most recent, after line 20."""
-    (on_load, on_prefetch, drain), cache, miss = one_set_clock(2)
+    (on_load, on_prefetch, drain), cache, miss, q = one_set_clock(2)
     on_prefetch(0, 1280, 1000)        # line 20: in flight
     assert on_load(0, 640, 1000)      # line 10: miss
     assert not on_load(0, 640, 1000)  # 20 lands, then 10 hits
     assert list(cache.sets[0]) == [20, 10]
-    assert drain(1000) == miss + 4
+    assert Fraction(drain(1000), q) == miss + 4
 
 
 def test_repeat_load_after_a_prefetch_takes_the_full_path():
     """A prefetch that hits makes its line the most recent, so a load that
     repeats the last load's line after it moves that line back."""
-    (on_load, on_prefetch, drain), cache, miss = one_set_clock(2)
+    (on_load, on_prefetch, drain), cache, miss, q = one_set_clock(2)
     assert on_load(0, 640, 1000)      # line 10: miss
     assert on_load(0, 704, 1000)      # line 11: miss
     on_prefetch(0, 640, 1000)         # line 10 hits, now most recent
@@ -648,7 +650,7 @@ def test_repeat_load_after_a_prefetch_takes_the_full_path():
     assert list(cache.sets[0]) == [10, 11]
     assert on_load(0, 768, 1000)      # line 12 evicts 10, not 11
     assert list(cache.sets[0]) == [11, 12]
-    assert drain(1000) == 3 * miss + 4
+    assert Fraction(drain(1000), q) == 3 * miss + 4
 
 
 def test_fuel_bounds_a_simulation():
@@ -771,6 +773,59 @@ def test_energy_is_power_times_wall_exactly():
                         assert r.energy == m.power(r.frequency, ipc) * r.wall_ns
                     else:
                         assert r.energy == idle * r.wall_ns
+
+
+def test_rates_turn_ticks_into_exact_stats():
+    """_Rates.stats builds a run's (cycles, wall_ns, energy) from integer
+    terms; on random machines and power models, at frequencies in
+    [f_min, f_max] with large odd denominators, each equals the Fraction
+    arithmetic it replaces: ticks / q, cycles / f and p0 * wall_ns +
+    slope * nodes."""
+    rng = random.Random(26)
+    for _ in range(40):
+        alpha = Fraction(rng.randint(0, 10), 10)
+        m = dataclasses.replace(random_machine(rng), power_model=PowerConfig(
+            p_static=Fraction(rng.randint(0, 30), rng.randint(1, 9)),
+            c_dyn=Fraction(rng.randint(0, 50), rng.randint(1, 9)),
+            alpha=alpha, beta=1 - alpha,
+            v_min_ratio=Fraction(rng.randint(1, 10), 10)))
+        den = rng.randrange(10**6 + 1, 10**9, 2)
+        f = m.f_min_ghz + (m.f_max_ghz - m.f_min_ghz) * Fraction(
+            rng.randint(0, den), den)
+        rates = _Rates.at(m, f)
+        p0 = m.power(f, Fraction(0))
+        slope = (m.power(f, Fraction(1)) - p0) / f
+        for _ in range(5):
+            ticks, nodes = rng.randint(0, 10**9), rng.randint(0, 10**8)
+            cycles = Fraction(ticks, rates.q)
+            wall_ns = cycles / f
+            assert rates.stats(ticks, nodes) == (
+                cycles, wall_ns, p0 * wall_ns + slope * nodes)
+
+
+def assert_sums_match_the_oracle(rep: SimReport) -> None:
+    """The report's total and each category equal Stats.__add__ summed
+    over their records."""
+    assert rep.total == sum(rep.runs, Stats())
+    for c, stats in rep.categories.items():
+        assert stats == sum((r for r in rep.runs if r.category == c), Stats())
+
+
+def test_report_sums_equal_stats_add(monkeypatch):
+    """Every report of a seed-0 suite pass, and stream_sum's and
+    gather_sum's at 16-node slices, where dynamic DAE joins static DAE's
+    records: each report's sums equal Stats.__add__'s."""
+    for row in run_suite(machine(), seed=0):
+        assert_sums_match_the_oracle(row.report)
+    made = counting_runs(monkeypatch)
+    for name in ("stream_sum", "gather_sum"):
+        made.clear()
+        rows = run_kernel_all_modes(kernel_by_name(name), machine(),
+                                    slice_override=16)
+        runs = [r for row in rows[1:] for r in row.report.runs if r.kind == "run"]
+        assert len(made) < len(runs)  # some records were joined, not made
+        for row in rows:
+            assert_sums_match_the_oracle(row.report)
 
 
 def test_later_schedule_joins_only_with_fuel_for_the_shared_suffix(monkeypatch):

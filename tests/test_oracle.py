@@ -601,12 +601,12 @@ def replay(clock, machine, runs, seen) -> list[Fraction]:
     L1."""
     cache, sets, cycles = LruCache(machine.l1), {}, []
     for f, fuel, events, left in runs:
-        on_load, on_prefetch, drain = clock(machine, cache,
-                                            _Rates.at(machine, f), fuel)
+        rates = _Rates.at(machine, f)
+        on_load, on_prefetch, drain = clock(machine, cache, rates, fuel)
         for kind, addr, f_left in events:
             (on_load if kind == "load" else on_prefetch)(0, addr, f_left)
         cycles.append(model_run(machine, f, sets, fuel, events, left, seen))
-        assert drain(left) == cycles[-1]
+        assert Fraction(drain(left), rates.q) == cycles[-1]
         assert cache.snapshot() == {i: tuple(s) for i, s in sets.items() if s}
     if any(kind == "prefetch" for run in runs for kind, _, _ in run[2]):
         fill = machine.mem_latency_ns * machine.f_min_ghz
