@@ -34,7 +34,6 @@ from typing import Iterable
 from .cfg import (
     LoopInfo,
     block_of,
-    build_cfg,
     dce,
     defs_of,
     find_loops,
@@ -58,6 +57,7 @@ from .ir import (
     node_def,
     node_uses,
     print_function,
+    successors,
     validate_program,
 )
 
@@ -145,17 +145,13 @@ def _check_names(fn: Function) -> None:
 
 
 def _check_sliceable(fn: Function, li: LoopInfo) -> None:
-    """Slicing needs a single-entry, single-exit loop: the header is the
-    only way in and its false edge the only way out."""
-    c = build_cfg(fn)
+    """Slicing needs a single-exit loop: the header's false edge is the
+    only way out.  The header is already the only way in, since a natural
+    loop's body holds every reachable predecessor of its other blocks."""
+    bm = fn.block_map()
     for label in li.body:
         if label != li.header:
-            outside = sorted(set(c.preds[label]) - li.body)
-            if outside:
-                raise DaegenError(
-                    f"loop body block {label!r} has entries from outside "
-                    f"the loop: {outside}")
-            escapes = sorted(set(c.succs[label]) - li.body)
+            escapes = sorted(set(successors(bm[label])) - li.body)
             if escapes:
                 raise DaegenError(
                     f"loop body block {label!r} exits the loop without "

@@ -1,14 +1,13 @@
 """Machine description: frequencies, L1 cache shape, DVFS power model.
 
 All derived arithmetic uses exact rationals.  JSON numbers are converted
-through their decimal string form, so a config file's 3.4 GHz is the
-rational 17/5, not the nearest binary float, and every timing or energy
-figure downstream is exact.
+through their decimal string form, so every timing or energy figure
+downstream is exact.
 
 The JSON keys are the dataclass fields (power_model is written "power"),
-and the type of each field's default decides how its value is read: a
-Fraction through the exact decimal form, an int as a whole number of at
-least 1, a nested config recursively.  A missing key keeps its default.
+read and written by daef.inputs' codec from the annotated field types; a
+missing key keeps its default.  Each class's __post_init__ holds its
+range checks, the minimum 1 of every int field among them.
 
 Frequencies are in GHz, which doubles as cycles per nanosecond: a run of
 C cycles at frequency f takes C / f nanoseconds of wall time.
@@ -19,70 +18,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .inputs import read_json
+from . import inputs
 from .ir.validate import MAX_DATA_END
 
 
 class MachineError(ValueError):
     """Raised for malformed or inconsistent machine configurations."""
-
-
-def _frac(value, where: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MachineError(f"{where}: expected a number, got {value!r}")
-    try:
-        return Fraction(str(value))
-    except ValueError:
-        raise MachineError(f"{where}: cannot interpret {value!r} exactly")
-
-
-def _nat(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MachineError(f"{where}: expected an integer, got {value!r}")
-    if value < 1:
-        raise MachineError(f"{where}: {value} is below the minimum 1")
-    return value
-
-
-_JSON_KEY = {"power_model": "power"}
-
-
-def _from_json(cls, d, path: str = ""):
-    name = path or "machine config"
-    if not isinstance(d, dict):
-        raise MachineError(f"{name}: expected an object, got {type(d).__name__}")
-    by_key = {_JSON_KEY.get(f.name, f.name): f for f in fields(cls)}
-    unknown = set(d) - set(by_key)
-    if unknown:
-        raise MachineError(f"{name}: unknown keys {sorted(unknown)}")
-    values = {}
-    for key, f in by_key.items():
-        if key not in d:
-            continue
-        where = f"{path}.{key}" if path else key
-        if isinstance(f.default, Fraction):
-            values[f.name] = _frac(d[key], where)
-        elif isinstance(f.default, int):
-            values[f.name] = _nat(d[key], where)
-        else:
-            values[f.name] = _from_json(type(f.default), d[key], where)
-    return cls(**values)
-
-
-def _to_json(cfg) -> dict:
-    out = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if is_dataclass(f.default):
-            value = _to_json(value)
-        elif isinstance(f.default, Fraction):
-            value = float(value)
-        out[_JSON_KEY.get(f.name, f.name)] = value
-    return out
 
 
 @dataclass(frozen=True)
@@ -94,20 +39,20 @@ class L1Config:
 
     def __post_init__(self):
         if self.line_bytes <= 0 or self.capacity_bytes <= 0:
-            raise MachineError("l1: capacity and line size must be positive")
+            raise MachineError("capacity and line size must be positive")
         if self.capacity_bytes > MAX_DATA_END:
             # No program has more lines than this to cache.
-            raise MachineError(f"l1: capacity_bytes must not exceed {MAX_DATA_END},"
+            raise MachineError(f"capacity_bytes must not exceed {MAX_DATA_END},"
                                " the data memory limit")
         if self.capacity_bytes % self.line_bytes:
-            raise MachineError("l1: capacity must be a multiple of the line size")
+            raise MachineError("capacity must be a multiple of the line size")
         if self.ways < 1:
-            raise MachineError("l1: ways must be at least 1")
+            raise MachineError("ways must be at least 1")
         lines = self.capacity_bytes // self.line_bytes
         if lines % self.ways:
-            raise MachineError("l1: line count must be a multiple of ways")
+            raise MachineError("line count must be a multiple of ways")
         if self.hit_cycles < 1:
-            raise MachineError("l1: hit_cycles must be at least 1")
+            raise MachineError("hit_cycles must be at least 1")
 
     @property
     def n_sets(self) -> int:
@@ -132,11 +77,11 @@ class PowerConfig:
 
     def __post_init__(self):
         if self.alpha + self.beta != 1:
-            raise MachineError("power: alpha + beta must equal 1 exactly")
+            raise MachineError("alpha + beta must equal 1 exactly")
         if not 0 < self.v_min_ratio <= 1:
-            raise MachineError("power: v_min_ratio must be in (0, 1]")
+            raise MachineError("v_min_ratio must be in (0, 1]")
         if self.p_static < 0 or self.c_dyn < 0:
-            raise MachineError("power: p_static and c_dyn must be non-negative")
+            raise MachineError("p_static and c_dyn must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -148,7 +93,8 @@ class MachineConfig:
     mshr_count: int = 10
     dvfs_switch_ns: Fraction = Fraction(100)
     jit_ns_per_instr: Fraction = Fraction(50)
-    power_model: PowerConfig = PowerConfig()
+    power_model: PowerConfig = field(default=PowerConfig(),
+                                     metadata={"json": "power"})
 
     def __post_init__(self):
         for f in (self.f_min_ghz, self.f_max_ghz):
@@ -191,8 +137,12 @@ class MachineConfig:
 
     # -- serialization -----------------------------------------------------
 
-    from_json = classmethod(_from_json)  # from_json(d) -> MachineConfig
-    to_json = _to_json
+    @classmethod
+    def from_json(cls, data, where: str = "machine config") -> MachineConfig:
+        return inputs.from_json(cls, data, where, MachineError)
+
+    def to_json(self) -> dict:
+        return inputs.to_json(self)
 
     def digest(self) -> str:
         canon = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
@@ -203,11 +153,7 @@ def load_machine(path: str | Path | None) -> MachineConfig:
     """Read a machine config from a JSON file, or the defaults when None."""
     if path is None:
         return MachineConfig()
-    data = read_json(path, MachineError)
-    try:
-        return MachineConfig.from_json(data)
-    except MachineError as e:
-        raise MachineError(f"{path}: {e}")
+    return MachineConfig.from_json(inputs.read_json(path, MachineError), str(path))
 
 
 class LruCache:

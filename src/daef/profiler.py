@@ -10,19 +10,19 @@ keeps, as every run record does.
 From that one run the profile ranks loads by the stall cycles they
 caused and measures each canonical loop's cache footprint per
 iteration, the two inputs the phase generator needs.  This module also
-classifies critical loads and persists profiles as JSON.
+classifies critical loads and persists profiles as JSON, in the format
+its dataclasses declare.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from .cfg import block_of, find_loops
-from .inputs import read_json
+from .inputs import from_json, read_json, to_json
 from .ir import Load, Program, program_digest
 from .machine import MachineConfig
 from .machsim import SimReport, simulate_baseline
@@ -37,10 +37,10 @@ class ProfileError(ValueError):
 @dataclass
 class LoadStats:
     id: int
-    exec_count: int = 0
-    miss_count: int = 0
-    stall_cycles: int = 0
-    lines: int = 0  # distinct cache lines touched
+    exec_count: int = field(metadata={"json": "exec"})
+    miss_count: int = field(metadata={"json": "miss"})
+    stall_cycles: int = field(metadata={"json": "stall"})
+    lines: int  # distinct cache lines touched
 
 
 @dataclass
@@ -48,15 +48,23 @@ class LoopFootprint:
     header: str
     bytes_per_iter: float
 
+    def __post_init__(self):
+        if not self.bytes_per_iter >= 0:
+            raise ProfileError("bytes_per_iter is not a finite number >= 0")
 
-@dataclass
+
+@dataclass(kw_only=True)
 class ProfileReport:
+    version: int
     program_digest: str
     machine_digest: str
     total_stall_cycles: int
-    loads: list[LoadStats] = field(default_factory=list)
-    loops: list[LoopFootprint] = field(default_factory=list)
-    version: int = PROFILE_VERSION
+    loads: list[LoadStats]
+    loops: list[LoopFootprint]
+
+    def __post_init__(self):
+        if self.version != PROFILE_VERSION:
+            raise ProfileError(f"unsupported version {self.version}")
 
     def footprint(self, header: str) -> float | None:
         for lf in self.loops:
@@ -106,6 +114,7 @@ def profiled_baseline(seeded: Program,
         ))
 
     return base, ProfileReport(
+        version=PROFILE_VERSION,
         program_digest=program_digest(seeded),
         machine_digest=machine.digest(),
         total_stall_cycles=sum(s.stall_cycles for s in loads),
@@ -134,92 +143,22 @@ def classify_critical(report: ProfileReport,
 
 
 # -- persistence -------------------------------------------------------------
-
-_TOP_KEYS = {"version", "program_digest", "machine_digest",
-             "total_stall_cycles", "loads", "loops"}
-_LOAD_KEYS = {"id", "exec", "miss", "stall", "lines"}
-_LOOP_KEYS = {"header", "bytes_per_iter"}
+#
+# The file's keys and value types are the dataclasses' own, read and
+# written by daef.inputs' codec.  No profile field has a default, so every
+# key is required; the version and footprint checks are __post_init__'s.
 
 
 def report_to_json(report: ProfileReport) -> dict:
-    return {
-        "version": report.version,
-        "program_digest": report.program_digest,
-        "machine_digest": report.machine_digest,
-        "total_stall_cycles": report.total_stall_cycles,
-        "loads": [
-            {"id": s.id, "exec": s.exec_count, "miss": s.miss_count,
-             "stall": s.stall_cycles, "lines": s.lines}
-            for s in report.loads
-        ],
-        "loops": [
-            {"header": lf.header, "bytes_per_iter": lf.bytes_per_iter}
-            for lf in report.loops
-        ],
-    }
+    return to_json(report)
 
 
 def write_profile(report: ProfileReport, path: str | Path) -> None:
     Path(path).write_text(json.dumps(report_to_json(report), indent=2) + "\n")
 
 
-def _need(d: dict, key: str, kinds, where: str):
-    if key not in d:
-        raise ProfileError(f"{where}: missing key {key!r}")
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, kinds):
-        raise ProfileError(f"{where}: key {key!r} has the wrong type")
-    return v
-
-
 def report_from_json(data, where: str = "profile") -> ProfileReport:
-    if not isinstance(data, dict):
-        raise ProfileError(f"{where}: expected an object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ProfileError(f"{where}: unknown keys {sorted(unknown)}")
-    version = _need(data, "version", int, where)
-    if version != PROFILE_VERSION:
-        raise ProfileError(f"{where}: unsupported version {version}")
-    loads = []
-    raw_loads = _need(data, "loads", list, where)
-    for k, entry in enumerate(raw_loads):
-        ctx = f"{where}: loads[{k}]"
-        if not isinstance(entry, dict):
-            raise ProfileError(f"{ctx}: expected an object")
-        if set(entry) - _LOAD_KEYS:
-            raise ProfileError(f"{ctx}: unknown keys {sorted(set(entry) - _LOAD_KEYS)}")
-        loads.append(LoadStats(
-            id=_need(entry, "id", int, ctx),
-            exec_count=_need(entry, "exec", int, ctx),
-            miss_count=_need(entry, "miss", int, ctx),
-            stall_cycles=_need(entry, "stall", int, ctx),
-            lines=_need(entry, "lines", int, ctx),
-        ))
-    loops = []
-    raw_loops = _need(data, "loops", list, where)
-    for k, entry in enumerate(raw_loops):
-        ctx = f"{where}: loops[{k}]"
-        if not isinstance(entry, dict):
-            raise ProfileError(f"{ctx}: expected an object")
-        if set(entry) - _LOOP_KEYS:
-            raise ProfileError(f"{ctx}: unknown keys {sorted(set(entry) - _LOOP_KEYS)}")
-        header = _need(entry, "header", str, ctx)
-        bytes_per_iter = _need(entry, "bytes_per_iter", (int, float), ctx)
-        # NaN fails both comparisons; an int past the float range fails the
-        # second, before float() could overflow.
-        if not 0 <= bytes_per_iter <= sys.float_info.max:
-            raise ProfileError(f"{ctx}: bytes_per_iter is not a finite number >= 0")
-        loops.append(LoopFootprint(header=header,
-                                   bytes_per_iter=float(bytes_per_iter)))
-    return ProfileReport(
-        program_digest=_need(data, "program_digest", str, where),
-        machine_digest=_need(data, "machine_digest", str, where),
-        total_stall_cycles=_need(data, "total_stall_cycles", int, where),
-        loads=loads,
-        loops=loops,
-        version=version,
-    )
+    return from_json(ProfileReport, data, where, ProfileError)
 
 
 def read_profile(path: str | Path) -> ProfileReport:

@@ -8,7 +8,8 @@ random body DAG: loads behind power-of-two masks, loop-carried
 accumulators, and optional stores.  random_chase_kernel builds a
 counted pointer chase whose access phase keeps loads of a node's line
 next to prefetches.  break_program damages either kind
-for the validator.  br_chain and brcond_tree write the source of long and
+for the validator, and mutate_json a machine config or a stored profile
+for the JSON readers.  br_chain and brcond_tree write the source of long and
 deeply nested kernels for the code generator, and fan_in one whose last
 block has thousands of predecessors; bound_chain, base_chain,
 load_blocks and empty_tail write counted loops whose definition chains or
@@ -20,6 +21,7 @@ process does.
 
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
@@ -356,6 +358,42 @@ def break_program(rng: random.Random, prog: Program, n_edits: int) -> None:
                 setattr(n, attr, rng.choice(regs))
         elif edit == 5:
             blk.label = rng.choice(fn.blocks).label
+
+
+# Values mutate_json writes: wrong types, booleans, null, containers, the
+# edges of each range check, and numbers past the float range.
+JSON_VALUES = [0, 1, -1, 3, 64, 2**40, 10**400, -10**400, 0.5, -0.0, 1e-320,
+               1e308, float("inf"), float("nan"), "", "x", True, False, None,
+               [], [1], {}, {"a": 1}]
+
+
+def mutate_json(rng: random.Random, data, n_edits: int):
+    """A copy of decoded JSON data with n_edits random edits: replace,
+    delete or insert a key of an object or an item of a list, writing a
+    value from JSON_VALUES or a copy of another part of the document."""
+    data = copy.deepcopy(data)
+    for _ in range(n_edits):
+        parts, keys, stack = [], {"zeta"}, [data]
+        while stack:
+            c = stack.pop()
+            parts.append(c)
+            if isinstance(c, dict):
+                keys.update(c)
+            stack += [v for v in (c.values() if isinstance(c, dict) else c)
+                      if isinstance(v, (dict, list))]
+        c = rng.choice(parts)
+        slots = list(c) if isinstance(c, dict) else list(range(len(c)))
+        value = copy.deepcopy(rng.choice(JSON_VALUES + parts))
+        edit = rng.randrange(3)
+        if edit == 0 and slots:
+            c[rng.choice(slots)] = value
+        elif edit == 1 and slots:
+            del c[rng.choice(slots)]
+        elif isinstance(c, dict):
+            c[rng.choice(sorted(keys))] = value
+        else:
+            c.insert(rng.randint(0, len(c)), value)
+    return data
 
 
 def br_chain(n: int) -> str:

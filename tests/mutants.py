@@ -1,0 +1,163 @@
+"""Planted faults that tier-1 must catch.
+
+    python tests/mutants.py [NAME ...]
+
+Each mutant is one exact text replacement in src/, a sentence on why the
+replaced code would be wrong, and the tests that must fail with it.  For
+each mutant (all of them, or those named) the script copies src/ to a
+temporary directory, applies the replacement, which must match exactly
+once, and runs only the named tests against the copy.  It prints one
+line per mutant and exits 1 if any mutant survives or no longer applies.
+
+A surviving mutant is a finding: add a test that kills it.  Drop a
+mutant only when it is provably equivalent to the code it replaces.
+This file is not a test module, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # under src/daef/
+    old: str
+    new: str
+    why: str
+    tests: tuple[str, ...]  # pytest node ids under tests/
+
+
+MUTANTS = [
+    Mutant("load_past_the_end", "ir/interp.py",
+           'f"if {test}{a} + {ins.width} > mem_size:"',
+           'f"if {test}{a} + {ins.width} >= mem_size:"',
+           "an access that ends exactly at mem_size is in bounds",
+           ("test_oracle.py::test_runtime_faults_agree_with_the_walker",)),
+    Mutant("prefetch_at_the_end", "ir/interp.py",
+           'f"if {a} < mem_size:" if canonical', 'f"if {a} <= mem_size:" if canonical',
+           "a prefetch of address mem_size is outside memory and dropped",
+           ("test_oracle.py::test_runtime_faults_agree_with_the_walker",)),
+    Mutant("signed_prefetch_at_the_end", "ir/interp.py",
+           'f"if 0 <= {a} < mem_size:"', 'f"if 0 <= {a} <= mem_size:"',
+           "the same, for an address that may be negative",
+           ("test_ir.py::test_address_checks_agree_with_signed_addresses",)),
+    Mutant("negative_address", "ir/interp.py",
+           'test = "" if canonical else f"{a} < 0 or "', 'test = ""',
+           "an address that may be negative must be tested for it",
+           ("test_oracle.py::test_runtime_faults_agree_with_the_walker",)),
+    Mutant("division_fault_without_id", "ir/interp.py",
+           "raise _Err('division by zero', {ins.id})",
+           "raise _Err('division by zero')",
+           "a runtime fault names the node that raised it",
+           ("test_oracle.py::test_runtime_faults_agree_with_the_walker",)),
+    Mutant("recent_kept_across_a_fill", "machsim.py",
+           "install(mshr.popitem(last=False)[0])\n                recent = -1\n",
+           "install(mshr.popitem(last=False)[0])\n",
+           "an installed fill may evict the remembered line, so the next"
+           " load to it must probe its set",
+           ("test_machsim.py::test_repeat_load_after_a_fill_into_its_set_misses",
+            "test_oracle.py::test_timing_model_agrees_with_the_clock")),
+    Mutant("non_critical_prefetches_kept", "daegen.py",
+           "if not (isinstance(n, Prefetch) and n.origin not in critical)]",
+           "if not isinstance(n, Prefetch) or n.origin is None]",
+           "the access phase prefetches only the critical loads",
+           ("test_daegen.py::test_two_load_subsets_specialize_cleanly",)),
+    Mutant("plan_code_not_shared", "harness.py",
+           "machine, fuel=fuel, compiled=prep.compiled)",
+           "machine, fuel=fuel)",
+           "the modes of one plan run the code the plan compiled once",
+           ("test_harness.py::test_suite_compiles_each_distinct_function_once",)),
+    Mutant("join_without_fuel", "machsim.py",
+           "sum(r.instr_count for r in s.records) <= fuel_box[0]", "True",
+           "a schedule may share a suffix only if its fuel covers it",
+           ("test_machsim.py::test_later_schedule_joins_only_with_fuel_for_the"
+            "_shared_suffix",)),
+    Mutant("join_ignores_l1", "machsim.py",
+           "state = (cur.f, dict(env), mem_digest(), cache.snapshot())",
+           "state = (cur.f, dict(env), mem_digest(), None)",
+           "two schedules' equal suffixes cost alike only from equal L1s",
+           ("test_machsim.py::test_join_requires_equal_l1_contents",)),
+    Mutant("memo_ignores_mshr_count", "harness.py",
+           "           for n in fn.nodes()):\n        return machine\n",
+           "           for n in fn.nodes()):\n"
+           "        return replace(machine, mshr_count=1)\n",
+           "a kernel with prefetches is timed with the machine's miss registers",
+           ("test_harness.py::test_memo_keeps_mshr_count_for_a_kernel_with"
+            "_prefetches",)),
+    Mutant("codec_unknown_keys", "inputs.py",
+           "unknown = data.keys() - spec.keys()", "unknown = set()",
+           "a key no field declares is a typo, not a default",
+           ("test_inputs.py::test_codec_refuses_unknown_keys_at_every_level",
+            "test_machine.py::test_config_rejections")),
+    Mutant("codec_required_keys", "inputs.py",
+           "elif required:", "elif False:",
+           "a profile without one of its keys is not a profile",
+           ("test_inputs.py::test_codec_requires_fields_without_a_default",
+            "test_profiler.py::test_read_profile_error_cases")),
+    Mutant("codec_bool_as_int", "inputs.py",
+           "if isinstance(value, bool) or not isinstance(value, kinds):",
+           "if not isinstance(value, kinds):",
+           "JSON true is not the integer 1",
+           ("test_inputs.py::test_codec_checks_each_value_against_its"
+            "_annotated_type",)),
+    Mutant("codec_float_range", "inputs.py",
+           "if not abs(value) <= sys.float_info.max:", "if False:",
+           "a Fraction past the float range cannot be written back",
+           ("test_inputs.py::test_codec_refuses_numbers_that_do_not_fit_a_float",
+            "test_inputs.py::test_cli_machine_fraction_past_the_float_range"
+            "_is_exit_2")),
+]
+
+
+def run(m: Mutant, scratch: Path) -> str:
+    """'killed', 'SURVIVED' or 'DOES NOT APPLY' for one mutant."""
+    src = scratch / m.name
+    shutil.copytree(ROOT / "src", src)
+    target = src / "daef" / m.path
+    text = target.read_text()
+    if text.count(m.old) != 1:
+        return "DOES NOT APPLY"
+    target.write_text(text.replace(m.old, m.new))
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *(f"tests/{t}" for t in m.tests)],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    if proc.returncode == 1:  # a test failed
+        return "killed"
+    if proc.returncode == 0:
+        return "SURVIVED"
+    return f"ERROR (pytest exit {proc.returncode})"
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}")
+        return 2
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for m in chosen:
+            t = time.perf_counter()
+            outcome = run(m, Path(tmp))
+            bad += outcome != "killed"
+            print(f"{m.name:32} {outcome:10} {time.perf_counter() - t:5.1f} s"
+                  f"  ({m.why})")
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -233,6 +233,13 @@ def test_non_canonical_loops_are_skipped(src, why):
         f"wanted {why!r} in {[str(d) for d in scan.skipped]}"
 
 
+def test_commuted_step_is_canonical():
+    fn = parse_program(_loop_src(step_line="%i2 = binop add 3, %i")).functions[0]
+    (li,) = find_loops(fn).loops
+    assert (li.reg, li.step) == ("i", 3)
+    assert li.step_id == fn.block_map()["body"].body[0].id
+
+
 def test_variable_bound_redefined_in_body_is_skipped():
     src = """
 func @f() kind=original {
@@ -474,6 +481,90 @@ tail:
     simp = simplify_cfg(prog.functions[0])
     assert len(simp.blocks) == 1
     assert interpret(_with_fn(prog, simp)).output == [7]
+
+
+def test_simplify_folds_a_zero_branch_and_drops_its_phi_edge():
+    """A brcond on the constant 0 takes its false edge; the phi at the
+    end of the dropped edge loses that incoming and keeps the others."""
+    prog = parse_program("""
+func @f() kind=original {
+entry:
+  %f = const 0
+  %a = const 5
+  %b = const 9
+  brcond %f, join, mid
+mid:
+  out %b
+  %g = binop slt %b, %a
+  brcond %g, join, other
+other:
+  out %a
+  br join
+join:
+  %v = phi [entry: %a], [mid: %b], [other: %a]
+  out %v
+  ret
+}
+""")
+    simp = simplify_cfg(prog.functions[0])
+    simple = _with_fn(prog, simp)
+    assert_valid(simple)
+    # entry's edge to join went with the fold; mid then merged into entry.
+    assert [b.label for b in simp.blocks] == ["entry", "other", "join"]
+    assert simp.block_map()["join"].phis[0].incoming == [("entry", "b"),
+                                                         ("other", "a")]
+    assert interpret(simple).output == interpret(prog).output == [9, 5, 5]
+
+
+def test_simplify_rethreads_a_brcond_true_edge_past_an_empty_block():
+    prog = parse_program("""
+func @f() kind=original {
+entry:
+  %x = const 3
+  %y = const 4
+  %c = binop slt %x, %y
+  brcond %c, fwd, other
+fwd:
+  br join
+other:
+  out %y
+  br join
+join:
+  out %x
+  ret
+}
+""")
+    simp = simplify_cfg(prog.functions[0])
+    assert [b.label for b in simp.blocks] == ["entry", "other", "join"]
+    term = simp.blocks[0].term
+    assert (term.if_true, term.if_false) == ("join", "other")
+    assert interpret(_with_fn(prog, simp)).output == [3]
+
+
+@pytest.mark.parametrize("x", [3, 5])
+def test_simplify_keeps_an_empty_block_that_would_double_a_phi_edge(x):
+    """Removing fwd would give join two edges from entry, which its phi
+    could not tell apart."""
+    prog = parse_program(f"""
+func @f() kind=original {{
+entry:
+  %x = const {x}
+  %y = const 4
+  %c = binop slt %x, %y
+  brcond %c, fwd, join
+fwd:
+  br join
+join:
+  %v = phi [entry: %x], [fwd: %y]
+  out %v
+  ret
+}}
+""")
+    simp = simplify_cfg(prog.functions[0])
+    simple = _with_fn(prog, simp)
+    assert_valid(simple)
+    assert "fwd" in [b.label for b in simp.blocks]
+    assert interpret(simple).output == interpret(prog).output == [4 if x < 4 else x]
 
 
 def test_simplify_merges_forwarding_chain():

@@ -35,7 +35,7 @@ from daef.daegen import (
     specialize_access,
     structural_text,
 )
-from daef.harness import prepare
+from daef.harness import prepare, run_kernel_all_modes
 from daef.ir import (
     Load,
     Out,
@@ -54,8 +54,9 @@ from daef.ir.interp import (
     init_memory,
     memory_digest,
 )
-from daef.kernels import builtin_kernels
+from daef.kernels import BenchmarkKernel, builtin_kernels
 from daef.machine import MachineConfig
+from daef.machsim import MODES
 
 
 def override(size: int) -> SliceParams:
@@ -551,6 +552,83 @@ done:
 """)
     with pytest.raises(DaegenError, match="exits the loop"):
         make_phases(prog, set(), override(4))
+
+
+def test_rejects_break_out_of_the_loop_body():
+    """A body block that leaves for a block past the loop, not the exit
+    target, still leaves without passing the header."""
+    prog = parse_program("""
+entry @main
+func @main() kind=original {
+entry:
+  %n = const 8
+  %zero = const 0
+  br loop
+loop:
+  %i = phi [entry: %zero], [latch: %i2]
+  %c = binop slt %i, %n
+  brcond %c, body, done
+body:
+  %g = binop slt %i, 5
+  brcond %g, latch, brk
+latch:
+  %i2 = binop add %i, 1
+  br loop
+brk:
+  out %i
+  ret %i
+done:
+  out %n
+  ret %n
+}
+""")
+    with pytest.raises(DaegenError, match="'body' exits the loop without "
+                                          "passing the header: \\['brk'\\]"):
+        make_phases(prog, set(), override(4))
+
+
+EXIT_PHI_KERNEL = """
+data @base=4096 prng(seed=7, len=64)
+entry @main
+func @main() kind=original {
+entry:
+  %n = const 8
+  %zero = const 0
+  %base = const 4096
+  br loop
+loop:
+  %i = phi [entry: %zero], [body: %i2]
+  %acc = phi [entry: %zero], [body: %acc2]
+  %c = binop slt %i, %n
+  brcond %c, body, done
+body:
+  %off = binop shl %i, 3
+  %addr = binop add %base, %off
+  %v = load %addr, 0, w8
+  %acc2 = binop add %acc, %v
+  %i2 = binop add %i, 1
+  br loop
+done:
+  %r = phi [loop: %acc]
+  out %r
+  ret %r
+}
+"""
+
+
+def test_exit_block_phi_reads_the_slice_exit():
+    """The execute clone's exit block is entered from __sexit, not the
+    header, so its phis are retargeted; all three modes print the sum."""
+    plan = make_phases(parse_program(EXIT_PHI_KERNEL), set(), override(3))
+    done = plan.program.function(plan.execute).block_map()["done"]
+    assert done.phis[0].incoming == [("__sexit", "acc")]
+    kernel = BenchmarkKernel(name="exit_phi", text=EXIT_PHI_KERNEL,
+                             oracle=lambda seed: None)
+    rows = run_kernel_all_modes(kernel, MachineConfig(), slice_override=3)
+    assert [r.mode for r in rows] == list(MODES)
+    want = interpret(kernel.program(0)).output
+    assert len(want) == 1
+    assert all(r.report.output == want for r in rows)
 
 
 def test_rejects_unresolvable_init():

@@ -734,6 +734,39 @@ def test_transform_output_is_pinned(capsys):
     assert h.hexdigest() == TRANSFORM_SHA256
 
 
+# sha256 of `daef profile --kernel K --out FILE` at seed 0 for every
+# built-in kernel: its stdout, with FILE written as OUT, and FILE's bytes.
+# Recorded before one JSON codec replaced the profile's own writer.
+PROFILE_SHA256 = {
+    "compute_poly": (
+        "2438e788e5932fd816916eaf272c956cbac49b2d96564ef126089c67de3e01c1",
+        "db161a8246f316b9c16fa1f195aae54c64d7943bbffd21a2f8675319dc7fc3ab"),
+    "stream_sum": (
+        "923cd026990606c32e9621ca7c1fae3d2451bcf95a96ed423a1a6514d8b0211d",
+        "16c18de3aed2191fed0405b101ae067f55543b9e501fdc4d134674e69e781728"),
+    "gather_sum": (
+        "e1181de6d0d30c85e7c57abfb5cc717c34c283bc0f8ff6a24b858900d380ed2e",
+        "c969d927714e1e0c00d9c474ff14907b1f073538caaf7efef627a1970df28c5a"),
+    "chase_sum": (
+        "b01fe9d2f12442df59255203af9a9b7baac3d2a083a6c7de86cb17163b967b75",
+        "c7137566fde3e747389880fd123be3b02205f9fba83c75022e7f9193ff47a16d"),
+    "stencil3": (
+        "8f20e7bf91d61a2d91bf72e9832dd04efdb4e70decc72e41719c9622c649f90d",
+        "31fe3ce464629aa76b11c0647feaefdbc0bd375f88289d0473ab799006615c56"),
+}
+
+
+def test_profile_output_is_pinned(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert sorted(PROFILE_SHA256) == sorted(k.name for k in builtin_kernels())
+    for k in builtin_kernels():
+        assert main(["profile", "--kernel", k.name, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        assert (hashlib.sha256(stdout.encode()).hexdigest(),
+                hashlib.sha256(out.read_bytes()).hexdigest()) == \
+            PROFILE_SHA256[k.name], k.name
+
+
 # sha256 of `daef run --kernel stream_sum --slice 16 --emit json` in each
 # DAE mode, 2,048 records a report, recorded before a run's time, energy
 # and sums were computed from integers.

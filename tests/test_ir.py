@@ -817,7 +817,8 @@ def test_bounds_that_facts_claim_hold():
             assert got == want and got < 1 << facts.bits("d"), case
 
 
-ADDRESS_BASES = [0, 4088, 1 << 63, M64 - 7]
+# Base 4097 with offset -1 is the end of memory, through the signed form.
+ADDRESS_BASES = [0, 4088, 4097, 1 << 63, M64 - 7]
 ADDRESS_OFFSETS = [0, 8, 16, (1 << 62) - 1, 1 << 62, (1 << 63) - 1, -1, -(1 << 63)]
 
 

@@ -928,6 +928,54 @@ entry:
             assert getattr(rep, f.name) == getattr(alone, f.name), f.name
 
 
+def test_join_requires_equal_l1_contents(monkeypatch):
+    """Two schedules end in the same run of @main from equal frequency,
+    registers and memory, and differ only in whether an earlier run
+    loaded @main's line: the later one joins only where the L1 is equal
+    too, so @main misses after @idle and hits after @touch."""
+    text = """
+data @base=4096 zero=64
+
+entry @main
+
+func @main() kind=original {
+entry:
+  %b = const 4096
+  %v = load %b, 0, w8
+  out %v
+  ret %v
+}
+
+func @touch() kind=original {
+entry:
+  %b = const 4096
+  %v = load %b, 8, w8
+  ret %v
+}
+
+func @idle() kind=original {
+entry:
+  %x = const 7
+  ret %x
+}
+"""
+    made = counting_runs(monkeypatch)
+    m = machine()
+    prog = parse_program(text)
+    main, touch, idle = (PhaseRun(function=name, frequency=m.f_max_ghz,
+                                  category=CAT_EXECUTE)
+                         for name in ("main", "touch", "idle"))
+    scheds = [[main], [idle, main], [touch, main]]
+    reps = list(simulate_each(prog, scheds, m))
+    assert len(made) == 1 + 1 + 2
+    miss, hit = (rep.runs[-1].cycles for rep in reps[1:])
+    assert miss == reps[0].runs[0].cycles > hit
+    for sched, rep in zip(scheds, reps):
+        alone = simulate(prog, sched, m)
+        for f in dataclasses.fields(SimReport):
+            assert getattr(rep, f.name) == getattr(alone, f.name), f.name
+
+
 def test_store_free_runs_share_the_image_and_its_digest(monkeypatch):
     """A differential check of the cached digest.  Every mode of every
     built-in kernel and of 50 random kernels, with and without stores,

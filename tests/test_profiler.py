@@ -18,6 +18,7 @@ from daef.kernels import builtin_kernels
 from daef.machine import L1Config, MachineConfig
 from daef.machsim import baseline_schedule, simulate, simulate_baseline
 from daef.profiler import (
+    PROFILE_VERSION,
     LoadStats,
     LoopFootprint,
     ProfileError,
@@ -210,8 +211,10 @@ def fake_report(stalls: dict[int, int], misses: dict[int, int] | None = None) ->
                   miss_count=(misses or {}).get(i, 1 if s else 0), lines=1)
         for i, s in sorted(stalls.items())
     ]
-    return ProfileReport(program_digest="x", machine_digest="y",
-                         total_stall_cycles=sum(stalls.values()), loads=loads)
+    return ProfileReport(version=PROFILE_VERSION, program_digest="x",
+                         machine_digest="y",
+                         total_stall_cycles=sum(stalls.values()), loads=loads,
+                         loops=[])
 
 
 def test_classify_critical_threshold_is_inclusive():
@@ -378,6 +381,7 @@ def observed_profile(prog, machine) -> tuple:
             loops.append(LoopFootprint(li.header,
                                        len(touched) * line_bytes / trips))
     return base, ProfileReport(
+        version=PROFILE_VERSION,
         program_digest=program_digest(prog), machine_digest=machine.digest(),
         total_stall_cycles=sum(st.stall_cycles for st in loads),
         loads=loads, loops=loops)
