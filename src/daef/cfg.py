@@ -1,8 +1,9 @@
 """Control-flow and dataflow analyses over DIR functions.
 
 Provides the CFG builder, iterative dominators, natural-loop detection
-with canonical-induction recognition, backward slicing over use-def
-chains, dead-code elimination, and a semantics-preserving CFG simplifier.
+with canonical-induction recognition (one CFG and one dominator tree per
+find_loops scan), backward slicing over use-def chains, dead-code
+elimination, and a semantics-preserving CFG simplifier.
 Block successors, predecessors and label reachability come from
 daef.ir.types (successors, predecessors, Function.reachable); this
 module owns the register-to-definitions map (defs_of) and node
@@ -80,23 +81,17 @@ def _reverse_postorder(c: Cfg) -> list[str]:
     seen: set[str] = set()
     order: list[str] = []
 
-    def visit(n: str) -> None:
-        stack = [(n, iter(c.succs[n]))]
-        seen.add(n)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for s in it:
-                if s not in seen:
-                    seen.add(s)
-                    stack.append((s, iter(c.succs[s])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-
-    visit(c.entry)
+    stack = [(c.entry, iter(c.succs[c.entry]))]
+    seen.add(c.entry)
+    while stack:
+        node, it = stack[-1]
+        s = next((t for t in it if t not in seen), None)
+        if s is None:
+            order.append(node)
+            stack.pop()
+        else:
+            seen.add(s)
+            stack.append((s, iter(c.succs[s])))
     return list(reversed(order))
 
 
@@ -141,7 +136,10 @@ class NaturalLoop:
 
 def natural_loops(fn: Function) -> list[NaturalLoop]:
     """One loop per back edge (latch -> dominating header), layout order."""
-    c = build_cfg(fn)
+    return _natural_loops(build_cfg(fn))
+
+
+def _natural_loops(c: Cfg) -> list[NaturalLoop]:
     dom = dominators(c)
     loops: list[NaturalLoop] = []
     rpo = dom.rpo
@@ -272,7 +270,7 @@ def find_loops(fn: Function) -> LoopScan:
     """
     scan = LoopScan()
     c = build_cfg(fn)
-    raw = natural_loops(fn)
+    raw = _natural_loops(c)
 
     def skip(header: str, why: str) -> None:
         scan.skipped.append(Diagnostic(why, function=fn.name, block=header))
@@ -358,23 +356,11 @@ def find_loops(fn: Function) -> LoopScan:
                 skip(header, "loop bound is not loop-invariant")
                 continue
         scan.loops.append(LoopInfo(
-            header=header,
-            latch=loop.latch,
-            preheader=preheader,
-            body=loop.body,
-            body_target=body_target,
-            exit_target=exit_target,
-            reg=phi.dst,
-            init=init,
-            step=step,
-            bound=bound,
-            cmp=cond.op,
-            cond_id=cond.id,
-            step_id=step_instr.id,
-        ))
-    pos = {label: k for k, label in enumerate(c.nodes)}
-    scan.loops.sort(key=lambda l: pos[l.header])
-    return scan
+            header=header, latch=loop.latch, preheader=preheader,
+            body=loop.body, body_target=body_target, exit_target=exit_target,
+            reg=phi.dst, init=init, step=step, bound=bound, cmp=cond.op,
+            cond_id=cond.id, step_id=step_instr.id))
+    return scan  # in header layout order, as _natural_loops sorts them
 
 
 def backward_slice(fn: Function, seeds: set[int]) -> set[int]:
@@ -513,34 +499,21 @@ def _lower_single_pred_phis(fn: Function, next_id: list[int]) -> bool:
         if not blk.phis or len(preds[blk.label]) != 1:
             continue
         pred = preds[blk.label][0]
-        pairs: list[tuple[str, Operand]] = []
-        ids: list[int] = []
-        ok = True
-        for phi in blk.phis:
-            inc = dict(phi.incoming)
-            if pred not in inc:
-                ok = False
-                break
-            pairs.append((phi.dst, inc[pred]))
-            ids.append(phi.id)
-        if not ok:
+        incs = [dict(phi.incoming) for phi in blk.phis]
+        if any(pred not in inc for inc in incs):
             continue
+        pairs = [(phi.dst, inc[pred]) for phi, inc in zip(blk.phis, incs)]
         dsts = {d for d, _ in pairs}
-        hazard = any(isinstance(v, str) and v in dsts for _, v in pairs)
         copies: list[BinOp] = []
-        if hazard:
+        if any(isinstance(v, str) and v in dsts for _, v in pairs):
             # Parallel-assignment semantics: stage through temporaries.
-            temps: list[tuple[str, Operand]] = []
             for k, (dst, v) in enumerate(pairs):
-                tmp = f"__phi_tmp{k}"
-                copies.append(BinOp(id=next_id[0], dst=tmp, op="add", a=v, b=0))
+                copies.append(BinOp(id=next_id[0], dst=f"__phi_tmp{k}",
+                                    op="add", a=v, b=0))
                 next_id[0] += 1
-                temps.append((dst, tmp))
-            for (dst, tmp), pid in zip(temps, ids):
-                copies.append(BinOp(id=pid, dst=dst, op="add", a=tmp, b=0))
-        else:
-            for (dst, v), pid in zip(pairs, ids):
-                copies.append(BinOp(id=pid, dst=dst, op="add", a=v, b=0))
+            pairs = [(dst, f"__phi_tmp{k}") for k, (dst, _) in enumerate(pairs)]
+        copies += [BinOp(id=phi.id, dst=dst, op="add", a=v, b=0)
+                   for (dst, v), phi in zip(pairs, blk.phis)]
         blk.phis = []
         blk.body = copies + blk.body
         changed = True

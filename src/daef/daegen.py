@@ -11,6 +11,10 @@ combined program:
   runtime does; make_phases builds that variant directly, and the tests
   check that the two agree.
 
+make_phases derives the facts the clones read off the original once,
+and both access builders end in one cleanup (_clean), which runs again
+whenever the simplifier folds a branch.
+
 Sliced clones share a calling convention.  Beyond the original
 parameters they take %__first (nonzero for the first slice, which runs
 the original prologue), %__lo and %__hi (the induction range of the
@@ -116,8 +120,7 @@ def choose_slice_size(machine, bytes_per_iter: float | None,
 
 def _fresh_node(n: Node, alloc: IdAlloc, id_map: dict[int, int]) -> Node:
     c = copy_node(n)
-    id_map[n.id] = alloc.take()
-    c.id = id_map[n.id]
+    c.id = id_map[n.id] = alloc.take()
     return c
 
 
@@ -166,26 +169,37 @@ def _simplify(g: Function, alloc: IdAlloc) -> Function:
     return g
 
 
-def _resume_closure(fn: Function, li: LoopInfo, needed_labels: set[str],
-                    carry_regs: list[str]) -> list[Node]:
-    """The pure prologue instructions a resumed slice must replay.
+# What the resume closures read off the original: each node's block, each
+# register's definitions, and the blocks past the loop's exit.
+_Facts = tuple[dict[int, str], dict[str, list[Node]], set[str]]
+
+
+def _facts(fn: Function, li: LoopInfo) -> _Facts:
+    return block_of(fn), defs_of(fn), fn.reachable(li.exit_target, li.body)
+
+
+def _resume_closure(fn: Function, li: LoopInfo, kind: str,
+                    facts: _Facts) -> list[Node]:
+    """The pure prologue instructions a resumed slice of this kind must
+    replay: whatever the loop reads from the prologue and, for execute
+    slices, whatever the slice exit check and the epilogue read.
 
     Returns them in dependency order: each after the instructions its
     operands need.  Layout order would not be safe, since block layout
     need not follow path order.  Raises when a needed value cannot be
     recomputed from constants alone.
     """
-    where = block_of(fn)
-    defs = defs_of(fn)
-    exit_side = fn.reachable(li.exit_target, li.body)
-    satisfied = set(fn.params) | {li.reg} | set(carry_regs)
+    where, defs, exit_side = facts
+    needed_labels = li.body if kind == "access" else li.body | exit_side
+    bm = fn.block_map()
+    # The header phis, the induction's among them, are the slice's params.
+    satisfied = set(fn.params) | {p.dst for p in bm[li.header].phis}
 
     def prologue_defs(reg: str) -> list[Node]:
         return [d for d in defs.get(reg, [])
                 if where[d.id] not in li.body and where[d.id] not in exit_side]
 
     roots: list[str] = []
-    bm = fn.block_map()
     for label in sorted(needed_labels):
         blk = bm[label]
         for phi in blk.phis:
@@ -241,8 +255,10 @@ def _resume_closure(fn: Function, li: LoopInfo, needed_labels: set[str],
 
 
 def _slice_clone(fn: Function, li: LoopInfo, name: str, kind: str,
-                 alloc: IdAlloc) -> tuple[Function, dict[int, int]]:
-    """Clone fn into a slice-callable phase function (see module doc).
+                 alloc: IdAlloc, resume_nodes: list[Node]
+                 ) -> tuple[Function, dict[int, int]]:
+    """Clone fn into a slice-callable phase function (see module doc)
+    whose resume block replays resume_nodes, _resume_closure's for kind.
 
     fn must have passed _check_names and _check_sliceable for li.
     """
@@ -252,20 +268,11 @@ def _slice_clone(fn: Function, li: LoopInfo, name: str, kind: str,
     entry_label = g.blocks[0].label
     carry_regs = [p.dst for p in header.phis if p.dst != li.reg]
 
-    # Resume path must replay whatever the loop (and, for execute slices,
-    # the slice exit check and epilogue) reads from the prologue.
-    needed = set(li.body)
-    if kind != "access":
-        needed |= fn.reachable(li.exit_target, li.body)
-    resume_nodes = _resume_closure(fn, li, needed, carry_regs)
-
     # Header edits: a resume edge into the phis, and the guard retargeted
     # to the slice bound.
     for phi in header.phis:
-        if phi.dst == li.reg:
-            phi.incoming.append(("__resume", "__lo"))
-        else:
-            phi.incoming.append(("__resume", f"__carry_{phi.dst}"))
+        phi.incoming.append(("__resume", "__lo" if phi.dst == li.reg
+                             else f"__carry_{phi.dst}"))
     cond_pos = next(k for k, n in enumerate(header.body)
                     if n.id == id_map[li.cond_id])
     old_cond = header.body[cond_pos]
@@ -275,14 +282,12 @@ def _slice_clone(fn: Function, li: LoopInfo, name: str, kind: str,
     header.term.if_false = "__sexit"
 
     # The loop's old exit edge now flows through __sexit.
-    exit_block = bm[li.exit_target]
-    for phi in exit_block.phis:
+    for phi in bm[li.exit_target].phis:
         phi.incoming = [("__sexit" if p == li.header else p, v)
                         for p, v in phi.incoming]
 
     if kind == "access":
-        sexit = Block(label="__sexit", term=Ret(id=alloc.take(), value=None))
-        tail = [sexit]
+        tail = [Block(label="__sexit", term=Ret(id=alloc.take(), value=None))]
     else:
         more = BinOp(id=alloc.take(), dst="__more", op=li.cmp,
                      a=li.reg, b=li.bound)
@@ -294,11 +299,7 @@ def _slice_clone(fn: Function, li: LoopInfo, name: str, kind: str,
                              op="add", a=r, b=0) for r in carry_regs]
         tail = [sexit, export]
 
-    resume_body = []
-    for n in resume_nodes:
-        c = copy_node(n)
-        c.id = alloc.take()
-        resume_body.append(c)
+    resume_body = [_fresh_node(n, alloc, {}) for n in resume_nodes]
     dispatch = Block(label="__dispatch",
                      term=BrCond(id=alloc.take(), cond="__first",
                                  if_true=entry_label, if_false="__resume"))
@@ -331,22 +332,39 @@ def make_access_phase(fn: Function, li: LoopInfo, targets: Iterable[int],
     fn and li must pass the input checks make_phases runs.
     """
     targets = set(targets)
-    body_loads = _loop_load_ids(fn, li)
-    stray = targets - body_loads
+    stray = targets - _loop_load_ids(fn, li)
     if stray:
         raise DaegenError(f"targets {sorted(stray)} are not loads in the loop body")
-    g, id_map = _slice_clone(fn, li, name, "access", alloc)
+    return _access_phase(fn, li, targets, name, alloc,
+                         _resume_closure(fn, li, "access", _facts(fn, li)))
+
+
+def _access_phase(fn: Function, li: LoopInfo, targets: set[int], name: str,
+                  alloc: IdAlloc, resume_nodes: list[Node]) -> Function:
+    g, id_map = _slice_clone(fn, li, name, "access", alloc, resume_nodes)
     for blk in g.blocks:
         if isinstance(blk.term, Ret):
             blk.term.value = None  # access results are never consumed
     g = _simplify(g, alloc)  # drops the now unreachable epilogue
-    cloned = {id_map[t]: t for t in targets}
-    g = dce(g, set(cloned))
-    _convert_unconsumed(g, cloned_targets=cloned)
-    return _simplify(g, alloc)
+    return _clean(g, {id_map[t]: t for t in targets}, alloc)
 
 
-def _convert_unconsumed(g: Function, cloned_targets: dict[int, int]) -> None:
+def _clean(g: Function, targets: dict[int, int], alloc: IdAlloc) -> Function:
+    """Eliminate from the targets (ids of target loads, or of the
+    prefetches they became, to their origins), convert, and simplify;
+    again while the simplifier folds a branch.  A fold drops reads, the
+    branch condition's and the cut-off blocks', which may leave a load
+    unread; merging or forwarding blocks drops none."""
+    while True:
+        g = dce(g, {n.id for n in g.nodes() if n.id in targets})
+        _convert_unconsumed(g, targets)
+        branches = sum(isinstance(b.term, BrCond) for b in g.blocks)
+        g = _simplify(g, alloc)
+        if branches == sum(isinstance(b.term, BrCond) for b in g.blocks):
+            return g
+
+
+def _convert_unconsumed(g: Function, targets: dict[int, int]) -> None:
     """Tag target loads; turn the ones no node of g reads into prefetches
     in place.
 
@@ -356,8 +374,8 @@ def _convert_unconsumed(g: Function, cloned_targets: dict[int, int]) -> None:
     used = {reg for n in g.nodes() for reg in node_uses(n)}
     for blk in g.blocks:
         for k, n in enumerate(blk.body):
-            if n.id in cloned_targets and isinstance(n, Load):
-                origin = cloned_targets[n.id]
+            if n.id in targets and isinstance(n, Load):
+                origin = targets[n.id]
                 if n.dst in used:
                     n.origin = origin
                 else:
@@ -369,12 +387,13 @@ def specialize_access(base: Function, critical: Iterable[int], name: str,
                       alloc: IdAlloc) -> Function:
     """Narrow a base access phase down to a critical load set.
 
-    Drops prefetches for non-critical origins, then runs dead-code
-    elimination from the remaining prefetches and critical loads, and
-    load-to-prefetch conversion once: a critical load whose consumers
-    all disappeared becomes a prefetch.  A prefetch reads the base its
-    load read, so a second elimination would keep the same nodes.
-    Surviving non-critical loads (address dependencies) lose their tags.
+    Drops prefetches for non-critical origins and the tags of
+    non-critical loads, which stay only as address dependencies.  Then
+    cleans up as make_access_phase does: dead-code elimination from the
+    remaining prefetches and critical loads, and load-to-prefetch
+    conversion, so a critical load whose consumers all disappeared
+    becomes a prefetch; the two run again after the simplifier folds a
+    branch.
     """
     critical = set(critical)
     g = base.copy()
@@ -382,16 +401,12 @@ def specialize_access(base: Function, critical: Iterable[int], name: str,
     for blk in g.blocks:
         blk.body = [n for n in blk.body
                     if not (isinstance(n, Prefetch) and n.origin not in critical)]
-    cloned = {n.id: n.origin for n in g.nodes()
-              if isinstance(n, Load) and n.origin in critical}
-    g = dce(g, set(cloned) | {n.id for n in g.nodes() if isinstance(n, Prefetch)})
-    _convert_unconsumed(g, cloned_targets=cloned)
-    for blk in g.blocks:
         for n in blk.body:
-            if isinstance(n, Load) and n.origin is not None \
-                    and n.origin not in critical:
+            if isinstance(n, Load) and n.origin not in critical:
                 n.origin = None
-    return _simplify(g, alloc)
+    return _clean(g, {n.id: n.origin for n in g.nodes()
+                      if isinstance(n, (Load, Prefetch)) and n.origin in critical},
+                  alloc)
 
 
 def structural_text(fn: Function) -> str:
@@ -471,13 +486,16 @@ def make_phases(prog: Program, critical: Iterable[int],
 
     _check_names(fn)
     _check_sliceable(fn, li)
+    facts = _facts(fn, li)
     alloc = IdAlloc(prog.max_id() + 1)
-    execute, _ = _slice_clone(fn, li, f"{fn.name}__exec", "execute", alloc)
-    access = make_access_phase(fn, li, critical, f"{fn.name}__access", alloc)
-    base = make_access_phase(fn, li, loads, f"{fn.name}__base", alloc)
+    execute, _ = _slice_clone(fn, li, f"{fn.name}__exec", "execute", alloc,
+                              _resume_closure(fn, li, "execute", facts))
+    resume = _resume_closure(fn, li, "access", facts)
+    access = _access_phase(fn, li, critical, f"{fn.name}__access", alloc, resume)
+    base = _access_phase(fn, li, loads, f"{fn.name}__base", alloc, resume)
 
     combined = Program(
-        functions=[fn.copy(), execute, access, base],
+        functions=[fn, execute, access, base],
         data=[replace(s) for s in prog.data],
         entry=fn.name,
     )

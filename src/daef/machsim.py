@@ -103,9 +103,10 @@ class MachSimError(ValueError):
 class PhaseRun:
     """One schedule entry: a function activation or a bare charge.
 
-    charge is (kind, amount): for "jit" the amount is nanoseconds, for
-    "profiling" it is a fraction of this run's own wall time, added as
-    overhead right after the run.  Frequency switches are not scheduled
+    charge is (kind, amount): a bare entry (function None) charges "jit"
+    with the amount in nanoseconds, and a run charges "profiling" with
+    the amount a fraction of its own wall time, added as overhead right
+    after the run.  Frequency switches are not scheduled
     explicitly; the simulator charges dvfs_switch_ns whenever the
     frequency differs from the previous run's.
     """
@@ -396,6 +397,9 @@ def simulate(
             raise MachSimError(f"unknown category {r.category!r}")
         if r.charge is not None and r.charge[1] < 0:
             raise MachSimError(f"negative charge {r.charge!r}")
+        if r.charge is not None and r.charge[0] != (
+                "jit" if r.function is None else "profiling"):
+            raise MachSimError(f"charge {r.charge!r} does not fit its entry")
     # The schedule's few frequency objects and f_max, each checked and
     # looked up once, by identity; equal frequencies share one _Rates.
     rates_of = {id(r.frequency): r.frequency for r in sched}
@@ -440,7 +444,7 @@ def simulate(
             cur = rt
         if r.function is None:
             if r.charge is not None:
-                charge(r.charge[0], r.charge[1], r.frequency)
+                charge("jit", r.charge[1], r.frequency)
             continue
         cf = compiled.get(r.function)
         if cf is None:
@@ -468,7 +472,7 @@ def simulate(
             wall_ns=wall_ns, instr_count=instr_count, energy=energy,
             output=tuple(output), block_counts=MappingProxyType(counts))
         records.append(rec)
-        if r.charge is not None and r.charge[0] == "profiling":
+        if r.charge is not None:
             charge("profiling", r.charge[1] * rec.wall_ns, r.frequency)
 
     if joined is None:

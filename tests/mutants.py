@@ -73,6 +73,25 @@ MUTANTS = [
            "if not isinstance(n, Prefetch) or n.origin is None]",
            "the access phase prefetches only the critical loads",
            ("test_daegen.py::test_two_load_subsets_specialize_cleanly",)),
+    Mutant("access_cleanup_once", "daegen.py",
+           "if branches == sum(", "if True or branches == sum(",
+           "a folded branch can leave a load unread; elimination and"
+           " conversion must run again to prefetch it",
+           ("test_daegen.py::test_folded_branch_frees_its_load_for_a_prefetch",
+            "test_daegen.py::test_static_dae_beats_the_baseline_across_a_data"
+            "_dependent_branch")),
+    Mutant("cleanup_roots_not_in_phase", "daegen.py",
+           "g = dce(g, {n.id for n in g.nodes() if n.id in targets})",
+           "g = dce(g, set(targets))",
+           "a target load in an arm the simplifier folded away is gone,"
+           " not a root",
+           ("test_daegen.py::test_target_load_in_an_arm_that_folds_away",)),
+    Mutant("charge_kind_unchecked", "machsim.py",
+           "if r.charge is not None and r.charge[0] != (",
+           "if False and r.charge[0] != (",
+           "a charge that does not fit its entry would be dropped or"
+           " charged as the wrong thing",
+           ("test_machsim.py::test_simulate_rejects_bad_inputs",)),
     Mutant("plan_code_not_shared", "harness.py",
            "machine, fuel=fuel, compiled=prep.compiled)",
            "machine, fuel=fuel)",

@@ -37,6 +37,7 @@ from daef.daegen import (
 )
 from daef.harness import prepare, run_kernel_all_modes
 from daef.ir import (
+    Function,
     Load,
     Out,
     Prefetch,
@@ -44,6 +45,7 @@ from daef.ir import (
     Store,
     interpret,
     node_def,
+    node_uses,
     parse_program,
     print_program,
 )
@@ -313,7 +315,10 @@ def test_phase_equivalence_random_chain_kernels():
 
 def test_access_phase_invariants_random_kernels():
     """Purity and tagging: no stores or outs, every prefetch tagged, and
-    the tagged origins are exactly the critical set."""
+    the tagged origins are exactly the critical set.  Cleanliness: every
+    node survives elimination from the prefetches and tagged loads, the
+    simplifier finds nothing left to do, and a tagged load stays a load
+    only because a kept node reads it."""
     rng = random.Random(90125)
     for _ in range(25):
         prog = random_loop_kernel(rng)
@@ -331,6 +336,14 @@ def test_access_phase_invariants_random_kernels():
                 origins.append(n.origin)
         assert sorted(origins) == sorted(plan.critical)
         assert plan.critical == frozenset(critical)
+        tagged = [n for n in ac.nodes()
+                  if isinstance(n, Load) and n.origin is not None]
+        roots = {n.id for n in ac.nodes() if isinstance(n, Prefetch)}
+        kept = cfg.dce(ac, roots | {n.id for n in tagged})
+        assert [n.id for n in kept.nodes()] == [n.id for n in ac.nodes()]
+        assert structural_text(cfg.simplify_cfg(ac)) == structural_text(ac)
+        used = {reg for n in ac.nodes() for reg in node_uses(n)}
+        assert all(n.dst in used for n in tagged)
 
 
 def test_nonzero_init_and_folded_bound():
@@ -449,15 +462,127 @@ def test_two_load_subsets_specialize_cleanly():
         assert plan.critical == frozenset(critical)
 
 
+# A 512-trip loop that adds up the loaded values below a threshold.  The
+# access phase keeps nothing of the sum, so the cleanup empties the `add`
+# arm and the simplifier folds the branch into it; only then is the
+# comparison dead, and the load it read free to become a prefetch.
+COND_SUM = """
+data @base=65536 prng(seed=7, len=4096)
+entry @main
+
+func @main() kind=original {
+entry:
+  %zero = const 0
+  %base = const 65536
+  %t = const 0
+  br loop
+loop:
+  %i = phi [entry: %zero], [join: %i2]
+  %acc = phi [entry: %zero], [join: %acc2]
+  %c = binop slt %i, 512
+  brcond %c, body, done
+body:
+  %off = binop shl %i, 3
+  %addr = binop add %base, %off
+  %v = load %addr, 0, w8
+  %big = binop slt %v, %t
+  brcond %big, add, join
+add:
+  %sum = binop add %acc, %v
+  br join
+join:
+  %acc2 = phi [body: %acc], [add: %sum]
+  %i2 = binop add %i, 1
+  br loop
+done:
+  out %acc
+  ret
+}
+"""
+
+
+def test_folded_branch_frees_its_load_for_a_prefetch():
+    """Once the branch on the loaded value folds, elimination runs again:
+    the comparison goes, and the load becomes a prefetch."""
+    prog = parse_program(COND_SUM)
+    (v_id,) = entry_loads(prog)
+    plan = make_phases(prog, {v_id}, override(64))
+    ac = plan.program.function(plan.access)
+    assert [n.origin for n in ac.nodes() if isinstance(n, Prefetch)] == [v_id]
+    assert not any(isinstance(n, Load) and n.origin is not None
+                   for n in ac.nodes())
+    assert "big" not in {node_def(n) for n in ac.nodes()}
+    ref = interpret(prog)
+    assert run_phased(plan) == (ref.output, ref.memory_digest)
+
+
+def test_static_dae_beats_the_baseline_across_a_data_dependent_branch():
+    """With the load prefetched at f_min rather than waited on, static
+    DAE takes less time than the baseline."""
+    kernel = BenchmarkKernel(name="cond_sum", text=COND_SUM,
+                             oracle=lambda seed: None)
+    rows = {r.mode: r for r in run_kernel_all_modes(kernel, MachineConfig())}
+    assert rows["static_dae"].norm_time < 1
+
+
+DEAD_ARM = """
+data @base=65536 prng(seed=7, len=4096)
+entry @main
+
+func @main() kind=original {
+entry:
+  %zero = const 0
+  %base = const 65536
+  br loop
+loop:
+  %i = phi [entry: %zero], [join: %i2]
+  %acc = phi [entry: %zero], [join: %acc2]
+  %c = binop slt %i, 64
+  brcond %c, body, done
+body:
+  %off = binop shl %i, 3
+  %addr = binop add %base, %off
+  %v = load %addr, 0, w8
+  %k = const 1
+  brcond %k, join, cold
+cold:
+  %w = load %addr, 8, w8
+  br join
+join:
+  %acc2 = binop add %acc, %v
+  %i2 = binop add %i, 1
+  br loop
+done:
+  out %acc
+  ret
+}
+"""
+
+
+def test_target_load_in_an_arm_that_folds_away():
+    """The access clones fold the constant branch, and a target load in
+    its dead arm goes with it instead of failing the plan."""
+    prog = parse_program(DEAD_ARM)
+    for critical in (entry_loads(prog), entry_loads(prog)[1:]):
+        plan = make_phases(prog, critical, override(8))
+        assert_specializes(plan)
+        ac = plan.program.function(plan.access)
+        assert not any(isinstance(n, Load) for n in ac.nodes())
+        ref = interpret(prog)
+        assert run_phased(plan) == (ref.output, ref.memory_digest)
+
+
 def test_access_phase_is_its_base_phase_specialized():
-    """The built-in kernels at their profiled critical sets (the plans
-    prepare builds), at all loads and at none, and the chain generators
-    at small sizes: each access phase equals its base phase specialized
-    to the plan's critical set.  The random kernels of the equivalence
-    tests above check the same.  32 of the 51 plans have a critical
-    load."""
+    """The built-in kernels and COND_SUM at their profiled critical sets
+    (the plans prepare builds), at all loads and at none, and the chain
+    generators at small sizes: each access phase equals its base phase
+    specialized to the plan's critical set.  The random kernels of the
+    equivalence tests above check the same.  34 of the 54 plans have a
+    critical load."""
     plans = []
-    for kernel in builtin_kernels():
+    kernels = [*builtin_kernels(), BenchmarkKernel(
+        name="cond_sum", text=COND_SUM, oracle=lambda seed: None)]
+    for kernel in kernels:
         plans.append(prepare(kernel, MachineConfig()).plan)
         prog = kernel.program()
         plans += [make_phases(prog, critical, override(64))
@@ -467,7 +592,7 @@ def test_access_phase_is_its_base_phase_specialized():
             prog = parse_program(gen(n))
             plans += [make_phases(prog, critical, override(8))
                       for critical in (entry_loads(prog), entry_loads(prog)[:1], ())]
-    assert sum(bool(plan.critical) for plan in plans) == 32
+    assert sum(bool(plan.critical) for plan in plans) == 34
     for plan in plans:
         assert_specializes(plan)
 
@@ -702,21 +827,26 @@ done:
 @pytest.mark.parametrize("gen", [load_blocks, empty_tail],
                          ids=lambda g: g.__name__)
 def test_make_phases_sweeps_instead_of_rebuilding_per_block(monkeypatch, gen):
-    """One make_phases call builds as many predecessor maps and def maps
-    for a 500-block loop body as for a 50-block one: the CFG cleanup
-    sweeps the blocks, it does not rebuild the CFG after every change,
-    and each slice, prune or conversion builds one def map, not one per
-    block or node."""
+    """One make_phases call builds as many predecessor maps, def maps,
+    CFGs, node placements and function copies for a 500-block loop body
+    as for a 50-block one: the CFG cleanup sweeps the blocks, it does not
+    rebuild the CFG after every change, and each slice, prune or
+    conversion builds one def map, not one per block or node.  The loop
+    scan builds one CFG, the three clones share one analysis of the
+    original, and the combined program holds the original uncopied."""
+    names = ("predecessors", "defs_of", "build_cfg", "block_of", "copy")
     calls = []
 
-    def count(mod, name):
-        real = getattr(mod, name)
-        monkeypatch.setattr(mod, name,
+    def count(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
                             lambda fn: calls.append(name) or real(fn))
 
-    count(cfg, "predecessors")
-    count(cfg, "defs_of")
+    for name in names[:4]:
+        count(cfg, name)
     count(daegen, "defs_of")
+    count(daegen, "block_of")
+    count(Function, "copy")
     counts = []
     for n in (50, 500):
         prog = parse_program(gen(n))
@@ -724,9 +854,8 @@ def test_make_phases_sweeps_instead_of_rebuilding_per_block(monkeypatch, gen):
                  if isinstance(x, Load)}
         calls.clear()
         make_phases(prog, loads, override(8))
-        counts.append((calls.count("predecessors"), calls.count("defs_of")))
-    assert counts[0] == counts[1]
-    assert counts[1][1] <= 15
+        counts.append(tuple(calls.count(name) for name in names))
+    assert counts[0] == counts[1] == (19, 11, 1, 2, 6)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from daef.kernels import builtin_kernels, kernel_by_name
 from daef.machine import L1Config, LruCache, MachineConfig, PowerConfig
 from daef.machsim import (
     CAT_EXECUTE,
+    CAT_OVERHEAD,
     MODES,
     MachSimError,
     PhaseRun,
@@ -548,6 +549,16 @@ def test_simulate_rejects_bad_inputs():
     with pytest.raises(MachSimError, match="mode"):
         plan = plan_for(sum_text(8), size=4)
         build_schedule("turbo", plan, m)
+    # A run takes only a profiling charge, and a bare entry only a jit
+    # charge; any other would be dropped or charged as the wrong thing.
+    for function, charge in (("main", ("jit", Fraction(1000))),
+                             (None, ("profiling", Fraction(1, 2))),
+                             (None, ("warmup", Fraction(5))),
+                             ("main", ("warmup", Fraction(5)))):
+        with pytest.raises(MachSimError, match="does not fit"):
+            simulate(prog, [PhaseRun(function=function, frequency=m.f_max_ghz,
+                                     category=CAT_OVERHEAD if function is None
+                                     else CAT_EXECUTE, charge=charge)], m)
 
 
 def test_zero_trip_loop_still_runs_epilogue():
