@@ -34,6 +34,7 @@ from .ir.types import (
     node_def,
     node_uses,
     predecessors,
+    retarget,
     successors,
 )
 
@@ -477,10 +478,14 @@ def _fold_brcond(fn: Function) -> bool:
             blk.term = Br(id=t.id, target=t.if_true)
             changed = True
             continue
-        ds = defs.get(t.cond, [])
-        if len(ds) != 1 or not isinstance(ds[0], Const):
+        # Every path defines the condition first (the validator checks
+        # it), so consts of one truth value fix the branch; a parameter
+        # is a definition too.
+        truths = {d.value != 0 if isinstance(d, Const) else None
+                  for d in defs.get(t.cond, [])}
+        if len(truths) != 1 or None in truths or t.cond in fn.params:
             continue
-        taken, dropped = (t.if_true, t.if_false) if ds[0].value != 0 \
+        taken, dropped = (t.if_true, t.if_false) if truths.pop() \
             else (t.if_false, t.if_true)
         blk.term = Br(id=t.id, target=taken)
         # The dropped edge disappears; fix the other side's phis now so a
@@ -544,14 +549,7 @@ def _remove_empty_blocks(fn: Function) -> bool:
             continue
         incoming = sorted(preds.pop(label), key=pos.__getitem__)
         for p in incoming:
-            pt = bm[p].term
-            if isinstance(pt, Br):
-                pt.target = target
-            elif isinstance(pt, BrCond):
-                if pt.if_true == label:
-                    pt.if_true = target
-                if pt.if_false == label:
-                    pt.if_false = target
+            retarget(bm[p].term, label, target)
         _retarget_phis(bm[target], label, incoming)
         preds[target].discard(label)
         preds[target].update(incoming)

@@ -15,22 +15,21 @@ from .types import (
     BINOP_OPS,
     FUNCTION_KINDS,
     LOAD_WIDTHS,
-    BinOp,
+    SYNTAX,
     Block,
     Br,
     BrCond,
-    Const,
     DataSegment,
     DirSyntaxError,
+    Form,
     Function,
     Load,
+    Node,
     Operand,
-    Out,
     Phi,
     Prefetch,
     Program,
     Ret,
-    Store,
 )
 
 _TOKEN_RE = re.compile(
@@ -42,6 +41,10 @@ _TOKEN_RE = re.compile(
 )
 
 _WIDTHS = {f"w{w}": w for w in LOAD_WIDTHS}
+
+# Each kind by whether it is written after "%reg =", and its keyword.
+_KINDS = {(any(f == Form.DEF for _, f in fields), keyword): kind
+          for kind, (keyword, fields) in SYNTAX.items()}
 
 _U64 = 1 << 64
 _I64_MIN = -(1 << 63)
@@ -140,12 +143,6 @@ class _Parser:
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.]*", t.text):
             raise DirSyntaxError(f"expected name, found {t.text!r}", t.line, t.col)
         return t.text
-
-    def operand(self) -> Operand:
-        t = self.peek()
-        if t is not None and t.startswith("%"):
-            return self.expect_reg()
-        return _to_signed(self.expect_int())
 
     # -- program structure -------------------------------------------------
 
@@ -262,111 +259,84 @@ class _Parser:
             head = self.peek()
             if head is None or head == "}" or self.peek(1) == ":":
                 raise self.fail(f"block {label!r} has no terminator")
-            if head in ("br", "brcond", "ret"):
-                blk.term = self.terminator()
-                return blk
-            node = self.instruction()
+            node = self.node()
             if isinstance(node, Phi):
                 if blk.body:
                     raise self.fail("phi after non-phi instruction")
                 blk.phis.append(node)
+            elif isinstance(node, (Br, BrCond, Ret)):
+                blk.term = node
+                return blk
             else:
                 blk.body.append(node)
 
-    # -- instructions ------------------------------------------------------
+    # -- nodes, as SYNTAX declares them ------------------------------------
 
-    def instruction(self) -> Phi | Const | BinOp | Load | Store | Prefetch | Out:
-        head = self.peek()
-        if head is not None and head.startswith("%"):
+    def node(self) -> Node:
+        dst = None
+        if self.peek().startswith("%"):
             dst = self.expect_reg()
             self.expect("=")
-            op_tok = self.next()
-            op = op_tok.text
-            if op == "const":
-                value = _to_signed(self.expect_int())
-                node = Const(id=-1, dst=dst, value=value)
-            elif op == "binop":
-                kind = self.expect_word()
-                if kind not in BINOP_OPS:
-                    raise self.fail(f"unknown binop {kind!r}")
-                a = self.operand()
-                self.skip_comma()
-                b = self.operand()
-                node = BinOp(id=-1, dst=dst, op=kind, a=a, b=b)
-            elif op == "load":
-                base = self.expect_reg()
-                self.skip_comma()
-                offset = _to_signed(self.expect_int())
-                self.skip_comma()
-                node = Load(id=-1, dst=dst, base=base, offset=offset, width=self.width())
-            elif op == "phi":
-                node = Phi(id=-1, dst=dst)
-                while self.peek() == "[":
-                    self.next()
-                    pred = self.expect_word()
-                    self.expect(":")
-                    value = self.operand()
-                    self.expect("]")
-                    node.incoming.append((pred, value))
-                    self.skip_comma()
-            else:
-                raise DirSyntaxError(
-                    f"unknown instruction {op!r}", op_tok.line, op_tok.col
-                )
-        elif head == "store":
-            self.next()
-            base = self.expect_reg()
-            self.skip_comma()
-            offset = _to_signed(self.expect_int())
-            self.skip_comma()
-            src = self.expect_reg()
-            self.skip_comma()
-            node = Store(id=-1, base=base, offset=offset, src=src, width=self.width())
-        elif head == "prefetch":
-            self.next()
-            base = self.expect_reg()
-            self.skip_comma()
-            offset = _to_signed(self.expect_int())
-            node = Prefetch(id=-1, base=base, offset=offset)
-        elif head == "out":
-            self.next()
-            node = Out(id=-1, src=self.expect_reg())
-        else:
-            raise self.fail(f"expected instruction, found {head!r}")
-        self.metadata(node)
-        return node
-
-    def width(self) -> int:
-        t = self.next()
-        if t.text not in _WIDTHS:
+        kw = self.next()
+        kind = _KINDS.get((dst is not None, kw.text))
+        if kind is None:
             raise DirSyntaxError(
-                f"expected width w1/w2/w4/w8, found {t.text!r}", t.line, t.col
-            )
-        return _WIDTHS[t.text]
-
-    def terminator(self) -> Br | BrCond | Ret:
-        head = self.next()
-        if head.text == "br":
-            node: Br | BrCond | Ret = Br(id=-1, target=self.expect_word())
-        elif head.text == "brcond":
-            cond = self.expect_reg()
-            self.skip_comma()
-            if_true = self.expect_word()
-            self.skip_comma()
-            if_false = self.expect_word()
-            node = BrCond(id=-1, cond=cond, if_true=if_true, if_false=if_false)
-        else:  # ret
-            value: Operand | None = None
-            nxt = self.peek()
-            # A register here is the return value unless it starts the next
-            # instruction (which would make the following token an '=').
-            if nxt is not None and nxt.startswith("%") and self.peek(1) != "=":
-                value = self.expect_reg()
-            elif nxt is not None and re.fullmatch(r"-?[0-9]+", nxt):
-                value = _to_signed(self.expect_int())
-            node = Ret(id=-1, value=value)
+                f"unknown instruction {kw.text!r}" if dst is not None
+                else f"expected instruction, found {kw.text!r}", kw.line, kw.col)
+        values = {}
+        operands = 0
+        for name, form in SYNTAX[kind][1]:
+            if form == Form.DEF:
+                values[name] = dst
+                continue
+            if form != Form.OP:
+                if operands:
+                    self.skip_comma()
+                operands += 1
+            values[name] = self.field(form)
+        node = kind(id=-1, **values)
         self.metadata(node)
         return node
+
+    def field(self, form: str):
+        """Read one field written in the given form."""
+        if form == Form.OPT_VALUE:
+            # A register here is the value unless it starts the next
+            # instruction (which would make the following token an '=').
+            nxt = self.peek() or ""
+            if not (nxt.startswith("%") and self.peek(1) != "="
+                    or re.fullmatch(r"-?[0-9]+", nxt)):
+                return None
+            form = Form.VALUE
+        if form == Form.REG or (form == Form.VALUE
+                                and (self.peek() or "").startswith("%")):
+            return self.expect_reg()
+        if form in (Form.INT, Form.VALUE):
+            return _to_signed(self.expect_int())
+        if form == Form.LABEL:
+            return self.expect_word()
+        if form == Form.OP:
+            op = self.expect_word()
+            if op not in BINOP_OPS:
+                raise self.fail(f"unknown binop {op!r}")
+            return op
+        if form == Form.WIDTH:
+            t = self.next()
+            if t.text not in _WIDTHS:
+                raise DirSyntaxError(
+                    f"expected width w1/w2/w4/w8, found {t.text!r}", t.line, t.col
+                )
+            return _WIDTHS[t.text]
+        incoming: list[tuple[str, Operand]] = []  # Form.INCOMING
+        while self.peek() == "[":
+            self.next()
+            pred = self.expect_word()
+            self.expect(":")
+            value = self.field(Form.VALUE)
+            self.expect("]")
+            incoming.append((pred, value))
+            self.skip_comma()
+        return incoming
 
     def metadata(self, node) -> None:
         while self.peek() == "!":

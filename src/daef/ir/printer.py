@@ -10,27 +10,23 @@ from __future__ import annotations
 import hashlib
 
 from .types import (
-    BinOp,
+    SYNTAX,
     Block,
-    Br,
-    BrCond,
-    Const,
     DataSegment,
+    Form,
     Function,
-    Load,
     Node,
     Operand,
-    Out,
-    Phi,
-    Prefetch,
     Program,
-    Ret,
-    Store,
 )
 
 
 def _operand(v: Operand) -> str:
     return f"%{v}" if isinstance(v, str) else str(v)
+
+
+_WRITE = {Form.REG: "%{}".format, Form.VALUE: _operand, Form.OPT_VALUE: _operand,
+          Form.INT: str, Form.LABEL: str, Form.WIDTH: "w{}".format}
 
 
 def _meta(n: Node, with_ids: bool) -> str:
@@ -44,29 +40,21 @@ def _meta(n: Node, with_ids: bool) -> str:
 
 
 def format_node(n: Node, with_ids: bool = True) -> str:
-    if isinstance(n, Const):
-        text = f"%{n.dst} = const {n.value}"
-    elif isinstance(n, BinOp):
-        text = f"%{n.dst} = binop {n.op} {_operand(n.a)}, {_operand(n.b)}"
-    elif isinstance(n, Load):
-        text = f"%{n.dst} = load %{n.base}, {n.offset}, w{n.width}"
-    elif isinstance(n, Store):
-        text = f"store %{n.base}, {n.offset}, %{n.src}, w{n.width}"
-    elif isinstance(n, Prefetch):
-        text = f"prefetch %{n.base}, {n.offset}"
-    elif isinstance(n, Out):
-        text = f"out %{n.src}"
-    elif isinstance(n, Phi):
-        inc = ", ".join(f"[{pred}: {_operand(v)}]" for pred, v in n.incoming)
-        text = f"%{n.dst} = phi {inc}" if inc else f"%{n.dst} = phi"
-    elif isinstance(n, Br):
-        text = f"br {n.target}"
-    elif isinstance(n, BrCond):
-        text = f"brcond %{n.cond}, {n.if_true}, {n.if_false}"
-    elif isinstance(n, Ret):
-        text = "ret" if n.value is None else f"ret {_operand(n.value)}"
-    else:
-        raise TypeError(f"unprintable node {n!r}")
+    keyword, fields = SYNTAX[type(n)]
+    head, operands = [keyword], []
+    for name, form in fields:
+        v = getattr(n, name)
+        if form == Form.DEF:
+            head.insert(0, f"%{v} =")
+        elif form == Form.OP:
+            head.append(v)
+        elif form == Form.INCOMING:
+            operands += [f"[{pred}: {_operand(x)}]" for pred, x in v]
+        elif v is not None:
+            operands.append(_WRITE[form](v))
+    text = " ".join(head)
+    if operands:
+        text += " " + ", ".join(operands)
     return text + _meta(n, with_ids)
 
 

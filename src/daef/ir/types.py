@@ -119,6 +119,52 @@ Terminator = Union[Br, BrCond, Ret]
 Node = Union[Phi, Instruction, Terminator]
 
 
+class Form:
+    """The forms of a node's fields in the text format.  A DEF field is
+    written "%reg =" before the node's keyword, so it comes first, and an
+    OP field right after the keyword.  The other forms are operands,
+    separated by commas."""
+    DEF = "def"  # the register the node defines
+    OP = "op"  # a name from BINOP_OPS
+    REG = "reg"  # a register the node reads
+    VALUE = "value"  # a register the node reads, or an integer
+    INT = "int"  # an integer
+    LABEL = "label"  # a block the terminator may jump to
+    WIDTH = "width"  # a width from LOAD_WIDTHS, written w1 to w8
+    INCOMING = "incoming"  # a phi's [label: value] entries; it reads the values
+    OPT_VALUE = "opt_value"  # an optional VALUE (ret's)
+
+
+# Each node kind's keyword and its fields in written order, with their
+# forms.  The parser, the printer, node_uses, node_def, successors and
+# retarget read this table and nothing else about a kind's syntax.
+SYNTAX: dict[type, tuple[str, tuple[tuple[str, str], ...]]] = {
+    Phi: ("phi", (("dst", Form.DEF), ("incoming", Form.INCOMING))),
+    Const: ("const", (("dst", Form.DEF), ("value", Form.INT))),
+    BinOp: ("binop", (("dst", Form.DEF), ("op", Form.OP), ("a", Form.VALUE),
+                      ("b", Form.VALUE))),
+    Load: ("load", (("dst", Form.DEF), ("base", Form.REG), ("offset", Form.INT),
+                    ("width", Form.WIDTH))),
+    Store: ("store", (("base", Form.REG), ("offset", Form.INT),
+                      ("src", Form.REG), ("width", Form.WIDTH))),
+    Prefetch: ("prefetch", (("base", Form.REG), ("offset", Form.INT))),
+    Out: ("out", (("src", Form.REG),)),
+    Br: ("br", (("target", Form.LABEL),)),
+    BrCond: ("brcond", (("cond", Form.REG), ("if_true", Form.LABEL),
+                        ("if_false", Form.LABEL))),
+    Ret: ("ret", (("value", Form.OPT_VALUE),)),
+}
+
+# The table's roles by kind, for the operand helpers below, which run
+# often: the fields a node reads (flagging a phi's entries) and its labels.
+_READS = {kind: tuple((name, form == Form.INCOMING) for name, form in fields
+                      if form in (Form.REG, Form.VALUE, Form.OPT_VALUE,
+                                  Form.INCOMING))
+          for kind, (_, fields) in SYNTAX.items()}
+_LABELS = {kind: tuple(name for name, form in fields if form == Form.LABEL)
+           for kind, (_, fields) in SYNTAX.items()}
+
+
 def copy_node(n: Node) -> Node:
     """A field-by-field copy; a phi gets its own incoming list."""
     c = type(n)(**vars(n))
@@ -269,38 +315,19 @@ class DirRuntimeError(DirError):
 def node_uses(n: Node) -> list[str]:
     """Register names read by a node.  Phi reads cover all incoming values."""
     regs: list[str] = []
-
-    def op(v: Operand | None) -> None:
-        if isinstance(v, str):
+    for name, incoming in _READS[type(n)]:
+        v = getattr(n, name)
+        if incoming:
+            regs += [x for _, x in v if isinstance(x, str)]
+        elif isinstance(v, str):
             regs.append(v)
-
-    if isinstance(n, BinOp):
-        op(n.a)
-        op(n.b)
-    elif isinstance(n, Load):
-        regs.append(n.base)
-    elif isinstance(n, Store):
-        regs.append(n.base)
-        regs.append(n.src)
-    elif isinstance(n, Prefetch):
-        regs.append(n.base)
-    elif isinstance(n, Out):
-        regs.append(n.src)
-    elif isinstance(n, Phi):
-        for _, v in n.incoming:
-            op(v)
-    elif isinstance(n, BrCond):
-        regs.append(n.cond)
-    elif isinstance(n, Ret):
-        op(n.value)
     return regs
 
 
 def node_def(n: Node) -> str | None:
     """Register defined by a node, if any."""
-    if isinstance(n, (Const, BinOp, Load, Phi)):
-        return n.dst
-    return None
+    name, form = SYNTAX[type(n)][1][0]
+    return getattr(n, name) if form == Form.DEF else None
 
 
 def successors(blk: Block) -> list[str]:
@@ -310,11 +337,14 @@ def successors(blk: Block) -> list[str]:
     gives an empty list.
     """
     t = blk.term
-    if isinstance(t, Br):
-        return [t.target]
-    if isinstance(t, BrCond):
-        return [t.if_true, t.if_false]
-    return []
+    return [] if t is None else [getattr(t, name) for name in _LABELS[type(t)]]
+
+
+def retarget(term: Terminator, old: str, new: str) -> None:
+    """Point each of the terminator's labels that names old at new."""
+    for name in _LABELS[type(term)]:
+        if getattr(term, name) == old:
+            setattr(term, name, new)
 
 
 def predecessors(fn: Function) -> dict[str, list[str]]:

@@ -395,6 +395,8 @@ def simulate(
             raise MachSimError(f"schedule references unknown function {r.function!r}")
         if r.category not in CATEGORIES:
             raise MachSimError(f"unknown category {r.category!r}")
+        if r.function is None and r.charge is None:
+            raise MachSimError("schedule entry has neither a function nor a charge")
         if r.charge is not None and r.charge[1] < 0:
             raise MachSimError(f"negative charge {r.charge!r}")
         if r.charge is not None and r.charge[0] != (

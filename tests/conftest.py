@@ -8,10 +8,11 @@ random body DAG: loads behind power-of-two masks, loop-carried
 accumulators, and optional stores.  random_chase_kernel builds a
 counted pointer chase whose access phase keeps loads of a node's line
 next to prefetches.  break_program damages either kind
-for the validator, and mutate_json a machine config or a stored profile
-for the JSON readers.  br_chain and brcond_tree write the source of long and
-deeply nested kernels for the code generator, and fan_in one whose last
-block has thousands of predecessors; bound_chain, base_chain,
+for the validator, mutate_dir kernel text for the parser, and
+mutate_json a machine config or a stored profile for the JSON readers.
+br_chain and brcond_tree write the source of long and deeply nested
+kernels for the code generator, and fan_in one whose last block has
+thousands of predecessors; bound_chain, base_chain,
 load_blocks and empty_tail write counted loops whose definition chains or
 bodies are n long, for the phase generator.  random_machine draws a
 valid machine, and counting_runs counts the runs the simulator
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import copy
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -358,6 +360,35 @@ def break_program(rng: random.Random, prog: Program, n_edits: int) -> None:
                 setattr(n, attr, rng.choice(regs))
         elif edit == 5:
             blk.label = rng.choice(fn.blocks).label
+
+
+# Tokens mutate_dir writes: every keyword of the text format, names,
+# registers, integers at and past the 64-bit range, and punctuation.
+DIR_TOKENS = ["phi", "const", "binop", "load", "store", "prefetch", "out",
+              "br", "brcond", "ret", "add", "slt", "shl", "mul", "w1", "w8",
+              "w3", "func", "data", "entry", "kind", "original", "access",
+              "id", "origin", "zero", "bytes", "prng", "seed", "len", "loop",
+              "body", "done", "@main", "@base", "%i", "%acc", "%n", "%x",
+              "0", "1", "-1", "8", "4096", "18446744073709551616", "{", "}",
+              "(", ")", "[", "]", ":", ",", "=", "!"]
+
+
+def mutate_dir(rng: random.Random, text: str, n_edits: int) -> str:
+    """DIR text with n_edits random token edits: replace, delete or insert
+    a token from DIR_TOKENS.  Lines stay lines; tokens are rejoined with
+    single spaces, which the text format reads as before."""
+    lines = [re.findall(r"[%@]?[\w.]+|-?\d+|[^\s\w]", line.split("#")[0])
+             for line in text.splitlines()]
+    for _ in range(n_edits):
+        line = rng.choice([ts for ts in lines if ts] or lines)
+        edit = rng.randrange(3)
+        if edit == 0 and line:
+            line[rng.randrange(len(line))] = rng.choice(DIR_TOKENS)
+        elif edit == 1 and line:
+            del line[rng.randrange(len(line))]
+        else:
+            line.insert(rng.randint(0, len(line)), rng.choice(DIR_TOKENS))
+    return "\n".join(" ".join(ts) for ts in lines) + "\n"
 
 
 # Values mutate_json writes: wrong types, booleans, null, containers, the

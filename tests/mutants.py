@@ -136,6 +136,53 @@ MUTANTS = [
            ("test_inputs.py::test_codec_refuses_numbers_that_do_not_fit_a_float",
             "test_inputs.py::test_cli_machine_fraction_past_the_float_range"
             "_is_exit_2")),
+    Mutant("store_offset_and_src_swapped", "ir/types.py",
+           '("offset", Form.INT),\n                      ("src", Form.REG),',
+           '("src", Form.REG),\n                      ("offset", Form.INT),',
+           "a store is written base, offset, source, width; the printer and"
+           " the parser read the order from one table, so a round trip"
+           " alone cannot see it",
+           ("test_ir.py::test_store_masks_to_width",)),
+    Mutant("ret_value_not_read", "ir/types.py",
+           "if form in (Form.REG, Form.VALUE, Form.OPT_VALUE,",
+           "if form in (Form.REG, Form.VALUE,",
+           "ret %r reads %r: the validator must see the read, and dead-code"
+           " elimination must keep its definition",
+           ("test_cfg.py::test_dce_drops_unrooted_effects_and_junk",
+            "test_ir.py::test_diagnostics_are_pinned")),
+    Mutant("brcond_false_label_dropped", "ir/types.py",
+           '("if_true", Form.LABEL),\n                        ("if_false", Form.LABEL))),',
+           '("if_true", Form.LABEL))),',
+           "a brcond has two successors, written and read in that order",
+           ("test_ir.py::test_round_trip_sum_kernel",)),
+    Mutant("comma_after_binop_name", "ir/parser.py",
+           "            if form != Form.OP:\n"
+           "                if operands:\n"
+           "                    self.skip_comma()\n"
+           "                operands += 1\n",
+           "            if operands:\n"
+           "                self.skip_comma()\n"
+           "            operands += 1\n",
+           "a comma separates operands only; `binop add, %a, %b` is refused",
+           ("test_ir.py::test_parse_errors",
+            "test_ir.py::test_parse_results_of_token_mutants_are_pinned")),
+    Mutant("bare_entry_without_charge", "machsim.py",
+           "if r.function is None and r.charge is None:", "if False:",
+           "an entry that neither runs nor charges would only switch the clock",
+           ("test_machsim.py::test_simulate_rejects_bad_inputs",)),
+    Mutant("fold_needs_one_definition", "cfg.py",
+           "if len(truths) != 1 or None in truths",
+           "if len(defs.get(t.cond, [])) != 1 or None in truths",
+           "each slice clone's __resume redefines the prologue constants, so"
+           " a branch on one folds only when all its definitions agree",
+           ("test_cfg.py::test_simplify_folds_a_branch_when_every_definition"
+            "_agrees",
+            "test_daegen.py::test_target_load_in_an_arm_that_folds_away")),
+    Mutant("fold_ignores_parameters", "cfg.py",
+           " or t.cond in fn.params:", ":",
+           "a parameter is defined on entry, so a const beside it fixes nothing",
+           ("test_cfg.py::test_simplify_keeps_a_branch_on_a_parameter_with_one"
+            "_const",)),
 ]
 
 

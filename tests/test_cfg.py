@@ -24,7 +24,7 @@ from daef.cfg import (
     resolve_constant,
     simplify_cfg,
 )
-from daef.ir import Out, Program, Store, interpret, parse_program, print_function, print_program, validate_program
+from daef.ir import BrCond, Out, Program, Store, interpret, parse_program, print_function, print_program, validate_program
 
 
 # -- oracles -----------------------------------------------------------------
@@ -514,6 +514,60 @@ join:
     assert simp.block_map()["join"].phis[0].incoming == [("entry", "b"),
                                                          ("other", "a")]
     assert interpret(simple).output == interpret(prog).output == [9, 5, 5]
+
+
+BRANCH_ON_K = """
+func @f(%p) kind=original {
+entry:
+  brcond %p, a, b
+a:
+  %k = const KA
+  br join
+b:
+  %k = const KB
+  br join
+join:
+  brcond %k, yes, no
+yes:
+  %x = const 7
+  out %x
+  ret
+no:
+  ret
+}
+"""
+
+
+@pytest.mark.parametrize("ka, kb, folds", [("2", "1", True), ("2", "0", False),
+                                           ("0", "0", True)])
+def test_simplify_folds_a_branch_when_every_definition_agrees(ka, kb, folds):
+    """A brcond folds when every definition of its condition is a const,
+    all of one truth value, since each path defines it first."""
+    prog = parse_program(BRANCH_ON_K.replace("KA", ka).replace("KB", kb))
+    simp = simplify_cfg(prog.functions[0])
+    assert folds != any(isinstance(n, BrCond) and n.cond == "k"
+                        for n in simp.nodes())
+    assert interpret(_with_fn(prog, simp)).output == interpret(prog).output
+
+
+def test_simplify_keeps_a_branch_on_a_parameter_with_one_const():
+    """A parameter is defined on entry, so one const beside it fixes
+    nothing: %p is 0 here when entry branches on it."""
+    prog = parse_program("""
+func @f(%p) kind=original {
+entry:
+  %one = const 1
+  brcond %p, yes, no
+yes:
+  out %one
+  ret
+no:
+  %p = const 1
+  ret
+}
+""")
+    simp = simplify_cfg(prog.functions[0])
+    assert interpret(_with_fn(prog, simp)).output == interpret(prog).output == []
 
 
 def test_simplify_rethreads_a_brcond_true_edge_past_an_empty_block():

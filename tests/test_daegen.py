@@ -37,6 +37,7 @@ from daef.daegen import (
 )
 from daef.harness import prepare, run_kernel_all_modes
 from daef.ir import (
+    BrCond,
     Function,
     Load,
     Out,
@@ -559,17 +560,28 @@ done:
 """
 
 
+# DEAD_ARM with the branch's constant in the prologue, which each slice
+# clone's __resume block defines again.
+PROLOGUE_ARM = DEAD_ARM.replace("  %k = const 1\n", "").replace(
+    "  %base = const 65536\n", "  %base = const 65536\n  %k = const 1\n")
+
+
 def test_target_load_in_an_arm_that_folds_away():
-    """The access clones fold the constant branch, and a target load in
+    """The access clones fold the constant branch, also on a register
+    that every definition sets to the same constant, and a target load in
     its dead arm goes with it instead of failing the plan."""
-    prog = parse_program(DEAD_ARM)
-    for critical in (entry_loads(prog), entry_loads(prog)[1:]):
-        plan = make_phases(prog, critical, override(8))
-        assert_specializes(plan)
-        ac = plan.program.function(plan.access)
-        assert not any(isinstance(n, Load) for n in ac.nodes())
+    for text in (DEAD_ARM, PROLOGUE_ARM):
+        prog = parse_program(text)
         ref = interpret(prog)
-        assert run_phased(plan) == (ref.output, ref.memory_digest)
+        for critical in (entry_loads(prog), entry_loads(prog)[1:]):
+            plan = make_phases(prog, critical, override(8))
+            assert_specializes(plan)
+            ac = plan.program.function(plan.access)
+            assert not any(isinstance(n, Load) for n in ac.nodes())
+            for fn in (ac, plan.program.function(f"{plan.original}__base")):
+                assert not any(isinstance(n, BrCond) and n.cond == "k"
+                               for n in fn.nodes())
+            assert run_phased(plan) == (ref.output, ref.memory_digest)
 
 
 def test_access_phase_is_its_base_phase_specialized():

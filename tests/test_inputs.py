@@ -1,5 +1,5 @@
 """The JSON codec behind machine configs and stored profiles, and a seeded
-fuzz of both files through the command line."""
+fuzz of both files and of kernel text through the command line."""
 
 from __future__ import annotations
 
@@ -10,11 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SUM_KERNEL, mutate_json
+from conftest import SUM_KERNEL, mutate_dir, mutate_json
 from daef.cli import main
 from daef.inputs import from_json, to_json
-from daef.ir import parse_program
+from daef.ir import DirError, parse_program, validate_program
+from daef.kernels import builtin_kernels
 from daef.machine import MachineConfig
+from daef.machsim import MODES
 from daef.profiler import profiled_baseline, report_to_json
 
 
@@ -160,3 +162,28 @@ def test_fuzzed_machine_and_profile_files_exit_0_or_2(tmp_path, capsys):
              "--profile", str(path), "--allow-stale"], capsys))
     # Both outcomes occur for each file.
     assert {0, 2} <= set(codes[:n]) and {0, 2} <= set(codes[n:])
+
+
+def test_fuzzed_kernel_text_raises_only_dir_errors_and_exits_0_or_2(tmp_path,
+                                                                   capsys):
+    """Token mutants of the built-in kernels and of SUM_KERNEL: parsing and
+    validating raise nothing but DirError, and `daef run` in a random mode
+    and slice size either runs or exits 2 with one `daef:` line."""
+    texts = [k.text for k in builtin_kernels()] + [SUM_KERNEL]
+    path = tmp_path / "k.dir"
+    rng = random.Random(29)
+    codes = []
+    for i in range(2000):  # about 1 s to parse and validate
+        text = mutate_dir(rng, rng.choice(texts), rng.randint(1, 3))
+        try:
+            valid = not validate_program(parse_program(text))
+        except DirError:
+            valid = False
+        # The 1-2% of mutants that validate, and every 100th other one,
+        # also run through the command line: about 1 s more.
+        if valid or i % 100 == 0:
+            path.write_text(text)
+            codes.append(assert_exit_0_or_2(
+                ["run", "--kernel", str(path), "--mode", rng.choice(MODES),
+                 "--slice", str(rng.choice((4, 64, 1024)))], capsys))
+    assert {0, 2} <= set(codes)

@@ -19,6 +19,7 @@ from conftest import (
     break_program,
     fan_in,
     load_blocks,
+    mutate_dir,
     random_cfg_program,
     random_loop_kernel,
     sum_kernel,
@@ -172,6 +173,9 @@ entry:
     ("func @f() kind=original {\ne:\n  ret\ne:\n  ret\n}", "duplicate label"),
     ("func @f() kind=weird {\ne:\n  ret\n}", "unknown function kind"),
     ("func @f() kind=original {\ne:\n  %x = binop bogus 1, 2\n  ret\n}", "unknown binop"),
+    # A comma separates operands only, not a binop's name from them.
+    ("func @f() kind=original {\ne:\n  %x = binop add, 1, 2\n  ret\n}",
+     "line 3, col 17: expected integer, found ','"),
     ("func @f() kind=original {\ne:\n  %p = const 0\n  %x = load %p, 0, w3\n  ret\n}", "width"),
     ("func @f() kind=original {\ne:\n  %x = const 1\n  %y = phi [e: %x]\n  ret\n}", "phi after"),
     ("data @base=4096 bytes=[300]\nfunc @f() kind=original {\ne:\n  ret\n}", "byte value"),
@@ -183,6 +187,27 @@ def test_parse_errors(src, message):
     with pytest.raises(DirSyntaxError) as err:
         parse_program(src)
     assert message in str(err.value)
+
+
+def test_parse_results_of_token_mutants_are_pinned():
+    """The printed program, or the message with its line and column, for
+    1,000 seeded token mutants of the built-in kernels and SUM_KERNEL: the
+    parser accepts and rejects the same texts in the same words."""
+    texts = [k.text for k in builtin_kernels()] + [SUM_KERNEL]
+    rng = random.Random(2029)
+    h = hashlib.sha256()
+    accepted = 0
+    for _ in range(1000):
+        text = mutate_dir(rng, rng.choice(texts), rng.randint(1, 3))
+        try:
+            result = print_program(parse_program(text))
+            accepted += 1
+        except DirSyntaxError as e:
+            result = str(e)
+        h.update((result + "\n\n").encode())
+    assert accepted == 20
+    assert h.hexdigest() == \
+        "d459316b1aba9de2b608b4f7204f005f25db4c613ddf8aed96501639bf4b0a94"
 
 
 def test_parse_error_carries_position():

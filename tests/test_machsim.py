@@ -559,6 +559,12 @@ def test_simulate_rejects_bad_inputs():
             simulate(prog, [PhaseRun(function=function, frequency=m.f_max_ghz,
                                      category=CAT_OVERHEAD if function is None
                                      else CAT_EXECUTE, charge=charge)], m)
+    # A bare entry without a charge would only switch the clock.
+    with pytest.raises(MachSimError, match="neither a function nor a charge"):
+        simulate(prog, [PhaseRun(function=None, frequency=m.f_min_ghz,
+                                 category=CAT_OVERHEAD),
+                        PhaseRun(function="main", frequency=m.f_max_ghz,
+                                 category=CAT_EXECUTE)], m)
 
 
 def test_zero_trip_loop_still_runs_epilogue():
