@@ -7,29 +7,38 @@ seeds it, and its phase plan once, where make_phases builds it; the
 profiler and simulator take both as valid.  Each kernel's seeded original
 is interpreted once for its baseline, and that same run yields the
 profile, unless a stored profile was given.  Without a stored profile,
-prepare keeps a seeded program, its plan, one baseline and the plan's
-compiled functions in a small LRU memo and serves a later call with
-equal inputs from it: the seeded program's digest, theta, rho, the slice
-override and the machine, whose mshr_count is left out when the seeded
-program has no prefetch (its baseline never allocates a miss register,
-and the plan reads only the L1 capacity).  So a sweep over miss registers
+prepare keeps a seeded program, its plan, one baseline, the plan's
+compiled functions and the decoupled reports simulated from them in a
+small LRU memo, and serves a later call with equal inputs from it: the
+seeded program's digest, theta, rho, the slice override and the
+machine, whose mshr_count is left out when the seeded entry function
+has no prefetch (its baseline never allocates a miss register, and the
+plan reads only the L1 capacity).  So a sweep over miss registers
 profiles and plans each kernel once.  Reports are immutable, so a served
 value shares that baseline's records, stamped with the caller's machine
 digest, and equals what a fresh prepare returns; its rows carry the
 caller's kernel name.  It also shares the compiled functions, so each
 function of a plan is compiled once per plan, however many seeds or
-machines run it.  Both decoupled modes reuse that plan, and every
-simulated variant is checked for observable equivalence against the
-baseline before any number is reported.  The decoupled schedules of a
-kernel are simulated together by machsim.simulate_each: dynamic DAE runs
-slice 0 while profiling and then the same access/execute pairs as static
-DAE, so where the two reach equal machine states after slice 0 the
-shared slices are simulated once, and every report stays what a separate
-simulation of its schedule gives.  A decoupled simulation runs on the
-fuel budget of dae_fuel, and a runtime fault in it, running past the
-budget included, counts as a divergence of the mode that faulted: the
-baseline ran clean.  The suite runs its kernels one after another, in
-list order.
+machines run it.  The seeded program's digest, taken once for the key,
+also goes into the profile and, when the seeded program is its entry
+function alone, into the baseline, whose digest every decoupled report
+of the kernel takes.  Both decoupled modes reuse that plan, and every simulated variant is
+checked for observable equivalence against the baseline before any
+number is reported.  The decoupled schedules of a kernel are simulated
+together by machsim.simulate_each: dynamic DAE runs slice 0 while
+profiling and then the same access/execute pairs as static DAE, so where
+the two reach equal machine states after slice 0 the shared slices are
+simulated once, and every report stays what a separate simulation of its
+schedule gives.  Each decoupled report is kept with its plan, keyed by
+the machine as the schedule's functions read it (mshr_count left out
+when none of them prefetches) and the profiling overhead, and served,
+stamped with the caller's machine digest, to a later equal call: so a
+sweep over miss registers simulates such a schedule once, and so do the
+seeds of a kernel without random data.  A decoupled simulation runs on
+the fuel budget of dae_fuel, and a runtime fault in it, running past the
+budget included, counts as a divergence of the mode that faulted (the
+baseline ran clean), and stores nothing.  The suite runs its kernels
+one after another, in list order.
 
 A row's share columns come from CATEGORIES: each category's wall time
 and energy as a share of the baseline's total, named <category>_time
@@ -42,6 +51,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import OrderedDict
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -53,7 +63,7 @@ from .daegen import (
     make_phases,
 )
 from .inputs import read_text
-from .ir import DirRuntimeError, Prefetch, Program, program_digest
+from .ir import DirRuntimeError, Function, Prefetch, Program, program_digest
 from .ir.interp import CompiledFunction
 from .kernels import BenchmarkKernel, builtin_kernels, kernel_by_name
 from .machine import MachineConfig
@@ -106,11 +116,17 @@ class Row:
 class Prepared:
     """Everything derived once per kernel and shared by both DAE modes.
     compiled maps the plan's function names to the code simulate_each
-    built for them; a value the memo serves shares it."""
+    built for them.  reports holds the decoupled reports _run_modes
+    simulated, for one key at a time: (the machine as the schedules'
+    functions read it, the profiling overhead) -> mode -> report, each
+    as simulated, so stamped with its own machine's digest.  A value
+    the memo serves shares both."""
     seeded: Program
     plan: PhasePlan
     baseline: SimReport
     compiled: dict[str, CompiledFunction] = field(
+        default_factory=dict, compare=False, repr=False)
+    reports: dict[tuple, dict[str, SimReport]] = field(
         default_factory=dict, compare=False, repr=False)
 
 
@@ -154,12 +170,12 @@ _PREPARED_MAX = 16
 _prepared: OrderedDict[tuple, Prepared] = OrderedDict()
 
 
-def _machine_key(seeded: Program, machine: MachineConfig) -> MachineConfig:
-    """The machine as the baseline and the plan read it.  Without a
-    prefetch the baseline never allocates a miss register, so
-    mshr_count does not matter; the plan reads only the L1 capacity."""
-    if any(isinstance(n, Prefetch) for fn in seeded.functions
-           for n in fn.nodes()):
+def _machine_key(functions: Iterable[Function],
+                 machine: MachineConfig) -> MachineConfig:
+    """The machine as runs of functions read it.  Only a prefetch
+    allocates a miss register, so without one mshr_count does not
+    matter."""
+    if any(isinstance(n, Prefetch) for fn in functions for n in fn.nodes()):
         return machine
     return replace(machine, mshr_count=1)
 
@@ -192,11 +208,14 @@ def prepare(kernel: BenchmarkKernel, machine: MachineConfig, seed: int = 0,
     Without a stored profile, the result is reused from an earlier call
     whose inputs are equal: the seeded program's digest, theta, rho,
     slice_override and the machine, less its mshr_count when the seeded
-    program has no prefetch (see _machine_key).  The memo keeps what a
-    cold call returns.  A reused value carries this call's seeded program
-    and the memo's baseline stamped with this call's machine digest, so
-    it equals what a fresh prepare returns.  Reports are immutable and
-    shared: a served baseline's records are the stored ones.
+    entry function has no prefetch (see _machine_key).  The memo keeps
+    what a cold call returns.  A reused value carries this call's seeded
+    program and the memo's baseline stamped with this call's machine
+    digest, so it equals what a fresh prepare returns.  Reports are
+    immutable and shared: a served baseline's records are the stored
+    ones, and a served value shares the stored compiled functions and
+    decoupled reports (see _run_modes).  The key's digest is handed to
+    the profiler, so the seeded program is printed once.
     """
     seeded = kernel.program(seed)
     if profile is not None:
@@ -205,14 +224,15 @@ def prepare(kernel: BenchmarkKernel, machine: MachineConfig, seed: int = 0,
         baseline = simulate_baseline(seeded, machine)
         return Prepared(seeded, _plan(seeded, machine, profile, theta, rho,
                                       slice_override), baseline)
-    key = (program_digest(seeded), theta, rho, slice_override,
-           _machine_key(seeded, machine))
+    digest = program_digest(seeded)
+    key = (digest, theta, rho, slice_override,
+           _machine_key([seeded.entry_function()], machine))
     prep = _prepared.get(key)
     if prep is not None:
         _prepared.move_to_end(key)
         return replace(prep, seeded=seeded, baseline=replace(
             prep.baseline, machine_digest=machine.digest()))
-    baseline, profiled = profiled_baseline(seeded, machine)
+    baseline, profiled = profiled_baseline(seeded, machine, digest)
     prep = Prepared(seeded, _plan(seeded, machine, profiled, theta, rho,
                                   slice_override), baseline)
     _prepared[key] = prep
@@ -265,25 +285,45 @@ def _run_modes(name: str, prep: Prepared, modes: tuple[str, ...],
     A schedule equal to the baseline's (static_dae with nothing to
     prefetch) runs the same original function once at f_max on the same
     image, so it is not simulated again: its row reports prep.baseline,
-    with the plan's program as the program simulated.  The other
-    schedules go to one simulate_each call, which simulates the runs they
-    share once where their machine states meet (static and dynamic DAE
-    after slice 0).  Both rules look only at the schedules.
+    with the plan's program as the program simulated.  Another schedule
+    is served from prep.reports when an earlier call simulated it on the
+    machine as its functions read it (without mshr_count when none of
+    them prefetches) and with the same profiling overhead, which with
+    the plan and the mode fix the schedule; the served report is
+    stamped with this machine's digest.  The schedules left go to one
+    simulate_each call, which simulates the runs they share once where
+    their machine states meet (static and dynamic DAE after slice 0).
+    These rules look only at the schedules, so a row equals a fresh
+    simulation of its schedule.
     """
     plan, base = prep.plan, prep.baseline
     base_sched = baseline_schedule(plan.original, machine)
-    scheds = [build_schedule(mode, plan, machine,
-                             profiling_overhead=profiling_overhead)
-              for mode in modes]
-    fuel = dae_fuel(plan, base.total.instr_count)
-    reports = simulate_each(plan.program, [s for s in scheds if s != base_sched],
-                            machine, fuel=fuel, compiled=prep.compiled)
-    rows = []
-    for mode, sched in zip(modes, scheds):
-        rep = base
+    dae = {}
+    for mode in modes:
+        sched = build_schedule(mode, plan, machine,
+                               profiling_overhead=profiling_overhead)
         if sched != base_sched:
+            dae[mode] = sched
+    names = {r.function for sched in dae.values() for r in sched} - {None}
+    key = (_machine_key(map(plan.program.function, names), machine),
+           profiling_overhead)
+    stored = prep.reports.get(key)
+    if stored is None:  # a sweep visits each machine once: start over
+        prep.reports.clear()
+        stored = prep.reports[key] = {}
+    fuel = dae_fuel(plan, base.total.instr_count)
+    fresh = simulate_each(plan.program,
+                          [s for mode, s in dae.items() if mode not in stored],
+                          machine, fuel=fuel, compiled=prep.compiled,
+                          original_digest=base.program_digest)
+    rows = []
+    for mode in modes:
+        rep = base
+        if mode in stored:
+            rep = replace(stored[mode], machine_digest=machine.digest())
+        elif mode in dae:
             try:
-                rep = next(reports)
+                rep = stored[mode] = next(fresh)
             except DirRuntimeError as e:
                 # The baseline ran to completion, so this is a transformation bug.
                 raise EquivalenceError(f"{name} [{mode}] failed where"

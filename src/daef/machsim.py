@@ -356,6 +356,7 @@ def simulate(
     joins: dict[int, list[_Suffix]] | None = None,
     compiled: dict[str, CompiledFunction] | None = None,
     rates: dict[Fraction, _Rates] | None = None,
+    original_digest: str | None = None,
 ) -> SimReport:
     """Run a schedule to completion and account time and energy.
 
@@ -385,6 +386,11 @@ def simulate(
     CompiledFunction, and rates frequencies to the machine's _Rates;
     simulate adds each function it compiles and each table it computes,
     so the schedules of one simulate_each call compute each once.
+
+    The report's program_digest names prog's original: its entry
+    function alone, with prog's data.  original_digest, when given, is
+    that digest, which a caller that already has it hands down instead
+    of having the original printed again.
     """
     marks, joins = marks or {}, joins or {}
     compiled = {} if compiled is None else compiled
@@ -490,8 +496,9 @@ def simulate(
         s.records = records[s.first:]
         s.memory_digest = digest
 
-    original = Program(functions=[prog.entry_function()], data=prog.data,
-                       entry=prog.entry)
+    if original_digest is None:
+        original_digest = program_digest(Program(
+            functions=[prog.entry_function()], data=prog.data, entry=prog.entry))
     categories = {c: _sum([rec for rec in records if rec.category == c])
                   for c in CATEGORIES}
     return SimReport(
@@ -499,18 +506,20 @@ def simulate(
         total=sum(categories.values(), Stats()),
         runs=tuple(records),
         memory_digest=digest,
-        program_digest=program_digest(original),
+        program_digest=original_digest,
         machine_digest=machine.digest(),
     )
 
 
 def simulate_each(prog: Program, scheds: list[list[PhaseRun]],
                   machine: MachineConfig, fuel: int = DEFAULT_FUEL,
-                  compiled: dict[str, CompiledFunction] | None = None):
+                  compiled: dict[str, CompiledFunction] | None = None,
+                  original_digest: str | None = None):
     """Yield simulate(prog, sched, machine, fuel) for each schedule, in
     order, simulating the runs a later schedule shares with an earlier
     one once (see the module docstring), and compiling each function and
-    computing each frequency's rates once.  compiled, a map from prog's
+    computing each frequency's rates once.  original_digest is handed to
+    each simulation, as in simulate.  compiled, a map from prog's
     function names to their CompiledFunction, is read and filled when
     given (harness.Prepared keeps one per plan), and made fresh when
     not.  A program that stores gets a working copy of memory per
@@ -530,7 +539,8 @@ def simulate_each(prog: Program, scheds: list[list[PhaseRun]],
     rates: dict[Fraction, _Rates] = {}
     for sched, mine, theirs in zip(scheds, marks, joins):
         yield simulate(prog, sched, machine, fuel, marks=mine, joins=theirs,
-                       compiled=compiled, rates=rates)
+                       compiled=compiled, rates=rates,
+                       original_digest=original_digest)
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +552,12 @@ def baseline_schedule(function: str, machine: MachineConfig) -> list[PhaseRun]:
                      category=CAT_EXECUTE, slice_index=0, writeback=True)]
 
 
-def simulate_baseline(prog: Program, machine: MachineConfig,
-                      tally=None) -> SimReport:
-    """The entry function alone, once, at f_max; tally as in simulate."""
+def simulate_baseline(prog: Program, machine: MachineConfig, tally=None,
+                      original_digest: str | None = None) -> SimReport:
+    """The entry function alone, once, at f_max; tally and
+    original_digest as in simulate."""
     return simulate(prog, baseline_schedule(prog.entry, machine), machine,
-                    tally=tally)
+                    tally=tally, original_digest=original_digest)
 
 
 def build_schedule(

@@ -73,22 +73,30 @@ class ProfileReport:
         return None
 
 
-def profiled_baseline(seeded: Program,
-                      machine: MachineConfig) -> tuple[SimReport, ProfileReport]:
+def profiled_baseline(seeded: Program, machine: MachineConfig,
+                      digest: str | None = None
+                      ) -> tuple[SimReport, ProfileReport]:
     """Simulate the baseline schedule of a seeded program and profile it
     on the way.
 
     The digest stored in the profile identifies the seeded program, so a
-    profile can only be replayed against the same input instance.  The
+    profile can only be replayed against the same input instance.
+    digest, when given, is program_digest(seeded), which is then not
+    computed again; a seeded program that is its entry function alone is
+    its own original, so the baseline report carries it too.  The
     program must be valid, as BenchmarkKernel.program returns it.
     """
+    if digest is None:
+        digest = program_digest(seeded)
     fn = seeded.entry_function()
     line_bytes = machine.l1.line_bytes
     lines_of: dict[int, set[int]] = {
         instr.id: set() for blk in fn.blocks for instr in blk.body
         if isinstance(instr, Load)}
     miss_count = dict.fromkeys(lines_of, 0)
-    base = simulate_baseline(seeded, machine, tally=(lines_of, miss_count))
+    base = simulate_baseline(
+        seeded, machine, tally=(lines_of, miss_count),
+        original_digest=digest if len(seeded.functions) == 1 else None)
 
     # A load runs once each time its block is entered.
     counts = base.runs[0].block_counts
@@ -115,7 +123,7 @@ def profiled_baseline(seeded: Program,
 
     return base, ProfileReport(
         version=PROFILE_VERSION,
-        program_digest=program_digest(seeded),
+        program_digest=digest,
         machine_digest=machine.digest(),
         total_stall_cycles=sum(s.stall_cycles for s in loads),
         loads=loads,

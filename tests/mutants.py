@@ -93,8 +93,8 @@ MUTANTS = [
            " charged as the wrong thing",
            ("test_machsim.py::test_simulate_rejects_bad_inputs",)),
     Mutant("plan_code_not_shared", "harness.py",
-           "machine, fuel=fuel, compiled=prep.compiled)",
-           "machine, fuel=fuel)",
+           "machine, fuel=fuel, compiled=prep.compiled,",
+           "machine, fuel=fuel,",
            "the modes of one plan run the code the plan compiled once",
            ("test_harness.py::test_suite_compiles_each_distinct_function_once",)),
     Mutant("join_without_fuel", "machsim.py",
@@ -108,12 +108,41 @@ MUTANTS = [
            "two schedules' equal suffixes cost alike only from equal L1s",
            ("test_machsim.py::test_join_requires_equal_l1_contents",)),
     Mutant("memo_ignores_mshr_count", "harness.py",
-           "           for n in fn.nodes()):\n        return machine\n",
-           "           for n in fn.nodes()):\n"
-           "        return replace(machine, mshr_count=1)\n",
+           "for n in fn.nodes()):\n        return machine\n",
+           "for n in fn.nodes()):\n        return replace(machine, mshr_count=1)\n",
            "a kernel with prefetches is timed with the machine's miss registers",
            ("test_harness.py::test_memo_keeps_mshr_count_for_a_kernel_with"
             "_prefetches",)),
+    Mutant("report_key_drops_mshr_count", "harness.py",
+           "key = (_machine_key(map(plan.program.function, names), machine),",
+           "key = (replace(machine, mshr_count=1),",
+           "a decoupled report whose access phase prefetches is timed with"
+           " the machine's miss registers",
+           ("test_harness.py::test_prefetching_access_phase_is_simulated_per"
+            "_mshr_count",
+            "test_harness.py::test_served_reports_equal_fresh_ones")),
+    Mutant("report_key_reads_the_whole_plan", "harness.py",
+           "_machine_key(map(plan.program.function, names), machine)",
+           "_machine_key(plan.program.functions, machine)",
+           "a prefetch in a function no schedule runs allocates no miss"
+           " register",
+           ("test_harness.py::test_chase_sum_is_served_although_its_base"
+            "_phase_prefetches",
+            "test_harness.py::test_served_reports_equal_fresh_ones")),
+    Mutant("served_report_keeps_its_machine", "harness.py",
+           "rep = replace(stored[mode], machine_digest=machine.digest())",
+           "rep = stored[mode]",
+           "a served report describes the caller's machine",
+           ("test_harness.py::test_chase_sum_is_served_although_its_base"
+            "_phase_prefetches",
+            "test_harness.py::test_served_reports_equal_fresh_ones")),
+    Mutant("seeded_digest_names_every_original", "profiler.py",
+           "original_digest=digest if len(seeded.functions) == 1 else None)",
+           "original_digest=digest)",
+           "a report names the entry function alone; a seeded program with"
+           " more functions prints otherwise",
+           ("test_harness.py::test_reports_name_the_original_of_a_program"
+            "_with_more_functions",)),
     Mutant("codec_unknown_keys", "inputs.py",
            "unknown = data.keys() - spec.keys()", "unknown = set()",
            "a key no field declares is a typo, not a default",

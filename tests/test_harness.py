@@ -42,9 +42,12 @@ from daef.harness import (
     run_suite,
 )
 from daef.ir import (
+    Prefetch,
+    Program,
     interpret,
     parse_program,
     print_program,
+    program_digest,
     validate_program,
     with_seed,
 )
@@ -52,8 +55,13 @@ from daef.ir import interp
 from daef.ir.validate import MAX_DATA_END
 from daef.kernels import BenchmarkKernel, builtin_kernels, kernel_by_name
 from daef.machine import L1Config, MachineConfig
-from daef import harness, machsim
-from daef.machsim import baseline_schedule, build_schedule, simulate
+from daef import harness, machsim, profiler
+from daef.machsim import (
+    baseline_schedule,
+    build_schedule,
+    simulate,
+    simulate_baseline,
+)
 from daef.profiler import (
     profiled_baseline,
     read_profile,
@@ -170,9 +178,10 @@ def test_one_memory_image_per_simulation(monkeypatch):
     """The baseline doubles as the profiling run: one memory per
     simulation.  compute_poly has nothing to prefetch, so its static_dae
     schedule is the baseline's and reuses that run: 2 memories, not 3.  A
-    second call reuses the prepared baseline and saves its memory.  Every
-    simulation of a kernel reads the same input, whose image is built
-    once."""
+    second equal call is served the prepared baseline and the stored
+    decoupled reports, so it simulates nothing and makes no memory.
+    Every simulation of a kernel reads the same input, whose image is
+    built once."""
     calls, built = [], []
     memory, build = machsim._memory, interp._build_image
 
@@ -194,7 +203,7 @@ def test_one_memory_image_per_simulation(monkeypatch):
         assert len(calls) == images, name
         calls.clear()
         run_kernel_all_modes(kernel_by_name(name), machine())
-        assert len(calls) == images - 1, name
+        assert len(calls) == 0, name
         assert len(built) == 1, name
 
 
@@ -979,9 +988,9 @@ def test_memo_served_prepare_equals_a_cold_one(monkeypatch):
     value as a cold prepare builds it."""
     profiled = []
 
-    def counting(seeded, m):
+    def counting(seeded, m, *rest):
         profiled.append(m.mshr_count)
-        return profiled_baseline(seeded, m)
+        return profiled_baseline(seeded, m, *rest)
 
     monkeypatch.setattr(harness, "profiled_baseline", counting)
     rng = random.Random(17)
@@ -1043,9 +1052,9 @@ def test_memo_key_separates_every_input(monkeypatch):
     harness._prepared.clear()
     profiled = []
 
-    def counting(seeded, machine):
+    def counting(seeded, machine, *rest):
         profiled.append(1)
-        return profiled_baseline(seeded, machine)
+        return profiled_baseline(seeded, machine, *rest)
 
     monkeypatch.setattr(harness, "profiled_baseline", counting)
     for _ in range(2):
@@ -1060,9 +1069,9 @@ def test_memo_serves_a_twin_kernel_under_its_own_name(monkeypatch):
     baseline shares the stored one's records."""
     profiled = []
 
-    def counting_profile(seeded, m):
+    def counting_profile(seeded, m, *rest):
         profiled.append(1)
-        return profiled_baseline(seeded, m)
+        return profiled_baseline(seeded, m, *rest)
 
     monkeypatch.setattr(harness, "profiled_baseline", counting_profile)
     rows = {}
@@ -1088,9 +1097,9 @@ def test_memo_keeps_mshr_count_for_a_kernel_with_prefetches(monkeypatch):
                              oracle=lambda seed: None)
     profiled = []
 
-    def counting(seeded, m):
+    def counting(seeded, m, *rest):
         profiled.append(m.mshr_count)
-        return profiled_baseline(seeded, m)
+        return profiled_baseline(seeded, m, *rest)
 
     monkeypatch.setattr(harness, "profiled_baseline", counting)
     for n in (1, 4, 1, 4):
@@ -1105,11 +1114,15 @@ def test_run_clocks_per_pass_are_pinned(monkeypatch):
     suite simulates 97 runs (145 with each schedule simulated alone).
     gather_sum and chase_sum have no prefetch of their own, so the sweep
     over 1, 4 and 16 miss registers profiles each once and reuses that
-    baseline on 4 and 16: 122 runs (126 without the memo, 228 with
-    neither).  compute_poly has nothing to prefetch: its static schedule
-    is the baseline's, its dynamic one has nothing to join, and it has no
-    random data, so its 8 seeds give one seeded program and one baseline:
-    257 runs (264 without the memo)."""
+    baseline on 4 and 16.  chase_sum's access and execute functions have
+    no prefetch either (only main__base, which no schedule runs, has
+    one), so its decoupled reports from 1 miss register are served on 4
+    and 16, while gather_sum's access phase prefetches and is simulated
+    on each: 112 runs (122 without stored reports, 126 without the memo,
+    228 with neither).  compute_poly has nothing to prefetch: its static
+    schedule is the baseline's, and it has no random data, so its 8 seeds
+    give one seeded program, one baseline and one dynamic report: 33 runs
+    (257 without stored reports, 264 without the memo)."""
     made = counting_runs(monkeypatch)
     simulated = {}
     for name, run in workload_passes():
@@ -1117,7 +1130,162 @@ def test_run_clocks_per_pass_are_pinned(monkeypatch):
         made.clear()
         run()
         simulated[name] = len(made)
-    assert simulated == {"suite": 97, "mlp_sweep": 122, "compute_poly": 257}
+    assert simulated == {"suite": 97, "mlp_sweep": 112, "compute_poly": 33}
+
+
+def mshr_machine(n: int) -> MachineConfig:
+    return dataclasses.replace(machine(), mshr_count=n)
+
+
+def prefetches(prog: Program, name: str) -> bool:
+    return any(isinstance(n, Prefetch) for n in prog.function(name).nodes())
+
+
+def test_served_reports_equal_fresh_ones(monkeypatch):
+    """A sweep over 1, 4 and 16 miss registers serves the decoupled
+    reports of every kernel whose schedules run no prefetch.  For every
+    built-in kernel at seeds 0 and 7, each row of the sweep equals the
+    row a cold prepare and a fresh simulation give on that machine,
+    machine digest included, and the served kernels are exactly those
+    whose execute and access functions have no prefetch."""
+    made = counting_runs(monkeypatch)
+    served = set()
+    for kernel in builtin_kernels():
+        for seed in (0, 7):
+            harness._prepared.clear()
+            swept = {}
+            for n in (1, 4, 16):
+                made.clear()
+                swept[n] = run_kernel_all_modes(kernel, mshr_machine(n),
+                                                seed=seed)
+                if n > 1 and not made:
+                    served.add(kernel.name)
+            for n, rows in swept.items():
+                harness._prepared.clear()
+                fresh = run_kernel_all_modes(kernel, mshr_machine(n), seed=seed)
+                assert rows == fresh, (kernel.name, seed, n)
+                assert [harness.report_to_json(r) for r in rows] == \
+                    [harness.report_to_json(r) for r in fresh]
+                for row in rows:
+                    assert row.report.machine_digest == mshr_machine(n).digest()
+                    assert_immutable(row.report)
+    plans = {k.name: prepare(k, machine()).plan for k in builtin_kernels()}
+    assert served == {name for name, plan in plans.items()
+                      if not any(prefetches(plan.program, f)
+                                 for f in (plan.execute, plan.access))}
+    assert served >= {"compute_poly", "chase_sum"}
+    assert "gather_sum" not in served
+
+
+def test_prefetching_access_phase_is_simulated_per_mshr_count():
+    """gather_sum's access phase prefetches, so its static DAE report on
+    4 miss registers is simulated on them: it is faster than the
+    1-register one, and equals a fresh simulation of the schedule."""
+    kernel = kernel_by_name("gather_sum")
+    reports = {}
+    for n in (1, 4):
+        m = mshr_machine(n)
+        _, static, _ = run_kernel_all_modes(kernel, m)
+        reports[n] = static.report
+        prep = prepare(kernel, m)
+        assert prefetches(prep.plan.program, prep.plan.access)
+        fuel = harness.dae_fuel(prep.plan, prep.baseline.total.instr_count)
+        alone = simulate(prep.plan.program,
+                         build_schedule("static_dae", prep.plan, m), m, fuel=fuel)
+        assert static.report == alone, n
+    assert reports[4].total.wall_ns < reports[1].total.wall_ns
+
+
+def test_chase_sum_is_served_although_its_base_phase_prefetches(monkeypatch):
+    """chase_sum's plan prefetches only in main__base, which no schedule
+    runs, so after 1 miss register its 4- and 16-register cells simulate
+    nothing: the key reads the functions the schedules name, not the
+    whole plan program."""
+    kernel = kernel_by_name("chase_sum")
+    plan = prepare(kernel, machine()).plan
+    assert prefetches(plan.program, "main__base")
+    assert not prefetches(plan.program, plan.execute)
+    assert not prefetches(plan.program, plan.access)
+    made = counting_runs(monkeypatch)
+    for n in (1, 4, 16):
+        made.clear()
+        rows = run_kernel_all_modes(kernel, mshr_machine(n))
+        assert bool(made) == (n == 1), n
+        assert {r.report.machine_digest for r in rows} == \
+            {mshr_machine(n).digest()}
+
+
+def test_failing_schedule_stores_nothing(monkeypatch):
+    """A decoupled schedule that runs past its budget raises, is not
+    stored, and raises again on the next equal call; with its budget
+    back it is simulated and its row equals a cold one."""
+    kernel = kernel_by_name("gather_sum")
+    fuel = harness.dae_fuel
+    monkeypatch.setattr(harness, "dae_fuel", lambda plan, nodes: 1000)
+    for _ in range(2):
+        with pytest.raises(EquivalenceError, match=r"\[static_dae\] failed"):
+            run_kernel_all_modes(kernel, machine())
+        prep = prepare(kernel, machine())
+        assert [stored for stored in prep.reports.values() if stored] == []
+    monkeypatch.setattr(harness, "dae_fuel", fuel)
+    rows = run_kernel_all_modes(kernel, machine())
+    (stored,) = prep.reports.values()
+    assert sorted(stored) == ["dynamic_dae", "static_dae"]
+    harness._prepared.clear()
+    assert rows == run_kernel_all_modes(kernel, machine())
+
+
+def test_one_program_digest_per_prepared_kernel(monkeypatch):
+    """Each prepare prints its seeded program once, for the memo key, and
+    hands that digest down to the profile and every report, which name
+    the original inside the plan: its entry function alone, with the
+    plan's data.  A cold pass of each benchmark workload digests one
+    program per prepare call."""
+    for kernel in builtin_kernels():
+        prep = prepare(kernel, machine())
+        prog = prep.plan.program
+        original = Program(functions=[prog.entry_function()], data=prog.data,
+                           entry=prog.entry)
+        assert prep.baseline.program_digest == program_digest(original) == \
+            program_digest(prep.seeded), kernel.name
+    digests = []
+
+    def counting(prog):
+        digests.append(1)
+        return program_digest(prog)
+
+    for module in (harness, machsim, profiler):
+        monkeypatch.setattr(module, "program_digest", counting)
+    counted = {}
+    for name, run in workload_passes():
+        harness._prepared.clear()
+        digests.clear()
+        run()
+        counted[name] = len(digests)
+    assert counted == {"suite": 5, "mlp_sweep": 6, "compute_poly": 8}
+
+
+def test_reports_name_the_original_of_a_program_with_more_functions(tmp_path):
+    """A seeded program with a function besides its entry is not its own
+    original: its profile carries the whole program's digest, and every
+    report the entry function's alone, as a fresh simulation gives."""
+    text = SUM_KERNEL + "func @spare() kind=original {\nentry:\n  ret\n}\n"
+    path = tmp_path / "two.dir"
+    path.write_text(text)
+    kernel = load_kernel(str(path))
+    seeded = kernel.program(0)
+    m = machine()
+    rows = run_kernel_all_modes(kernel, m)
+    alone = simulate_baseline(seeded, m)
+    assert alone.program_digest != program_digest(seeded)
+    assert {r.report.program_digest for r in rows} == {alone.program_digest}
+    assert rows[0].report == alone
+    assert profiled_baseline(seeded, m)[1].program_digest == \
+        program_digest(seeded)
+    assert main(["profile", "--kernel", str(path), "--out",
+                 str(tmp_path / "p.json")]) == 0
+    assert read_profile(tmp_path / "p.json").program_digest == \
+        program_digest(seeded)
 
 
 def test_suite_past_its_budget_names_the_failing_mode(tmp_path, capsys,
