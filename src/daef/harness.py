@@ -2,8 +2,9 @@
 
 One entry point per experiment shape: transform a kernel, run one
 (kernel, mode) cell, or sweep the whole built-in suite.  A kernel's
-program is validated once, where BenchmarkKernel.program parses and
-seeds it, and its phase plan once, where make_phases builds it; the
+text is parsed and validated once per BenchmarkKernel, whose program
+calls each return a fresh seeded copy of it, and its phase plan once,
+where make_phases builds it; the
 profiler and simulator take both as valid.  Each kernel's seeded original
 is interpreted once for its baseline, and that same run yields the
 profile, unless a stored profile was given.  Without a stored profile,

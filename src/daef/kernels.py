@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .ir import (
@@ -49,16 +50,28 @@ class BenchmarkKernel:
     text: str
     oracle: Callable[[int], list[int]]
 
-    def program(self, seed: int = 0) -> Program:
-        """The kernel parsed, seeded and validated: the one check of a
-        program from outside, which the profiler, the phase generator
-        and the simulator take as a precondition."""
-        prog = with_seed(parse_program(self.text), seed)
+    @cached_property
+    def _checked(self) -> Program:
+        """The text parsed and validated, once per instance.  An invalid
+        text raises DirError and keeps nothing, so every call raises."""
+        prog = parse_program(self.text)
         diags = validate_program(prog)
         if diags:
             raise DirError("invalid program: "
                            + "; ".join(str(d) for d in diags[:3]))
         return prog
+
+    def program(self, seed: int = 0) -> Program:
+        """The kernel parsed, seeded and validated: the one check of a
+        program from outside, which the profiler, the phase generator
+        and the simulator take as a precondition.
+
+        The text is parsed and checked once per kernel; each call returns
+        a fresh copy of that program, so a caller may mutate it.  A seeded
+        copy is still valid: validate_program reads a segment's base,
+        length and overlaps, never its seed."""
+        checked = self._checked
+        return with_seed(checked, seed) if seed else checked.copy()
 
 
 def _words(seed: int, length: int) -> list[int]:

@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from . import inputs
@@ -144,9 +145,15 @@ class MachineConfig:
     def to_json(self) -> dict:
         return inputs.to_json(self)
 
-    def digest(self) -> str:
+    @cached_property
+    def _digest(self) -> str:
         canon = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
+
+    def digest(self) -> str:
+        """sha256 of the canonical JSON, computed once per instance: every
+        field is immutable, and dataclasses.replace makes a new one."""
+        return self._digest
 
 
 def load_machine(path: str | Path | None) -> MachineConfig:

@@ -143,6 +143,19 @@ MUTANTS = [
            " more functions prints otherwise",
            ("test_harness.py::test_reports_name_the_original_of_a_program"
             "_with_more_functions",)),
+    Mutant("kernel_program_not_copied", "kernels.py",
+           "return with_seed(checked, seed) if seed else checked.copy()",
+           "return with_seed(checked, seed) if seed else checked",
+           "a caller may mutate the program it gets; the kernel keeps its own",
+           ("test_kernels.py::test_program_is_a_fresh_copy_of_the_checked"
+            "_text",)),
+    Mutant("machine_digest_per_class", "machine.py",
+           "        return self._digest\n",
+           "        if not hasattr(MachineConfig, \"kept\"):\n"
+           "            MachineConfig.kept = self._digest\n"
+           "        return MachineConfig.kept\n",
+           "each machine has its own digest, kept with its own fields",
+           ("test_machine.py::test_digest_is_computed_per_instance",)),
     Mutant("codec_unknown_keys", "inputs.py",
            "unknown = data.keys() - spec.keys()", "unknown = set()",
            "a key no field declares is a typo, not a default",

@@ -840,39 +840,51 @@ def test_cli_invalid_kernel_is_exit_2(tmp_path, capsys, argv):
     assert "%ghost used before assignment" in err
 
 
-def test_each_program_is_validated_once(monkeypatch):
-    """A kernel is validated where BenchmarkKernel.program loads it and
-    its plan where make_phases builds it, and nowhere downstream: twice
-    per prepare, once per baseline-only run, ten times per suite pass.
-    A prepare served from the memo builds no plan: once per prepare, five
-    times per suite pass."""
-    real = validate_program
+def counting_calls(monkeypatch, real) -> list:
+    """Patch real wherever a daef module names it, so that each call
+    appends its first argument to the returned list."""
     calls = []
 
-    def counting(prog):
-        calls.append(len(prog.functions))
-        return real(prog)
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
 
     for mod in [m for n, m in sys.modules.items() if n.startswith("daef")]:
         for name, value in list(vars(mod).items()):
             if value is real:
                 monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_each_program_is_validated_once(monkeypatch):
+    """A kernel's text is validated once per BenchmarkKernel, where its
+    first program call parses it, and a plan where make_phases builds it,
+    and nowhere downstream.  A fresh kernel's first prepare validates its
+    text and its plan; a second prepare is served from the memo and a
+    baseline-only run copies the checked program, so neither validates
+    anything.  With the built-ins already loaded, a cold suite pass
+    validates only its five plans, and a served pass nothing."""
+    calls = counting_calls(monkeypatch, validate_program)
     m = machine()
     k = kernel_by_name("gather_sum")
+    k = BenchmarkKernel(k.name, k.text, k.oracle)
     prepare(k, m, seed=3)
-    assert calls == [1, 4]  # the seeded original, then the plan
+    # The kernel's text, then the plan.
+    assert [len(prog.functions) for prog in calls] == [1, 4]
     calls.clear()
     prepare(k, m, seed=3)
-    assert calls == [1]
-    calls.clear()
+    assert calls == []
     run_one(k, "baseline", m, seed=3)
-    assert calls == [1]
+    assert calls == []
+    run_suite(m)
+    harness._prepared.clear()
     calls.clear()
     run_suite(m)
-    assert calls == [1, 4] * len(builtin_kernels())
+    assert [len(prog.functions) for prog in calls] == \
+        [4] * len(builtin_kernels())
     calls.clear()
     run_suite(m)
-    assert calls == [1] * len(builtin_kernels())
+    assert calls == []
 
 
 def test_cli_equivalence_violation_is_exit_3(monkeypatch, capsys):
@@ -1131,6 +1143,28 @@ def test_run_clocks_per_pass_are_pinned(monkeypatch):
         run()
         simulated[name] = len(made)
     assert simulated == {"suite": 97, "mlp_sweep": 112, "compute_poly": 33}
+
+
+def test_warm_passes_parse_nothing(monkeypatch):
+    """Each kernel parses and checks its text once per BenchmarkKernel,
+    and the built-ins are loaded once per process.  So after one pass of
+    each benchmark workload, a second pass with prepare's memo empty
+    parses nothing and validates only the plans it builds: the suite's
+    5, one for each of gather_sum and chase_sum across the three
+    machines, and compute_poly's one for its 8 seeds."""
+    for _, run in workload_passes():
+        run()
+    parsed = counting_calls(monkeypatch, parse_program)
+    validated = counting_calls(monkeypatch, validate_program)
+    counted = {}
+    for name, run in workload_passes():
+        harness._prepared.clear()
+        parsed.clear()
+        validated.clear()
+        run()
+        counted[name] = (len(parsed), len(validated))
+    assert counted == {"suite": (0, 5), "mlp_sweep": (0, 2),
+                       "compute_poly": (0, 1)}
 
 
 def mshr_machine(n: int) -> MachineConfig:

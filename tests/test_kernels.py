@@ -5,9 +5,16 @@ from __future__ import annotations
 import pytest
 
 from daef.harness import prepare
-from daef.ir import interpret, parse_program
+from daef.ir import (
+    DirError,
+    interpret,
+    parse_program,
+    print_program,
+    validate_program,
+    with_seed,
+)
 from daef.ir.types import Load, Prefetch, Store
-from daef.kernels import builtin_kernels, kernel_by_name
+from daef.kernels import BenchmarkKernel, builtin_kernels, kernel_by_name
 from daef.machine import MachineConfig
 
 
@@ -33,6 +40,33 @@ def test_roster():
     assert len(set(names)) == 5
     with pytest.raises(KeyError, match="no built-in kernel"):
         kernel_by_name("linpack")
+
+
+@pytest.mark.parametrize("kernel", builtin_kernels(), ids=lambda k: k.name)
+def test_program_is_a_fresh_copy_of_the_checked_text(kernel):
+    """program(seed) prints as the text parsed afresh and seeded, and is
+    valid.  Each call returns its own program: emptying a block body or
+    reseeding a segment of one leaves the next call equal to a fresh
+    parse."""
+    for seed in (0, 3, 7):
+        fresh = print_program(with_seed(parse_program(kernel.text), seed))
+        prog = kernel.program(seed)
+        assert print_program(prog) == fresh
+        assert validate_program(prog) == []
+        prog.entry_function().blocks[0].body.clear()
+        for seg in prog.data:
+            seg.seed = 99
+        assert print_program(kernel.program(seed)) == fresh
+
+
+def test_invalid_kernel_raises_on_every_call():
+    kernel = BenchmarkKernel("bad", "entry @main\n\n"
+                             "func @main() kind=original {\n"
+                             "entry:\n  out %x\n  ret\n}\n",
+                             lambda seed: [])
+    for _ in range(2):
+        with pytest.raises(DirError, match="invalid program"):
+            kernel.program()
 
 
 def test_compute_poly_touches_no_memory():

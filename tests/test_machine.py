@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import random_machine
 from daef.machine import L1Config, LruCache, MachineConfig, MachineError, load_machine
 
 
@@ -71,6 +76,23 @@ def test_json_round_trip_and_digest_stability():
     assert again.digest() == m.digest()
     other = MachineConfig.from_json({**m.to_json(), "mshr_count": 1})
     assert other.digest() != m.digest()
+
+
+def canonical_digest(m: MachineConfig) -> str:
+    canon = json.dumps(m.to_json(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def test_digest_is_computed_per_instance():
+    """Each config's digest is the hash of its own canonical JSON, and a
+    replaced field gives a new instance with its own digest."""
+    rng = random.Random(31)
+    for _ in range(20):
+        m = random_machine(rng)
+        assert m.digest() == canonical_digest(m)
+        other = dataclasses.replace(m, mshr_count=m.mshr_count + 1)
+        assert other.digest() == canonical_digest(other) != m.digest()
+        assert m.digest() == canonical_digest(m)
 
 
 def test_default_digest_is_pinned():
