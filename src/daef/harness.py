@@ -20,12 +20,12 @@ value shares that baseline's records, stamped with the caller's machine
 digest, and equals what a fresh prepare returns; its rows carry the
 caller's kernel name.  It also shares the compiled functions, so each
 function of a plan is compiled once per plan, however many seeds or
-machines run it.  The seeded program's digest, taken once for the key,
-also goes into the profile and, when the seeded program is its entry
-function alone, into the baseline, whose digest every decoupled report
-of the kernel takes.  Both decoupled modes reuse that plan, and every simulated variant is
-checked for observable equivalence against the baseline before any
-number is reported.  The decoupled schedules of a kernel are simulated
+machines run it.  The seeded program's digest, taken once per prepare,
+names the memo key, the profile and the baseline, whose digest every
+decoupled report of the kernel takes.  Both decoupled modes reuse that
+plan, and every simulated variant is checked for observable equivalence
+against the baseline before any number is reported.  The decoupled
+schedules of a kernel are simulated
 together by machsim.simulate_each: dynamic DAE runs slice 0 while
 profiling and then the same access/execute pairs as static DAE, so where
 the two reach equal machine states after slice 0 the shared slices are
@@ -145,14 +145,14 @@ def load_kernel(name_or_path: str) -> BenchmarkKernel:
             oracle=lambda seed: None)
 
 
-def check_profile(profile: ProfileReport, seeded: Program,
+def check_profile(profile: ProfileReport, digest: str,
                   machine: MachineConfig, allow_stale: bool = False) -> list[str]:
     """Digest-match a stored profile against the inputs it will steer.
 
     Returns warning strings when allow_stale waived a mismatch.
     """
     problems = []
-    if profile.program_digest != program_digest(seeded):
+    if profile.program_digest != digest:
         problems.append("profile was taken from a different program or seed")
     if profile.machine_digest != machine.digest():
         problems.append("profile was taken on a different machine config")
@@ -199,12 +199,12 @@ def prepare(kernel: BenchmarkKernel, machine: MachineConfig, seed: int = 0,
     """Seeded program, phase plan and baseline of one seeded kernel.
 
     The baseline runs before the plan exists: it simulates the seeded
-    original alone, which reports the same program digest as the
-    original inside the combined plan program.  The profile (the stored
-    one, or the one the baseline run takes) steers the plan: its
-    critical loads and its slice size.  A stored profile must match the
-    seeded program and the machine (check_profile); each mismatch that
-    allow_stale waives is printed to stderr as a "daef: warning:" line.
+    program, whose digest the plan's program shares (program_digest).
+    The profile (the stored one, or the one the baseline run takes)
+    steers the plan: its critical loads and its slice size.  A stored
+    profile must match the seeded program and the machine
+    (check_profile); each mismatch that allow_stale waives is printed to
+    stderr as a "daef: warning:" line.
 
     Without a stored profile, the result is reused from an earlier call
     whose inputs are equal: the seeded program's digest, theta, rho,
@@ -215,17 +215,17 @@ def prepare(kernel: BenchmarkKernel, machine: MachineConfig, seed: int = 0,
     digest, so it equals what a fresh prepare returns.  Reports are
     immutable and shared: a served baseline's records are the stored
     ones, and a served value shares the stored compiled functions and
-    decoupled reports (see _run_modes).  The key's digest is handed to
-    the profiler, so the seeded program is printed once.
+    decoupled reports (see _run_modes).  On either path the seeded
+    program is printed once, for the digest every check and report reads.
     """
     seeded = kernel.program(seed)
+    digest = program_digest(seeded)
     if profile is not None:
-        for problem in check_profile(profile, seeded, machine, allow_stale):
+        for problem in check_profile(profile, digest, machine, allow_stale):
             print(f"daef: warning: {problem}", file=sys.stderr)
-        baseline = simulate_baseline(seeded, machine)
+        baseline = simulate_baseline(seeded, machine, digest=digest)
         return Prepared(seeded, _plan(seeded, machine, profile, theta, rho,
                                       slice_override), baseline)
-    digest = program_digest(seeded)
     key = (digest, theta, rho, slice_override,
            _machine_key([seeded.entry_function()], machine))
     prep = _prepared.get(key)
@@ -316,7 +316,7 @@ def _run_modes(name: str, prep: Prepared, modes: tuple[str, ...],
     fresh = simulate_each(plan.program,
                           [s for mode, s in dae.items() if mode not in stored],
                           machine, fuel=fuel, compiled=prep.compiled,
-                          original_digest=base.program_digest)
+                          digest=base.program_digest)
     rows = []
     for mode in modes:
         rep = base

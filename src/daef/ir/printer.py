@@ -87,17 +87,20 @@ def print_function(fn: Function, with_ids: bool = True) -> str:
 
 
 def print_program(prog: Program, with_ids: bool = True) -> str:
-    chunks: list[str] = []
-    for seg in prog.data:
-        chunks.append(_segment(seg))
-    if prog.entry:
-        chunks.append(f"entry @{prog.entry}")
-    for fn in prog.functions:
-        chunks.append(print_function(fn, with_ids))
-    return "\n".join(chunks) + "\n"
+    return _text(prog, prog.functions, with_ids)
 
 
 def program_digest(prog: Program) -> str:
-    """sha256 of the program's canonical text: the identity that profiles
-    and simulation reports carry."""
-    return hashlib.sha256(print_program(prog).encode()).hexdigest()
+    """sha256 of the canonical text of what the program can run: its data
+    and its entry function (DIR has no call), so a phase plan's program
+    names its input.  The identity that profiles and reports carry."""
+    text = _text(prog, [prog.entry_function()], True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _text(prog: Program, functions: list[Function], with_ids: bool) -> str:
+    chunks = [_segment(seg) for seg in prog.data]
+    if prog.entry:
+        chunks.append(f"entry @{prog.entry}")
+    chunks += (print_function(fn, with_ids) for fn in functions)
+    return "\n".join(chunks) + "\n"

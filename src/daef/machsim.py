@@ -356,7 +356,7 @@ def simulate(
     joins: dict[int, list[_Suffix]] | None = None,
     compiled: dict[str, CompiledFunction] | None = None,
     rates: dict[Fraction, _Rates] | None = None,
-    original_digest: str | None = None,
+    digest: str | None = None,
 ) -> SimReport:
     """Run a schedule to completion and account time and energy.
 
@@ -387,10 +387,9 @@ def simulate(
     simulate adds each function it compiles and each table it computes,
     so the schedules of one simulate_each call compute each once.
 
-    The report's program_digest names prog's original: its entry
-    function alone, with prog's data.  original_digest, when given, is
-    that digest, which a caller that already has it hands down instead
-    of having the original printed again.
+    The report's program_digest is program_digest(prog).  digest, when
+    given, is that value, which a caller that already has it hands down
+    instead of having prog printed again.
     """
     marks, joins = marks or {}, joins or {}
     compiled = {} if compiled is None else compiled
@@ -486,27 +485,26 @@ def simulate(
     if joined is None:
         if cur is not top:
             records.append(top.switch)
-        digest = mem_digest()
+        mem_final = mem_digest()
     else:
         records += joined.records
-        digest = joined.memory_digest
+        mem_final = joined.memory_digest
     for s in (s for group in marks.values() for s in group):
         if s.state is None:
             continue  # this schedule joined another before s began
         s.records = records[s.first:]
-        s.memory_digest = digest
+        s.memory_digest = mem_final
 
-    if original_digest is None:
-        original_digest = program_digest(Program(
-            functions=[prog.entry_function()], data=prog.data, entry=prog.entry))
+    if digest is None:
+        digest = program_digest(prog)
     categories = {c: _sum([rec for rec in records if rec.category == c])
                   for c in CATEGORIES}
     return SimReport(
         categories=MappingProxyType(categories),
         total=sum(categories.values(), Stats()),
         runs=tuple(records),
-        memory_digest=digest,
-        program_digest=original_digest,
+        memory_digest=mem_final,
+        program_digest=digest,
         machine_digest=machine.digest(),
     )
 
@@ -514,12 +512,12 @@ def simulate(
 def simulate_each(prog: Program, scheds: list[list[PhaseRun]],
                   machine: MachineConfig, fuel: int = DEFAULT_FUEL,
                   compiled: dict[str, CompiledFunction] | None = None,
-                  original_digest: str | None = None):
+                  digest: str | None = None):
     """Yield simulate(prog, sched, machine, fuel) for each schedule, in
     order, simulating the runs a later schedule shares with an earlier
     one once (see the module docstring), and compiling each function and
-    computing each frequency's rates once.  original_digest is handed to
-    each simulation, as in simulate.  compiled, a map from prog's
+    computing each frequency's rates once.  digest is handed to each
+    simulation, as in simulate.  compiled, a map from prog's
     function names to their CompiledFunction, is read and filled when
     given (harness.Prepared keeps one per plan), and made fresh when
     not.  A program that stores gets a working copy of memory per
@@ -540,7 +538,7 @@ def simulate_each(prog: Program, scheds: list[list[PhaseRun]],
     for sched, mine, theirs in zip(scheds, marks, joins):
         yield simulate(prog, sched, machine, fuel, marks=mine, joins=theirs,
                        compiled=compiled, rates=rates,
-                       original_digest=original_digest)
+                       digest=digest)
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +551,11 @@ def baseline_schedule(function: str, machine: MachineConfig) -> list[PhaseRun]:
 
 
 def simulate_baseline(prog: Program, machine: MachineConfig, tally=None,
-                      original_digest: str | None = None) -> SimReport:
-    """The entry function alone, once, at f_max; tally and
-    original_digest as in simulate."""
+                      digest: str | None = None) -> SimReport:
+    """The entry function, once, at f_max; tally and digest as in
+    simulate."""
     return simulate(prog, baseline_schedule(prog.entry, machine), machine,
-                    tally=tally, original_digest=original_digest)
+                    tally=tally, digest=digest)
 
 
 def build_schedule(

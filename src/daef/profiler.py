@@ -79,12 +79,11 @@ def profiled_baseline(seeded: Program, machine: MachineConfig,
     """Simulate the baseline schedule of a seeded program and profile it
     on the way.
 
-    The digest stored in the profile identifies the seeded program, so a
-    profile can only be replayed against the same input instance.
-    digest, when given, is program_digest(seeded), which is then not
-    computed again; a seeded program that is its entry function alone is
-    its own original, so the baseline report carries it too.  The
-    program must be valid, as BenchmarkKernel.program returns it.
+    The digest stored in the profile and the baseline identifies the
+    seeded program, so a profile can only be replayed against the same
+    input instance.  digest, when given, is program_digest(seeded), which
+    is then not computed again.  The program must be valid, as
+    BenchmarkKernel.program returns it.
     """
     if digest is None:
         digest = program_digest(seeded)
@@ -94,9 +93,8 @@ def profiled_baseline(seeded: Program, machine: MachineConfig,
         instr.id: set() for blk in fn.blocks for instr in blk.body
         if isinstance(instr, Load)}
     miss_count = dict.fromkeys(lines_of, 0)
-    base = simulate_baseline(
-        seeded, machine, tally=(lines_of, miss_count),
-        original_digest=digest if len(seeded.functions) == 1 else None)
+    base = simulate_baseline(seeded, machine, tally=(lines_of, miss_count),
+                             digest=digest)
 
     # A load runs once each time its block is entered.
     counts = base.runs[0].block_counts

@@ -136,13 +136,16 @@ MUTANTS = [
            ("test_harness.py::test_chase_sum_is_served_although_its_base"
             "_phase_prefetches",
             "test_harness.py::test_served_reports_equal_fresh_ones")),
-    Mutant("seeded_digest_names_every_original", "profiler.py",
-           "original_digest=digest if len(seeded.functions) == 1 else None)",
-           "original_digest=digest)",
-           "a report names the entry function alone; a seeded program with"
-           " more functions prints otherwise",
-           ("test_harness.py::test_reports_name_the_original_of_a_program"
-            "_with_more_functions",)),
+    Mutant("digest_prints_every_function", "ir/printer.py",
+           "text = _text(prog, [prog.entry_function()], True)",
+           "text = print_program(prog)",
+           "only the entry function runs, so a plan and a file's spare"
+           " functions are no part of the input's identity",
+           ("test_harness.py::test_one_program_digest_per_prepared_kernel",
+            "test_harness.py::test_one_digest_names_a_program_with_a_spare"
+            "_function",
+            "test_harness.py::test_cli_stored_profile_names_the_entry"
+            "_function_and_data")),
     Mutant("kernel_program_not_copied", "kernels.py",
            "return with_seed(checked, seed) if seed else checked.copy()",
            "return with_seed(checked, seed) if seed else checked",

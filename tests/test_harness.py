@@ -318,7 +318,7 @@ def test_profile_reuse_and_staleness():
     assert stale.plan.n_slices >= 1
     other = dataclasses.replace(m, mshr_count=2)
     with pytest.raises(HarnessError, match="different machine"):
-        check_profile(prof, with_seed(parse_program(k.text), 0), other)
+        check_profile(prof, program_digest(k.program()), other)
 
 
 def test_run_one_rejects_unknown_mode():
@@ -1270,18 +1270,19 @@ def test_failing_schedule_stores_nothing(monkeypatch):
 
 
 def test_one_program_digest_per_prepared_kernel(monkeypatch):
-    """Each prepare prints its seeded program once, for the memo key, and
-    hands that digest down to the profile and every report, which name
-    the original inside the plan: its entry function alone, with the
-    plan's data.  A cold pass of each benchmark workload digests one
-    program per prepare call."""
+    """Each prepare prints its seeded program once, on either path, and
+    hands that digest down to the profile and every report; the plan's
+    program, the same entry function and data with the phase functions
+    beside them, has the same digest.  A cold pass of each benchmark
+    workload digests one program per prepare call, and so does a
+    prepare with a stored profile."""
     for kernel in builtin_kernels():
         prep = prepare(kernel, machine())
-        prog = prep.plan.program
-        original = Program(functions=[prog.entry_function()], data=prog.data,
-                           entry=prog.entry)
-        assert prep.baseline.program_digest == program_digest(original) == \
+        assert prep.baseline.program_digest == \
+            program_digest(prep.plan.program) == \
             program_digest(prep.seeded), kernel.name
+    kernel = kernel_by_name("gather_sum")
+    stored = profiled_baseline(kernel.program(), machine())[1]
     digests = []
 
     def counting(prog):
@@ -1297,29 +1298,64 @@ def test_one_program_digest_per_prepared_kernel(monkeypatch):
         run()
         counted[name] = len(digests)
     assert counted == {"suite": 5, "mlp_sweep": 6, "compute_poly": 8}
+    digests.clear()
+    prepare(kernel, machine(), profile=stored)
+    assert len(digests) == 1
 
 
-def test_reports_name_the_original_of_a_program_with_more_functions(tmp_path):
-    """A seeded program with a function besides its entry is not its own
-    original: its profile carries the whole program's digest, and every
-    report the entry function's alone, as a fresh simulation gives."""
-    text = SUM_KERNEL + "func @spare() kind=original {\nentry:\n  ret\n}\n"
+SPARE = "func @spare() kind=original {\nentry:\n  ret\n}\n"
+
+
+def test_one_digest_names_a_program_with_a_spare_function(tmp_path):
+    """A function besides the entry never runs, so it is no part of the
+    program's identity: the memo key, the profile, the baseline and
+    every row's report carry the seeded program's digest, which is its
+    plan's and the digest of the file without the spare function."""
     path = tmp_path / "two.dir"
-    path.write_text(text)
+    path.write_text(SUM_KERNEL + SPARE)
     kernel = load_kernel(str(path))
     seeded = kernel.program(0)
+    digest = program_digest(seeded)
+    assert digest == program_digest(parse_program(SUM_KERNEL))
     m = machine()
     rows = run_kernel_all_modes(kernel, m)
-    alone = simulate_baseline(seeded, m)
-    assert alone.program_digest != program_digest(seeded)
-    assert {r.report.program_digest for r in rows} == {alone.program_digest}
-    assert rows[0].report == alone
-    assert profiled_baseline(seeded, m)[1].program_digest == \
-        program_digest(seeded)
+    assert [key[0] for key in harness._prepared] == [digest]
+    assert {r.report.program_digest for r in rows} == {digest}
+    assert rows[0].report == simulate_baseline(seeded, m)
+    assert program_digest(prepare(kernel, m).plan.program) == digest
+    assert profiled_baseline(seeded, m)[1].program_digest == digest
     assert main(["profile", "--kernel", str(path), "--out",
                  str(tmp_path / "p.json")]) == 0
-    assert read_profile(tmp_path / "p.json").program_digest == \
-        program_digest(seeded)
+    assert read_profile(tmp_path / "p.json").program_digest == digest
+
+
+def test_cli_stored_profile_names_the_entry_function_and_data(tmp_path,
+                                                              capsys):
+    """A stored profile of a file with a spare function serves that file
+    and one whose spare function changed, since it never runs, and is
+    refused for a changed entry function or data segment unless
+    --allow-stale waives it with one warning."""
+    path, prof, out = tmp_path / "k.dir", tmp_path / "p.json", tmp_path / "r"
+    path.write_text(SUM_KERNEL + SPARE)
+    assert main(["profile", "--kernel", str(path), "--out", str(prof)]) == 0
+    run = ["run", "--kernel", str(path), "--mode", "static_dae", "--profile",
+           str(prof), "--emit", "json", "--out", str(out)]
+    capsys.readouterr()
+    assert main(run) == 0
+    assert json.loads(out.read_text())["program_digest"] == \
+        read_profile(prof).program_digest
+    path.write_text(SUM_KERNEL + SPARE.replace("ret", "%x = const 1\n  ret"))
+    assert main(run) == 0
+    assert capsys.readouterr().err == ""
+    mismatch = "profile was taken from a different program or seed"
+    for edited in (SUM_KERNEL.replace("const 8", "const 7"),
+                   SUM_KERNEL.replace("seed=7", "seed=8")):
+        path.write_text(edited + SPARE)
+        assert main(run) == 2
+        assert capsys.readouterr().err.startswith(f"daef: {mismatch} ")
+        assert main([*run, "--allow-stale"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"daef: warning: {mismatch}"]
 
 
 def test_suite_past_its_budget_names_the_failing_mode(tmp_path, capsys,

@@ -191,7 +191,7 @@ def test_profile_seed_changes_digest_and_is_deterministic():
     assert a.program_digest != c.program_digest
     assert a.program_digest != profiled_baseline(p, MACHINE)[1].program_digest
     # The digest is of the seeded instance.
-    assert check_profile(a, p, MACHINE, allow_stale=True) == [
+    assert check_profile(a, program_digest(p), MACHINE, allow_stale=True) == [
         "profile was taken from a different program or seed"]
 
 
@@ -288,12 +288,12 @@ def test_read_profile_error_cases(tmp_path):
 def test_staleness_detection():
     p = sum_kernel()
     r = profiled_baseline(p, MACHINE)[1]
-    assert check_profile(r, p, MACHINE, allow_stale=True) == []
+    assert check_profile(r, program_digest(p), MACHINE, allow_stale=True) == []
     other = MachineConfig.from_json({**MACHINE.to_json(), "mem_latency_ns": 61})
-    assert check_profile(r, p, other, allow_stale=True) == [
+    assert check_profile(r, program_digest(p), other, allow_stale=True) == [
         "profile was taken on a different machine config"]
     q = parse_program(p and SUM_VARIANT)
-    assert check_profile(r, q, MACHINE, allow_stale=True) == [
+    assert check_profile(r, program_digest(q), MACHINE, allow_stale=True) == [
         "profile was taken from a different program or seed"]
 
 
