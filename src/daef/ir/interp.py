@@ -160,16 +160,20 @@ class CompiledFunction:
     NameError, leaves the trip it cuts short uncharged and uncounted.
     Parameters must be canonical, as the write-back leaves them, and all
     bound: a loop's trip guard (see _Source.arm) may read one that the
-    trip does not.  hooked tells whether the function has a load or a
-    prefetch, without which it calls no hook.
+    trip does not.  loads pairs each block that loads with its number of
+    loads, so a run's executed loads are its block counts times these;
+    prefetches tells whether the function has a prefetch.  A function
+    with neither calls no hook.
     """
 
-    __slots__ = ("fn", "run", "hooked")
+    __slots__ = ("fn", "run", "loads", "prefetches")
 
     def __init__(self, fn: Function, run):
         self.fn = fn
         self.run = run
-        self.hooked = any(isinstance(n, (Load, Prefetch)) for n in fn.nodes())
+        self.loads = tuple((blk.label, n) for blk in fn.blocks
+                           if (n := sum(isinstance(i, Load) for i in blk.body)))
+        self.prefetches = any(isinstance(n, Prefetch) for n in fn.nodes())
 
 
 def _signed(r: str) -> str:

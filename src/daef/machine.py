@@ -178,7 +178,7 @@ class LruCache:
 
     def __init__(self, l1: L1Config):
         self.l1 = l1
-        self.n_sets = l1.n_sets
+        self.n_sets, self.ways = l1.n_sets, l1.ways
         self.sets: dict[int, dict[int, None]] = {}  # set index -> lines
 
     def contains(self, line: int) -> bool:
@@ -192,11 +192,14 @@ class LruCache:
 
     def install(self, line: int) -> int | None:
         """Insert a line as most recent; returns the evicted line, if any."""
-        s = self.sets.setdefault(line % self.n_sets, {})
+        s = self.sets.get(line % self.n_sets)
+        if s is None:
+            self.sets[line % self.n_sets] = {line: None}
+            return None
         evicted = None
         if line in s:
             del s[line]
-        elif len(s) >= self.l1.ways:
+        elif len(s) >= self.ways:
             evicted = next(iter(s))
             del s[evicted]
         s[line] = None

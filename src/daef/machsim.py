@@ -4,16 +4,21 @@ An in-order core runs a schedule of function activations, each at its own
 frequency.  The L1 cache and the register environment persist across runs
 within one simulation, which is the whole point: an access slice warms the
 cache that the following execute slice reads.  Each run keeps its own
-clock, an integer count of ticks of 1/q cycle since the run started, and
-its own miss-handling registers, which drain when it ends.  The clock
-learns how many nodes have retired from the fuel left that the
-interpreter passes to the load and prefetch hooks, so nothing runs per
-block.  The hooks are closures over the run's state, and a load to the
-line of the run's last load, with no fill installed and no prefetch
-since, is a hit that touches no set (_run_clock).  A run of a function
-with no load or prefetch gets no clock: its cycles are its retired
-nodes.  The run's ticks become its exact cycles, nanoseconds and
-energy once, when its record is built.
+clock, an integer count of ticks of 1/q cycle since the run started,
+and pays only for the memory system its function uses (_run_clock).  A
+run of a function that prefetches has its own miss-handling registers,
+which drain when it ends; its clock learns how many nodes have retired
+from the fuel left that the interpreter passes to the load and prefetch
+hooks, so nothing runs per block.  A run of a function that loads but
+never prefetches has no fill in flight, so its clock reads no time: it
+counts its misses, and its length follows from its nodes, its misses
+and its loads (its block counts times each block's loads).  A run of a
+function with no load or prefetch gets no clock: its cycles are its
+retired nodes.  The hooks are closures over the run's state, and a load
+to the line of the run's last load, with no fill installed and no
+prefetch hit in that line's set since, is a hit that touches no set.
+The run's ticks become its exact cycles, nanoseconds and energy once,
+when its record is built.
 
 Cost model per retired node: one core cycle, plus hit_cycles for a load
 that hits, plus ceil(mem_latency_ns * f) blocking cycles for a load that
@@ -213,32 +218,39 @@ class _Rates:
 
 
 def _run_clock(machine: MachineConfig, cache: LruCache, rates: _Rates,
-               fuel: int, tally: tuple | None = None):
-    """One run's clock and miss registers: the run's (on_load,
-    on_prefetch, drain) hooks, closures over its state.
+               fuel: int, prefetches: bool, tally: tuple | None = None):
+    """One run's clock: the run's (on_load, on_prefetch, drain) hooks,
+    closures over its state.  drain(fuel, loads) takes the fuel the run
+    left and the loads it ran, and returns the run's length in ticks.
 
     Time is an integer count of ticks since the run started.  A tick is
     1/q cycle, where q is the denominator of mem_latency_ns * f, so a
     base cycle, a hit, a blocking miss and a fill are all whole numbers
-    of ticks.  The clock reads the retired nodes from the fuel that each
-    hook receives: the interpreter charges a block's nodes on entry, so
-    now = (fuel at the start - fuel left) * q + stall is the instant
-    after the work retired so far (at block granularity), where stall
-    sums the ticks spent on hits, blocking misses, joins and waits for a
-    miss register.  No call is made per block.  The miss registers
-    belong to the run and drain at its end: no fill outlives it.
+    of ticks.  The constants come from rates, computed once per
+    frequency and simulate_each call.
 
-    The hooks probe the L1's sets themselves: a hit moves the line to the
-    most recent end of its set in place, and only misses and fills call
-    LruCache.install.  A load reads the clock only while a fill is in
-    flight, and without prefetches none ever is.  Its constants come
-    from rates, computed once per frequency and simulate_each call.
+    probe accounts a load on the L1, whose sets it probes itself: a hit
+    moves the line to the most recent end of its set in place, and only
+    misses and fills call LruCache.install.  recent is the line of the
+    run's last load, which that load left resident and most recent in
+    its set.  Until a fill installs or a prefetch hits in that set, both
+    of which reset recent, nothing touches that set, so a later load to
+    that line is a hit that leaves every set as it is.
 
-    recent is the line of the run's last load, which that load left
-    resident and most recent in its set.  Until a fill installs or a
-    prefetch runs, both of which reset recent, nothing else touches the
-    L1, so a later load to that line, once the fills completed by then
-    are installed, is a hit that leaves every set as it is.
+    A run whose function has no prefetch has no fill in flight, so its
+    load hook is probe, which reads no time and counts only misses, and
+    drain returns (fuel at the start - fuel left) * q + misses * miss +
+    (loads - misses) * hit.  A run that prefetches has its own miss
+    registers, which drain at its end: no fill outlives it.  Its clock
+    reads the retired nodes from the fuel each hook receives (the
+    interpreter charges a block's nodes on entry, so no call is made per
+    block): now = (fuel at the start - fuel left) * q + stall, where
+    stall sums the ticks of hits, blocking misses, joins and waits for a
+    register.  Each access first installs the fills completed by now,
+    in issue order; oldest is the done tick of the first.  A prefetch to
+    a line in flight returns before that: it touches no set and no
+    register, and the next access or the drain installs the same fills,
+    in the same order, before it touches a set.
 
     tally, when given, is simulate's (lines, misses): each load adds its
     line to lines[id], and one that misses outright adds 1 to misses[id].
@@ -247,59 +259,82 @@ def _run_clock(machine: MachineConfig, cache: LruCache, rates: _Rates,
     mshr_count, line_bytes = machine.mshr_count, machine.l1.line_bytes
     sets, n_sets, install = cache.sets, cache.n_sets, cache.install
     lines, misses = tally or (None, None)
-    mshr: OrderedDict[int, int] = OrderedDict()  # line -> done tick
     base = fuel * q
-    stall = 0
     recent = -1  # no line: line numbers are not negative
+    missed = 0
 
-    def on_load(instr_id: int, addr: int, fuel: int) -> bool:
-        """Account one demand load; True when it missed outright."""
-        nonlocal stall, recent
+    def probe(instr_id: int, addr: int, fuel: int) -> bool:
+        """Account one demand load on the L1; True when it missed outright."""
+        nonlocal recent, missed
         line = addr // line_bytes
         if lines is not None:
             lines[instr_id].add(line)
-        if mshr:
-            # Install every fill that has completed by now.
-            now = base - fuel * q + stall
-            while mshr and mshr[next(iter(mshr))] <= now:
-                install(mshr.popitem(last=False)[0])
-                recent = -1
         if line == recent:
-            stall += hit
             return False
         recent = line
         s = sets.get(line % n_sets, ())
         if line in s:
             del s[line]
             s[line] = None
-        elif line in mshr:
-            # Join the in-flight fill (so now is set), then read through
-            # the cache.
-            stall += max(0, mshr.pop(line) - now)
-            install(line)
-        else:
-            # Blocking miss: the line is delivered directly.
+            return False
+        install(line)
+        missed += 1
+        if misses is not None:
+            misses[instr_id] += 1
+        return True
+
+    if not prefetches:
+        def drain(fuel: int, loads: int) -> int:
+            return base - fuel * q + missed * miss + (loads - missed) * hit
+
+        return probe, None, drain
+
+    mshr: OrderedDict[int, int] = OrderedDict()  # line -> done tick
+    stall = 0
+    oldest = math.inf  # mshr is empty
+
+    def complete(now: int) -> None:
+        """Install every fill that has completed by now."""
+        nonlocal recent, oldest
+        recent = -1
+        while oldest <= now:
+            install(mshr.popitem(last=False)[0])
+            oldest = next(iter(mshr.values()), math.inf)
+
+    def on_load(instr_id: int, addr: int, fuel: int) -> bool:
+        """probe, once the fills completed by now are installed and a
+        fill of the load's line in flight is joined."""
+        nonlocal stall, oldest
+        if mshr:
+            now = base - fuel * q + stall
+            if oldest <= now:
+                complete(now)
+            line = addr // line_bytes
+            if line in mshr:
+                # Join the fill in flight, then read it through the cache.
+                stall += max(0, mshr.pop(line) - now)
+                oldest = next(iter(mshr.values()), math.inf)
+                install(line)
+        if probe(instr_id, addr, fuel):
             stall += miss
-            install(line)
-            if misses is not None:
-                misses[instr_id] += 1
             return True
         stall += hit
         return False
 
     def on_prefetch(instr_id: int, addr: int, fuel: int) -> None:
-        nonlocal stall, recent
-        recent = -1
+        nonlocal stall, recent, oldest
         line = addr // line_bytes
         now = base - fuel * q + stall
-        while mshr and mshr[next(iter(mshr))] <= now:
-            install(mshr.popitem(last=False)[0])
+        if mshr.get(line, now) > now:
+            return  # in flight: it touches nothing
+        if oldest <= now:
+            complete(now)
         s = sets.get(line % n_sets, ())
         if line in s:
             del s[line]
             s[line] = None
-            return
-        if line in mshr:
+            if recent in s:
+                recent = -1
             return
         if len(mshr) >= mshr_count:
             old_line, done = mshr.popitem(last=False)
@@ -307,11 +342,12 @@ def _run_clock(machine: MachineConfig, cache: LruCache, rates: _Rates,
                 stall += done - now
                 now = done
             install(old_line)
+            recent = -1
         mshr[line] = now + fill
+        oldest = next(iter(mshr.values()))
 
-    def drain(fuel: int) -> int:
-        """Wait for every fill; returns the run's length in ticks, given
-        the fuel the run left."""
+    def drain(fuel: int, loads: int) -> int:
+        """Wait for every fill."""
         now = base - fuel * q + stall
         while mshr:
             line, done = mshr.popitem(last=False)
@@ -459,9 +495,9 @@ def simulate(
         call_env = {p: r.args.get(p, env.get(p, 0)) for p in cf.fn.params}
         fuel_before = fuel_box[0]
         on_load = on_prefetch = None
-        if cf.hooked:
-            on_load, on_prefetch, drain = _run_clock(machine, cache, rt,
-                                                     fuel_before, tally)
+        if cf.loads or cf.prefetches:
+            on_load, on_prefetch, drain = _run_clock(
+                machine, cache, rt, fuel_before, cf.prefetches, tally)
         output: list[int] = []
         counts: dict[str, int] = {}
         cf.run(call_env, mem, output, counts, fuel_box, mem_size,
@@ -469,7 +505,8 @@ def simulate(
         # Each retired node costs one unit of fuel, and without a load or
         # a prefetch one cycle: what the clock would drain to.
         instr_count = fuel_before - fuel_box[0]
-        ticks = drain(fuel_box[0]) if cf.hooked else instr_count * rt.q
+        ticks = instr_count * rt.q if on_load is None else drain(
+            fuel_box[0], sum(counts.get(b, 0) * n for b, n in cf.loads))
         if r.writeback:
             env.update(call_env)
         cycles, wall_ns, energy = rt.stats(ticks, instr_count)

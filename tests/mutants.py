@@ -62,11 +62,34 @@ MUTANTS = [
            "a runtime fault names the node that raised it",
            ("test_oracle.py::test_runtime_faults_agree_with_the_walker",)),
     Mutant("recent_kept_across_a_fill", "machsim.py",
-           "install(mshr.popitem(last=False)[0])\n                recent = -1\n",
-           "install(mshr.popitem(last=False)[0])\n",
+           "        recent = -1\n        while oldest <= now:\n",
+           "        while oldest <= now:\n",
            "an installed fill may evict the remembered line, so the next"
            " load to it must probe its set",
            ("test_machsim.py::test_repeat_load_after_a_fill_into_its_set_misses",
+            "test_machsim.py::test_same_line_shortcut_survives_what_leaves_its"
+            "_set_alone",
+            "test_oracle.py::test_timing_model_agrees_with_the_clock")),
+    Mutant("prefetch_exit_without_done_test", "machsim.py",
+           "if mshr.get(line, now) > now:", "if line in mshr:",
+           "a prefetch to a line whose fill has completed installs the fills"
+           " completed by then and makes that line the most recent",
+           ("test_machsim.py::test_prefetch_in_flight_installs_nothing",
+            "test_oracle.py::test_timing_model_agrees_with_the_clock")),
+    Mutant("oldest_stale_after_a_join", "machsim.py",
+           "                oldest = next(iter(mshr.values()), math.inf)\n"
+           "                install(line)\n",
+           "                install(line)\n",
+           "a join may take the oldest fill; the next in flight completes"
+           " later, and installing it earlier changes the L1",
+           ("test_machsim.py::test_join_of_the_oldest_fill_waits_for_the_next",
+            "test_oracle.py::test_timing_model_agrees_with_the_clock")),
+    Mutant("load_count_misses_a_block", "machsim.py",
+           "for b, n in cf.loads)", "for b, n in cf.loads[1:])",
+           "a load-only run pays a hit for every load it ran that did not"
+           " miss, in every block",
+           ("test_machsim.py::test_load_only_runs_cost_their_nodes_hits_and"
+            "_misses",
             "test_oracle.py::test_timing_model_agrees_with_the_clock")),
     Mutant("non_critical_prefetches_kept", "daegen.py",
            "if not (isinstance(n, Prefetch) and n.origin not in critical)]",

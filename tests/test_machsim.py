@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,12 @@ import pytest
 from daef.cfg import find_loops
 from daef.daegen import SliceParams, make_phases
 from daef import machsim
-from daef.ir import DirRuntimeError, interp, interpret, parse_program
+from daef.ir import (DirRuntimeError, interp, interpret, parse_program,
+                     print_program)
 from daef.ir.interp import memory_digest
 from daef.harness import dae_fuel, prepare, run_kernel_all_modes, run_suite
 from daef.ir.types import Load, Store
-from daef.kernels import builtin_kernels, kernel_by_name
+from daef.kernels import BenchmarkKernel, builtin_kernels, kernel_by_name
 from daef.machine import L1Config, LruCache, MachineConfig, PowerConfig
 from daef.machsim import (
     CAT_EXECUTE,
@@ -36,7 +38,9 @@ from daef.machsim import (
 )
 from daef.profiler import profiled_baseline
 
-from conftest import counting_runs, random_loop_kernel, random_machine
+from conftest import (counting_runs, random_chase_kernel, random_loop_kernel,
+                      random_machine)
+from test_oracle import model_run
 
 
 def machine() -> MachineConfig:
@@ -608,7 +612,8 @@ def test_load_hit_makes_its_line_most_recent():
                                   hit_cycles=4))
     cache = LruCache(m.l1)
     rates = _Rates.at(m, m.f_max_ghz)
-    on_load, _, drain = _run_clock(m, cache, rates, 1000)
+    on_load, on_prefetch, drain = _run_clock(m, cache, rates, 1000, False)
+    assert on_prefetch is None        # a run without a prefetch has none
     assert on_load(0, 640, 1000)      # line 10: miss
     assert on_load(0, 704, 1000)      # line 11: miss
     assert not on_load(0, 703, 1000)  # line 10 again: hit, now most recent
@@ -618,17 +623,18 @@ def test_load_hit_makes_its_line_most_recent():
     assert on_load(0, 767, 1000)      # line 11 was evicted
     # Four misses and two hits, no node retired.
     miss = m.mem_latency_cycles(m.f_max_ghz)
-    assert Fraction(drain(1000), rates.q) == 4 * miss + 2 * 4
+    assert Fraction(drain(1000, 6), rates.q) == 4 * miss + 2 * 4
 
 
-def one_set_clock(ways: int):
-    """A run clock on an L1 of one set of 64-byte lines, the cache, the
-    cycles of a blocking miss and the clock's ticks per cycle."""
-    m = MachineConfig(l1=L1Config(capacity_bytes=64 * ways, line_bytes=64,
-                                  ways=ways, hit_cycles=4))
+def one_set_clock(ways: int, sets: int = 1):
+    """A run clock with miss registers on an L1 of sets sets of 64-byte
+    lines, the cache, the cycles of a blocking miss and the clock's ticks
+    per cycle."""
+    m = MachineConfig(l1=L1Config(capacity_bytes=64 * ways * sets,
+                                  line_bytes=64, ways=ways, hit_cycles=4))
     cache = LruCache(m.l1)
     rates = _Rates.at(m, m.f_max_ghz)
-    hooks = _run_clock(m, cache, rates, 1000)
+    hooks = _run_clock(m, cache, rates, 1000, True)
     return hooks, cache, m.mem_latency_cycles(m.f_max_ghz), rates.q
 
 
@@ -642,7 +648,7 @@ def test_repeat_load_after_a_fill_into_its_set_misses():
     assert on_load(0, 640, 1000)      # line 10: miss
     assert on_load(0, 640, 1000)      # 20 lands first and evicts 10
     assert cache.sets == {0: {10: None}}
-    assert Fraction(drain(1000), q) == 2 * miss
+    assert Fraction(drain(1000, 2), q) == 2 * miss
 
 
 def test_repeat_load_installs_completed_fills_first():
@@ -653,7 +659,7 @@ def test_repeat_load_installs_completed_fills_first():
     assert on_load(0, 640, 1000)      # line 10: miss
     assert not on_load(0, 640, 1000)  # 20 lands, then 10 hits
     assert list(cache.sets[0]) == [20, 10]
-    assert Fraction(drain(1000), q) == miss + 4
+    assert Fraction(drain(1000, 2), q) == miss + 4
 
 
 def test_repeat_load_after_a_prefetch_takes_the_full_path():
@@ -667,7 +673,127 @@ def test_repeat_load_after_a_prefetch_takes_the_full_path():
     assert list(cache.sets[0]) == [10, 11]
     assert on_load(0, 768, 1000)      # line 12 evicts 10, not 11
     assert list(cache.sets[0]) == [11, 12]
-    assert Fraction(drain(1000), q) == 3 * miss + 4
+    assert Fraction(drain(1000, 4), q) == 3 * miss + 4
+
+
+def test_prefetch_in_flight_installs_nothing():
+    """A prefetch to a line whose fill is still in flight returns before
+    it installs the fills completed by then; the next access installs
+    them first, in issue order.  A prefetch to a line whose fill has
+    completed installs it and makes it the most recent.  The L1 and the
+    cycles equal model_run's."""
+    (on_load, on_prefetch, drain), cache, miss, q = one_set_clock(2)
+    m = MachineConfig(l1=cache.l1)
+    assert (miss, q) == (204, 1)  # a fill takes 204 cycles
+    events = [("prefetch", 1280, 1000),  # line 20, done at 204
+              ("prefetch", 1344, 900),   # line 21, done at 304
+              ("prefetch", 1408, 850),   # line 22, done at 354
+              ("prefetch", 1408, 750),   # at 250: 20 is done, 22 in flight
+              ("load", 640, 740),        # at 260: 20 lands, then 10 misses
+              ("prefetch", 1344, 730)]   # at 474: 21 and 22 land, 21 hits
+    shown = []
+    for kind, addr, left in events:
+        (on_load if kind == "load" else on_prefetch)(0, addr, left)
+        shown.append(list(cache.sets.get(0, ())))
+    assert shown == [[], [], [], [], [20, 10], [22, 21]]
+    assert drain(700, 1) == 300 + miss
+    sets = {}
+    assert model_run(m, m.f_max_ghz, sets, 1000, events, 700, Counter()) == 504
+    assert cache.snapshot() == {i: tuple(s) for i, s in sets.items()}
+
+
+def test_join_of_the_oldest_fill_waits_for_the_next():
+    """A load that joins the oldest fill in flight leaves the next one to
+    complete at its own time: at 298 line 21 (done at 304) is still in
+    flight, so line 10 misses beside line 20, and 21 lands in the
+    drain.  The L1 and the cycles equal model_run's."""
+    (on_load, on_prefetch, drain), cache, miss, q = one_set_clock(2)
+    m = MachineConfig(l1=cache.l1)
+    events = [("prefetch", 1280, 1000),  # line 20, done at 204
+              ("prefetch", 1344, 900),   # line 21, done at 304
+              ("load", 1280, 890),       # at 110: joins 20, waits 94
+              ("load", 640, 800)]        # at 298: 10 misses
+    for kind, addr, left in events:
+        (on_load if kind == "load" else on_prefetch)(0, addr, left)
+    assert list(cache.sets[0]) == [20, 10]
+    assert drain(800, 2) == 200 + 94 + 4 + miss
+    assert list(cache.sets[0]) == [10, 21]
+    sets = {}
+    assert model_run(m, m.f_max_ghz, sets, 1000, events, 800, Counter()) == 502
+    assert cache.snapshot() == {i: tuple(s) for i, s in sets.items()}
+
+
+def recent_line(on_prefetch) -> int:
+    """The line a run clock remembers as its run's last load's, -1 for
+    none, read from its prefetch hook's closure."""
+    cells = dict(zip(on_prefetch.__code__.co_freevars, on_prefetch.__closure__))
+    return cells["recent"].cell_contents
+
+
+def test_same_line_shortcut_survives_what_leaves_its_set_alone():
+    """The last load's line stays remembered, so a repeat load skips its
+    set, across a miss register allocation and a prefetch hit in another
+    set; a prefetch hit in its own set or an installed fill forgets it."""
+    (on_load, on_prefetch, drain), cache, miss, q = one_set_clock(2, sets=2)
+    for line in (10, 12, 11, 10):  # set 0 holds 12 then 10, set 1 holds 11
+        on_load(0, 64 * line, 1000)
+    assert recent_line(on_prefetch) == 10
+    on_prefetch(0, 64 * 21, 1000)  # allocates, done at 3 * 204 + 4 + 204
+    assert recent_line(on_prefetch) == 10
+    on_prefetch(0, 64 * 11, 1000)  # hits in set 1
+    assert recent_line(on_prefetch) == 10
+    on_prefetch(0, 64 * 12, 1000)  # hits in set 0: 12 is the most recent
+    assert recent_line(on_prefetch) == -1
+    assert not on_load(0, 64 * 10, 1000)  # probes set 0 and moves 10 back
+    assert recent_line(on_prefetch) == 10
+    assert list(cache.sets[0]) == [12, 10]
+    on_prefetch(0, 64 * 11, 700)  # at 920, 21 lands in set 1 first
+    assert recent_line(on_prefetch) == -1
+    assert list(cache.sets[1]) == [21, 11]
+    assert Fraction(drain(700, 5), q) == 300 + 3 * miss + 2 * 4
+
+
+def test_load_only_runs_cost_their_nodes_hits_and_misses(monkeypatch):
+    """A run of a function that loads and never prefetches gets a clock
+    without miss registers, and its cycles are nodes + misses *
+    mem_latency_cycles + (loads - misses) * hit_cycles, with the loads
+    and misses counted from its load hook's calls and answers: random
+    loop and chase kernels on 3 random machines, in every mode."""
+    make, checked = machsim._run_clock, Counter()
+
+    def checking(machine, cache, rates, fuel, prefetches, tally=None):
+        on_load, on_prefetch, drain = make(machine, cache, rates, fuel,
+                                           prefetches, tally)
+        loads = misses = 0
+
+        def load(lid, addr, left):
+            nonlocal loads, misses
+            missed = on_load(lid, addr, left)
+            loads, misses = loads + 1, misses + missed
+            return missed
+
+        def end(left, ran):
+            ticks = drain(left, ran)
+            if not prefetches:
+                assert Fraction(ticks, rates.q) == (
+                    fuel - left + misses * machine.mem_latency_cycles(rates.f)
+                    + (loads - misses) * machine.l1.hit_cycles)
+                checked["runs"] += 1
+                checked["hits"] += loads - misses
+                checked["misses"] += misses
+            return ticks
+        return load, on_prefetch, end
+
+    monkeypatch.setattr(machsim, "_run_clock", checking)
+    rng = random.Random(11)
+    for i in range(3):
+        m = random_machine(rng)
+        for make_kernel in (random_loop_kernel, random_chase_kernel):
+            kernel = BenchmarkKernel(name=f"rand{i}",
+                                     text=print_program(make_kernel(rng)),
+                                     oracle=lambda seed: None)
+            run_kernel_all_modes(kernel, m, slice_override=16)
+    assert min(checked.values()) > 0 and checked["runs"] >= 50, checked
 
 
 def test_fuel_bounds_a_simulation():

@@ -511,13 +511,17 @@ def model_run(machine, f, sets, fuel, events, left, seen) -> Fraction:
     events (kind, addr, fuel left) on the L1 sets, which it updates.
     Time is in Fraction cycles, the fills in flight are a list of [line,
     done] in issue order, and each set is a list of lines, least recent
-    first.  seen counts the joins, the waits for a miss register and
-    the reloads after an install: loads to the line of the run's last
-    load, with no prefetch since, that install a completed fill first."""
+    first.  seen counts the joins, the waits for a miss register, the
+    prefetches to a line still in flight, the reloads after an install
+    (loads to the line of the run's last load that install a completed
+    fill first) and the same-line loads across a prefetch (loads to the
+    last load's line after a prefetch, with no install since and no
+    prefetch hit in that line's set)."""
     l1 = machine.l1
     stall = Fraction(0)
     flight = []
-    last = None  # the line of the last load, if no prefetch ran since
+    last = None  # the line of the run's last load
+    kept = crossed = False  # last's set untouched, and a prefetch ran, since
 
     def put(line):
         s = sets.setdefault(line % l1.n_sets, [])
@@ -529,19 +533,26 @@ def model_run(machine, f, sets, fuel, events, left, seen) -> Fraction:
 
     for kind, addr, f_left in events:
         line, now = addr // l1.line_bytes, fuel - f_left + stall
+        seen["prefetch in flight"] += kind == "prefetch" and any(
+            x == line and done > now for x, done in flight)
         installed = False
         while flight and flight[0][1] <= now:
             put(flight.pop(0)[0])
             installed = True
+        kept = kept and not installed
         if kind == "load":
             seen["reload after install"] += line == last and installed
-            last = line
+            seen["same line across a prefetch"] += (line == last and kept
+                                                    and crossed)
+            last, kept, crossed = line, True, False
         else:
-            last = None
+            crossed = True
         waiting = [x for x in flight if x[0] == line]
         if line in sets.get(line % l1.n_sets, []):
             put(line)
             stall += l1.hit_cycles if kind == "load" else 0
+            kept = kept and (kind == "load"
+                             or last % l1.n_sets != line % l1.n_sets)
         elif kind == "load" and waiting:
             seen["join"] += 1
             flight.remove(waiting[0])
@@ -557,6 +568,7 @@ def model_run(machine, f, sets, fuel, events, left, seen) -> Fraction:
                 stall += max(0, done - now)
                 now = max(now, done)
                 put(old)
+                kept = False
             flight.append([line, now + machine.mem_latency_ns * f])
     now = fuel - left + stall
     for line, done in flight:
@@ -567,12 +579,14 @@ def model_run(machine, f, sets, fuel, events, left, seen) -> Fraction:
 
 def record_runs(monkeypatch) -> list:
     """Patch the run clock so that each run it times appends (fuel at the
-    start, its hook events, fuel left) to the returned list."""
+    start, whether it prefetches, its hook events, fuel left, the loads
+    it ran) to the returned list."""
     runs = []
     make = machsim._run_clock
 
-    def recording(machine, cache, rates, fuel, tally=None):
-        on_load, on_prefetch, drain = make(machine, cache, rates, fuel, tally)
+    def recording(machine, cache, rates, fuel, prefetches, tally=None):
+        on_load, on_prefetch, drain = make(machine, cache, rates, fuel,
+                                           prefetches, tally)
         events = []
 
         def load(lid, addr, left):
@@ -583,9 +597,9 @@ def record_runs(monkeypatch) -> list:
             events.append(("prefetch", addr, left))
             on_prefetch(lid, addr, left)
 
-        def end(left):
-            runs.append((fuel, events, left))
-            return drain(left)
+        def end(left, loads):
+            runs.append((fuel, prefetches, events, left, loads))
+            return drain(left, loads)
         return load, prefetch, end
 
     monkeypatch.setattr(machsim, "_run_clock", recording)
@@ -594,21 +608,24 @@ def record_runs(monkeypatch) -> list:
 
 def replay(clock, machine, runs, seen) -> list[Fraction]:
     """Each run's cycles, replaying runs' (frequency, fuel at the start,
-    events, fuel left) in order on one L1 through clock, a run clock
-    factory, and through model_run, which must agree on them and on the
-    L1 after each run.  seen also counts the machines with prefetches
-    whose fills take a fractional cycle count, and those with a 1-way
-    L1."""
+    whether it prefetches, events, fuel left, loads run) in order on one
+    L1 through clock, a run clock factory, and through model_run, which
+    must agree on them and on the L1 after each run.  Each run's loads
+    must be its load events.  seen also counts the machines with
+    prefetches whose fills take a fractional cycle count, and those with
+    a 1-way L1."""
     cache, sets, cycles = LruCache(machine.l1), {}, []
-    for f, fuel, events, left in runs:
+    for f, fuel, prefetches, events, left, loads in runs:
+        assert loads == sum(kind == "load" for kind, _, _ in events)
         rates = _Rates.at(machine, f)
-        on_load, on_prefetch, drain = clock(machine, cache, rates, fuel)
+        on_load, on_prefetch, drain = clock(machine, cache, rates, fuel,
+                                            prefetches)
         for kind, addr, f_left in events:
             (on_load if kind == "load" else on_prefetch)(0, addr, f_left)
         cycles.append(model_run(machine, f, sets, fuel, events, left, seen))
-        assert Fraction(drain(left), rates.q) == cycles[-1]
+        assert Fraction(drain(left, loads), rates.q) == cycles[-1]
         assert cache.snapshot() == {i: tuple(s) for i, s in sets.items() if s}
-    if any(kind == "prefetch" for run in runs for kind, _, _ in run[2]):
+    if any(kind == "prefetch" for run in runs for kind, _, _ in run[3]):
         fill = machine.mem_latency_ns * machine.f_min_ghz
         seen["fractional"] += fill.denominator > 1
         seen["one way"] += machine.l1.ways == 1
@@ -626,9 +643,12 @@ def test_timing_model_agrees_with_the_clock(monkeypatch):
     events replay again on an L1 of one 128-byte line, where each fill
     evicts the line that loads read.  The machines include fills of a
     fractional cycle count (q > 1) and 1-way L1s, each with prefetches,
-    loads that join a fill, prefetches that wait for a register, and
-    loads to the last load's line after a fill installed, which the
-    clock's same-line shortcut must not take."""
+    loads that join a fill, prefetches that wait for a register,
+    prefetches to a line still in flight, which return before they
+    install a completed fill, loads to the last load's line after a fill
+    installed, which the clock's same-line shortcut must not take, and
+    loads to that line after a prefetch that touched no line of its set,
+    which it takes."""
     clock = machsim._run_clock
     recorded = record_runs(monkeypatch)
     rng = random.Random(5)
@@ -666,4 +686,5 @@ def test_timing_model_agrees_with_the_clock(monkeypatch):
                 replay(clock, tiny, runs, seen)
         assert not recorded
     assert all(seen[k] for k in ("fractional", "one way", "join", "wait",
-                                 "reload after install")), seen
+                                 "reload after install", "prefetch in flight",
+                                 "same line across a prefetch")), seen
