@@ -23,9 +23,18 @@ its target's phi values where it is taken, in one tuple assignment,
 before it jumps to the target's arm or runs into the inlined target;
 the edge that enters a phi's block with no value for it (the call's
 start included) counts the entry, charges the fuel and raises instead.
-Each call of compile_function generates, compiles and execs the source
-anew, in a namespace that holds the register names written back to env;
-a caller that runs a function many times keeps its CompiledFunction.
+A load or store address fault is one call of _address_fault.
+
+A trip that a fast copy does not take (too little fuel, or a guard
+failed) hands the call over to the function's per-block code, which has
+no fast copy and finishes the call from the start of that trip.  So
+compile_function writes, compiles and execs only the fast code: the fast
+copy of each small loop arm and the per-block code of every other arm.
+The per-block code is built on the first handover and kept with the
+CompiledFunction; no run of a built-in kernel's plan hands over.  Each
+call of compile_function builds its code anew, in a namespace that holds
+the register names written back to env; a caller that runs a function
+many times keeps its CompiledFunction.
 
 A register holds its canonical value, the unsigned form in [0, 2**64),
 wherever something observes it: a phi move, a branch, a comparison, shr,
@@ -76,7 +85,6 @@ from .types import (
     Program,
     Ret,
     Store,
-    node_def,
     successors,
 )
 
@@ -130,8 +138,19 @@ BINOP_FNS = {
 }
 
 _STRUCTS = {w: struct.Struct(f"<{c}") for w, c in ((2, "H"), (4, "I"), (8, "Q"))}
+
+
+def _address_fault(kind: str, base: int, offset: int, mem_size: int,
+                   node_id: int) -> DirRuntimeError:
+    """The fault of a load or store at the signed address base + offset,
+    base canonical, outside [0, mem_size)."""
+    return DirRuntimeError(f"{kind} address {to_signed(base) + offset}"
+                           f" out of [0, {mem_size})", node_id)
+
+
 _NAMESPACE = {
     "_Err": DirRuntimeError,
+    "_oob": _address_fault,
     "_div": _sdiv,
     "_rem": _srem,
     **{f"_ld{w}": s.unpack_from for w, s in _STRUCTS.items()},
@@ -164,16 +183,33 @@ class CompiledFunction:
     loads, so a run's executed loads are its block counts times these;
     prefetches tells whether the function has a prefetch.  A function
     with neither calls no hook.
+
+    run is fn's fast code: the fast copy of each small loop arm, and the
+    per-block code of every other arm.  A trip that a fast copy does not
+    take (it starts with less fuel than the arm's longest path, or a
+    guard fails) ends run's own loop, so that its finally flushes the
+    counts and the fuel, and then hands the call over to per_block, fn's
+    code with no fast copy, which starts at that arm with the registers
+    bound so far and finishes the call.  per_block is None until the
+    first handover builds it; it is kept from then on.  So fn must not
+    change once it is compiled.
     """
 
-    __slots__ = ("fn", "run", "loads", "prefetches")
+    __slots__ = ("fn", "run", "per_block", "loads", "prefetches")
 
-    def __init__(self, fn: Function, run):
+    def __init__(self, fn: Function):
         self.fn = fn
-        self.run = run
+        self.run = _build(fn, self._hand_over)
+        self.per_block = None
         self.loads = tuple((blk.label, n) for blk in fn.blocks
                            if (n := sum(isinstance(i, Load) for i in blk.body)))
         self.prefetches = any(isinstance(n, Prefetch) for n in fn.nodes())
+
+    def _hand_over(self, *call) -> None:
+        """Finish a call of run from the start of the trip it handed over."""
+        if self.per_block is None:
+            self.per_block = _build(self.fn, None)
+        self.per_block(*call)
 
 
 def _signed(r: str) -> str:
@@ -207,18 +243,29 @@ class _Source:
 
     A path is the blocks entered since the arm's root, a linked list of
     (label, fuel charged from the root through it, the rest) or None.
+
+    With fast_loops, the source is of run, the function compile_function
+    builds; without, of the per-block function that run hands a call
+    over to (see CompiledFunction).
     """
 
-    def __init__(self, fn: Function, blocks: dict):
+    def __init__(self, fn: Function, blocks: dict, fast_loops: bool = True):
         self.params = fn.params
         self.blocks = blocks
+        self.fast_loops = fast_loops
         self.index = {label: k for k, label in enumerate(blocks)}
         self.entry = fn.blocks[0].label
         self.ranges = Ranges(fn.params, self.entry, blocks)
         # Each phi's values by predecessor, built once per block, not per edge.
         self.incoming = {label: [(phi.dst, dict(phi.incoming)) for phi in blk.phis]
                          for label, blk in blocks.items() if blk.phis}
-        self.regs: dict[str, str] = {}  # register -> local name
+        # register -> local name.  The parameters and the registers that
+        # nodes define come first, numbered alike in both functions, so a
+        # handover passes run's locals() as they are.
+        self.regs: dict[str, str] = {
+            r: f"r{k}" for k, r in enumerate(dict.fromkeys([*fn.params, *self.ranges.defs]))}
+        self.held = tuple(self.regs.values())  # what a call may have bound
+        self.defs = tuple((r, self.regs[r]) for r in self.ranges.defs)
         edges = dict.fromkeys(blocks, 0)
         for label, blk in blocks.items():
             for target in successors(blk):
@@ -233,9 +280,7 @@ class _Source:
         self.path: tuple | None = None  # the path being written
         self.charged = 0  # the fuel of the path that the fast copy has subtracted
         self.facts: Facts | None = None  # the bounds the path shows
-        self.inside: list[str] = []  # the blocks the copy enters
         self.top = 0  # the most fuel a path of the copy charges
-        self.back: set[str] = set()  # the blocks whose edges jump back to its root
         self.trips: list[tuple] = []  # the path of each trip counter
 
     def emit(self, depth: int, line: str) -> None:
@@ -256,29 +301,30 @@ class _Source:
             path = path[2]
 
     def text(self) -> str:
-        """The source of run, the function compile_function builds."""
+        """The function's source."""
         arms = self.all_arms()
         body: list[str] = []
         _dispatch(arms, 0, len(arms), 3, body)
         self.lines, self.fast, self.path = [], False, None
-        entry = self.blocks[self.entry]
-        if entry.phis:
-            # The call enters the entry by no edge.
-            self.fault(2, entry, f"phi executed on function entry in {self.entry!r}")
         counts = ", ".join(f"c{k}" for k in range(len(self.blocks)))
         trips = "".join(f" = p{j}" for j in range(len(self.trips)))
-        head = ["def run(env, mem, output, block_counts, fuel, mem_size,"
-                " on_load=None, on_prefetch=None):",
-                " out = output.append",
-                " f = fuel[0]",
-                f" {counts.replace(',', ' =')}{trips} = 0"]
-        for name in self.params:
-            if name in self.regs:
-                head.append(f" if {name!r} in env: {self.regs[name]} = env[{name!r}]")
-        head += [" b = 0",
-                 " try:",
-                 *self.lines,
-                 "  while True:"]
+        if self.fast_loops:
+            entry = self.blocks[self.entry]
+            if entry.phis:
+                # The call enters the entry by no edge.
+                self.fault(2, entry, f"phi executed on function entry in {self.entry!r}")
+            call = ("env, mem, output, block_counts, fuel, mem_size,"
+                    " on_load=None, on_prefetch=None")
+            bind = [*(f" if {name!r} in env: {self.regs[name]} = env[{name!r}]"
+                      for name in self.params), " b = 0"]
+        else:
+            # A handover gives the arm to start at and run's locals().
+            call = ("b, regs, env, mem, output, block_counts, fuel, mem_size,"
+                    " on_load, on_prefetch")
+            bind = [f" if {r!r} in regs: {r} = regs[{r!r}]" for r in self.held]
+        head = [f"def run({call}):", " out = output.append", " f = fuel[0]",
+                f" {counts.replace(',', ' =')}{trips} = 0", *bind,
+                " try:", *self.lines, "  while True:"]
         # Each trip counter adds its trips to the blocks on its path.
         on_path: dict[int, list[str]] = {}
         for j, path in enumerate(self.trips):
@@ -289,12 +335,18 @@ class _Source:
                 "  fuel[0] = f",
                 f"  for label, c in zip(_labels, ({counts},)):",
                 "   if c:",
-                "    block_counts[label] = block_counts.get(label, 0) + c",
-                # Registers the call never assigned stay out of env.
-                " bound = locals()",
-                " for name, r in _defs:",
-                "  if r in bound:",
-                f"   env[name] = bound[r] & {M64:#x}"]
+                "    block_counts[label] = block_counts.get(label, 0) + c"]
+        if self.trips:
+            # A fast copy's else sets b below -1: the call goes on in the
+            # per-block function, now that its counts and fuel are flushed.
+            tail += [" if b < -1:",
+                     "  return _hand_over(-2 - b, locals(), env, mem, output,"
+                     " block_counts, fuel, mem_size, on_load, on_prefetch)"]
+        # Registers the call never assigned stay out of env.
+        tail += [" bound = locals()",
+                 " for name, r in _defs:",
+                 "  if r in bound:",
+                 f"   env[name] = bound[r] & {M64:#x}"]
         return "\n".join(head + body + tail) + "\n"
 
     def all_arms(self) -> list[list[str]]:
@@ -308,13 +360,14 @@ class _Source:
         """The code of the arm that starts at root, at depth 0.
 
         The per-block copy counts each block's entry and charges its fuel
-        as the block starts.  An arm whose code jumps back to root and
-        that enters at most MAX_FAST blocks also gets a fast copy:
+        as the block starts.  With fast_loops, an arm whose code jumps
+        back to root and that enters at most MAX_FAST blocks gets a fast
+        copy instead:
 
             while f >= K and r < _GUARD ...:
                 <the fast copy>
             else:
-                <the per-block copy>
+                b = -2 - b
             if b < 0:
                 break
             continue
@@ -332,19 +385,59 @@ class _Source:
         blocks itself and raises, or leaves the loop with b set to the
         next arm (-1 after a ret).  Each r is a register that Ranges.guards
         picks, which the fast copy's bounds then take to be below _GUARD.
-        A trip that starts with less fuel, or a guard failed, runs the
-        per-block copy.
+        A trip that starts with less fuel, or a guard failed, leaves the
+        dispatch loop with b = -2 - root's arm, and the code after the
+        finally hands the call over to the per-block function (see
+        CompiledFunction), which runs that trip; no per-block copy of the
+        arm is written.
         """
-        slow = self.copy(root, False, {})
-        if len(self.inside) > MAX_FAST or not self.back:
-            return slow
-        guards = self.ranges.guards(self.blocks[root], self.back, self.inside, _GUARD)
-        loop = "".join([f"while f >= {self.top}",
-                        *(f" and {self.reg(r)} < {_GUARD:#x}" for r in guards), ":"])
-        fast = self.copy(root, True, dict.fromkeys(guards, (_GUARD - 1).bit_length()))
-        return [loop, *(" " + line for line in fast),
-                "else:", *(" " + line for line in slow),
-                "if b < 0:", " break", "continue"]
+        if self.fast_loops:
+            inside, back = self.shape(root)
+            if back and len(inside) <= MAX_FAST:
+                guards = self.ranges.guards(self.blocks[root], back, inside, _GUARD)
+                fast = self.copy(root, True,
+                                 dict.fromkeys(guards, (_GUARD - 1).bit_length()))
+                loop = "".join([f"while f >= {self.top}",
+                                *(f" and {self.reg(r)} < {_GUARD:#x}" for r in guards), ":"])
+                return [loop, *(" " + line for line in fast),
+                        "else:", " b = -2 - b", "if b < 0:", " break", "continue"]
+        return self.copy(root, False, {})
+
+    def shape(self, root: str) -> tuple[list[str], set[str]]:
+        """The blocks that the arm at root enters, in the order copy
+        writes them, and those whose edges jump back to root; it adds
+        the arms that MAX_NEST pushes out as copy would."""
+        inside, back = [], set()
+        todo = [(root, 0, None)]
+        while todo:
+            label, d, prev = todo.pop()
+            blk = self.blocks.get(label)
+            if blk is None:
+                continue
+            if prev is not None:
+                if any(prev not in inc for _, inc in self.incoming.get(label, ())):
+                    inside.append(label)  # the fault of a missing phi value
+                    continue
+                if label in self.arms or d > MAX_NEST:
+                    self.arm_of(label)
+                    if label == root:
+                        back.add(prev)
+                    continue
+            inside.append(label)
+            t = blk.term
+            if isinstance(t, Br):
+                todo.append((t.target, d, label))
+            elif isinstance(t, BrCond):
+                todo.append((t.if_false, d, label))
+                todo.append((t.if_true, d + 1, label))
+        return inside, back
+
+    def arm_of(self, label: str) -> int:
+        """label's arm, added after every other when it has none."""
+        if label not in self.arms:
+            self.arms[label] = len(self.roots)
+            self.roots.append(label)
+        return self.arms[label]
 
     def copy(self, root: str, fast: bool, known: dict[str, int]) -> list[str]:
         """One copy of the arm that starts at root, at depth 0, where
@@ -358,8 +451,7 @@ class _Source:
         an if and its false target after it; every path ends in continue,
         break or raise, so nothing falls through.
         """
-        self.lines, self.fast = [], fast
-        self.inside, self.top, self.back = [], 0, set()
+        self.lines, self.fast, self.top = [], fast, 0
         todo = [(root, 0, None, None, 0, Facts(self.ranges, known))]
         while todo:
             label, d, prev, self.path, self.charged, self.facts = todo.pop()
@@ -371,12 +463,8 @@ class _Source:
                 if not self.moves(d, prev, blk):
                     continue
                 if label in self.arms or d > MAX_NEST:
-                    if label not in self.arms:
-                        self.arms[label] = len(self.roots)
-                        self.roots.append(label)
-                    jump = f"b = {self.arms[label]}"
+                    jump = f"b = {self.arm_of(label)}"
                     if label == root:
-                        self.back.add(prev)
                         self.leave(d, "trip", *(() if fast else (jump,)), "continue")
                     else:
                         self.leave(d, "exit", jump, "break" if fast else "continue")
@@ -430,7 +518,6 @@ class _Source:
         charges its nodes' fuel here."""
         n = len(blk.phis) + len(blk.body) + 1
         self.path = (blk.label, n + (self.path[1] if self.path else 0), self.path)
-        self.inside.append(blk.label)
         if self.fast:
             return
         self.emit(d, f"c{self.index[blk.label]} += 1")
@@ -486,13 +573,11 @@ class _Source:
                 emit(d, f"{self.reg(ins.dst)} = {facts.binop(ins, a, b)}")
             elif isinstance(ins, (Load, Store)):
                 kind = "load" if isinstance(ins, Load) else "store"
-                base = self.reg(ins.base)
                 a, canonical = self.address(d, ins.base, ins.offset)
-                shown = _address(base, ins.offset) if canonical else a
                 test = "" if canonical else f"{a} < 0 or "
                 emit(d, f"if {test}{a} + {ins.width} > mem_size:")
-                self.leave(d + 1, "raise", f"raise _Err(f'{kind} address {{{shown}}}"
-                                           f" out of [0, {{mem_size}})', {ins.id})")
+                self.leave(d + 1, "raise", f"raise _oob({kind!r}, {self.reg(ins.base)},"
+                                           f" {ins.offset}, mem_size, {ins.id})")
                 if kind == "load":
                     emit(d, "if on_load is not None:")
                     emit(d + 1, f"on_load({ins.id}, {a}, f)")
@@ -534,20 +619,24 @@ def _dispatch(arms: list[list[str]], lo: int, hi: int, depth: int,
     _dispatch(arms, mid, hi, depth + 1, lines)
 
 
-def compile_function(fn: Function) -> CompiledFunction:
-    """Generate the Python function that runs fn, and build it."""
+def _build(fn: Function, hand_over):
+    """Generate, compile and exec fn's code: with hand_over, run, whose
+    handovers call it; with None, the per-block function."""
     blocks = {blk.label: blk for blk in fn.blocks}
     for label, blk in blocks.items():
         if not isinstance(blk.term, (Br, BrCond, Ret)):
             raise TypeError(f"block {label!r} lacks a terminator")
-    src = _Source(fn, blocks)
+    src = _Source(fn, blocks, hand_over is not None)
     code = compile(src.text(), f"<dir @{fn.name}>", "exec")
-    defined = {node_def(n) for blk in blocks.values() for n in (*blk.phis, *blk.body)}
-    namespace = dict(_NAMESPACE, _labels=tuple(blocks),
-                     _defs=tuple((name, r) for name, r in src.regs.items()
-                                 if name in defined))
+    namespace = dict(_NAMESPACE, _labels=tuple(blocks), _defs=src.defs,
+                     _hand_over=hand_over)
     exec(code, namespace)
-    return CompiledFunction(fn, namespace["run"])
+    return namespace["run"]
+
+
+def compile_function(fn: Function) -> CompiledFunction:
+    """Generate the Python function that runs fn, and build it."""
+    return CompiledFunction(fn)
 
 
 def _splitmix_chunks(seed: int, words: int):

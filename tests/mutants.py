@@ -56,6 +56,32 @@ MUTANTS = [
            'test = "" if canonical else f"{a} < 0 or "', 'test = ""',
            "an address that may be negative must be tested for it",
            ("test_oracle.py::test_runtime_faults_agree_with_the_walker",)),
+    Mutant("handover_from_the_entry", "ir/interp.py",
+           "return _hand_over(-2 - b, locals(),", "return _hand_over(0, locals(),",
+           "a handed-over call goes on at the start of the trip its fast copy"
+           " did not take, not at the function's entry",
+           ("test_oracle.py::test_handovers_agree_with_the_walker",
+            "test_oracle.py::test_guard_boundaries_agree_with_the_walker")),
+    Mutant("handover_before_the_flush", "ir/interp.py",
+           '"else:", " b = -2 - b",',
+           '"else:", " return _hand_over(b, locals(), env, mem, output,'
+           ' block_counts, fuel, mem_size, on_load, on_prefetch)",',
+           "the per-block function starts from the fuel and counts that the"
+           " fast call's finally flushes, and nothing overwrites its own",
+           ("test_oracle.py::test_handovers_agree_with_the_walker",
+            "test_oracle.py::test_guard_boundaries_agree_with_the_walker",
+            "test_oracle.py::test_fuel_cuts_near_the_fast_copy_agree_with_the"
+            "_walker")),
+    Mutant("handover_binds_unassigned", "ir/interp.py",
+           'f" if {r!r} in regs: {r} = regs[{r!r}]"', 'f" {r} = regs.get({r!r}, 0)"',
+           "a register that neither part of a handed-over call assigned stays"
+           " out of env",
+           ("test_oracle.py::test_handovers_agree_with_the_walker",)),
+    Mutant("address_fault_shows_unsigned", "ir/interp.py",
+           "{to_signed(base) + offset}", "{base + offset}",
+           "an address fault shows the signed address the walker computes",
+           ("test_oracle.py::test_runtime_faults_agree_with_the_walker",
+            "test_ir.py::test_address_checks_agree_with_signed_addresses")),
     Mutant("division_fault_without_id", "ir/interp.py",
            "raise _Err('division by zero', {ins.id})",
            "raise _Err('division by zero')",

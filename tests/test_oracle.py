@@ -53,6 +53,7 @@ from daef.ir.interp import (
     DEFAULT_FUEL,
     _GUARD,
     _Source,
+    _build,
     compile_function,
     default_mem_size,
     init_memory,
@@ -423,6 +424,98 @@ def test_guard_boundaries_agree_with_the_walker():
             cut = both(prog, fuel, fn, params, cf)
             assert cut[0] == cut[1], (fn.name, params, fuel)
     assert faults[None] and faults["division"] and faults["load"] and faults["store"], faults
+
+
+# A counted loop from {lo} to {hi}, whose fast trips guard %i.  %ghost
+# is assigned only on the exit that %flag takes, %last only after the loop.
+HANDOVER_LOOP = """
+data @base=0 prng(seed=5, len=4096)
+entry @main
+func @main(%flag) kind=original {{
+entry:
+  %zero = const 0
+  %lo = const {lo}
+  %hi = const {hi}
+  br loop
+loop:
+  %i = phi [entry: %lo], [latch: %i2]
+  %acc = phi [entry: %zero], [latch: %acc2]
+  %c = binop slt %i, %hi
+  brcond %c, body, done
+body:
+  %m = binop and %i, 255
+  %p = binop shl %m, 3
+  %v = load %p, 0, w8
+  prefetch %p, 64 !origin=0
+  %acc2 = binop add %acc, %v
+  brcond %flag, never, latch
+never:
+  %ghost = const 7
+  out %ghost
+  ret
+latch:
+  %i2 = binop add %i, 1
+  br loop
+done:
+  %last = binop add %acc, %i
+  out %last
+  ret
+}}
+"""
+
+
+def test_handovers_agree_with_the_walker():
+    """A trip that its fast copy does not take hands the call over to
+    the per-block function, which the first handover builds and a call
+    with none leaves unbuilt.  A counter that
+    crosses _GUARD after 5 fast trips hands over with those trips'
+    counts and fuel flushed: the per-block function starts at the loop
+    arm and sees them in block_counts and fuel.  A counter past _GUARD
+    hands over on the first trip, so every register of the loop is first
+    assigned after the handover; %last always is, and %ghost, which
+    neither part assigns, stays out of env.  Output, block counts, fuel
+    left, env, memory and the fuel that each load and prefetch hook
+    receives agree with the walker at full fuel and at every fuel that
+    cuts the last trips, where the handover comes from the fuel test."""
+    for lo, trips, fast in [(_GUARD - 5, 10, 5), (1 << 40, 6, 0), (0, 8, None)]:
+        prog = parse_program(HANDOVER_LOOP.format(lo=lo, hi=lo + trips))
+        fn = prog.entry_function()
+        cost = {blk.label: len(blk.phis) + len(blk.body) + 1 for blk in fn.blocks}
+        trip = cost["loop"] + cost["body"] + cost["latch"]
+        for flag in (0, 1):
+            params = {"flag": flag}
+            lazy = compile_function(fn)
+            assert lazy.per_block is None
+            built = both(prog, DEFAULT_FUEL, fn, params, lazy)
+            cf, handed = compile_function(fn), []
+
+            def per_block(b, regs, env, mem, out, counts, box, *rest,
+                          real=_build(fn, None)):
+                handed.append((b, dict(counts), box[0]))
+                real(b, regs, env, mem, out, counts, box, *rest)
+
+            cf.per_block = per_block
+            full = both(prog, DEFAULT_FUEL, fn, params, cf)
+            assert full[0] == full[1] == built[1], (lo, flag)
+            assert (lazy.per_block is not None) == bool(handed)
+            out, counts, left, err, _, env, seen = full[1]
+            assert err is None and ("ghost" in env) == bool(flag)
+            if flag:
+                assert out == [7] and "last" not in env
+                continue
+            assert "last" in env and len(seen) == 2 * trips
+            if fast is None:
+                assert not handed
+            else:
+                ran = dict.fromkeys(["loop", "body", "latch"] if fast else [], fast)
+                assert handed == [(1, {"entry": 1, **ran},
+                                   DEFAULT_FUEL - cost["entry"] - fast * trip)]
+            spent = DEFAULT_FUEL - left
+            handed.clear()
+            for fuel in range(spent - 2 * trip, spent + 2):
+                cut = both(prog, fuel, fn, params, cf)
+                assert cut[0] == cut[1], (lo, fuel)
+            assert handed
 
 
 # Registers assigned more than once: a large constant or load over a
